@@ -102,7 +102,7 @@ def run_fold_passage(
     c: float,
     epsilon: float,
     delta: float = 0.25,
-    chart: str = "auto",
+    chart: str = "plain",
     rtol: float = 1e-10,
     atol: float = 1e-13,
     z0_offset: float = 0.0,
@@ -113,12 +113,12 @@ def run_fold_passage(
     The initial z carries the first-order slow-manifold correction
     eps*g(theta0)/(4|theta0|) so the measurement starts transient-free
     (``z0_offset`` perturbs it for attraction tests).  ``chart`` selects the
-    integration variable: "auto"/"plain" use z directly (with delta <= 1/2
+    integration variable: "plain" uses z directly (with delta <= 1/2
     the section is reached before the fast fall would need compactifying),
     "arctan" runs fully in s = arctan(z).
     """
     _validate(c, epsilon, delta)
-    if chart not in ("auto", "plain", "arctan"):
+    if chart not in ("plain", "arctan"):
         raise ValueError(f"unknown chart {chart!r}")
     mu_c = c * c / 4.0
     theta_cap = 1.0 - mu_c

@@ -278,13 +278,7 @@ def linearization_ground_state(sol: HMSolution, k: int = 5, n_sub: int | None = 
     inner = slice(1, -1)
     diag = -2.0 / h**2 - v[inner]
     off = np.full(n_sub - 3, 1.0 / h**2)
-    spec = eig_tridiag_symmetric(
-        diag,
-        off,
-        k,
-        domain_halflength=0.5 * (eta[-1] - eta[0]),
-        operator_tag="PII-linearization",
-    )
+    spec = eig_tridiag_symmetric(diag, off, k, operator_tag="PII-linearization")
     if spec.eigenvalues[0] >= 0.0:
         raise CertificateError(
             f"ground state is not negative (lambda0 = {spec.eigenvalues[0]:.3e})"

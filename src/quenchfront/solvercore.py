@@ -1,8 +1,9 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
 iteration on banded discrete systems, natural-parameter continuation with a
 secant predictor, an embedded Dormand-Prince 4(5) integrator with
-sign-change/bisection event location, and a Sturm-sequence bisection
-eigensolver for symmetric tridiagonal matrices.
+sign-change/bisection event location, and symmetric tridiagonal
+eigenvalues and eigenvectors by LAPACK bisection via
+``scipy.linalg.eigh_tridiagonal``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgbtrf
 
 __all__ = [
     "Mesh",
@@ -147,30 +149,14 @@ class NewtonReport:
     damping_history: list[float] = field(default_factory=list)
 
 
-def _first_singular_pivot(ab: np.ndarray, kl: int, ku: int) -> int:
-    """Locate the first vanishing pivot of an unpivoted banded elimination.
-    Diagnostic only; runs after LAPACK has already refused to factorize."""
-    n = ab.shape[1]
-    a = ab.astype(float).copy()
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for j in range(n):
-        piv = a[ku, j]
-        if abs(piv) <= 1e-13 * scale:
-            return j
-        for i in range(1, min(kl, n - 1 - j) + 1):
-            m = a[ku + i, j] / piv
-            if m == 0.0:
-                continue
-            for k in range(1, min(ku, n - 1 - j) + 1):
-                a[ku + i - k, j + k] -= m * a[ku - k, j + k]
-    return n - 1
-
-
 def _banded_solve(ab: np.ndarray, kl: int, ku: int, rhs: np.ndarray) -> np.ndarray:
     try:
         return solve_banded((kl, ku), ab, rhs)
     except LinAlgError as exc:
-        raise JacobianSingularError(_first_singular_pivot(ab, kl, ku)) from exc
+        # dgbtrf takes kl extra rows for fill-in; its info is the 1-based
+        # index of the first exactly zero pivot
+        info = dgbtrf(np.vstack([np.zeros((kl, ab.shape[1])), ab]), kl, ku)[2]
+        raise JacobianSingularError(info - 1) from exc
 
 
 def solve_bvp(
@@ -481,7 +467,7 @@ def _bisect_event(field, ev, t_lo, y_lo, t_hi, y_hi):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigenvalues by Sturm-sequence bisection
+# Symmetric tridiagonal eigenproblems (LAPACK bisection)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -489,37 +475,18 @@ class Spectrum:
     """Descending eigenvalue list of a discretized self-adjoint operator."""
 
     eigenvalues: np.ndarray
-    n: int
-    domain_halflength: float | None = None
     operator_tag: str = "generic"
-
-
-def _sturm_counts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift, via the LDL^T pivot
-    recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}."""
-    n = diag.size
-    tiny = 1e-300
-    counts = np.zeros(shifts.size, dtype=int)
-    d = diag[0] - shifts
-    d = np.where(np.abs(d) < tiny, -tiny, d)  # zero pivot counts as negative
-    counts += d < 0.0
-    for i in range(1, n):
-        d = (diag[i] - shifts) - off2[i - 1] / d
-        d = np.where(np.abs(d) < tiny, -tiny, d)
-        counts += d < 0.0
-    return counts
 
 
 def eig_tridiag_symmetric(
     diag: Sequence[float],
     offdiag: Sequence[float],
     k_largest: int,
-    domain_halflength: float | None = None,
     operator_tag: str = "generic",
 ) -> Spectrum:
     """The ``k_largest`` largest eigenvalues of the symmetric tridiagonal
-    matrix (diag, offdiag), each located by Sturm-sequence bisection to an
-    absolute tolerance of 1e-10 times the entry scale."""
+    matrix (diag, offdiag), in descending order, by LAPACK bisection via
+    ``scipy.linalg.eigh_tridiagonal``."""
     a = np.asarray(diag, dtype=float)
     b = np.asarray(offdiag, dtype=float)
     n = a.size
@@ -527,43 +494,25 @@ def eig_tridiag_symmetric(
         raise ValueError("offdiag length must be diag length - 1")
     if not (1 <= k_largest <= n):
         raise ValueError("k_largest must lie in [1, matrix size]")
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0), 1e-30)
-    tol = 1e-10 * scale
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(b)
-    radius[1:] += np.abs(b)
-    lo = np.full(k_largest, float(np.min(a - radius)))
-    hi = np.full(k_largest, float(np.max(a + radius)))
-    # j-th largest eigenvalue lambda_{n-j} has Sturm count >= n-j to its right
-    want = n - np.arange(k_largest)
-    off2 = b * b
-    for _ in range(120):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(a, off2, mid)
-        takes_hi = counts >= want
-        hi = np.where(takes_hi, mid, hi)
-        lo = np.where(takes_hi, lo, mid)
-    vals = 0.5 * (lo + hi)
-    return Spectrum(vals, n, domain_halflength, operator_tag)
+    vals = eigh_tridiagonal(
+        a, b, eigvals_only=True, select="i", select_range=(n - k_largest, n - 1)
+    )
+    return Spectrum(vals[::-1].copy(), operator_tag)
 
 
 def tridiag_eigenvector(
     diag: np.ndarray, offdiag: np.ndarray, eigenvalue: float
 ) -> np.ndarray:
-    """Unit eigenvector by two rounds of inverse iteration with a slightly
-    shifted factorization."""
-    n = len(diag)
-    scale = max(np.max(np.abs(diag)), np.max(np.abs(offdiag), initial=0.0), 1e-30)
-    shift = eigenvalue + 1e-12 * scale
-    ab = np.zeros((3, n))
-    ab[0, 1:] = offdiag
-    ab[1, :] = np.asarray(diag) - shift
-    ab[2, :-1] = offdiag
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    for _ in range(3):
-        v = _banded_solve(ab, 1, 1, v)
-        v /= np.linalg.norm(v)
-    return v
+    """Unit eigenvector of the eigenvalue nearest ``eigenvalue``, searched
+    within 1e-8 times the entry scale of it (LAPACK bisection and inverse
+    iteration via ``scipy.linalg.eigh_tridiagonal``)."""
+    a = np.asarray(diag, dtype=float)
+    b = np.asarray(offdiag, dtype=float)
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0), 1e-30)
+    width = 1e-8 * scale
+    vals, vecs = eigh_tridiagonal(
+        a, b, select="v", select_range=(eigenvalue - width, eigenvalue + width)
+    )
+    if vals.size == 0:
+        raise ValueError(f"no eigenvalue within {width:.3g} of {eigenvalue!r}")
+    return vecs[:, int(np.argmin(np.abs(vals - eigenvalue)))]

@@ -99,17 +99,10 @@ def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
 
 def leading_eigenvalues(op: LcOperator, k: int) -> Spectrum:
     """The k largest eigenvalues of the discretized operator (descending),
-    via Sturm-sequence bisection."""
+    by LAPACK bisection via ``scipy.linalg.eigh_tridiagonal``."""
     if k < 1:
         raise ValueError("need at least one eigenvalue")
-    spec = eig_tridiag_symmetric(
-        op.diag,
-        op.offdiag,
-        k,
-        domain_halflength=0.5 * op.window_length,
-        operator_tag=op.operator_tag,
-    )
-    return spec
+    return eig_tridiag_symmetric(op.diag, op.offdiag, k, operator_tag=op.operator_tag)
 
 
 def essential_spectrum_edges(c: float) -> tuple[float, float]:

@@ -189,9 +189,10 @@ class TestGroundState:
 
     def test_box_potential_oracle(self):
         # constant potential -1 on a Dirichlet box of full length L:
-        # lambda_k = -1 - (k pi / L)^2.  n is chosen so both the O(h^2)
-        # discretization error and the bisection tolerance (1e-10 * 2/h^2)
-        # sit below the 1e-6 target.
+        # lambda_k = -1 - (k pi / L)^2.  n is chosen so the O(h^2)
+        # discretization error sits below the 1e-6 target; LAPACK bisection
+        # via scipy.linalg.eigh_tridiagonal resolves each eigenvalue to about
+        # machine epsilon times the matrix 1-norm (4/h^2).
         L, n = 10.0, 601
         h = L / (n - 1)
         diag = np.full(n - 2, -2.0 / h**2 - 1.0)

@@ -1,5 +1,6 @@
 """Tests for the shared numerics: banded Newton, continuation, the embedded
-RK4(5) integrator, and the Sturm-bisection tridiagonal eigensolver."""
+RK4(5) integrator, and the tridiagonal eigensolver (LAPACK bisection via
+scipy.linalg.eigh_tridiagonal)."""
 
 import math
 
@@ -277,9 +278,13 @@ class TestEig:
 
     def test_sorted_descending_and_matches_dense(self):
         rng = np.random.default_rng(7)
-        for n in (10, 37, 50):
-            d = rng.standard_normal(n)
-            e = rng.standard_normal(n - 1)
+        cases = [(rng.standard_normal(n), rng.standard_normal(n - 1)) for n in (10, 37, 50)]
+        cases.append((np.array([0.7]), np.empty(0)))
+        # two identical blocks split by a zero coupling: every eigenvalue twice
+        block_d, block_e = rng.standard_normal(6), rng.standard_normal(5)
+        cases.append((np.tile(block_d, 2), np.concatenate([block_e, [0.0], block_e])))
+        for d, e in cases:
+            n = d.size
             spec = eig_tridiag_symmetric(d, e, n)
             assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
             dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
@@ -303,3 +308,5 @@ class TestEig:
         tv[:-1] += e * v[1:]
         tv[1:] += e * v[:-1]
         assert np.max(np.abs(tv - lam * v)) <= 1e-8
+        with pytest.raises(ValueError):
+            tridiag_eigenvector(d, e, 10.0)  # spectrum lies in (-4, 0)

@@ -36,8 +36,8 @@ def _box_operator(L=10.0, n_interior=49, q0=-1.0):
 
 class TestBoxOracle:
     def test_discrete_closed_form(self):
-        # lambda_k = q0 - (4/h^2) sin^2(k pi h / (2L)); h large enough that
-        # the bisection tolerance (1e-10 * 2/h^2) sits below 1e-8
+        # lambda_k = q0 - (4/h^2) sin^2(k pi h / (2L)); LAPACK bisection via
+        # scipy.linalg.eigh_tridiagonal resolves it far below 1e-8
         op, h = _box_operator()
         spec = leading_eigenvalues(op, 4)
         L = 10.0
