@@ -148,20 +148,29 @@ def _extract_config(argv: list[str], parser: argparse.ArgumentParser) -> tuple[l
     return argv[:i] + argv[i + 2 :], entries
 
 
-def _apply_config(args, argv: list[str], entries: dict, subparser) -> None:
-    """Config entries fill any option not given explicitly on the command
-    line (flags > config file > built-in defaults)."""
-    given = {tok for tok in argv if tok.startswith("--")}
+def _config_tokens(entries: dict, subparser: argparse.ArgumentParser) -> list[str]:
+    """Turn config entries into command-line tokens for ``subparser``, so
+    each value passes through the same argparse action (type, nargs,
+    choices) as its flag.  Switches take exactly true/false/1/0."""
+    tokens = []
     for action in subparser._actions:
-        dest = action.dest
-        if dest not in entries:
+        if action.dest not in entries or not action.option_strings:
             continue
-        flag = "--" + dest.replace("_", "-")
-        if flag in given:
-            continue
-        raw = entries[dest]
-        value = action.type(raw) if action.type is not None else raw
-        setattr(args, dest, value)
+        flag, raw = action.option_strings[0], entries[action.dest]
+        if action.nargs == 0:
+            if action.const is not True:  # only store_true switches are settable
+                continue
+            if raw not in ("true", "false", "1", "0"):
+                subparser.error(
+                    f"config entry {action.dest} = {raw!r}: expected true, false, 1 or 0"
+                )
+            if raw in ("true", "1"):
+                tokens.append(flag)
+        elif action.nargs is None:
+            tokens.append(f"{flag}={raw}")  # one token, so values like -1 stay values
+        else:
+            tokens += [flag, *raw.split()]
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +618,11 @@ def main(argv=None) -> int:
         argv, config_entries = _extract_config(argv, parser)
         args = parser.parse_args(argv)
         if config_entries:
-            _apply_config(args, argv, config_entries, parser.qf_subparsers[args.command])
+            # config tokens go right after the subcommand, so explicit flags,
+            # parsed later, win (flags > config file > built-in defaults)
+            i = argv.index(args.command) + 1
+            tokens = _config_tokens(config_entries, parser.qf_subparsers[args.command])
+            args = parser.parse_args(argv[:i] + tokens + argv[i:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

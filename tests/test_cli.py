@@ -187,6 +187,45 @@ class TestPde:
         assert m1["config_digest"] == m2["config_digest"]
 
 
+class TestConfigValues:
+    """Config entries go through the same argparse actions as their flags."""
+
+    BASE = "alpha = 0\neps = 0.05\nn = 501\nt_end = 20\n"
+
+    def run_config(self, tmp_path, text):
+        cfgfile = tmp_path / "pde.cfg"
+        cfgfile.write_text(self.BASE + text)
+        return run(["pde", "--config", str(cfgfile)], tmp_path)
+
+    def test_multi_value_option(self, tmp_path):
+        code, out = self.run_config(tmp_path, "domain = 0 50\n")
+        assert code == 0
+        meta, _ = read_meta(out / "pde_snapshots.csv")
+        assert (float(meta["x_lo"]), float(meta["x_hi"])) == (0.0, 50.0)
+
+    @pytest.mark.parametrize("value", ["0 fifty", "0", "0 50 100"])
+    def test_bad_multi_value_is_usage_error(self, tmp_path, capsys, value):
+        code, _ = self.run_config(tmp_path, f"domain = {value}\n")
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,on", [("false", False), ("0", False), ("true", True), ("1", True)]
+    )
+    def test_switch_values(self, tmp_path, value, on):
+        code, out = self.run_config(tmp_path, f"domain = 0 50\ncompare = {value}\n")
+        assert code == 0
+        meta, _ = read_meta(out / "pde_front_track.csv")
+        expected = "t,x_fr_num,x_fr_pred,diff" if on else "t,x_fr_num"
+        assert meta["columns"] == expected
+
+    @pytest.mark.parametrize("value", ["yes", "False", "2", ""])
+    def test_bad_switch_is_usage_error(self, tmp_path, capsys, value):
+        code, _ = self.run_config(tmp_path, f"domain = 0 50\ncompare = {value}\n")
+        assert code == 1
+        assert "compare" in capsys.readouterr().err
+
+
 class TestEnvironmentOutdir:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

@@ -97,6 +97,75 @@ class TestInvasion:
         assert float(np.max(np.abs(res.snapshots))) <= 1.5 + 1e-6
 
 
+def _dense_reference(cfg, u):
+    """Unfactored, unfused copy of the stepper: u <- M^{-1}(u + dt(mu u - u^3))
+    with M = I - dt(D2 - c D1) assembled densely from mirror-ghost Neumann
+    rows; returns the states from u onwards (row k is t = k dt)."""
+    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
+    h, dt, n = cfg.h, cfg.dt, cfg.n
+    c = cfg.c if cfg.frame == "comoving" else 0.0
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] = -2.0 / h**2
+        if i > 0:
+            a[i, i - 1] = 1.0 / h**2 + c / (2.0 * h)
+        if i < n - 1:
+            a[i, i + 1] = 1.0 / h**2 - c / (2.0 * h)
+    a[0, 1] = 2.0 / h**2  # ghost u_{-1} = u_1: D2 doubles, D1 vanishes
+    a[-1, -2] = 2.0 / h**2
+    m = np.eye(n) - dt * a
+    steps = int(math.ceil(cfg.t_end / dt))
+    states = [u]
+    for k in range(steps):
+        t = k * dt
+        if cfg.frozen_mu is not None:
+            mu = cfg.frozen_mu
+        elif cfg.frame == "comoving":
+            mu = np.tanh(cfg.epsilon * x)
+        else:
+            mu = -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
+        u = np.linalg.solve(m, u + dt * (mu * u - u**3))
+        states.append(u)
+    return np.array(states)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            dict(frame="lab", frozen_mu=1.0),
+            dict(frame="lab", alpha=0.0),
+            dict(frame="lab", alpha=0.5),
+            dict(frame="comoving", c=1.2, ic="front-seed"),
+        ],
+        ids=["frozen", "lab-alpha0", "lab-alpha0.5", "comoving"],
+    )
+    def test_matches_dense_reference(self, mode):
+        cfg = SimConfig(
+            epsilon=0.05, domain=(-10.0, 20.0), n=61, t_end=30.0, ic_center=5.0,
+            ic_amplitude=0.3, snapshot_dt=3.0, **mode,
+        )
+        res = simulate(cfg)
+        ref = _dense_reference(cfg, res.snapshots[0])
+        assert len(ref) == 301
+        steps = np.rint(res.times / cfg.dt).astype(int)
+        assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
+
+
+class TestErrorState:
+    def test_restored_after_return_and_abort(self):
+        before = np.geterr()
+        simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0))
+        assert np.geterr() == before
+        cfg = SimConfig(
+            frame="lab", frozen_mu=1.0, domain=(0.0, 50.0), n=501, t_end=10.0,
+            ic="small-bump", ic_amplitude=1e8, ic_width=2.0, ic_center=25.0,
+        )
+        with pytest.raises(SimulationAbort):
+            simulate(cfg)
+        assert np.geterr() == before
+
+
 class TestPrediction:
     def test_linear_ramp_closed_form(self):
         got = predicted_front_path(0.005, "linear", 0.0, [10.0])[0]
