@@ -20,13 +20,15 @@ are JSON.  Identical configurations produce bit-identical data files; the
 manifest (wall time) is excluded from that guarantee.
 
 Exit codes: 0 success, 1 usage/config error, 2 solver failure,
-3 certificate failure, 4 simulation abort.
+3 certificate failure, 4 simulation abort.  A refused fold fit and a
+``--compare`` run that is not a lab-frame homogeneous quench are usage
+errors; a compared front that never crosses the level or never leaves the
+transient is a solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -48,7 +50,14 @@ from .painleve import (
     linearization_ground_state,
     solve_hastings_mcleod,
 )
-from .pdesim import SimConfig, SimulationAbort, compare_homogeneous_quench, simulate
+from .pdesim import (
+    QuenchComparisonError,
+    SimConfig,
+    SimulationAbort,
+    check_quench_comparable,
+    compare_homogeneous_quench,
+    simulate,
+)
 from .travelingwave import (
     FrontSolveError,
     QuenchParams,
@@ -253,12 +262,6 @@ def cmd_front(args) -> int:
 # delay-sweep
 # ---------------------------------------------------------------------------
 
-def _fold_job(job):
-    c, eps, delta = job
-    rec = run_fold_passage(c, eps, delta)
-    return (eps, rec)
-
-
 def cmd_delay_sweep(args) -> int:
     t0 = time.time()
     outdir = _outdir(args)
@@ -278,13 +281,7 @@ def cmd_delay_sweep(args) -> int:
     mu_c = args.c**2 / 4.0
     rows, summary = [], {"c": args.c, "mode": "fold" if args.fold else "bvp"}
     if args.fold:
-        jobs = [(args.c, float(e), args.delta) for e in eps_list]
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = dict(pool.map(_fold_job, jobs))
-        else:
-            results = dict(_fold_job(j) for j in jobs)
-        records = [results[float(e)] for e in eps_list]  # merged in parameter order
+        records = [run_fold_passage(args.c, float(e), args.delta) for e in eps_list]
         for rec in records:
             rows.append((rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta))
         columns = ["eps", "theta_exit", "theta_fold", "delta"]
@@ -333,6 +330,9 @@ def cmd_delay_sweep(args) -> int:
             f"(reference {summary['reference_prefactor']:.4f})"
         )
     _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
+    if args.fold and "fit" in summary:
+        print(f"error: fit {summary['fit']}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if converged >= 0.8 * total else EXIT_SOLVER
 
 
@@ -429,6 +429,8 @@ def cmd_pde(args) -> int:
             frozen_mu=args.frozen_mu,
             track_level=args.level,
         )
+        if args.compare:
+            check_quench_comparable(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -453,6 +455,9 @@ def cmd_pde(args) -> int:
         )
         print(f"simulation abort: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except QuenchComparisonError as exc:
+        print(f"comparison failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     outputs = []
     snap_rows = (
         (t, x, u)
@@ -553,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--fold", action="store_true", help="reduced slow-passage system only")
     p.add_argument("--delta", type=float, default=0.25, help="fold section offset")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--outdir", default=None)
     p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_delay_sweep)

@@ -31,12 +31,18 @@ __all__ = [
     "FrontTrack",
     "SimResult",
     "QuenchComparison",
+    "QuenchComparisonError",
     "SimulationAbort",
     "simulate",
     "predicted_front_path",
     "envelope_velocity",
+    "check_quench_comparable",
     "compare_homogeneous_quench",
 ]
+
+
+class QuenchComparisonError(RuntimeError):
+    """The tracked front never reached the level or never left the transient."""
 
 
 class SimulationAbort(RuntimeError):
@@ -299,6 +305,18 @@ def envelope_velocity(nu: float, mu: float) -> float:
     return -(nu * nu + mu) / nu
 
 
+def check_quench_comparable(cfg: SimConfig) -> None:
+    """Raise ``ValueError`` unless ``cfg`` is a homogeneous quench the
+    characteristic prediction applies to: lab frame, alpha = 0, bump initial
+    data and the tanh ramp in time (no frozen mu)."""
+    if cfg.frame != "lab" or cfg.alpha != 0.0:
+        raise ValueError("homogeneous-quench comparison needs frame='lab', alpha=0")
+    if cfg.ic != "small-bump":
+        raise ValueError("comparison is defined for bump initial data")
+    if cfg.frozen_mu is not None:
+        raise ValueError("comparison is defined for the tanh ramp, not a frozen mu")
+
+
 def compare_homogeneous_quench(
     cfg: SimConfig, transient_advance: float = 5.0, result: SimResult | None = None
 ) -> QuenchComparison:
@@ -311,19 +329,16 @@ def compare_homogeneous_quench(
     of the prediction, with a growing lead.  ``result`` reuses an existing
     simulation of the same configuration.
     """
-    if cfg.frame != "lab" or cfg.alpha != 0.0:
-        raise ValueError("homogeneous-quench comparison needs frame='lab', alpha=0")
-    if cfg.ic != "small-bump":
-        raise ValueError("comparison is defined for bump initial data")
+    check_quench_comparable(cfg)
     res = result if result is not None else simulate(cfg)
     tt, xx = res.track.times, res.track.x_fr_num
     have = np.isfinite(xx)
     if not np.any(have):
-        raise RuntimeError("front never crossed the tracking level")
+        raise QuenchComparisonError("front never crossed the tracking level")
     t0, x_first = tt[have][0], xx[have][0]
     moved = have & (xx >= x_first + transient_advance)
     if not np.any(moved):
-        raise RuntimeError("front never advanced past the transient window")
+        raise QuenchComparisonError("front never advanced past the transient window")
     i_tr = int(np.nonzero(moved)[0][0])
     t_tr = float(tt[i_tr])
     sel = have & (tt >= t_tr)

@@ -1,9 +1,9 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
 iteration on banded discrete systems, natural-parameter continuation with a
-secant predictor, an embedded Dormand-Prince 4(5) integrator with
-sign-change/bisection event location, and symmetric tridiagonal
-eigenvalues and eigenvectors by LAPACK bisection via
-``scipy.linalg.eigh_tridiagonal``.
+secant predictor, ODE integration by scipy's ``DOP853`` or (stiff) ``LSODA``
+stepper with sign-change events located by ``brentq`` on the dense output,
+and symmetric tridiagonal eigenvalues and eigenvectors by LAPACK bisection
+via ``scipy.linalg.eigh_tridiagonal``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dgbtrf
+from scipy.optimize import brentq
 
 __all__ = [
     "Mesh",
@@ -318,24 +319,8 @@ def _extras(problem: ParameterizedBVP, x: np.ndarray, p: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Embedded RK4(5) with event location
+# ODE integration with event location (scipy's DOP853 and LSODA steppers)
 # ---------------------------------------------------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
 
 @dataclass
 class EventRecord:
@@ -352,18 +337,6 @@ class OdeResult:
     status: str  # "completed" | "event"
 
 
-def _rk_step(field, t, y, h):
-    """One Dormand-Prince step; returns (y5, error_estimate)."""
-    k = [np.asarray(field(t, y), dtype=float)]
-    for i in range(1, 7):
-        yi = y + h * (_DP_A[i] @ np.stack(k[: len(_DP_A[i])])) if len(_DP_A[i]) else y
-        k.append(np.asarray(field(t + _DP_C[i] * h, yi), dtype=float))
-    ks = np.stack(k)
-    y5 = y + h * (_DP_B5 @ ks)
-    err = h * ((_DP_B5 - _DP_B4) @ ks)
-    return y5, err
-
-
 def integrate_ode(
     field: Callable[[float, np.ndarray], np.ndarray],
     y0: Sequence[float],
@@ -371,99 +344,76 @@ def integrate_ode(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
-    max_step: float = math.inf,
+    stiff: bool = False,
 ) -> OdeResult:
-    """Adaptive Dormand-Prince 4(5) integration.
+    """Adaptive integration with scipy's ``DOP853`` (explicit Runge-Kutta
+    of order 8) or, with ``stiff``, ``LSODA`` (Adams/BDF with automatic
+    stiffness switching).
 
-    Events are scalar functions of (t, y); a sign change over an accepted
-    step is located by bisection to 1e-12 in time (state along the bisection
-    evaluated with single uncontrolled RK steps from the step start).  An
-    event function with a truthy ``terminal`` attribute stops integration.
-    Step underflow below 1e-14 (stiffness/blow-up) raises
-    :class:`OdeBlowUpError` carrying the last healthy state.
+    ``stiff`` exists because the callers need different steppers.  Slow-fast
+    systems, whose explicit steps are limited by stability rather than
+    accuracy, take an order of magnitude fewer steps under LSODA.  LSODA's
+    error control is too loose for solutions that must shadow an unstable
+    orbit over a long range, so that case stays on DOP853.
+
+    The result holds every accepted step.  Events are scalar functions of
+    (t, y).  A sign change over an accepted step, in the direction given by
+    an optional ``direction`` attribute (+1 rising, -1 falling, 0 both), is
+    located by ``brentq`` on the step's dense output to 1e-12 in time.  An
+    event function with a truthy ``terminal`` attribute stops integration
+    at its earliest crossing.  :class:`OdeBlowUpError`, carrying the last
+    accepted state, is raised when the stepper fails, when the state turns
+    non-finite, or when a step short of the range end advances by less than
+    1e-14 max(1, |t|) (stiffness or finite-time blow-up).
     """
+    # imported here, not at module level: scipy.integrate adds ~0.1 s to the
+    # package import, which every command pays, and few of them integrate
+    from scipy.integrate import DOP853, LSODA
+
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
-    f0 = np.asarray(field(t0, y), dtype=float)
-    if not np.all(np.isfinite(f0)):
+    if not np.all(np.isfinite(np.asarray(field(t0, y), dtype=float))):
         raise ValueError("vector field not finite at the initial state")
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    h = direction * min(max(1e-6 * span, 1e-10), 1e-2 * span if span else 1e-3, max_step)
-    if h == 0.0:
-        return OdeResult(np.array([t0]), y[None, :].copy(), [], "completed")
-
-    ts = [t0]
-    ys = [y.copy()]
-    ev_records: list[EventRecord] = []
+    solver = (LSODA if stiff else DOP853)(field, t0, y, t1, rtol=rtol, atol=atol)
+    ts, ys = [t0], [y]
+    records: list[EventRecord] = []
     g_prev = [ev(t0, y) for ev in events]
-    t = t0
-    status = "completed"
-    while (t1 - t) * direction > 0.0:
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            if abs(t1 - t) <= 1e-12 * max(1.0, abs(t)):
-                break  # range end reached to rounding accuracy
+    while solver.status == "running":
+        t, y = solver.t, ys[-1]
+        solver.step()
+        t_new, y_new = solver.t, solver.y.copy()
+        if (
+            solver.status == "failed"
+            or not np.all(np.isfinite(y_new))
+            or (solver.status == "running" and abs(t_new - t) < 1e-14 * max(1.0, abs(t)))
+        ):
             raise OdeBlowUpError(t, y)
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        try:
-            y_new, err = _rk_step(field, t, y, h)
-        except (FloatingPointError, OverflowError):
-            h *= 0.25
-            continue
-        if not np.all(np.isfinite(y_new)):
-            h *= 0.25
-            continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
-        if err_norm <= 1.0:
-            t_new = t + h
-            hit = None
-            for i, ev in enumerate(events):
-                g_new = ev(t_new, y_new)
-                g_old = g_prev[i]
-                ev_dir = getattr(ev, "direction", 0)
-                crossed = (g_old < 0.0 <= g_new and ev_dir >= 0) or (
-                    g_old > 0.0 >= g_new and ev_dir <= 0
-                )
-                if crossed:
-                    t_e, y_e = _bisect_event(field, ev, t, y, t_new, y_new)
-                    ev_records.append(EventRecord(i, t_e, y_e))
-                    if getattr(ev, "terminal", False):
-                        hit = (t_e, y_e)
-                g_prev[i] = g_new
-            if hit is not None:
-                ts.append(hit[0])
-                ys.append(hit[1])
-                status = "event"
-                break
-            t, y = t_new, y_new
-            ts.append(t)
-            ys.append(y.copy())
-            h *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0))
-            h = direction * min(abs(h), max_step)
-        else:
-            h *= max(0.2, 0.9 * err_norm**-0.2)
-    return OdeResult(np.array(ts), np.stack(ys), ev_records, status)
+        hits = []
+        for i, ev in enumerate(events):
+            g_old, g_new = g_prev[i], ev(t_new, y_new)
+            g_prev[i] = g_new
+            ev_dir = getattr(ev, "direction", 0)
+            if (g_old < 0.0 <= g_new and ev_dir >= 0) or (g_old > 0.0 >= g_new and ev_dir <= 0):
+                dense = solver.dense_output()
+                t_e = _locate_event(ev, dense, t, g_old, t_new, g_new)
+                hits.append((t_e, i, y_new if t_e == t_new else dense(t_e)))
+        for t_e, i, y_e in sorted(hits, key=lambda hit: abs(hit[0] - t)):
+            records.append(EventRecord(i, t_e, y_e))
+            if getattr(events[i], "terminal", False):
+                return OdeResult(np.array(ts + [t_e]), np.stack(ys + [y_e]), records, "event")
+        ts.append(t_new)
+        ys.append(y_new)
+    return OdeResult(np.array(ts), np.stack(ys), records, "completed")
 
 
-def _bisect_event(field, ev, t_lo, y_lo, t_hi, y_hi):
-    """Bisect a bracketed event crossing to 1e-12 in time.  Trial states are
-    produced by one uncontrolled RK step from the left bracket."""
-    g_lo = ev(t_lo, y_lo)
-    for _ in range(200):
-        if abs(t_hi - t_lo) <= 1e-12:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:
-            break
-        y_mid, _ = _rk_step(field, t_lo, y_lo, t_mid - t_lo)
-        g_mid = ev(t_mid, y_mid)
-        if g_lo * g_mid <= 0.0:
-            t_hi, y_hi = t_mid, y_mid
-        else:
-            t_lo, y_lo, g_lo = t_mid, y_mid, g_mid
-    return t_hi, y_hi
+def _locate_event(ev, dense, t_a, g_a, t_b, g_b) -> float:
+    """Root of ``ev`` along the dense output of one step, to 1e-12 in time.
+    The bracket ends use the accepted states' values, so brentq sees the
+    same signs that detected the crossing."""
+    def g(s):
+        return g_a if s == t_a else g_b if s == t_b else ev(s, dense(s))
+
+    return brentq(g, min(t_a, t_b), max(t_a, t_b), xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

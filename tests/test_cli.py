@@ -83,24 +83,19 @@ class TestDelaySweep:
         assert summary["exponent"] == pytest.approx(2.0 / 3.0, abs=0.03)
         assert summary["prefactor"] == pytest.approx(summary["reference_prefactor"], rel=0.06)
 
-    def test_fold_mode_parallel_merge_deterministic(self, tmp_path):
-        _, out1 = run(
-            ["delay-sweep", "--c", "0.8", "--fold", "--eps-decade", "3e-5:1e-3", "--points", "5"],
-            tmp_path, "seq",
-        )
-        _, out2 = run(
-            ["delay-sweep", "--c", "0.8", "--fold", "--eps-decade", "3e-5:1e-3",
-             "--points", "5", "--jobs", "2"],
-            tmp_path, "par",
-        )
+    def test_fold_mode_sequential_runs_byte_identical(self, tmp_path):
+        args = ["delay-sweep", "--c", "0.8", "--fold", "--eps-decade", "3e-5:1e-3", "--points", "5"]
+        _, out1 = run(args, tmp_path, "one")
+        _, out2 = run(args, tmp_path, "two")
         assert (out1 / "delay_sweep.csv").read_bytes() == (out2 / "delay_sweep.csv").read_bytes()
 
-    def test_single_point_fit_refused(self, tmp_path):
+    def test_single_point_fit_refused(self, tmp_path, capsys):
         code, out = run(
             ["delay-sweep", "--c", "1.2", "--fold", "--eps-decade", "1e-4:1e-4", "--points", "1"],
             tmp_path,
         )
-        assert code == 0
+        assert code == 1
+        assert "refused" in capsys.readouterr().err
         summary = json.loads((out / "delay_sweep_summary.json").read_text())
         assert "refused" in summary["fit"]
         meta, body = read_meta(out / "delay_sweep.csv")
@@ -168,6 +163,22 @@ class TestPde:
         assert summary["growing"] is True
         meta, body = read_meta(out / "pde_front_track.csv")
         assert meta["columns"] == "t,x_fr_num,x_fr_pred,diff"
+
+    @pytest.mark.parametrize(
+        "extra", [["--frozen-mu", "1"], ["--ic", "front-seed"], ["--alpha", "0.5"]]
+    )
+    def test_compare_outside_homogeneous_quench_is_usage_error(self, tmp_path, capsys, extra):
+        code, out = run(["pde", "--compare", "--t-end", "2", *extra], tmp_path)
+        assert code == 1
+        assert "comparison" in capsys.readouterr().err
+        assert not (out / "pde_snapshots.csv").exists()  # refused before simulating
+
+    def test_compare_front_never_crossing_is_solver_failure(self, tmp_path, capsys):
+        code, _ = run(
+            ["pde", "--compare", "--t-end", "2", "--domain", "0", "20", "--n", "201"], tmp_path
+        )
+        assert code == 2
+        assert "front never crossed" in capsys.readouterr().err
 
     def test_bad_dt_is_usage_error(self, tmp_path):
         code, _ = run(

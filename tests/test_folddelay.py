@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from quenchfront.folddelay import (
     DelayFit,
@@ -66,6 +67,30 @@ class TestRunFoldPassage:
         for off in (0.05, -0.05):
             rec = run_fold_passage(1.2, 1e-4, 0.25, z0_offset=off)
             assert abs(rec.theta_exit - record_c12.theta_exit) < 1e-8
+
+    @pytest.mark.parametrize("c", [1.2, 1.6])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3])
+    def test_against_tight_explicit_reference(self, c, eps):
+        # the passage runs on LSODA; an explicit DOP853 run at rtol 1e-13,
+        # from the same start, must read the same section crossing
+        mu_c = c * c / 4.0
+        g = lambda theta: 1.0 - (theta + mu_c) ** 2
+        z0 = 0.5 + eps * g(-0.25)
+        section = lambda t, y: y[0] + 0.25
+        section.terminal = True
+        section.direction = -1
+        ref = solve_ivp(
+            lambda t, y: [-y[0] * y[0] - y[1], eps * g(y[1])],
+            (0.0, 20.0 / eps),
+            [z0, -0.25],
+            method="DOP853",
+            rtol=1e-13,
+            atol=1e-16,
+            events=[section],
+        )
+        theta_ref = ref.y_events[0][0][1]
+        rec = run_fold_passage(c, eps, 0.25)
+        assert rec.theta_exit == pytest.approx(theta_ref, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -251,6 +251,8 @@ class TestHomogeneousQuench:
             compare_homogeneous_quench(SimConfig(frame="comoving", c=1.0, domain=(0, 100), n=1001))
         with pytest.raises(ValueError):
             compare_homogeneous_quench(SimConfig(alpha=0.5, domain=(0, 100), n=1001))
+        with pytest.raises(ValueError):
+            compare_homogeneous_quench(SimConfig(frozen_mu=1.0, domain=(0, 100), n=1001))
 
     def test_space_time_self_convergence(self):
         # halving h (and with it dt) moves the tracked front at t_end by

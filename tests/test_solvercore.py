@@ -226,34 +226,63 @@ class TestContinuation:
 # ---------------------------------------------------------------------------
 
 class TestIntegrateOde:
+    stiff = False  # DOP853; TestIntegrateOdeStiff reruns every test on LSODA
+
     def test_exponential_decay(self):
-        res = integrate_ode(lambda t, y: -y, [1.0], (0.0, 1.0), rtol=1e-9, atol=1e-12)
+        res = integrate_ode(
+            lambda t, y: -y, [1.0], (0.0, 1.0), rtol=1e-9, atol=1e-12, stiff=self.stiff
+        )
         assert res.status == "completed"
         assert res.y[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-8)
 
     def test_blowup_reports_last_state(self):
+        # y' = y^2 blows up at t = 1; LSODA's step size collapses to 0 there,
+        # so this must raise rather than loop
         with pytest.raises(OdeBlowUpError) as err:
-            integrate_ode(lambda t, y: y**2, [1.0], (0.0, 2.0), rtol=1e-8, atol=1e-10)
+            integrate_ode(
+                lambda t, y: y**2, [1.0], (0.0, 2.0), rtol=1e-8, atol=1e-10, stiff=self.stiff
+            )
         assert err.value.t < 1.001
         assert err.value.y[0] > 1e6
 
     def test_linear_event_time(self):
         ev = lambda t, y: y[0]
         ev.terminal = True
-        res = integrate_ode(lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), events=[ev])
+        res = integrate_ode(
+            lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), events=[ev], stiff=self.stiff
+        )
         assert res.status == "event"
         assert res.events[0].t == pytest.approx(1.0, abs=1e-10)
+        assert res.t[-1] == res.events[0].t
+
+    def test_nonterminal_event_direction(self):
+        # y = cos t falls through zero at pi/2 and 5 pi/2, rises at 3 pi/2
+        ev = lambda t, y: y[0]
+        ev.direction = -1
+        field = lambda t, y: np.array([y[1], -y[0]])
+        res = integrate_ode(
+            field, [1.0, 0.0], (0.0, 10.0), rtol=1e-10, atol=1e-12, events=[ev], stiff=self.stiff
+        )
+        assert res.status == "completed"
+        assert [e.t for e in res.events] == pytest.approx([math.pi / 2, 2.5 * math.pi], abs=1e-8)
+        assert all(abs(e.y[0]) < 1e-8 for e in res.events)
 
     def test_time_reversal(self):
         rtol = 1e-9
         field = lambda t, y: np.array([y[1], -math.sin(y[0])])
-        fwd = integrate_ode(field, [0.9, 0.0], (0.0, 5.0), rtol=rtol, atol=1e-12)
-        back = integrate_ode(field, fwd.y[-1], (5.0, 0.0), rtol=rtol, atol=1e-12)
+        fwd = integrate_ode(field, [0.9, 0.0], (0.0, 5.0), rtol=rtol, atol=1e-12, stiff=self.stiff)
+        back = integrate_ode(field, fwd.y[-1], (5.0, 0.0), rtol=rtol, atol=1e-12, stiff=self.stiff)
         assert np.max(np.abs(back.y[-1] - [0.9, 0.0])) <= 10.0 * rtol
 
     def test_backward_integration(self):
-        res = integrate_ode(lambda t, y: -y, [1.0], (1.0, 0.0), rtol=1e-10, atol=1e-13)
+        res = integrate_ode(
+            lambda t, y: -y, [1.0], (1.0, 0.0), rtol=1e-10, atol=1e-13, stiff=self.stiff
+        )
         assert res.y[-1, 0] == pytest.approx(math.e, rel=1e-8)
+
+
+class TestIntegrateOdeStiff(TestIntegrateOde):
+    stiff = True
 
 
 # ---------------------------------------------------------------------------
