@@ -20,10 +20,10 @@ are JSON.  Identical configurations produce bit-identical data files; the
 manifest (wall time) is excluded from that guarantee.
 
 Exit codes: 0 success, 1 usage/config error, 2 solver failure,
-3 certificate failure, 4 simulation abort.  A refused fold fit and a
-``--compare`` run that is not a lab-frame homogeneous quench are usage
-errors; a compared front that never crosses the level or never leaves the
-transient is a solver failure.
+3 certificate failure, 4 simulation abort.  A ``--fold`` sweep too short
+to fit (refused before any passage runs) and a ``--compare`` run that is
+not a lab-frame homogeneous quench are usage errors; a compared front that
+never crosses the level or never leaves the transient is a solver failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -40,7 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .folddelay import FoldPassageError, fit_delay_scaling, run_fold_passage
+from .folddelay import FoldPassageError, check_fit_sweep, fit_delay_scaling, run_fold_passage
 from .painleve import (
     CertificateError,
     HMSolveError,
@@ -270,10 +271,16 @@ def cmd_delay_sweep(args) -> int:
         return EXIT_USAGE
     try:
         lo, hi = (float(s) for s in args.eps_decade.split(":"))
+        eps_list = np.geomspace(lo, hi, args.points)
     except ValueError:
         print("error: --eps-decade expects LO:HI", file=sys.stderr)
         return EXIT_USAGE
-    eps_list = np.geomspace(lo, hi, args.points)
+    if args.fold:
+        try:
+            check_fit_sweep(eps_list)
+        except ValueError as exc:
+            print(f"error: fit refused: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     params = {
         "c": args.c, "eps_lo": lo, "eps_hi": hi, "points": args.points,
         "fold": args.fold, "delta": args.delta,
@@ -285,15 +292,12 @@ def cmd_delay_sweep(args) -> int:
         for rec in records:
             rows.append((rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta))
         columns = ["eps", "theta_exit", "theta_fold", "delta"]
-        try:
-            fit = fit_delay_scaling(records)
-            summary.update(
-                exponent=fit.exponent,
-                prefactor=fit.prefactor,
-                reference_prefactor=fit.reference_prefactor,
-            )
-        except ValueError as exc:
-            summary["fit"] = f"refused: {exc}"
+        fit = fit_delay_scaling(records)
+        summary.update(
+            exponent=fit.exponent,
+            prefactor=fit.prefactor,
+            reference_prefactor=fit.reference_prefactor,
+        )
         converged = len(records)
         total = len(eps_list)
     else:
@@ -330,9 +334,6 @@ def cmd_delay_sweep(args) -> int:
             f"(reference {summary['reference_prefactor']:.4f})"
         )
     _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
-    if args.fold and "fit" in summary:
-        print(f"error: fit {summary['fit']}", file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_OK if converged >= 0.8 * total else EXIT_SOLVER
 
 
@@ -612,6 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_pde)
     parser.qf_subparsers["pde"] = p
+    # argparse's default pattern takes only plain decimals (-5, -.5) as
+    # negative numbers and reads -1e-05 as an unknown option, so
+    # "--domain -1e-05 50" (or domain = -1e-05 50 in a config file) would be
+    # refused; any "-digit" or "-.digit" token is a value here.
+    for p in parser.qf_subparsers.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

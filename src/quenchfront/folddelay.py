@@ -37,6 +37,7 @@ __all__ = [
     "FoldPassageError",
     "run_fold_passage",
     "normal_form_transform",
+    "check_fit_sweep",
     "fit_delay_scaling",
 ]
 
@@ -182,6 +183,16 @@ def normal_form_transform(c: float) -> NormalFormScaling:
     return NormalFormScaling(space_factor=a, delay_factor=a * a, time_factor=1.0 / a, c=c)
 
 
+def check_fit_sweep(eps: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless the eps values can carry a delay fit: at
+    least five of them, spanning >= 1.5 decades."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.size < 5:
+        raise ValueError("need at least five eps values")
+    if eps.max() / eps.min() < 10.0**1.5 * (1.0 - 1e-12):
+        raise ValueError("eps values must span at least 1.5 decades")
+
+
 def fit_delay_scaling(
     records: Sequence[FoldDelayRecord], remove_section_offset: bool = True
 ) -> DelayFit:
@@ -192,14 +203,10 @@ def fit_delay_scaling(
     fitted prefactor well outside the delay law at moderate eps.  Requires
     at least five records at a common speed spanning >= 1.5 decades.
     """
-    if len(records) < 5:
-        raise ValueError("need at least five records")
-    cs = {r.c for r in records}
-    if len(cs) != 1:
-        raise ValueError("records must share a common speed")
     eps = np.array([r.epsilon for r in records])
-    if eps.max() / eps.min() < 10.0**1.5 * (1.0 - 1e-12):
-        raise ValueError("records must span at least 1.5 decades in eps")
+    check_fit_sweep(eps)
+    if len({r.c for r in records}) != 1:
+        raise ValueError("records must share a common speed")
     theta = np.array(
         [r.theta_fold if remove_section_offset else r.theta_exit for r in records]
     )

@@ -147,7 +147,7 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
 
     seed = np.maximum(
         np.sqrt(np.maximum(-eta / 2.0, 0.0)),
-        np.array([airy(x).value for x in eta]),
+        airy(eta).value,
     )
     # 1e-8 matches the truncation level of the two-term left closure; the
     # raw residual carries a 1/h^2 row scale, so much tighter targets sit

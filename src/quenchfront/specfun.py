@@ -1,72 +1,27 @@
-"""Special-function kernels: Airy Ai/Bi pairs, Bessel J_{+-1/3}, and the
-delay constant Omega0.
-
-Everything here is evaluated from scratch (power series, asymptotic
-expansions, and a short Taylor-marching bridge) so that the solver modules
-do not depend on an external special-function library.
-
-Evaluation branches for the Airy pair (documented switch points):
-
-* ``x in [-7.5, 4]``     -- Maclaurin series (exact recurrences; the
-  cancellation between the two series solutions caps the usable range at
-  ~1e-11 relative by x = 4).
-* ``x in (4, 9)``        -- Taylor marching of y'' = x y downward from
-  x = 9, seeded with the exponential asymptotic series.  Marching toward
-  smaller x is stable for Ai because the contaminating Bi mode decays in
-  that direction.
-* ``x >= 9``             -- exponential asymptotic series, truncated at the
-  smallest term (error below 1e-13 relative for x >= 9).
-* ``x < -7.5``           -- oscillatory asymptotic series; accuracy is
-  relative to the oscillation envelope pi^{-1/2}|x|^{-1/4}.
-
-Bi has no cancellation on the growing side, so its Maclaurin branch extends
-to x = 12 before switching to asymptotics.
-
-Bessel J_{+-1/3} uses the ascending power series for x <= 12 and Hankel
-(P/Q) asymptotics beyond; Gamma(k+1+-1/3) is produced by recurrence from
-Gamma(2/3) and Gamma(4/3) stored to 16 digits.
+"""Airy data behind the two delay laws: the pair (Ai, Ai') from
+``scipy.special.airy``, and the delay constant Omega0, the smallest positive
+zero of J_{-1/3}(2z^{3/2}/3) + J_{1/3}(2z^{3/2}/3) (the first zero of
+Ai(-z)), found by ``brentq`` on ``scipy.special.jv``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = [
-    "AiryPair",
-    "Omega0",
-    "airy",
-    "airy_bi",
-    "bessel_j_third",
-    "omega0",
-]
+import numpy as np
+import scipy.special
+from scipy.optimize import brentq
 
-# Gamma-function constants stored to 16 digits; every other Gamma value used
-# here is produced by the recurrence Gamma(s+1) = s*Gamma(s).
-GAMMA_13 = 2.678938534707748
-GAMMA_23 = 1.3541179394264005
-GAMMA_43 = 0.8929795115692492
-GAMMA_53 = (2.0 / 3.0) * GAMMA_23
-
-AI_ZERO = 0.35502805388781724  # Ai(0)  = 3^{-2/3}/Gamma(2/3)
-AIP_ZERO = -0.25881940379280680  # Ai'(0) = -3^{-1/3}/Gamma(1/3)
-
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_3 = math.sqrt(3.0)
-
-_MACLAURIN_MAX = 4.0  # positive-side switch away from the Maclaurin series
-_MARCH_MAX = 9.0  # above this the exponential asymptotics are fully converged
-_NEG_SWITCH = -7.5  # below this the oscillatory asymptotics take over
-_BI_SERIES_MAX = 12.0
+__all__ = ["AiryPair", "Omega0", "airy", "omega0"]
 
 
 @dataclass(frozen=True)
 class AiryPair:
-    """Value/derivative pair of an Airy function at one point."""
+    """Ai and Ai' at one point (floats) or at an array of points (arrays)."""
 
-    value: float
-    derivative: float
+    value: float | np.ndarray
+    derivative: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,288 +36,26 @@ class Omega0:
     residual: float
 
 
-# ---------------------------------------------------------------------------
-# Airy functions
-# ---------------------------------------------------------------------------
-
-def _maclaurin_fg(x: float) -> tuple[float, float, float, float]:
-    """Return (f, f', g, g') for the two standard series solutions of
-    y'' = x y:  f = 1 + x^3/6 + ...,  g = x + x^4/12 + ...."""
-    x3 = x * x * x
-    f = tf = 1.0
-    g = tg = x
-    fp = tfp = 0.5 * x * x
-    gp = tgp = 1.0
-    for k in range(90):
-        tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-        tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-        tfp *= x3 / ((3 * k + 3) * (3 * k + 5))
-        tgp *= x3 / ((3 * k + 1) * (3 * k + 3))
-        f += tf
-        g += tg
-        fp += tfp
-        gp += tgp
-        if abs(tf) < 1e-18 * abs(f) and abs(tg) < 1e-18 * (abs(g) + 1e-300):
-            break
-    return f, fp, g, gp
-
-
-def _airy_maclaurin(x: float) -> tuple[float, float, float, float]:
-    f, fp, g, gp = _maclaurin_fg(x)
-    c1, c2 = AI_ZERO, -AIP_ZERO
-    ai = c1 * f - c2 * g
-    aip = c1 * fp - c2 * gp
-    bi = _SQRT_3 * (c1 * f + c2 * g)
-    bip = _SQRT_3 * (c1 * fp + c2 * gp)
-    return ai, aip, bi, bip
-
-
-def _asymptotic_uv(zeta: float, signs: int) -> tuple[float, float]:
-    """Sum the u/v asymptotic series in 1/zeta, truncated at the smallest
-    term.  ``signs=-1`` alternates terms (decaying solution), ``signs=+1``
-    keeps them positive (growing solution)."""
-    su = sv = 1.0
-    u = 1.0
-    t_prev = math.inf
-    for k in range(1, 40):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        t = u / zeta**k
-        if abs(t) > abs(t_prev):  # smallest term reached; stop before it grows
-            break
-        s = signs**k
-        su += s * t
-        sv += s * v / zeta**k
-        if abs(t) < 1e-18:
-            break
-        t_prev = t
-    return su, sv
-
-
-def _airy_asymptotic_pos(x: float) -> tuple[float, float, float, float]:
-    zeta = (2.0 / 3.0) * x**1.5
-    x14 = x**0.25
-    su_m, sv_m = _asymptotic_uv(zeta, -1)
-    su_p, sv_p = _asymptotic_uv(zeta, +1)
-    e = math.exp(-zeta)
-    ai = e / (2.0 * _SQRT_PI * x14) * su_m
-    aip = -x14 * e / (2.0 * _SQRT_PI) * sv_m
-    ep = math.exp(zeta)
-    bi = ep / (_SQRT_PI * x14) * su_p
-    bip = x14 * ep / _SQRT_PI * sv_p
-    return ai, aip, bi, bip
-
-
-def _oscillatory_sums(zeta: float) -> tuple[float, float, float, float]:
-    """Even/odd split of the u- and v-series used on the oscillatory side:
-    A = sum (-1)^k u_{2k} zeta^{-2k}, B = sum (-1)^k u_{2k+1} zeta^{-2k-1},
-    and the same split (C, D) for the v-coefficients."""
-    a = c = 1.0
-    b = d = 0.0
-    u = 1.0
-    t_prev = math.inf
-    for k in range(1, 40):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        t = u / zeta**k
-        if abs(t) > abs(t_prev):
-            break
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2:
-            b += sign * t
-            d += sign * v / zeta**k
-        else:
-            a += sign * t
-            c += sign * v / zeta**k
-        if abs(t) < 1e-18:
-            break
-        t_prev = t
-    return a, b, c, d
-
-
-def _airy_asymptotic_neg(x: float) -> tuple[float, float, float, float]:
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    z14 = z**0.25
-    a, b, c, d = _oscillatory_sums(zeta)
-    cp = math.cos(zeta - math.pi / 4.0)
-    sp = math.sin(zeta - math.pi / 4.0)
-    ai = (cp * a + sp * b) / (_SQRT_PI * z14)
-    aip = z14 * (sp * c - cp * d) / _SQRT_PI
-    bi = (-sp * a + cp * b) / (_SQRT_PI * z14)
-    bip = z14 * (cp * c + sp * d) / _SQRT_PI
-    return ai, aip, bi, bip
-
-
-def _taylor_march_ai(x: float) -> tuple[float, float]:
-    """March (Ai, Ai') of y'' = x y from x = 9 down to a target x < 9.
-
-    Taylor coefficients at a base point a follow from
-    (n+2)(n+1) c_{n+2} = a c_n + c_{n-1}.  Marching toward smaller x is
-    stable for Ai: the growing companion solution decays in that direction.
-    Works for any x below 9, which gives the overlap window with the
-    Maclaurin branch used by the agreement tests.
-    """
-    a = _MARCH_MAX
-    ai, aip, _, _ = _airy_asymptotic_pos(a)
-    nstep = max(1, math.ceil((a - x) / 0.5))
-    h = (x - a) / nstep
-    for _ in range(nstep):
-        c = [ai, aip, a * ai / 2.0]
-        for n in range(1, 30):
-            c.append((a * c[n] + c[n - 1]) / ((n + 2) * (n + 1)))
-        y = yp = 0.0
-        for n in range(len(c) - 1, 0, -1):
-            y = y * h + c[n]
-            yp = yp * h + n * c[n]
-        y = y * h + c[0]
-        ai, aip = y, yp
-        a += h
-    return ai, aip
-
-
-def _airy_both(x: float) -> tuple[float, float, float, float]:
-    if not math.isfinite(x):
+def airy(x: float | np.ndarray) -> AiryPair:
+    """Airy function of the first kind, (Ai(x), Ai'(x)), elementwise."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise ValueError("airy: argument must be finite")
-    if x < -1e6:
-        raise ValueError(
-            "airy: argument below -1e6 (oscillatory regime out of supported range)"
-        )
-    if x < _NEG_SWITCH:
-        return _airy_asymptotic_neg(x)
-    if x <= _MACLAURIN_MAX:
-        return _airy_maclaurin(x)
-    if x < _MARCH_MAX:
-        ai, aip = _taylor_march_ai(x)
-        _, _, bi, bip = _airy_maclaurin(x)
-        return ai, aip, bi, bip
-    ai, aip, _, _ = _airy_asymptotic_pos(x)
-    if x <= _BI_SERIES_MAX:
-        _, _, bi, bip = _airy_maclaurin(x)
-    else:
-        _, _, bi, bip = _airy_asymptotic_pos(x)
-    return ai, aip, bi, bip
-
-
-def airy(x: float) -> AiryPair:
-    """Airy function of the first kind, (Ai(x), Ai'(x)).
-
-    Relative accuracy ~1e-12 for |x| <= 20 (measured against the oscillation
-    envelope for x < 0); see the module docstring for the branch layout.
-    """
-    ai, aip, _, _ = _airy_both(float(x))
+    ai, aip, _, _ = scipy.special.airy(x)
+    if x.ndim == 0:
+        return AiryPair(float(ai), float(aip))
     return AiryPair(ai, aip)
 
-
-def airy_bi(x: float) -> AiryPair:
-    """Airy function of the second kind, (Bi(x), Bi'(x))."""
-    _, _, bi, bip = _airy_both(float(x))
-    return AiryPair(bi, bip)
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions of orders +-1/3 (and +-2/3 for derivative recurrences)
-# ---------------------------------------------------------------------------
-
-# Gamma(1+nu) for the orders needed below, keyed by round(3*nu).
-_GAMMA_1PNU = {
-    1: GAMMA_43,  # nu = +1/3
-    -1: GAMMA_23,  # nu = -1/3
-    2: GAMMA_53,  # nu = +2/3
-    -2: GAMMA_13 / 3.0,  # nu = -2/3: Gamma(1/3) = 3*Gamma(4/3) etc.
-}
-
-
-def _bessel_series(nu: float, x: float) -> float:
-    """Ascending series J_nu(x) = sum_k (-1)^k (x/2)^{2k+nu} / (k! Gamma(k+1+nu))."""
-    g = _GAMMA_1PNU[round(3 * nu)]
-    half = 0.5 * x
-    term = half**nu / g
-    total = term
-    q = half * half
-    for k in range(200):
-        term *= -q / ((k + 1) * (k + 1 + nu))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-    return total
-
-
-def _bessel_hankel(nu: float, x: float) -> float:
-    """Hankel asymptotics J_nu(x) ~ sqrt(2/(pi x)) (P cos w - Q sin w)."""
-    mu = 4.0 * nu * nu
-    w = x - 0.5 * nu * math.pi - 0.25 * math.pi
-    p, q = 1.0, 0.0
-    a = 1.0
-    for k in range(1, 30):
-        a *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if k % 2:
-            q += a * (-1.0) ** ((k - 1) // 2)
-        else:
-            p += a * (-1.0) ** (k // 2)
-        if abs(a) < 1e-18:
-            break
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def _bessel_j(nu: float, x: float) -> float:
-    if x <= 12.0:
-        return _bessel_series(nu, x)
-    return _bessel_hankel(nu, x)
-
-
-def bessel_j_third(order_sign: int, x: float) -> float:
-    """Bessel function of the first kind of order +1/3 or -1/3.
-
-    ``order_sign`` selects the sign of the order.  Relative accuracy is
-    ~1e-12 for x <= 50 (series for x <= 12, Hankel asymptotics beyond).
-    """
-    if order_sign not in (1, -1):
-        raise ValueError("bessel_j_third: order_sign must be +1 or -1")
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError("bessel_j_third: argument must be positive and finite")
-    return _bessel_j(order_sign / 3.0, x)
-
-
-# ---------------------------------------------------------------------------
-# Omega0
-# ---------------------------------------------------------------------------
 
 def _bessel_combination(z: float) -> float:
     """J_{-1/3}(2 z^{3/2}/3) + J_{1/3}(2 z^{3/2}/3); equals 3 Ai(-z)/sqrt(z)."""
     t = (2.0 / 3.0) * z**1.5
-    return _bessel_j(-1.0 / 3.0, t) + _bessel_j(1.0 / 3.0, t)
-
-
-def _bessel_combination_deriv(z: float) -> float:
-    """d/dz of the combination, via J_nu' = J_{nu-1} - (nu/t) J_nu and
-    J_nu' = -J_{nu+1} + (nu/t) J_nu."""
-    t = (2.0 / 3.0) * z**1.5
-    dt = math.sqrt(z)
-    jp13 = _bessel_j(1.0 / 3.0, t)
-    jm13 = _bessel_j(-1.0 / 3.0, t)
-    d_p = _bessel_j(-2.0 / 3.0, t) - jp13 / (3.0 * t)
-    d_m = -_bessel_j(2.0 / 3.0, t) - jm13 / (3.0 * t)
-    return dt * (d_p + d_m)
+    return float(scipy.special.jv(-1.0 / 3.0, t) + scipy.special.jv(1.0 / 3.0, t))
 
 
 @lru_cache(maxsize=1)
 def omega0() -> Omega0:
-    """Root of the J_{+-1/3} combination in [2, 3]: bisection to width 1e-12
-    followed by one Newton polish.  Agrees with 2.338107 to six decimals and
-    with the first zero of Ai(-z)."""
-    lo, hi = 2.0, 3.0
-    flo = _bessel_combination(lo)
-    if flo * _bessel_combination(hi) >= 0.0:  # pragma: no cover - fixed bracket
-        raise RuntimeError("omega0: bracket [2, 3] does not straddle a sign change")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if flo * _bessel_combination(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            flo = _bessel_combination(lo)
-    root = 0.5 * (lo + hi)
-    root -= _bessel_combination(root) / _bessel_combination_deriv(root)
+    """Root of the J_{+-1/3} combination in [2, 3] by ``brentq``
+    (``xtol=1e-15``); the first zero of Ai(-z), 2.338107..."""
+    root = brentq(_bessel_combination, 2.0, 3.0, xtol=1e-15)
     return Omega0(value=root, residual=abs(_bessel_combination(root)))

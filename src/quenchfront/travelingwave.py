@@ -197,10 +197,20 @@ def predicted_delay(c: float, epsilon: float) -> float:
 # Discretization
 # ---------------------------------------------------------------------------
 
-class _FrontSystem:
-    """Stencils and ramp coefficients for the second-order nonuniform
-    finite-difference discretization of the front equation (the solve itself
-    runs in the log-amplitude form below).
+class _LogFrontSystem:
+    """The front BVP posed for w = log(u), discretized by second-order
+    nonuniform finite differences.
+
+    Fronts are strictly positive and monotone, and the plateau behind the
+    instability point passes exponentially close to u = 0 (far below the
+    additive rounding floor of a linear solve in u).  In w the tail is an
+    affine profile, every error is relative to the local amplitude, and the
+    continuation stays quadratically convergent down to the smallest ramp
+    rates.  The equation becomes
+
+        w'' + (w')^2 - c w' + mu - e^{2w} = 0,
+
+    with projection closures w'(-L) = nu_u and w'(L) = nu_s (1 - u_+ e^{-w}).
 
     ``phase_fn(eps)`` optionally shifts the ramp argument: the ramp becomes
     tanh(eps*z + phase) on the stored mesh, i.e. the mesh lives in a frame
@@ -265,6 +275,82 @@ class _FrontSystem:
         a1, b1, c1 = self.right_stencil
         v[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
         return v
+
+    def residual(self, w: np.ndarray, epsilon: float) -> np.ndarray:
+        mu, nu_u, nu_s, u_plus = self.coefficients(epsilon)
+        c = self.c
+        r = np.empty_like(w)
+        wm, wc, wp = w[:-2], w[1:-1], w[2:]
+        d1 = self.d1m * wm + self.d1c * wc + self.d1p * wp
+        r[1:-1] = (
+            self.d2m * wm + self.d2c * wc + self.d2p * wp + d1 * d1 - c * d1 + mu[1:-1]
+            - np.exp(2.0 * wc)
+        )
+        a0, b0, c0 = self.left_stencil
+        r[0] = a0 * w[0] + b0 * w[1] + c0 * w[2] - nu_u
+        a1, b1, c1 = self.right_stencil
+        r[-1] = a1 * w[-3] + b1 * w[-2] + c1 * w[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+        return r
+
+    def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
+        mu, nu_u, nu_s, u_plus = self.coefficients(epsilon)
+        c = self.c
+        n = w.size
+        ab = np.zeros((5, n))
+        wm, wc, wp = w[:-2], w[1:-1], w[2:]
+        d1 = self.d1m * wm + self.d1c * wc + self.d1p * wp
+        idx = np.arange(1, n - 1)
+        ab[1, idx + 1] = self.d2p + (2.0 * d1 - c) * self.d1p
+        ab[2, idx] = self.d2c + (2.0 * d1 - c) * self.d1c - 2.0 * np.exp(2.0 * wc)
+        ab[3, idx - 1] = self.d2m + (2.0 * d1 - c) * self.d1m
+        a0, b0, c0 = self.left_stencil
+        ab[2, 0], ab[1, 1], ab[0, 2] = a0, b0, c0
+        a1, b1, c1 = self.right_stencil
+        ab[4, n - 3], ab[3, n - 2] = a1, b1
+        ab[2, n - 1] = c1 - nu_s * u_plus * np.exp(-w[-1])
+        return ab
+
+    def seed(self, eps: float) -> np.ndarray:
+        """log of the tanh seed: affine tail left of the instability point,
+        log(sqrt(mu)) plateau to the right."""
+        mu = self.mu_values(eps)
+        c = self.c
+        if c > 0.0:
+            arg_c = math.atanh(c * c / 4.0) if self.ramp == "tanh" else c * c / 4.0
+            level = math.log(c / 4.0)
+        else:
+            arg_c = 0.0
+            level = math.log(0.25)
+        z_c = (arg_c - self.phase(eps)) / eps
+        z = self.mesh.nodes
+        slope = 0.5 + 0.5 * c
+        return np.where(
+            z < z_c,
+            level + slope * (z - z_c),
+            0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))),
+        )
+
+    def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
+        u = np.exp(w)
+        v = u * self.derivative(w)  # u_zeta = u w_zeta
+        nodes = self.true_zeta(params.epsilon)
+        mesh = self.mesh if self.phase_fn is None else Mesh(nodes)
+        sol = FrontSolution(
+            mesh=mesh,
+            u=u,
+            v=v,
+            mu=np.asarray(params.mu_of_zeta(mesh.nodes)),
+            params=params,
+            report=report,
+        )
+        if params.c > 0.0:
+            try:
+                sol.mu_fr, sol.zeta_fr = front_location(sol)
+            except NoInterfaceError:
+                pass
+        else:
+            sol.u_at_origin = float(np.interp(0.0, mesh.nodes, u))
+        return sol
 
 
 def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mesh:
@@ -337,7 +423,7 @@ def solve_front(
 def _log_profile(u: np.ndarray, system: _LogFrontSystem, eps: float) -> np.ndarray:
     """log of a sampled profile; the unresolvable left tail (underflow in u)
     is continued affinely with the left projection slope."""
-    _, nu_u, _, _ = system.base.coefficients(eps)
+    _, nu_u, _, _ = system.coefficients(eps)
     z = system.mesh.nodes
     floor = max(float(np.max(u)), 1e-30) * 1e-290
     w = np.log(np.maximum(u, floor))
@@ -468,108 +554,6 @@ def front_branch(
             f"{len(fronts)} of {len(targets)} targets reached"
         )
     return FrontBranch(fronts=fronts, branch=branch, mesh=mesh, system=system)
-
-
-class _LogFrontSystem:
-    """The same front BVP posed for w = log(u).
-
-    Fronts are strictly positive and monotone, and the plateau behind the
-    instability point passes exponentially close to u = 0 (far below the
-    additive rounding floor of a linear solve in u).  In w the tail is an
-    affine profile, every error is relative to the local amplitude, and the
-    continuation stays quadratically convergent down to the smallest ramp
-    rates.  The equation becomes
-
-        w'' + (w')^2 - c w' + mu - e^{2w} = 0,
-
-    with projection closures w'(-L) = nu_u and w'(L) = nu_s (1 - u_+ e^{-w}).
-    """
-
-    def __init__(self, mesh: Mesh, c: float, ramp: str, phase_fn=None):
-        base = _FrontSystem(mesh, c, ramp, phase_fn)
-        self.base = base
-        self.mesh = mesh
-        self.c = c
-
-    def residual(self, w: np.ndarray, epsilon: float) -> np.ndarray:
-        b = self.base
-        mu, nu_u, nu_s, u_plus = b.coefficients(epsilon)
-        c = self.c
-        r = np.empty_like(w)
-        wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        d1 = b.d1m * wm + b.d1c * wc + b.d1p * wp
-        r[1:-1] = (
-            b.d2m * wm + b.d2c * wc + b.d2p * wp + d1 * d1 - c * d1 + mu[1:-1]
-            - np.exp(2.0 * wc)
-        )
-        a0, b0, c0 = b.left_stencil
-        r[0] = a0 * w[0] + b0 * w[1] + c0 * w[2] - nu_u
-        a1, b1, c1 = b.right_stencil
-        r[-1] = a1 * w[-3] + b1 * w[-2] + c1 * w[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
-        return r
-
-    def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
-        b = self.base
-        mu, nu_u, nu_s, u_plus = b.coefficients(epsilon)
-        c = self.c
-        n = w.size
-        ab = np.zeros((5, n))
-        wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        d1 = b.d1m * wm + b.d1c * wc + b.d1p * wp
-        idx = np.arange(1, n - 1)
-        ab[1, idx + 1] = b.d2p + (2.0 * d1 - c) * b.d1p
-        ab[2, idx] = b.d2c + (2.0 * d1 - c) * b.d1c - 2.0 * np.exp(2.0 * wc)
-        ab[3, idx - 1] = b.d2m + (2.0 * d1 - c) * b.d1m
-        a0, b0, c0 = b.left_stencil
-        ab[2, 0], ab[1, 1], ab[0, 2] = a0, b0, c0
-        a1, b1, c1 = b.right_stencil
-        ab[4, n - 3], ab[3, n - 2] = a1, b1
-        ab[2, n - 1] = c1 - nu_s * u_plus * np.exp(-w[-1])
-        return ab
-
-    def seed(self, eps: float) -> np.ndarray:
-        """log of the tanh seed: affine tail left of the instability point,
-        log(sqrt(mu)) plateau to the right."""
-        b = self.base
-        mu = b.mu_values(eps)
-        c = self.c
-        if c > 0.0:
-            arg_c = math.atanh(c * c / 4.0) if b.ramp == "tanh" else c * c / 4.0
-            level = math.log(c / 4.0)
-        else:
-            arg_c = 0.0
-            level = math.log(0.25)
-        z_c = (arg_c - b.phase(eps)) / eps
-        z = self.mesh.nodes
-        slope = 0.5 + 0.5 * c
-        return np.where(
-            z < z_c,
-            level + slope * (z - z_c),
-            0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))),
-        )
-
-    def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
-        b = self.base
-        u = np.exp(w)
-        v = u * b.derivative(w)  # u_zeta = u w_zeta
-        nodes = b.true_zeta(params.epsilon)
-        mesh = self.mesh if b.phase_fn is None else Mesh(nodes)
-        sol = FrontSolution(
-            mesh=mesh,
-            u=u,
-            v=v,
-            mu=np.asarray(params.mu_of_zeta(mesh.nodes)),
-            params=params,
-            report=report,
-        )
-        if params.c > 0.0:
-            try:
-                sol.mu_fr, sol.zeta_fr = front_location(sol)
-            except NoInterfaceError:
-                pass
-        else:
-            sol.u_at_origin = float(np.interp(0.0, mesh.nodes, u))
-        return sol
 
 
 def _branch_mesh(c: float, eps_start: float, eps_min: float, ramp: str, h_min: float) -> Mesh:

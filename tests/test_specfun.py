@@ -1,10 +1,9 @@
-"""Tests for the Airy/Bessel kernels and the Omega0 constant.
+"""Tests for the Airy pair and the Omega0 constant.
 
 Expected values are frozen from independent oracles: exact-rational
 Maclaurin sums (fractions), the classical reflection identity
-Gamma(1/3)Gamma(2/3) = 2 pi / sqrt(3), and the ascending Bessel series
-evaluated with math.gamma.  scipy.special serves as an independent
-cross-check of the full evaluation range.
+Gamma(1/3)Gamma(2/3) = 2 pi / sqrt(3), the ascending Bessel series
+evaluated with math.gamma, and 30-digit mpmath values of Ai and Ai'.
 """
 
 import math
@@ -19,6 +18,22 @@ from hypothesis import strategies as st
 from quenchfront import specfun
 
 GAMMA_23_IDENTITY = 1.3541179394264005
+
+# (x, Ai(x), Ai'(x)) from mpmath 1.3.0 airyai at 30 digits, rounded to 17.
+MPMATH_AIRY = [
+    (-18.0, 2.7120454080441422e-1, -1.5903891520496802e-1),
+    (-9.5, 3.191032477191282e-1, -1.0809531881187124e-1),
+    (-6.0, -3.2914517362982311e-1, 3.4593548728134289e-1),
+    (-2.0, 2.2740742820168558e-1, 6.1825902074169104e-1),
+    (0.3, 2.7880648195500492e-1, -2.451463642190548e-1),
+    (2.0, 3.4924130423274379e-2, -5.3090384433653632e-2),
+    (4.2, 6.2749586830916337e-4, -1.3210006638876866e-3),
+    (5.5, 3.3685311908599814e-5, -8.0463391305565143e-5),
+    (7.0, 7.4921288639971671e-7, -2.008150894738792e-6),
+    (10.0, 1.1047532552898686e-10, -3.5206336767389236e-10),
+    (16.0, 4.1568888289170244e-20, -1.669188676838181e-19),
+    (20.0, 1.6916728686705403e-27, -7.586391625748355e-27),
+]
 
 
 def maclaurin_fg_rational(x_num, x_den, terms=30):
@@ -68,15 +83,22 @@ class TestAiry:
         assert expected == pytest.approx(0.1352924163, abs=1e-9)
         assert specfun.airy(1.0).value == pytest.approx(expected, rel=1e-11)
 
-    @pytest.mark.parametrize("x", [-18.0, -9.5, -6.0, -2.0, 0.3, 2.0, 4.2, 5.5, 7.0, 10.0, 16.0, 20.0])
-    def test_against_scipy(self, x):
-        ai, aip, bi, bip = scipy.special.airy(x)
-        mine = specfun.airy(x)
-        mine_b = specfun.airy_bi(x)
+    @pytest.mark.parametrize("x, ai_ref, aip_ref", MPMATH_AIRY, ids=[str(r[0]) for r in MPMATH_AIRY])
+    def test_against_mpmath_reference(self, x, ai_ref, aip_ref):
+        pair = specfun.airy(x)
         env = 1.0 / (math.sqrt(math.pi) * abs(x) ** 0.25) if x < 0 else 0.0
-        assert abs(mine.value - ai) <= 1e-10 * max(abs(ai), env)
-        assert abs(mine.derivative - aip) <= 1e-10 * max(abs(aip), env * max(1.0, abs(x)) ** 0.5)
-        assert abs(mine_b.value - bi) <= 1e-10 * max(abs(bi), env)
+        envp = abs(x) ** 0.25 / math.sqrt(math.pi) if x < 0 else 0.0
+        assert abs(pair.value - ai_ref) <= 1e-13 * max(abs(ai_ref), env)
+        assert abs(pair.derivative - aip_ref) <= 1e-13 * max(abs(aip_ref), envp)
+
+    def test_array_matches_scalar_calls(self):
+        xs = np.linspace(-20.0, 20.0, 257)
+        pair = specfun.airy(xs)
+        assert pair.value.shape == pair.derivative.shape == xs.shape
+        for x, ai, aip in zip(xs, pair.value, pair.derivative):
+            scalar = specfun.airy(x)
+            assert isinstance(scalar.value, float)
+            assert scalar.value == ai and scalar.derivative == aip
 
     def test_monotone_decay_nonnegative_axis(self):
         xs = np.linspace(0.0, 20.0, 401)
@@ -84,59 +106,39 @@ class TestAiry:
         assert np.all(np.diff(vals) < 0.0)
         assert vals[-1] > 0.0
 
-    def test_branch_overlap_agreement(self):
-        # Maclaurin vs Taylor-march branches around the x = 4 switch point.
-        for x in np.linspace(3.5, 4.0, 11):
-            ml = specfun._airy_maclaurin(x)[:2]
-            tm = specfun._taylor_march_ai(x)
-            assert abs(ml[0] - tm[0]) <= 1e-8 * abs(ml[0])
-            assert abs(ml[1] - tm[1]) <= 1e-8 * abs(ml[1])
-
     @given(st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=60, deadline=None)
     def test_wronskian(self, x):
+        # Ai Bi' - Ai' Bi = 1/pi, with Bi from scipy.special in the test.
         a = specfun.airy(x)
-        b = specfun.airy_bi(x)
-        w = a.value * b.derivative - a.derivative * b.value
+        _, _, bi, bip = scipy.special.airy(x)
+        w = a.value * bip - a.derivative * bi
         assert abs(w - 1.0 / math.pi) < 1e-9
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            specfun.airy(-2e6)
-        with pytest.raises(ValueError):
             specfun.airy(float("nan"))
+        with pytest.raises(ValueError):
+            specfun.airy(np.array([0.0, float("inf")]))
 
 
 class TestBesselThird:
     def test_series_oracle_values(self):
-        # Frozen from the ascending-series oracle (and cross-checked against
-        # scipy.special.jv); six-figure rounded values quoted in comments.
+        # Frozen from the ascending-series oracle; the Bessel combination
+        # that omega0 roots must reproduce their sum at t = 2 z^{3/2}/3 = 1.
         assert bessel_series_oracle(-1.0 / 3.0, 1.0) == pytest.approx(0.6068875050, abs=1e-9)
         assert bessel_series_oracle(+1.0 / 3.0, 1.0) == pytest.approx(0.7308764022, abs=1e-9)
-        assert specfun.bessel_j_third(-1, 1.0) == pytest.approx(0.6068875050465293, rel=1e-11)
-        assert specfun.bessel_j_third(+1, 1.0) == pytest.approx(0.7308764021694480, rel=1e-11)
-
-    @pytest.mark.parametrize("x", [0.05, 0.7, 3.0, 9.0, 11.5, 13.0, 25.0, 50.0])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_against_scipy(self, x, sign):
-        got = specfun.bessel_j_third(sign, x)
-        ref = scipy.special.jv(sign / 3.0, x)
-        assert abs(got - ref) <= 1e-9 * max(abs(ref), math.sqrt(2.0 / (math.pi * x)) * 1e-2)
+        z = 1.5 ** (2.0 / 3.0)
+        assert specfun._bessel_combination(z) == pytest.approx(
+            0.6068875050465293 + 0.7308764021694480, rel=1e-11
+        )
 
     def test_root_relation_at_omega0(self):
         # At the root, J_{+1/3} = -J_{-1/3} by definition of the combination.
         t = (2.0 / 3.0) * specfun.omega0().value ** 1.5
-        assert specfun.bessel_j_third(+1, t) == pytest.approx(
-            -specfun.bessel_j_third(-1, t), abs=1e-9
+        assert scipy.special.jv(1.0 / 3.0, t) == pytest.approx(
+            -scipy.special.jv(-1.0 / 3.0, t), abs=1e-9
         )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            specfun.bessel_j_third(-1, 0.0)
-        with pytest.raises(ValueError):
-            specfun.bessel_j_third(+1, -2.0)
-        with pytest.raises(ValueError):
-            specfun.bessel_j_third(2, 1.0)
 
 
 class TestOmega0:
@@ -154,6 +156,9 @@ class TestOmega0:
 
     def test_sign_change_bracket(self):
         o = specfun.omega0()
-        below = specfun._bessel_combination(o.value - 1e-6)
-        above = specfun._bessel_combination(o.value + 1e-6)
-        assert below * above < 0.0
+
+        def combination(z):
+            t = (2.0 / 3.0) * z**1.5
+            return scipy.special.jv(-1.0 / 3.0, t) + scipy.special.jv(1.0 / 3.0, t)
+
+        assert combination(o.value - 1e-6) * combination(o.value + 1e-6) < 0.0
