@@ -113,7 +113,11 @@ def _digest(params: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _finish(command: str, params: dict, outputs: list[str], outdir: str, t0: float) -> None:
+def _finish(
+    command: str, params: dict, outputs: list[str], outdir: str, t0: float, **stats
+) -> None:
+    """Check the declared outputs and write the run manifest; ``stats``
+    (what the solver did) go next to ``wall_time``."""
     manifest = RunManifest(
         command=command,
         config_digest=_digest(params),
@@ -124,7 +128,7 @@ def _finish(command: str, params: dict, outputs: list[str], outdir: str, t0: flo
     for p in outputs:
         if not (os.path.exists(p) and os.path.getsize(p) > 0):
             raise RuntimeError(f"declared output {p} missing or empty")
-    _write_json(os.path.join(outdir, f"{command}_manifest.json"), asdict(manifest))
+    _write_json(os.path.join(outdir, f"{command}_manifest.json"), {**asdict(manifest), **stats})
 
 
 def _outdir(args) -> str:
@@ -498,7 +502,7 @@ def cmd_pde(args) -> int:
             f"front lead after transient (t >= {compare.t_transient:.1f}): "
             f"min {float(np.min(compare.difference)):.4f}, final {float(compare.difference[-1]):.4f}"
         )
-    _finish("pde", params, outputs, outdir, t0)
+    _finish("pde", params, outputs, outdir, t0, steps=res.steps, wall_s=res.wall_s)
     return EXIT_OK
 
 

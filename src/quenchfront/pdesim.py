@@ -1,9 +1,11 @@
 """Method-of-lines simulation of the quenched Allen-Cahn equation.
 
 Three operating modes share one semi-implicit stepper (diffusion and
-advection implicit, cubic reaction explicit, Neumann boundaries; LAPACK
-``dgttrf`` factors the constant tridiagonal implicit operator once per run
-and ``dgttrs`` solves with its factors on each step):
+advection implicit, cubic reaction explicit, Neumann boundaries).  The
+constant tridiagonal implicit operator is factored once per run: without
+advection (lab frame, frozen mu) it is symmetric positive definite once its
+two ghost rows are halved, and LAPACK ``dpttrf``/``dpttrs`` factor and solve
+it; with advection ``dgttrf``/``dgttrs`` do.
 
 * ``frame="comoving"``: u_t = u_zz - c u_z + mu(z) u - u^3 with the static
   ramp mu = tanh(eps z); long-time states are the traveling fronts computed
@@ -11,6 +13,9 @@ and ``dgttrs`` solves with its factors on each step):
 * ``frame="lab"``: u_t = u_xx + mu(alpha x - t) u - u^3 with the moving (or,
   at alpha = 0, spatially homogeneous) quench mu(s) = -tanh(eps s).
 * ``frozen_mu``: constant-coefficient runs for invasion-speed checks.
+
+:func:`simulate` marches in time at dt <= 0.4 h^2; :func:`relax` iterates
+the same step at large dt to a steady state of a time-independent mode.
 
 The tracked front is the level crossing u = 0.2 (rightmost crossing,
 linearly interpolated); the homogeneous-quench comparison measures it
@@ -20,8 +25,9 @@ against the characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -30,10 +36,13 @@ __all__ = [
     "SimConfig",
     "FrontTrack",
     "SimResult",
+    "RelaxResult",
+    "RelaxationError",
     "QuenchComparison",
     "QuenchComparisonError",
     "SimulationAbort",
     "simulate",
+    "relax",
     "predicted_front_path",
     "envelope_velocity",
     "check_quench_comparable",
@@ -43,6 +52,10 @@ __all__ = [
 
 class QuenchComparisonError(RuntimeError):
     """The tracked front never reached the level or never left the transient."""
+
+
+class RelaxationError(RuntimeError):
+    """The relaxation did not reach its tolerance within ``max_steps``."""
 
 
 class SimulationAbort(RuntimeError):
@@ -86,6 +99,14 @@ class SimConfig:
             raise ValueError("empty domain")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.ic_width) and self.ic_width > 0.0):
+            raise ValueError("ic_width must be positive and finite")
+        if not math.isfinite(self.ic_amplitude):
+            raise ValueError("ic_amplitude must be finite")
+        if self.snapshot_dt is not None and not self.snapshot_dt > 0.0:
+            raise ValueError("snapshot_dt must be positive")
+        if self.track_every is not None and self.track_every < 1:
+            raise ValueError("track_every must be >= 1")
         h = self.h
         if self.dt is None:
             self.dt = 0.4 * h * h
@@ -116,6 +137,17 @@ class SimResult:
     track: FrontTrack
     track_threshold: FrontTrack | None  # comoving runs: crossing of c/4
     config: SimConfig
+    steps: int = 0
+    wall_s: float = 0.0
+
+
+@dataclass
+class RelaxResult:
+    x: np.ndarray
+    u: np.ndarray
+    steps: int
+    residual: float  # max |A u + f(u)| of the returned state
+    wall_s: float
 
 
 @dataclass
@@ -179,23 +211,36 @@ def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[flo
     return float(xi), int(count)
 
 
-def simulate(cfg: SimConfig) -> SimResult:
-    """Run the semi-implicit stepper; returns snapshots and front tracks.
+def _advection_speed(cfg: SimConfig) -> float:
+    return cfg.c if cfg.frame == "comoving" else 0.0
 
-    A non-finite state aborts with :class:`SimulationAbort` carrying the
-    last healthy snapshot.
+
+def _implicit_solver(n: int, h: float, dt: float, c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor M = I - dt*(D2 - c D1) with mirror-ghost Neumann rows once and
+    return a solve that overwrites its right-hand side.
+
+    Without advection, halving rows 0 and n-1 makes M symmetric positive
+    definite with off-diagonal -dt/h^2 throughout, so ``dpttrf``/``dpttrs``
+    apply (the solve halves b[0] and b[-1] to match); with advection M is
+    nonsymmetric and ``dgttrf``/``dgttrs`` are used.
     """
-    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    h = cfg.h
-    dt = cfg.dt
-    steps = int(math.ceil(cfg.t_end / dt))
-    u = _initial_condition(cfg, x)
-
-    # implicit operator M = I - dt*(D2 - c D1) with mirror-ghost Neumann
-    # rows; the matrix is constant in time, so factor it once
-    n = cfg.n
     lam = dt / (h * h)
-    adv = (cfg.c if cfg.frame == "comoving" else 0.0) * dt / (2.0 * h)
+    if c == 0.0:
+        main = np.full(n, 1.0 + 2.0 * lam)
+        main[0] = main[-1] = 0.5 + lam
+        d, e, info = lapack.dpttrf(main, np.full(n - 1, -lam))
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"implicit operator not positive definite (dpttrf info = {info})"
+            )
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b[0] *= 0.5
+            b[-1] *= 0.5
+            return lapack.dpttrs(d, e, b, overwrite_b=1)[0]
+
+        return solve
+    adv = c * dt / (2.0 * h)
     sup = np.full(n - 1, -lam + adv)
     sub = np.full(n - 1, -lam - adv)
     main = np.full(n, 1.0 + 2.0 * lam)
@@ -204,6 +249,32 @@ def simulate(cfg: SimConfig) -> SimResult:
     dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
     if info != 0:
         raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
+    return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+
+
+def _explicit_step(u: np.ndarray, mu: float | np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """out <- u*(1 + dt*(mu - u^2)), i.e. u + dt*(mu u - u^3) in factored
+    form, evaluated in place in that order."""
+    np.multiply(u, u, out=out)
+    np.subtract(mu, out, out=out)
+    out *= dt
+    out += 1.0
+    out *= u
+    return out
+
+
+def simulate(cfg: SimConfig) -> SimResult:
+    """Run the semi-implicit stepper; returns snapshots and front tracks.
+
+    A non-finite state aborts with :class:`SimulationAbort` carrying the
+    last healthy snapshot.
+    """
+    wall0 = time.perf_counter()
+    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
+    dt = cfg.dt
+    steps = int(math.ceil(cfg.t_end / dt))
+    u = _initial_condition(cfg, x)
+    solve = _implicit_solver(cfg.n, cfg.h, dt, _advection_speed(cfg))
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -219,16 +290,15 @@ def simulate(cfg: SimConfig) -> SimResult:
     # mu depends on t only in the lab frame without a frozen value
     mu_varies = cfg.frozen_mu is None and cfg.frame == "lab"
     mu = _mu_profile(cfg, x, t)
+    buf = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(1, steps + 1):
             if mu_varies:
                 mu = _mu_profile(cfg, x, t)
-            # u + dt*(mu u - u^3) in factored form, without a pow call
-            rhs = u * (1.0 + dt * (mu - u * u))
-            u_new = lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+            u_new = solve(_explicit_step(u, mu, dt, buf))
             if not np.isfinite(u_new).all():
                 raise SimulationAbort(t, u)
-            u = u_new
+            u, buf = u_new, u  # u_new is buf solved in place; reuse the old state
             t = k * dt
             if k % track_stride == 0 or k == steps:
                 xi, count = _rightmost_crossing(x, u, cfg.track_level)
@@ -244,7 +314,69 @@ def simulate(cfg: SimConfig) -> SimResult:
     track = FrontTrack(np.array(tt), np.array(tx), cfg.track_level, multi)
     if cfg.frame == "comoving" and cfg.c > 0.0:
         thr_track = FrontTrack(np.array(thr_tt), np.array(thr_tx), cfg.c / 4.0)
-    return SimResult(x, np.array(times), np.stack(snaps), track, thr_track, cfg)
+    return SimResult(
+        x, np.array(times), np.stack(snaps), track, thr_track, cfg,
+        steps=steps, wall_s=time.perf_counter() - wall0,
+    )
+
+
+def _steady_residual(u: np.ndarray, h: float, c: float, mu: float | np.ndarray) -> np.ndarray:
+    """A u + f(u) with A = D2 - c D1 on mirror-ghost Neumann rows and
+    f(u) = mu u - u^3."""
+    res = np.empty_like(u)
+    res[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) - c * (u[2:] - u[:-2]) / (2.0 * h)
+    res[0] = 2.0 * (u[1] - u[0]) / (h * h)
+    res[-1] = 2.0 * (u[-2] - u[-1]) / (h * h)
+    return res + mu * u - u**3
+
+
+def relax(
+    cfg: SimConfig, dt: float = 0.5, tol: float = 1e-8, max_steps: int = 200_000
+) -> RelaxResult:
+    """Iterate the semi-implicit step u <- M^{-1}(u + dt f(u)) from the
+    configured initial data to a steady state A u + f(u) = 0.
+
+    Fixed points of the step solve the steady problem exactly for any dt,
+    so ``dt`` is not held to the accuracy limit 0.4 h^2 of
+    :func:`simulate`; only the explicit reaction bounds it.  On a front
+    f'(u) = mu - 3u^2 lies in [-2, 1], and the frozen-coefficient condition
+    |1 + dt f'| <= 1 gives dt < 1: at dt = 1 the uniform mode of the u = 1
+    plateau (f' = -2) no longer decays.  The default 0.5 damps that mode in
+    one step.
+
+    Each step is screened with max|u_{k+1} - u_k| / dt, which equals
+    max|A u_{k+1} + f(u_k)| and so costs no operator product; once it is
+    below ``tol`` the true residual max|A u + f(u)| is evaluated, and the
+    iteration stops when that is below ``tol`` too.  The result carries the
+    step count, that residual and the wall time.
+
+    Raises ``ValueError`` when mu depends on t (lab frame without
+    ``frozen_mu``), :class:`RelaxationError` when ``max_steps`` steps do not
+    reach ``tol``, and :class:`SimulationAbort` on a non-finite state.
+    """
+    if cfg.frame == "lab" and cfg.frozen_mu is None:
+        raise ValueError("relax needs a time-independent mu: comoving frame or frozen_mu")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    wall0 = time.perf_counter()
+    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
+    u = _initial_condition(cfg, x)
+    c = _advection_speed(cfg)
+    solve = _implicit_solver(cfg.n, cfg.h, dt, c)
+    mu = _mu_profile(cfg, x, 0.0)
+    buf, diff = np.empty_like(u), np.empty_like(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # abort check below
+        for k in range(1, max_steps + 1):
+            u_new = solve(_explicit_step(u, mu, dt, buf))
+            change = np.abs(np.subtract(u_new, u, out=diff), out=diff).max()
+            if not math.isfinite(change):
+                raise SimulationAbort((k - 1) * dt, u)
+            u, buf = u_new, u
+            if change < tol * dt:
+                residual = float(np.max(np.abs(_steady_residual(u, cfg.h, c, mu))))
+                if residual < tol:
+                    return RelaxResult(x, u, k, residual, time.perf_counter() - wall0)
+    raise RelaxationError(f"no steady state within {max_steps} steps (tol {tol:g})")
 
 
 def predicted_front_path(

@@ -226,7 +226,6 @@ class ParameterizedBVP:
     jacobian: Callable[[np.ndarray, float], np.ndarray]
     bandwidth: tuple[int, int] = (1, 1)
     tol: float = 1e-10
-    diagnostics: Callable[[np.ndarray, float], dict] | None = None
     max_iter: int = 50
 
 
@@ -235,7 +234,6 @@ class BranchEntry:
     param: float
     solution: np.ndarray
     report: NewtonReport
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -275,7 +273,7 @@ def continue_branch(
     )
     if not rep0.converged:
         raise ContinuationError(f"start solution does not converge at parameter {p0}")
-    entries = [BranchEntry(p0, x0, rep0, _extras(problem, x0, p0))]
+    entries = [BranchEntry(p0, x0, rep0)]
     steps: list[float] = []
     step = abs(step0)
     successes = 0
@@ -298,7 +296,7 @@ def continue_branch(
             problem.max_iter,
         )
         if rep.converged:
-            entries.append(BranchEntry(p_new, x_new, rep, _extras(problem, x_new, p_new)))
+            entries.append(BranchEntry(p_new, x_new, rep))
             steps.append(direction * step)
             p_prev2, x_prev2 = p_prev, x_prev
             p_prev, x_prev = p_new, x_new
@@ -312,10 +310,6 @@ def continue_branch(
             if step < min_step:
                 return ContinuationBranch(entries, direction, steps, "stalled")
     return ContinuationBranch(entries, direction, steps, "completed")
-
-
-def _extras(problem: ParameterizedBVP, x: np.ndarray, p: float) -> dict:
-    return problem.diagnostics(x, p) if problem.diagnostics else {}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from quenchfront.painleve import (
     linearization_ground_state,
     solve_hastings_mcleod,
 )
-from quenchfront.pdesim import SimConfig, compare_homogeneous_quench, simulate
+from quenchfront.pdesim import SimConfig, compare_homogeneous_quench, relax, simulate
 from quenchfront.solvercore import eig_tridiag_symmetric, integrate_ode, solve_bvp
 from quenchfront.stability import build_Lc, leading_eigenvalues
 from quenchfront.travelingwave import (
@@ -159,12 +159,11 @@ def test_criterion_8_pde_cross_validation():
     for h in (0.2, 0.1):
         n = int(round((hi - lo) / h)) + 1
         cfg = SimConfig(
-            frame="comoving", c=1.2, epsilon=0.0025, domain=(lo, hi), n=n,
-            t_end=3000.0, ic="front-seed", snapshot_dt=3000.0,
+            frame="comoving", c=1.2, epsilon=0.0025, domain=(lo, hi), n=n, ic="front-seed",
         )
-        finals[h] = simulate(cfg)
+        finals[h] = relax(cfg)
     coarse, fine = finals[0.2], finals[0.1]
-    u_sim = (4.0 * fine.snapshots[-1][::2] - coarse.snapshots[-1]) / 3.0
+    u_sim = (4.0 * fine.u[::2] - coarse.u) / 3.0
     u_bvp = np.interp(coarse.x, front.mesh.nodes, front.u)
     sup = float(np.max(np.abs(u_sim - u_bvp)))
     assert sup <= 5e-3

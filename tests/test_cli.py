@@ -190,6 +190,25 @@ class TestPde:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "bad", [["--ic-width", "0"], ["--ic-width", "-5"], ["--ic-amplitude", "nan"]]
+    )
+    def test_bad_initial_condition_is_usage_error(self, tmp_path, capsys, bad):
+        code, out = run(["pde", "--t-end", "2", *bad], tmp_path)
+        assert code == 1
+        assert "error: ic_" in capsys.readouterr().err
+        assert not (out / "pde_snapshots.csv").exists()
+
+    def test_manifest_reports_steps_and_wall_time(self, tmp_path):
+        code, out = run(
+            ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        manifest = json.loads((out / "pde_manifest.json").read_text())
+        assert manifest["steps"] == 63  # ceil(1 / (0.4 * 0.2^2))
+        assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
+
     def test_determinism(self, tmp_path):
         args = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "1001", "--t-end", "20"]
         _, out1 = run(args, tmp_path, "one")

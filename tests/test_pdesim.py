@@ -9,12 +9,14 @@ import pytest
 from quenchfront.pdesim import (
     FrontTrack,
     QuenchComparison,
+    RelaxationError,
     SimConfig,
     SimResult,
     SimulationAbort,
     compare_homogeneous_quench,
     envelope_velocity,
     predicted_front_path,
+    relax,
     simulate,
 )
 
@@ -37,6 +39,14 @@ class TestConfig:
             SimConfig(t_end=-1.0)
         with pytest.raises(ValueError):
             SimConfig(domain=(1.0, 0.0))
+        for bad in (
+            dict(ic_width=0.0), dict(ic_width=-5.0), dict(ic_width=math.inf),
+            dict(ic_width=math.nan), dict(ic_amplitude=math.nan),
+            dict(ic_amplitude=-math.inf), dict(snapshot_dt=0.0),
+            dict(snapshot_dt=-1.0), dict(track_every=0),
+        ):
+            with pytest.raises(ValueError):
+                SimConfig(**bad)
 
 
 class TestInvasion:
@@ -97,12 +107,9 @@ class TestInvasion:
         assert float(np.max(np.abs(res.snapshots))) <= 1.5 + 1e-6
 
 
-def _dense_reference(cfg, u):
-    """Unfactored, unfused copy of the stepper: u <- M^{-1}(u + dt(mu u - u^3))
-    with M = I - dt(D2 - c D1) assembled densely from mirror-ghost Neumann
-    rows; returns the states from u onwards (row k is t = k dt)."""
-    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    h, dt, n = cfg.h, cfg.dt, cfg.n
+def _dense_operator(cfg):
+    """A = D2 - c D1 assembled densely from mirror-ghost Neumann rows."""
+    h, n = cfg.h, cfg.n
     c = cfg.c if cfg.frame == "comoving" else 0.0
     a = np.zeros((n, n))
     for i in range(n):
@@ -113,7 +120,15 @@ def _dense_reference(cfg, u):
             a[i, i + 1] = 1.0 / h**2 - c / (2.0 * h)
     a[0, 1] = 2.0 / h**2  # ghost u_{-1} = u_1: D2 doubles, D1 vanishes
     a[-1, -2] = 2.0 / h**2
-    m = np.eye(n) - dt * a
+    return a
+
+
+def _dense_reference(cfg, u):
+    """Unfactored, unfused copy of the stepper: u <- M^{-1}(u + dt(mu u - u^3))
+    with M = I - dt A; returns the states from u onwards (row k is t = k dt)."""
+    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
+    dt, n = cfg.dt, cfg.n
+    m = np.eye(n) - dt * _dense_operator(cfg)
     steps = int(math.ceil(cfg.t_end / dt))
     states = [u]
     for k in range(steps):
@@ -150,6 +165,47 @@ class TestDifferential:
         assert len(ref) == 301
         steps = np.rint(res.times / cfg.dt).astype(int)
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
+
+
+class TestRelax:
+    def _comoving(self, **kw):
+        return SimConfig(
+            frame="comoving", c=1.2, epsilon=0.05, domain=(-20.0, 60.0), n=201,
+            ic="front-seed", **kw,
+        )
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            dict(frame="comoving", c=1.2, epsilon=0.05, ic="front-seed"),
+            dict(frame="lab", frozen_mu=0.5, ic="small-bump", ic_center=40.0),
+        ],
+        ids=["comoving", "frozen"],
+    )
+    def test_steady_residual_below_tol(self, mode):
+        cfg = SimConfig(domain=(-20.0, 60.0), n=201, **mode)
+        res = relax(cfg, tol=1e-8)
+        if cfg.frozen_mu is not None:
+            mu = cfg.frozen_mu
+        else:
+            mu = np.tanh(cfg.epsilon * res.x)
+        r = _dense_operator(cfg) @ res.u + mu * res.u - res.u**3
+        assert np.max(np.abs(r)) <= 1e-8
+        assert res.residual == pytest.approx(np.max(np.abs(r)), rel=1e-3)
+        assert res.steps > 1 and res.wall_s > 0.0
+
+    def test_agrees_with_long_simulation(self):
+        steady = relax(self._comoving())
+        res = simulate(self._comoving(t_end=1500.0, snapshot_dt=1500.0))
+        assert np.max(np.abs(res.snapshots[-1] - steady.u)) <= 1e-6
+
+    def test_step_budget_raises(self):
+        with pytest.raises(RelaxationError):
+            relax(self._comoving(), max_steps=10)
+
+    def test_time_dependent_mu_rejected(self):
+        with pytest.raises(ValueError, match="time-independent"):
+            relax(SimConfig(frame="lab", alpha=0.5, domain=(0.0, 50.0), n=101))
 
 
 class TestErrorState:
