@@ -24,6 +24,10 @@ Exit codes: 0 success, 1 usage/config error, 2 solver failure,
 to fit (refused before any passage runs) and a ``--compare`` run that is
 not a lab-frame homogeneous quench are usage errors; a compared front that
 never crosses the level or never leaves the transient is a solver failure.
+``front`` below eps = 1e-3 runs the eps-continuation, which sizes its own
+mesh, so an explicit ``--L`` or ``--n`` there is a usage error, as is a
+continuation (``front`` or the BVP ``delay-sweep``) at a speed so close to 2
+that its start is refused.
 """
 
 from __future__ import annotations
@@ -198,15 +202,20 @@ def cmd_front(args) -> int:
         return EXIT_USAGE
     c, eps = args.c, args.eps
     outdir = _outdir(args)
-    half = args.L if args.L is not None else 5.0 / eps
-    params = {
-        "c": c, "eps": eps, "L": half, "n": args.n, "ramp": args.ramp,
-    }
+    params = {"c": c, "eps": eps, "ramp": args.ramp}
     try:
         quench = QuenchParams(c, eps, args.ramp)
         if eps >= 1e-3:
-            sol = solve_front(quench, half, n=args.n)
+            half = args.L if args.L is not None else 5.0 / eps
+            n = args.n if args.n is not None else 4001
+            params.update(L=half, n=n)
+            sol = solve_front(quench, half, n=n)
         else:
+            if args.L is not None or args.n is not None:
+                raise ValueError(
+                    "--L and --n apply only at eps >= 1e-3; below it the "
+                    "eps-continuation sizes its own mesh"
+                )
             sol = front_branch(c, [eps], ramp=args.ramp).fronts[0]
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -250,6 +259,8 @@ def cmd_front(args) -> int:
         "u_at_origin": sol.u_at_origin,
         "residual": sol.report.final_residual_norm,
         "iterations": sol.report.iterations,
+        "n": sol.mesh.count,
+        "L": 0.5 * float(sol.zeta[-1] - sol.zeta[0]),
     }
     diag_path = _write_json(os.path.join(outdir, "front_diagnostics.json"), diag)
     if c > 0:
@@ -305,7 +316,11 @@ def cmd_delay_sweep(args) -> int:
         converged = len(records)
         total = len(eps_list)
     else:
-        branch = front_branch(args.c, eps_list, ramp="tanh", strict=False)
+        try:
+            branch = front_branch(args.c, eps_list, ramp="tanh", strict=False)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         got = {f.params.epsilon: f for f in branch.fronts}
         delays = []
         for e in eps_list:
@@ -539,8 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--c", type=_speed, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--L", type=float, default=None, help="domain halflength (default 5/eps)")
-    p.add_argument("--n", type=int, default=4001)
+    p.add_argument(
+        "--L", type=float, default=None,
+        help="domain halflength (default 5/eps); only for eps >= 1e-3",
+    )
+    p.add_argument(
+        "--n", type=int, default=None, help="mesh nodes (default 4001); only for eps >= 1e-3"
+    )
     p.add_argument("--ramp", choices=["tanh", "linear-clipped"], default="tanh")
     p.add_argument("--outdir", default=None)
     p.add_argument("--config", help="flat key=value config file")

@@ -11,7 +11,8 @@ after a delay: it crosses the section z = -delta at
 
     theta_a(eps) = Omega0 (1 - c^4/16)^{2/3} eps^{2/3} + O(eps log eps),
 
-with Omega0 the first zero of Ai(-z).  Near the departure the trajectory
+with Omega0 the first zero of Ai(-z); ``fit_delay_scaling`` takes this
+prefactor from ``travelingwave.delay_prefactor``, the front law's own.  Near the departure the trajectory
 follows the logarithmic derivative of an Airy function, so the section at
 finite delta samples the blow-up early by (1 - c^4/16) eps / delta exactly
 to leading order; ``theta_fold`` removes that known offset and is the right
@@ -23,20 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .solvercore import integrate_ode
-from .specfun import omega0
+from .travelingwave import delay_prefactor
 
 __all__ = [
     "FoldDelayRecord",
-    "NormalFormScaling",
     "DelayFit",
     "FoldPassageError",
     "run_fold_passage",
-    "normal_form_transform",
     "check_fit_sweep",
     "fit_delay_scaling",
 ]
@@ -60,27 +59,6 @@ class FoldDelayRecord:
     def theta_fold(self) -> float:
         """Section reading with the finite-delta sampling offset removed."""
         return self.theta_exit + (1.0 - self.c**4 / 16.0) * self.epsilon / self.delta
-
-
-@dataclass(frozen=True)
-class NormalFormScaling:
-    """Factors of the rescaling z = -a x, theta = -a^2 y, zeta = tau / a with
-    a = (1 - c^4/16)^{1/3}, plus the transformed slow-fast field."""
-
-    space_factor: float  # a
-    delay_factor: float  # a^2
-    time_factor: float  # 1/a
-    c: float
-
-    def field(self, epsilon: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        a = self.space_factor
-        c2_2a = self.c**2 / (2.0 * a)
-
-        def rhs(t, y):
-            x, yy = y
-            return np.array([x * x - yy, epsilon * (-1.0 - c2_2a * yy + a * yy * yy)])
-
-        return rhs
 
 
 @dataclass(frozen=True)
@@ -174,15 +152,6 @@ def run_fold_passage(
     )
 
 
-def normal_form_transform(c: float) -> NormalFormScaling:
-    """Scaling that brings the slow-passage system to dx/dtau = x^2 - y,
-    dy/dtau = eps (-1 - c^2 y /(2a) + a y^2)."""
-    if not (0.0 <= c < 2.0):
-        raise ValueError("speed must lie in [0, 2)")
-    a = (1.0 - c**4 / 16.0) ** (1.0 / 3.0)
-    return NormalFormScaling(space_factor=a, delay_factor=a * a, time_factor=1.0 / a, c=c)
-
-
 def check_fit_sweep(eps: Sequence[float]) -> None:
     """Raise ``ValueError`` unless the eps values can carry a delay fit: at
     least five of them, spanning >= 1.5 decades."""
@@ -211,9 +180,8 @@ def fit_delay_scaling(
         [r.theta_fold if remove_section_offset else r.theta_exit for r in records]
     )
     slope, intercept = np.polyfit(np.log(eps), np.log(theta), 1)
-    c = records[0].c
     return DelayFit(
         exponent=float(slope),
         prefactor=float(math.exp(intercept)),
-        reference_prefactor=omega0().value * (1.0 - c**4 / 16.0) ** (2.0 / 3.0),
+        reference_prefactor=delay_prefactor(records[0].c),
     )

@@ -253,13 +253,11 @@ def continue_branch(
     start: np.ndarray,
     param_range: tuple[float, float],
     step0: float,
-    min_step: float = 1e-10,
-    grow: float = 1.3,
 ) -> ContinuationBranch:
     """Natural-parameter continuation with a secant predictor and Newton
-    corrector.  The step halves on corrector failure and grows by ``grow``
-    after three consecutive successes; stepping stops at the range end or
-    when the step drops below ``min_step`` (branch flagged "stalled").
+    corrector.  The step halves on corrector failure and grows by 1.3 after
+    three consecutive successes; stepping stops at the range end or when the
+    step drops below 1e-10 (branch flagged "stalled").
     """
     p0, p1 = float(param_range[0]), float(param_range[1])
     direction = 1 if p1 >= p0 else -1
@@ -302,12 +300,12 @@ def continue_branch(
             p_prev, x_prev = p_new, x_new
             successes += 1
             if successes >= 3:
-                step *= grow
+                step *= 1.3
                 successes = 0
         else:
             successes = 0
             step *= 0.5
-            if step < min_step:
+            if step < 1e-10:
                 return ContinuationBranch(entries, direction, steps, "stalled")
     return ContinuationBranch(entries, direction, steps, "completed")
 
@@ -419,14 +417,12 @@ class Spectrum:
     """Descending eigenvalue list of a discretized self-adjoint operator."""
 
     eigenvalues: np.ndarray
-    operator_tag: str = "generic"
 
 
 def eig_tridiag_symmetric(
     diag: Sequence[float],
     offdiag: Sequence[float],
     k_largest: int,
-    operator_tag: str = "generic",
 ) -> Spectrum:
     """The ``k_largest`` largest eigenvalues of the symmetric tridiagonal
     matrix (diag, offdiag), in descending order, by LAPACK bisection via
@@ -441,7 +437,7 @@ def eig_tridiag_symmetric(
     vals = eigh_tridiagonal(
         a, b, eigvals_only=True, select="i", select_range=(n - k_largest, n - 1)
     )
-    return Spectrum(vals[::-1].copy(), operator_tag)
+    return Spectrum(vals[::-1].copy())
 
 
 def tridiag_eigenvector(

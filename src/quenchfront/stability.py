@@ -16,7 +16,6 @@ zero mode, the ramp pins the front) gives exponential attractivity.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,7 @@ __all__ = [
     "build_Lc",
     "operator_from_potential",
     "leading_eigenvalues",
-    "essential_spectrum_edges",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -44,32 +40,20 @@ class LcOperator:
     h: float
     diag: np.ndarray
     offdiag: np.ndarray
-    q: np.ndarray  # potential mu - c^2/4 - 3 u*^2 at interior nodes
-    c: float
-    window_length: float
-    operator_tag: str = "Lc"
 
     @property
     def n(self) -> int:
         return self.diag.size
 
 
-def operator_from_potential(grid: np.ndarray, q: np.ndarray, c: float = 0.0) -> LcOperator:
+def operator_from_potential(grid: np.ndarray, q: np.ndarray) -> LcOperator:
     """Dirichlet discretization of u'' + q u on a uniform grid (the grid
     carries the interior nodes; spacing from the first two)."""
     grid = np.asarray(grid, dtype=float)
     h = float(grid[1] - grid[0])
     diag = -2.0 / h**2 + np.asarray(q, dtype=float)
     off = np.full(grid.size - 1, 1.0 / h**2)
-    return LcOperator(
-        grid=grid,
-        h=h,
-        diag=diag,
-        offdiag=off,
-        q=np.asarray(q, dtype=float),
-        c=c,
-        window_length=float(grid[-1] - grid[0]) + 2.0 * h,
-    )
+    return LcOperator(grid=grid, h=h, diag=diag, offdiag=off)
 
 
 def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
@@ -85,16 +69,7 @@ def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
     mu = front.params.mu_of_zeta(grid)
     c = front.params.c
     q = mu - c * c / 4.0 - 3.0 * u_star**2
-    inner = slice(1, -1)
-    op = operator_from_potential(grid[inner], q[inner], c=c)
-    op.window_length = float(zeta[-1] - zeta[0])
-    log.info(
-        "Lc assembled: window length %.1f, %d interior nodes, h = %.3g",
-        op.window_length,
-        op.n,
-        op.h,
-    )
-    return op
+    return operator_from_potential(grid[1:-1], q[1:-1])
 
 
 def leading_eigenvalues(op: LcOperator, k: int) -> Spectrum:
@@ -102,13 +77,5 @@ def leading_eigenvalues(op: LcOperator, k: int) -> Spectrum:
     by LAPACK bisection via ``scipy.linalg.eigh_tridiagonal``."""
     if k < 1:
         raise ValueError("need at least one eigenvalue")
-    return eig_tridiag_symmetric(op.diag, op.offdiag, k, operator_tag=op.operator_tag)
+    return eig_tridiag_symmetric(op.diag, op.offdiag, k)
 
-
-def essential_spectrum_edges(c: float) -> tuple[float, float]:
-    """Real-part suprema of the frozen-coefficient symbols at the two ends
-    of the front: the wake edge (mu -> 1, u* -> 1) gives
-    sup_k(-k^2 + 1 - 3) = -2; the leading edge in the symmetrized frame
-    (mu -> -1, u* -> 0) gives -1 - c^2/4.  Both stay negative for c in
-    [0, 2)."""
-    return -2.0, -1.0 - c * c / 4.0

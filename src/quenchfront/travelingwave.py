@@ -14,7 +14,10 @@ xi = -zeta.
 The truncated problem closes with projection boundary conditions: at the
 left end (u, u') must lie in the unstable eigendirection of the
 linearization about u = 0, at the right end (u - sqrt(mu), u') in the
-stable eigendirection about the nontrivial state.
+stable eigendirection about the nontrivial state; ``projection_rates``
+gives both rates.  ``delay_prefactor`` and ``predicted_delay`` are the
+closed-form delay law that the solvers, the mesh grading and the fold fits
+share.
 """
 
 from __future__ import annotations
@@ -37,21 +40,23 @@ from .specfun import omega0
 
 __all__ = [
     "QuenchParams",
-    "DispersionPoint",
-    "EquilibriumEigenpairs",
     "FrontSolution",
     "FrontBranch",
     "FrontSolveError",
     "NoInterfaceError",
-    "dispersion_branch_point",
-    "equilibrium_eigenpairs",
     "solve_front",
     "front_location",
+    "delay_prefactor",
     "predicted_delay",
+    "projection_rates",
     "front_branch",
     "stationary_amplitude_at_pitchfork",
     "compare_with_rescaled_profile",
 ]
+
+
+# residual sup-norm tolerance of every Newton solve on the front system
+_TOL = 1e-10
 
 
 class FrontSolveError(RuntimeError):
@@ -98,27 +103,6 @@ class QuenchParams:
         return mu / self.epsilon
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    """Marginal branch point of nu^2 + c nu + mu - lambda = 0."""
-
-    lambda_br: float
-    nu_br: float
-    mu_c: float
-
-
-@dataclass(frozen=True)
-class EquilibriumEigenpairs:
-    """Spatial eigenvalues at the two end states of the (u, v, mu) system,
-    with the eigenvectors used for the projection boundary conditions."""
-
-    nu_left: tuple[float, float, float]  # (slow 2eps, c/2 +- sqrt(c^2/4 + 1))
-    nu_right: tuple[float, float, float]  # (slow -2eps, c/2 +- sqrt(c^2/4 + 2))
-    unstable_vector_left: tuple[float, float, float]
-    stable_vector_right: tuple[float, float, float]
-    slow_vector: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-
 @dataclass
 class FrontSolution:
     """Discrete heteroclinic front on a zeta-mesh with interface diagnostics.
@@ -163,34 +147,25 @@ class FrontBranch:
     system: object = None
 
 
-def dispersion_branch_point(c: float, mu: float) -> DispersionPoint:
-    """Closed-form double root of the comoving dispersion relation."""
-    return DispersionPoint(lambda_br=-c * c / 4.0 + mu, nu_br=-c / 2.0, mu_c=c * c / 4.0)
-
-
-def equilibrium_eigenpairs(c: float, epsilon: float) -> EquilibriumEigenpairs:
-    """Eigenvalues of the linearization at (u, v, mu) = (0, 0, -1) and
-    (1, 0, 1), plus the fast eigenvectors (1, nu, 0) used by the projection
-    boundary conditions."""
-    s1 = math.sqrt(c * c / 4.0 + 1.0)
-    s2 = math.sqrt(c * c / 4.0 + 2.0)
-    nu_left = (2.0 * epsilon, c / 2.0 + s1, c / 2.0 - s1)
-    nu_right = (-2.0 * epsilon, c / 2.0 + s2, c / 2.0 - s2)
-    return EquilibriumEigenpairs(
-        nu_left=nu_left,
-        nu_right=nu_right,
-        unstable_vector_left=(1.0, nu_left[1], 0.0),
-        stable_vector_right=(1.0, nu_right[2], 0.0),
-    )
+def delay_prefactor(c: float) -> float:
+    """Prefactor Omega0 (1 - c^4/16)^{2/3} of the eps^{2/3} delay law."""
+    return omega0().value * (1.0 - c**4 / 16.0) ** (2.0 / 3.0)
 
 
 def predicted_delay(c: float, epsilon: float) -> float:
     """Interface location law mu_fr = c^2/4 + Omega0 (1 - c^4/16)^{2/3} eps^{2/3}."""
     if not (0.0 <= c < 2.0):
         raise ValueError("speed must lie in [0, 2)")
-    return c * c / 4.0 + omega0().value * (1.0 - c**4 / 16.0) ** (2.0 / 3.0) * epsilon ** (
-        2.0 / 3.0
-    )
+    return c * c / 4.0 + delay_prefactor(c) * epsilon ** (2.0 / 3.0)
+
+
+def projection_rates(c: float, mu_left: float, mu_right: float) -> tuple[float, float]:
+    """Fast spatial rates of the projection closures: nu_u = c/2 +
+    sqrt(c^2/4 - mu_left), unstable at u = 0, and nu_s = c/2 - sqrt(c^2/4 +
+    2 mu_right), stable at u = sqrt(mu_right)."""
+    nu_u = 0.5 * (c + math.sqrt(c**2 - 4.0 * mu_left))
+    nu_s = 0.5 * (c - math.sqrt(c**2 + 8.0 * mu_right))
+    return nu_u, nu_s
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +236,8 @@ class _LogFrontSystem:
 
     def coefficients(self, epsilon: float):
         mu = self.mu_values(epsilon)
-        mu_l, mu_r = mu[0], mu[-1]
-        nu_u = 0.5 * (self.c + math.sqrt(self.c**2 - 4.0 * mu_l))
-        nu_s = 0.5 * (self.c - math.sqrt(self.c**2 + 8.0 * mu_r))
-        u_plus = math.sqrt(mu_r)
+        nu_u, nu_s = projection_rates(self.c, mu[0], mu[-1])
+        u_plus = math.sqrt(mu[-1])
         return mu, nu_u, nu_s, u_plus
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
@@ -359,7 +332,7 @@ def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mes
     scale = eps ** (-1.0 / 3.0)
     if c > 0.0:
         zeta_c = params.zeta_of_mu(c * c / 4.0)
-        delay = omega0().value * (1 - c**4 / 16.0) ** (2 / 3) * scale / (1.0 - c**4 / 16.0)
+        delay = delay_prefactor(c) * scale / (1.0 - c**4 / 16.0)
         lo = zeta_c - max(30.0, 2.0 * scale)
         hi = zeta_c + 3.0 * delay + max(30.0, 2.0 * scale)
     else:
@@ -378,8 +351,6 @@ def solve_front(
     domain_halflength: float,
     n: int = 4001,
     guess: FrontSolution | None = None,
-    mesh: Mesh | None = None,
-    tol: float = 1e-10,
 ) -> FrontSolution:
     """Solve the truncated front BVP with projection boundary conditions.
 
@@ -392,10 +363,9 @@ def solve_front(
     """
     if domain_halflength < 5.0 / params.epsilon - 1e-9:
         raise ValueError("domain too short: need halflength >= 5/epsilon")
-    if mesh is None:
-        if n < 2001:
-            raise ValueError("front discretization needs n >= 2001")
-        mesh = _default_mesh(params, domain_halflength, n)
+    if n < 2001:
+        raise ValueError("front discretization needs n >= 2001")
+    mesh = _default_mesh(params, domain_halflength, n)
     system = _LogFrontSystem(mesh, params.c, params.ramp)
     if guess is not None:
         w0 = _log_profile(
@@ -407,7 +377,7 @@ def solve_front(
         residual=lambda w: system.residual(w, params.epsilon),
         jacobian=lambda w: system.jacobian(w, params.epsilon),
         initial_guess=w0,
-        tol=tol,
+        tol=_TOL,
         bandwidth=(2, 2),
         max_iter=80,
     )
@@ -469,8 +439,6 @@ def front_branch(
     eps_start: float = 0.05,
     ramp: str = "tanh",
     h_min: float = 0.05,
-    tol: float = 1e-10,
-    step0: float = 0.4,
     strict: bool = True,
 ) -> FrontBranch:
     """Continue the front family downward in eps from ``eps_start`` through
@@ -483,6 +451,8 @@ def front_branch(
     the unknown is the log-amplitude w = log(u) (so the exponentially small
     plateau is resolved relatively, not additively).  Every target is landed
     on exactly and returned as a FrontSolution in the unshifted u-variables.
+    With the tanh ramp the shift is atanh(predicted_delay(c, eps)), so a
+    start where that prediction reaches 1 (c near 2) raises ``ValueError``.
     """
     targets = sorted(set(float(e) for e in eps_targets), reverse=True)
     if not targets:
@@ -492,6 +462,13 @@ def front_branch(
         raise ValueError("targets must lie in (0, eps_start]")
     if c > 0.0:
         if ramp == "tanh":
+            mu_start = predicted_delay(c, eps_start)
+            if mu_start >= 1.0:
+                raise ValueError(
+                    f"predicted interface mu_fr = {mu_start:.4f} >= 1 at c={c}, "
+                    f"eps_start={eps_start}: the atanh phase of the shifted frame is "
+                    "undefined there"
+                )
             phase_fn = lambda e: math.atanh(predicted_delay(c, e))
         else:
             phase_fn = lambda e: predicted_delay(c, e)
@@ -503,14 +480,14 @@ def front_branch(
         residual=lambda w, s: system.residual(w, math.exp(s)),
         jacobian=lambda w, s: system.jacobian(w, math.exp(s)),
         bandwidth=(2, 2),
-        tol=tol,
+        tol=_TOL,
         max_iter=80,
     )
     w_start, rep = solve_bvp(
         lambda w: system.residual(w, eps_start),
         lambda w: system.jacobian(w, eps_start),
         system.seed(eps_start),
-        tol,
+        _TOL,
         (2, 2),
         max_iter=80,
     )
@@ -525,7 +502,7 @@ def front_branch(
     for eps_t in targets:
         s_t = math.log(eps_t)
         if s_t < s_cur:
-            seg = continue_branch(problem, w_cur, (s_cur, s_t), step0=step0)
+            seg = continue_branch(problem, w_cur, (s_cur, s_t), step0=0.4)
             # drop the duplicated join point between consecutive segments
             entries.extend(seg.entries[1:] if entries else seg.entries)
             steps.extend(seg.step_history)
@@ -538,7 +515,7 @@ def front_branch(
             lambda w: system.residual(w, eps_t),
             lambda w: system.jacobian(w, eps_t),
             w_cur,
-            tol,
+            _TOL,
             (2, 2),
             max_iter=80,
         )

@@ -68,6 +68,44 @@ class TestFront:
         diag = json.loads((out / "front_diagnostics.json").read_text())
         assert diag["eps"] == 0.004  # flag wins over config entry
 
+    def test_diagnostics_record_the_mesh_used(self, tmp_path, capsys):
+        # direct solve (eps >= 1e-3) and eps-continuation (eps < 1e-3)
+        for sub, eps, half in (("direct", "0.0025", 2000.0), ("branch", "0.0005", None)):
+            code, out = run(["front", "--c", "1.2", "--eps", eps], tmp_path, sub)
+            assert code == 0
+            meta, body = read_meta(out / "front_profile.csv")
+            diag = json.loads((out / "front_diagnostics.json").read_text())
+            zeta = body[:, 0]
+            assert diag["n"] == body.shape[0]
+            assert diag["L"] == pytest.approx(0.5 * (zeta[-1] - zeta[0]), rel=1e-12)
+            if half is not None:
+                assert diag["L"] == half and float(meta["L"]) == half
+            else:
+                assert "L" not in meta and "n" not in meta
+
+    @pytest.mark.parametrize(
+        "extra, config",
+        [(["--n", "8001"], ""), (["--L", "3000"], ""), (["--L", "10"], ""), ([], "n = 8001\n")],
+        ids=["flag-n", "flag-L", "flag-short-L", "config-n"],
+    )
+    def test_mesh_options_refused_below_direct_range(self, tmp_path, capsys, extra, config):
+        args = ["front", "--c", "1.2", "--eps", "5e-4", *extra]
+        if config:
+            cfgfile = tmp_path / "front.cfg"
+            cfgfile.write_text(config)
+            args += ["--config", str(cfgfile)]
+        code, out = run(args, tmp_path)
+        assert code == 1
+        assert "--L and --n apply only at eps >= 1e-3" in capsys.readouterr().err
+        assert not (out / "front_profile.csv").exists()
+
+    def test_speed_near_two_refused(self, tmp_path, capsys):
+        code, out = run(["front", "--c", "1.9", "--eps", "5e-4"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "c=1.9, eps_start=0.05" in err and "atanh phase" in err
+        assert not (out / "front_profile.csv").exists()
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this line has no equals sign\n")
@@ -111,6 +149,16 @@ class TestDelaySweep:
         summary = json.loads((out / "delay_sweep_summary.json").read_text())
         assert 0.5 < summary["slope"] < 0.8
         assert summary["converged"] == 3
+
+    @pytest.mark.parametrize("c", ["1.9", "1.95"])
+    def test_speed_near_two_refused(self, tmp_path, capsys, c):
+        code, out = run(
+            ["delay-sweep", "--c", c, "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"], tmp_path
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"c={c}, eps_start=0.05" in err and "atanh phase" in err
+        assert not (out / "delay_sweep.csv").exists()
 
     def test_bad_range(self, tmp_path):
         code, _ = run(["delay-sweep", "--c", "1.2", "--eps-decade", "oops"], tmp_path)

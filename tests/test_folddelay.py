@@ -10,10 +10,10 @@ from quenchfront.folddelay import (
     DelayFit,
     FoldDelayRecord,
     fit_delay_scaling,
-    normal_form_transform,
     run_fold_passage,
 )
 from quenchfront.solvercore import integrate_ode
+from quenchfront.travelingwave import delay_prefactor
 
 OMEGA0 = 2.3381074104597670
 
@@ -104,25 +104,19 @@ class TestRunFoldPassage:
 
 
 class TestNormalForm:
-    def test_unit_factors_at_zero_speed(self):
-        nf = normal_form_transform(0.0)
-        assert nf.space_factor == 1.0
-        assert nf.delay_factor == 1.0
-        assert nf.time_factor == 1.0
-
-    def test_cube_root_factor(self):
-        # (1 - 1.2^4/16)^{1/3} = 0.8704^{1/3}
-        nf = normal_form_transform(1.2)
-        assert nf.space_factor == pytest.approx(0.9547866, abs=1e-6)
-        assert nf.delay_factor == pytest.approx(0.9116174, abs=1e-6)
-        assert nf.time_factor == pytest.approx(1.0 / 0.9547866, abs=1e-6)
-
     def test_transformed_run_maps_back(self, record_c12):
-        # integrate the normal form and undo the scaling; the change of
-        # variables is exact, so the two section readings agree
+        # integrate the normal form dx/dtau = x^2 - y,
+        # dy/dtau = eps (-1 - c^2 y / (2a) + a y^2), reached by z = -a x,
+        # theta = -a^2 y, zeta = tau / a with a = (1 - c^4/16)^{1/3}, and
+        # undo the scaling; the change of variables is exact, so the two
+        # section readings agree
         c, eps, delta = 1.2, 1e-4, 0.25
-        nf = normal_form_transform(c)
-        a = nf.space_factor
+        a = (1.0 - c**4 / 16.0) ** (1.0 / 3.0)
+
+        def field(t, y):
+            x, yy = y
+            return np.array([x * x - yy, eps * (-1.0 - c**2 / (2.0 * a) * yy + a * yy * yy)])
+
         mu_c = c * c / 4.0
         theta0 = -0.25
         z0 = math.sqrt(-theta0) + eps * (1.0 - (theta0 + mu_c) ** 2) / (4.0 * (-theta0))
@@ -130,7 +124,7 @@ class TestNormalForm:
         ev = lambda t, y: y[0] - delta / a
         ev.terminal = True
         ev.direction = 1
-        res = integrate_ode(nf.field(eps), y0, (0.0, 30.0 / eps), rtol=1e-10, atol=1e-13, events=[ev])
+        res = integrate_ode(field, y0, (0.0, 30.0 / eps), rtol=1e-10, atol=1e-13, events=[ev])
         assert res.status == "event"
         theta_exit = -(a * a) * res.events[0].y[1]
         assert theta_exit == pytest.approx(record_c12.theta_exit, rel=0.01)
@@ -151,6 +145,12 @@ class TestFit:
     def test_reference_prefactor_value(self):
         fit = fit_delay_scaling(self._synthetic(), remove_section_offset=False)
         assert fit.reference_prefactor == pytest.approx(2.1315, abs=2e-4)
+
+    @pytest.mark.parametrize("c", [0.4, 1.2, 1.6])
+    def test_reference_prefactor_is_the_front_law(self, c):
+        # the fit and the front BVP's delay law share one prefactor
+        fit = fit_delay_scaling(self._synthetic(c=c), remove_section_offset=False)
+        assert fit.reference_prefactor == delay_prefactor(c)
 
     def test_small_real_sweep(self):
         eps = np.geomspace(5e-5, 1.6e-3, 5)

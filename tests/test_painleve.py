@@ -179,7 +179,6 @@ class TestGroundState:
         spec = linearization_ground_state(hm)
         assert spec.eigenvalues[0] < 0.0
         assert len(spec.eigenvalues) == 5
-        assert spec.operator_tag == "PII-linearization"
 
     def test_numerical_range_bound(self, hm):
         # lambda0 <= -min V for the certified positive potential

@@ -14,7 +14,6 @@ from quenchfront.pdesim import (
     SimResult,
     SimulationAbort,
     compare_homogeneous_quench,
-    envelope_velocity,
     predicted_front_path,
     relax,
     simulate,
@@ -247,24 +246,6 @@ class TestPrediction:
     def test_unknown_ramp(self):
         with pytest.raises(ValueError):
             predicted_front_path(0.005, "sigmoid", 0.0, [1.0])
-
-
-class TestEnvelopeVelocity:
-    def test_reference_values(self):
-        assert envelope_velocity(-1.0, 1.0) == pytest.approx(2.0)
-        assert envelope_velocity(-0.5, 0.25) == pytest.approx(1.0)
-
-    def test_minimizer_at_sqrt_mu(self):
-        mu = 0.36
-        nus = np.linspace(-3.0, -0.05, 1501)
-        vals = [envelope_velocity(nu, mu) for nu in nus]
-        i = int(np.argmin(vals))
-        assert nus[i] == pytest.approx(-0.6, abs=5e-3)
-        assert vals[i] == pytest.approx(1.2, abs=1e-3)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            envelope_velocity(0.0, 1.0)
 
 
 class TestHomogeneousQuench:

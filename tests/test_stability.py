@@ -9,7 +9,6 @@ import pytest
 
 from quenchfront.stability import (
     build_Lc,
-    essential_spectrum_edges,
     leading_eigenvalues,
     operator_from_potential,
 )
@@ -65,7 +64,6 @@ class TestFrontSpectrum:
     def test_all_leading_negative(self, spectrum_c12):
         _, spec = spectrum_c12
         assert np.all(spec.eigenvalues < 0.0)
-        assert spec.operator_tag == "Lc"
         gap = abs(spec.eigenvalues[0])
         assert gap > 0.0
 
@@ -104,7 +102,7 @@ class TestFrontSpectrum:
         u_star = CubicSpline(front_c12.mesh.nodes, front_c12.u)(grid)
         mu = front_c12.params.mu_of_zeta(grid)
         q_sym = mu - c * c / 4.0 - 3.0 * u_star**2
-        op = operator_from_potential(grid[1:-1], q_sym[1:-1], c=c)
+        op = operator_from_potential(grid[1:-1], q_sym[1:-1])
         lam = leading_eigenvalues(op, 1).eigenvalues[0]
         phi = tridiag_eigenvector(op.diag, op.offdiag, lam)
         weight = np.exp(0.5 * c * (grid[1:-1] - z_fr))
@@ -118,17 +116,3 @@ class TestFrontSpectrum:
         resid = apply_l0 - lam * psi[1:-1]
         assert np.max(np.abs(resid)) <= 10.0 * h**2 * np.max(np.abs(psi))
 
-
-class TestEssentialSpectrum:
-    def test_stationary(self):
-        assert essential_spectrum_edges(0.0) == (-2.0, -1.0)
-
-    def test_moving(self):
-        wake, lead = essential_spectrum_edges(1.2)
-        assert wake == -2.0
-        assert lead == pytest.approx(-1.36)
-
-    @pytest.mark.parametrize("c", np.linspace(0.0, 1.99, 9).tolist())
-    def test_both_negative(self, c):
-        wake, lead = essential_spectrum_edges(c)
-        assert wake < 0.0 and lead < 0.0

@@ -18,63 +18,29 @@ from quenchfront.travelingwave import (
     NoInterfaceError,
     QuenchParams,
     compare_with_rescaled_profile,
-    dispersion_branch_point,
-    equilibrium_eigenpairs,
+    delay_prefactor,
     front_branch,
     front_location,
     predicted_delay,
+    projection_rates,
     solve_front,
     stationary_amplitude_at_pitchfork,
 )
 from quenchfront.solvercore import Mesh, NewtonReport
 
 
-class TestDispersion:
-    def test_marginal_case(self):
-        d = dispersion_branch_point(1.2, 0.36)
-        assert d.lambda_br == pytest.approx(0.0, abs=1e-15)
-        assert d.nu_br == pytest.approx(-0.6)
-        assert d.mu_c == pytest.approx(0.36)
-
-    def test_stationary(self):
-        d = dispersion_branch_point(0.0, 1.0)
-        assert d.lambda_br == 1.0 and d.nu_br == 0.0
-
-    def test_absolute_stability_boundary(self):
-        d = dispersion_branch_point(2.0, 1.0)
-        assert d.lambda_br == pytest.approx(0.0)
-        assert d.mu_c == pytest.approx(1.0)
-
-    @given(st.floats(0.0, 2.0), st.floats(-1.0, 1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_double_root_property(self, c, mu):
-        d = dispersion_branch_point(c, mu)
-        # nu_br is a double root of nu^2 + c nu + mu - lambda_br
-        assert d.nu_br**2 + c * d.nu_br + mu - d.lambda_br == pytest.approx(0.0, abs=1e-12)
-        assert 2 * d.nu_br + c == pytest.approx(0.0, abs=1e-12)
-
-
 class TestEquilibria:
     def test_fast_unstable_rate(self):
-        e = equilibrium_eigenpairs(1.2, 0.0)
-        assert e.nu_left[1] == pytest.approx(0.6 + math.sqrt(1.36), abs=1e-6)
-        assert e.nu_left[1] == pytest.approx(1.766190, abs=1e-6)
-
-    def test_slow_rates(self):
-        e = equilibrium_eigenpairs(0.0, 0.01)
-        assert e.nu_left[0] == pytest.approx(0.02)
-        assert e.nu_right[0] == pytest.approx(-0.02)
+        # c/2 + sqrt(c^2/4 + 1) at u = 0, mu = -1
+        nu_u, _ = projection_rates(1.2, -1.0, 1.0)
+        assert nu_u == pytest.approx(0.6 + math.sqrt(1.36), abs=1e-6)
+        assert nu_u == pytest.approx(1.766190, abs=1e-6)
 
     def test_fast_stable_rate(self):
-        # c/2 - sqrt(c^2/4 + 2) = 0.6 - sqrt(2.36)
-        e = equilibrium_eigenpairs(1.2, 0.0)
-        assert e.nu_right[2] == pytest.approx(0.6 - math.sqrt(2.36), abs=1e-6)
-        assert e.nu_right[2] == pytest.approx(-0.936229, abs=1e-6)
-
-    def test_eigenvector_structure(self):
-        e = equilibrium_eigenpairs(0.7, 1e-3)
-        assert e.unstable_vector_left == (1.0, e.nu_left[1], 0.0)
-        assert e.slow_vector == (0.0, 0.0, 1.0)
+        # c/2 - sqrt(c^2/4 + 2) = 0.6 - sqrt(2.36) at u = 1, mu = 1
+        _, nu_s = projection_rates(1.2, -1.0, 1.0)
+        assert nu_s == pytest.approx(0.6 - math.sqrt(2.36), abs=1e-6)
+        assert nu_s == pytest.approx(-0.936229, abs=1e-6)
 
 
 class TestPredictedDelay:
@@ -89,6 +55,11 @@ class TestPredictedDelay:
 
     def test_zero_ramp_rate(self):
         assert predicted_delay(1.2, 0.0) == pytest.approx(0.36)
+
+    @pytest.mark.parametrize("c", [0.4, 1.2, 1.6])
+    def test_law_is_built_on_the_prefactor(self, c):
+        for eps in (1e-5, 2.5e-4, 2.5e-3):
+            assert predicted_delay(c, eps) == c * c / 4 + delay_prefactor(c) * eps ** (2 / 3)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +205,18 @@ class TestFrontBranch:
         fb = front_branch(0.0, [5e-3, 2e-3])
         p = fb.branch.params
         assert np.all(np.diff(p) < 0)
+
+    @pytest.mark.parametrize("c", [1.9, 1.95])
+    def test_start_beyond_atanh_phase_refused(self, c, monkeypatch):
+        # predicted_delay(c, 0.05) >= 1: refused before any mesh is built
+        import quenchfront.travelingwave as tw
+
+        def no_mesh(*args):
+            raise AssertionError("mesh built")
+
+        monkeypatch.setattr(tw, "_branch_mesh", no_mesh)
+        with pytest.raises(ValueError, match=rf"c={c}, eps_start=0.05: the atanh phase"):
+            front_branch(c, [2.5e-3])
 
 
 class TestAmplitudeFit:
