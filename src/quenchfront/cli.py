@@ -45,7 +45,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .folddelay import FoldPassageError, check_fit_sweep, fit_delay_scaling, run_fold_passage
+from .folddelay import (
+    FoldPassageError,
+    check_fit_sweep,
+    check_passage,
+    fit_delay_scaling,
+    run_fold_passage,
+)
 from .painleve import (
     CertificateError,
     HMSolveError,
@@ -94,15 +100,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, meta: dict, columns: list[str], rows) -> str:
+def _write_lines(path: str, meta: dict, columns: list[str], lines) -> str:
+    """Write the metadata header, then ``lines`` (each ending in a newline)."""
     meta = dict(meta)
     meta["columns"] = ",".join(columns)
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
     return path
+
+
+def _write_csv(path: str, meta: dict, columns: list[str], rows) -> str:
+    return _write_lines(path, meta, columns, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+
+
+def _snapshot_lines(times: np.ndarray, x: np.ndarray, snapshots: np.ndarray):
+    """Rows t,x,u of every snapshot, one block of lines per snapshot.
+
+    The bytes equal ``_fmt`` on each value (``repr`` of the float); x is
+    formatted once, and each block goes through ``ndarray.tolist`` instead
+    of a type check and float conversion per numpy scalar."""
+    xs = [repr(v) + "," for v in x.tolist()]
+    for t, snap in zip(times.tolist(), snapshots):
+        prefix = repr(t) + ","
+        yield "".join([prefix + xv + repr(uv) + "\n" for xv, uv in zip(xs, snap.tolist())])
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -291,6 +313,13 @@ def cmd_delay_sweep(args) -> int:
         print("error: --eps-decade expects LO:HI", file=sys.stderr)
         return EXIT_USAGE
     if args.fold:
+        # refuse what a passage or the fit would refuse before integrating
+        try:
+            for e in eps_list:
+                check_passage(args.c, float(e), args.delta)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         try:
             check_fit_sweep(eps_list)
         except ValueError as exc:
@@ -479,13 +508,11 @@ def cmd_pde(args) -> int:
         print(f"comparison failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     outputs = []
-    snap_rows = (
-        (t, x, u)
-        for t, snap in zip(res.times, res.snapshots)
-        for x, u in zip(res.x, snap)
-    )
     outputs.append(
-        _write_csv(os.path.join(outdir, "pde_snapshots.csv"), params, ["t", "x", "u"], snap_rows)
+        _write_lines(
+            os.path.join(outdir, "pde_snapshots.csv"), params, ["t", "x", "u"],
+            _snapshot_lines(res.times, res.x, res.snapshots),
+        )
     )
     summary = {"frame": cfg.frame, "multiple_crossings": res.track.multiple_crossings}
     if compare is not None:
@@ -627,7 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", type=float, nargs=2, default=[0.0, 300.0])
     p.add_argument("--n", type=int, default=3001)
     p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument(
+        "--dt", type=float, default=None,
+        help="SBDF2 time step (default and maximum 0.2 h; the explicit reaction "
+        "also needs dt |f'(u)| < 4/3)",
+    )
     p.add_argument("--ic", choices=["small-bump", "front-seed", "zero"], default="small-bump")
     p.add_argument("--ic-amplitude", type=float, default=0.05)
     p.add_argument("--ic-width", type=float, default=5.0)

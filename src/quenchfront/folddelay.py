@@ -36,6 +36,7 @@ __all__ = [
     "DelayFit",
     "FoldPassageError",
     "run_fold_passage",
+    "check_passage",
     "check_fit_sweep",
     "fit_delay_scaling",
 ]
@@ -68,11 +69,13 @@ class DelayFit:
     reference_prefactor: float
 
 
-def _validate(c: float, epsilon: float, delta: float):
+def check_passage(c: float, epsilon: float, delta: float) -> None:
+    """Raise ``ValueError`` unless (c, epsilon, delta) lie in the ranges
+    :func:`run_fold_passage` accepts."""
     if not (0.0 < c < 2.0):
         raise ValueError("speed must lie in (0, 2)")
     if not (0.0 < epsilon <= 1e-2):
-        raise ValueError("ramp rate must lie in (0, 1e-2]")
+        raise ValueError(f"ramp rate must lie in (0, 1e-2], got {epsilon:g}")
     if not (0.0 < delta <= 0.5):
         raise ValueError("section offset must lie in (0, 0.5]")
 
@@ -96,7 +99,7 @@ def run_fold_passage(
     the section is reached before the fast fall would need compactifying),
     "arctan" runs fully in s = arctan(z).
     """
-    _validate(c, epsilon, delta)
+    check_passage(c, epsilon, delta)
     if chart not in ("plain", "arctan"):
         raise ValueError(f"unknown chart {chart!r}")
     mu_c = c * c / 4.0

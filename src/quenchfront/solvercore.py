@@ -2,8 +2,8 @@
 iteration on banded discrete systems, natural-parameter continuation with a
 secant predictor, ODE integration by scipy's ``DOP853`` or (stiff) ``LSODA``
 stepper with sign-change events located by ``brentq`` on the dense output,
-and symmetric tridiagonal eigenvalues and eigenvectors by LAPACK bisection
-via ``scipy.linalg.eigh_tridiagonal``.
+and the largest eigenvalues of a symmetric tridiagonal matrix by LAPACK
+bisection via ``scipy.linalg.eigh_tridiagonal``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "continue_branch",
     "integrate_ode",
     "eig_tridiag_symmetric",
-    "tridiag_eigenvector",
 ]
 
 
@@ -438,21 +437,3 @@ def eig_tridiag_symmetric(
         a, b, eigvals_only=True, select="i", select_range=(n - k_largest, n - 1)
     )
     return Spectrum(vals[::-1].copy())
-
-
-def tridiag_eigenvector(
-    diag: np.ndarray, offdiag: np.ndarray, eigenvalue: float
-) -> np.ndarray:
-    """Unit eigenvector of the eigenvalue nearest ``eigenvalue``, searched
-    within 1e-8 times the entry scale of it (LAPACK bisection and inverse
-    iteration via ``scipy.linalg.eigh_tridiagonal``)."""
-    a = np.asarray(diag, dtype=float)
-    b = np.asarray(offdiag, dtype=float)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b), initial=0.0), 1e-30)
-    width = 1e-8 * scale
-    vals, vecs = eigh_tridiagonal(
-        a, b, select="v", select_range=(eigenvalue - width, eigenvalue + width)
-    )
-    if vals.size == 0:
-        raise ValueError(f"no eigenvalue within {width:.3g} of {eigenvalue!r}")
-    return vecs[:, int(np.argmin(np.abs(vals - eigenvalue)))]

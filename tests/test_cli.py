@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchfront import cli
+from quenchfront.pdesim import SimConfig, simulate
 
 
 def run(args, tmp_path, sub=""):
@@ -140,6 +141,23 @@ class TestDelaySweep:
         assert not (out / "delay_sweep.csv").exists()
         assert not (out / "delay_sweep_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--c", "1.2", "--eps-decade", "1e-4:0.05"], "ramp rate must lie in (0, 1e-2], got 0.0105737"),
+            (["--c", "0", "--eps-decade", "1e-5:1e-3"], "speed must lie in (0, 2)"),
+            (["--c", "1.2", "--eps-decade", "1e-5:1e-3", "--delta", "0.8"], "section offset"),
+        ],
+        ids=["eps", "c", "delta"],
+    )
+    def test_fold_out_of_range_refused_before_integrating(self, tmp_path, capsys, extra, message):
+        with mock.patch.object(cli, "run_fold_passage") as passage:
+            code, out = run(["delay-sweep", "--fold", "--points", "5", *extra], tmp_path)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        passage.assert_not_called()
+        assert not (out / "delay_sweep.csv").exists()
+
     def test_bvp_mode(self, tmp_path, capsys):
         code, out = run(
             ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-3:2.5e-3", "--points", "3"],
@@ -254,8 +272,32 @@ class TestPde:
         )
         assert code == 0
         manifest = json.loads((out / "pde_manifest.json").read_text())
-        assert manifest["steps"] == 63  # ceil(1 / (0.4 * 0.2^2))
+        assert manifest["steps"] == 25  # ceil(1 / (0.2 * 0.2))
         assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
+
+    def test_snapshot_bytes_equal_per_value_format(self, tmp_path):
+        code, out = run(
+            ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0))
+        expected = "".join(
+            ",".join(cli._fmt(v) for v in (t, x, u)) + "\n"
+            for t, snap in zip(res.times, res.snapshots)
+            for x, u in zip(res.x, snap)
+        )
+        body = (out / "pde_snapshots.csv").read_text().split("\n", 1)[1]
+        assert body == expected
+        # values whose repr is not a plain decimal
+        snaps = np.array([[np.nan, -0.0, 1e-300, 3.0], [np.inf, -np.inf, 0.1, 2.5e17]])
+        times, x = np.array([0.0, 1e-5]), np.array([-1.0, 0.0, 1.0 / 3.0, 7.0])
+        per_value = "".join(
+            ",".join(cli._fmt(v) for v in (t, xv, u)) + "\n"
+            for t, snap in zip(times, snaps)
+            for xv, u in zip(x, snap)
+        )
+        assert "".join(cli._snapshot_lines(times, x, snaps)) == per_value
 
     def test_determinism(self, tmp_path):
         args = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "1001", "--t-end", "20"]

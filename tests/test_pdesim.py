@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from quenchfront.pdesim import (
     FrontTrack,
@@ -22,12 +23,13 @@ from quenchfront.pdesim import (
 
 class TestConfig:
     def test_dt_bound_enforced(self):
+        SimConfig(domain=(0.0, 100.0), n=1001, dt=0.02)  # the bound 0.2 h itself
         with pytest.raises(ValueError, match="dt"):
-            SimConfig(domain=(0.0, 100.0), n=1001, dt=0.1)
+            SimConfig(domain=(0.0, 100.0), n=1001, dt=0.0201)
 
     def test_default_dt(self):
         cfg = SimConfig(domain=(0.0, 100.0), n=1001)
-        assert cfg.dt == pytest.approx(0.4 * cfg.h**2)
+        assert cfg.dt == pytest.approx(0.2 * cfg.h)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,13 +125,15 @@ def _dense_operator(cfg):
 
 
 def _dense_reference(cfg, u):
-    """Unfactored, unfused copy of the stepper: u <- M^{-1}(u + dt(mu u - u^3))
-    with M = I - dt A; returns the states from u onwards (row k is t = k dt)."""
+    """Unfactored, unfused copy of the stepper: with A dense and
+    e_k = u_k + dt(mu(t_k) u_k - u_k^3), one IMEX Euler step
+    (I - dt A) u_1 = e_0, then SBDF2 (3I - 2dt A) u_{k+1} = 4e_k - 2e_{k-1} + u_{k-1};
+    returns the states from u onwards (row k is t = k dt)."""
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     dt, n = cfg.dt, cfg.n
-    m = np.eye(n) - dt * _dense_operator(cfg)
+    a = _dense_operator(cfg)
     steps = int(math.ceil(cfg.t_end / dt))
-    states = [u]
+    states, es = [u], []
     for k in range(steps):
         t = k * dt
         if cfg.frozen_mu is not None:
@@ -138,7 +142,11 @@ def _dense_reference(cfg, u):
             mu = np.tanh(cfg.epsilon * x)
         else:
             mu = -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
-        u = np.linalg.solve(m, u + dt * (mu * u - u**3))
+        es.append(states[k] + dt * (mu * states[k] - states[k] ** 3))
+        if k == 0:
+            u = np.linalg.solve(np.eye(n) - dt * a, es[0])
+        else:
+            u = np.linalg.solve(3.0 * np.eye(n) - 2.0 * dt * a, 4.0 * es[k] - 2.0 * es[k - 1] + states[k - 1])
         states.append(u)
     return np.array(states)
 
@@ -164,6 +172,57 @@ class TestDifferential:
         assert len(ref) == 301
         steps = np.rint(res.times / cfg.dt).astype(int)
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
+
+
+# criterion 8(b): frozen mu = 1 invasion from a small bump, h = 0.1
+_INVASION = dict(
+    frame="lab", frozen_mu=1.0, domain=(0.0, 200.0), n=2001, t_end=60.0,
+    ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
+)
+
+
+def _last_crossing(x, u, level):
+    du = u - level
+    i = np.nonzero(du[:-1] * du[1:] < 0.0)[0][-1]
+    return x[i] + (x[i + 1] - x[i]) * du[i] / (du[i] - du[i + 1])
+
+
+def _banded_euler_front(cfg, dt):
+    """x_fr(t_end) of the first-order IMEX Euler march (I - dt D2) u_{k+1} =
+    u_k + dt(mu u_k - u_k^3) with frozen mu, solved by LAPACK ``dgtsv``."""
+    n, lam = cfg.n, dt / cfg.h**2
+    x = np.linspace(cfg.domain[0], cfg.domain[1], n)
+    sub, sup = np.full(n - 1, -lam), np.full(n - 1, -lam)
+    sup[0] = sub[-1] = -2.0 * lam  # mirror ghosts
+    main = np.full(n, 1.0 + 2.0 * lam)
+    u = cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
+    for _ in range(math.ceil(cfg.t_end / dt)):
+        u = lapack.dgtsv(sub, main, sup, u + dt * (cfg.frozen_mu * u - u**3))[3]
+    return _last_crossing(x, u, cfg.track_level)
+
+
+@pytest.fixture(scope="module")
+def invasion_fronts():
+    """x_fr(t_end) of :func:`simulate` at the default dt, dt/2 and dt/4."""
+    dt = SimConfig(**_INVASION).dt
+    return dt, [
+        simulate(SimConfig(dt=dt / m, **_INVASION)).track.x_fr_num[-1] for m in (1, 2, 4)
+    ]
+
+
+class TestTimeAccuracy:
+    def test_second_order_in_dt(self, invasion_fronts):
+        # e(dt) = C dt^2: successive differences shrink by 4 per halving
+        _, (q1, q2, q4) = invasion_fronts
+        assert 3.5 <= (q1 - q2) / (q2 - q4) <= 4.5
+
+    def test_default_dt_beats_euler_at_old_bound(self, invasion_fronts):
+        # time error against the Richardson (dt -> 0) value at the same h
+        _, (q1, q2, q4) = invasion_fronts
+        exact = (4.0 * q4 - q2) / 3.0
+        cfg = SimConfig(**_INVASION)
+        euler = _banded_euler_front(cfg, 0.4 * cfg.h**2)
+        assert abs(q1 - exact) <= abs(euler - exact)
 
 
 class TestRelax:

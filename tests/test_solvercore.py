@@ -19,7 +19,6 @@ from quenchfront.solvercore import (
     eig_tridiag_symmetric,
     integrate_ode,
     solve_bvp,
-    tridiag_eigenvector,
 )
 
 
@@ -325,17 +324,3 @@ class TestEig:
             eig_tridiag_symmetric([1.0, 2.0], [0.3], 3)
         with pytest.raises(ValueError):
             eig_tridiag_symmetric([1.0, 2.0], [0.3], 0)
-
-    def test_eigenvector_residual(self):
-        n = 60
-        d = np.full(n, -2.0)
-        e = np.ones(n - 1)
-        spec = eig_tridiag_symmetric(d, e, 1)
-        lam = spec.eigenvalues[0]
-        v = tridiag_eigenvector(d, e, lam)
-        tv = d * v
-        tv[:-1] += e * v[1:]
-        tv[1:] += e * v[:-1]
-        assert np.max(np.abs(tv - lam * v)) <= 1e-8
-        with pytest.raises(ValueError):
-            tridiag_eigenvector(d, e, 10.0)  # spectrum lies in (-4, 0)

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from quenchfront.stability import (
     build_Lc,
     leading_eigenvalues,
     operator_from_potential,
 )
-from quenchfront.solvercore import tridiag_eigenvector
 from quenchfront.travelingwave import QuenchParams, solve_front
 
 
@@ -104,7 +104,8 @@ class TestFrontSpectrum:
         q_sym = mu - c * c / 4.0 - 3.0 * u_star**2
         op = operator_from_potential(grid[1:-1], q_sym[1:-1])
         lam = leading_eigenvalues(op, 1).eigenvalues[0]
-        phi = tridiag_eigenvector(op.diag, op.offdiag, lam)
+        top = op.diag.size - 1
+        phi = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(top, top))[1][:, 0]
         weight = np.exp(0.5 * c * (grid[1:-1] - z_fr))
         psi = weight * phi
         q_com = (mu - 3.0 * u_star**2)[1:-1]
