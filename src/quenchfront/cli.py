@@ -656,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument(
         "--dt", type=float, default=None,
-        help="SBDF2 time step (default and maximum 0.2 h; the explicit reaction "
-        "also needs dt |f'(u)| < 4/3)",
+        help="SBDF2 time step (default and maximum min(0.2 h, 0.5): 0.2 h for accuracy, "
+        "0.5 for the explicit reaction's stability dt |f'(u)| < 4/3)",
     )
     p.add_argument("--ic", choices=["small-bump", "front-seed", "zero"], default="small-bump")
     p.add_argument("--ic-amplitude", type=float, default=0.05)

@@ -133,16 +133,18 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         r[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h) - robin * w[-1]
         return r
 
+    lap = 1.0 / h**2
+    diag = -2.0 * lap - eta[1:-1]
+
     def jacobian(w):
-        ab = np.zeros((5, n))  # kl = ku = 2 for the one-sided Robin row
-        idx = np.arange(1, n - 1)
-        ab[1, idx + 1] = 1.0 / h**2
-        ab[2, idx] = -2.0 / h**2 - eta[1:-1] - 6.0 * w[1:-1] ** 2
-        ab[3, idx - 1] = 1.0 / h**2
-        ab[2, 0] = 1.0
-        ab[2, n - 1] = 3.0 / (2.0 * h) - robin
-        ab[3, n - 2] = -4.0 / (2.0 * h)
-        ab[4, n - 3] = 1.0 / (2.0 * h)
+        # tridiagonal part; the Robin row's J[n-1, n-3] = 1/(2h) is a corner
+        ab = np.empty((3, n))
+        ab[0, 2:] = ab[2, :-2] = lap
+        ab[0, :2] = 0.0
+        ab[1, 0] = 1.0
+        ab[1, 1:-1] = diag - 6.0 * w[1:-1] ** 2
+        ab[1, -1] = 3.0 / (2.0 * h) - robin
+        ab[2, -2:] = -4.0 / (2.0 * h), 0.0
         return ab
 
     seed = np.maximum(
@@ -152,7 +154,7 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     # 1e-8 matches the truncation level of the two-term left closure; the
     # raw residual carries a 1/h^2 row scale, so much tighter targets sit
     # below the rounding floor at n ~ 10^4
-    w, report = solve_bvp(residual, jacobian, seed, tol=1e-8, bandwidth=(2, 2))
+    w, report = solve_bvp(residual, jacobian, seed, tol=1e-8, corners=(0.0, 1.0 / (2.0 * h)))
     if np.max(np.abs(w)) > pole_guard:
         raise SeparatrixMissedError(
             "left separatrix missed (iterate exceeded the pole guard)", report

@@ -23,7 +23,9 @@ e_k = u_k + dt f(u_k, t_k),
 after one first-order IMEX Euler step (I - dt A) u_1 = e_0.  The time error
 is O(dt^2), so dt <= 0.2 h keeps it at or below the O(h^2) space error.
 The extrapolated reaction is stable for dt |f'(u)| < 4/3, with
-f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).  :func:`relax` iterates
+f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]), so dt <= 0.5 keeps
+dt |f'| <= 1; that limit binds on coarse grids, h > 5/2.  Both together,
+dt <= min(0.2 h, 0.5), are the default and the bound.  :func:`relax` iterates
 the first-order step at large dt to a steady state of a time-independent
 mode.
 
@@ -85,7 +87,7 @@ class SimConfig:
     domain: tuple[float, float] = (0.0, 300.0)
     n: int = 3001
     t_end: float = 200.0
-    dt: float | None = None  # defaults to the accuracy bound 0.2 h
+    dt: float | None = None  # defaults to the bound min(0.2 h, 0.5)
     ic: str = "small-bump"  # "small-bump" | "front-seed" | "zero"
     ic_center: float = 0.0
     ic_width: float = 5.0
@@ -116,15 +118,16 @@ class SimConfig:
             raise ValueError("snapshot_dt must be positive")
         if self.track_every is not None and self.track_every < 1:
             raise ValueError("track_every must be >= 1")
-        h = self.h
+        dt_max = min(0.2 * self.h, 0.5)
         if self.dt is None:
-            self.dt = 0.2 * h
-        elif self.dt > 0.2 * h * (1.0 + 1e-12):
+            self.dt = dt_max
+        elif self.dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
-                "dt must satisfy the accuracy limit dt <= 0.2 h (the second-order time "
-                "error then stays at or below the O(h^2) space error; diffusion is "
-                "implicit and stable for any dt, the explicit reaction needs "
-                "dt |f'(u)| < 4/3)"
+                f"dt = {self.dt:g} exceeds min(0.2 h, 0.5) = {dt_max:g}: the accuracy limit "
+                "dt <= 0.2 h keeps the second-order time error at or below the O(h^2) "
+                "space error, and the stability limit dt <= 0.5 keeps the explicit "
+                "reaction's dt |f'(u)| < 4/3 for |f'| <= 2 (diffusion is implicit and "
+                "stable for any dt)"
             )
 
     @property

@@ -1,5 +1,6 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
-iteration on banded discrete systems, natural-parameter continuation with a
+iteration on discrete two-point BVPs (tridiagonal Newton with two boundary
+corners on LAPACK ``dgtsv``), natural-parameter continuation with a
 secant predictor, ODE integration by scipy's ``DOP853`` or (stiff) ``LSODA``
 stepper with sign-change events located by ``brentq`` on the dense output,
 and the largest eigenvalues of a symmetric tridiagonal matrix by LAPACK
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 __all__ = [
@@ -37,7 +38,8 @@ __all__ = [
 
 
 class JacobianSingularError(RuntimeError):
-    """Banded factorization broke down; carries the offending pivot index."""
+    """The tridiagonal Newton step with two boundary corners on ``dgtsv``
+    broke down; carries the 0-based row of the exactly zero pivot."""
 
     def __init__(self, pivot_index: int):
         super().__init__(f"jacobian singular (pivot index {pivot_index})")
@@ -138,7 +140,7 @@ class Mesh:
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton on banded systems
+# Damped Newton: tridiagonal Newton with two boundary corners on dgtsv
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -149,14 +151,38 @@ class NewtonReport:
     damping_history: list[float] = field(default_factory=list)
 
 
-def _banded_solve(ab: np.ndarray, kl: int, ku: int, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_banded((kl, ku), ab, rhs)
-    except LinAlgError as exc:
-        # dgbtrf takes kl extra rows for fill-in; its info is the 1-based
-        # index of the first exactly zero pivot
-        info = dgbtrf(np.vstack([np.zeros((kl, ab.shape[1])), ab]), kl, ku)[2]
-        raise JacobianSingularError(info - 1) from exc
+def _tridiag_solve(ab: np.ndarray, corners: tuple[float, float], rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for J tridiagonal in (1, 1) band storage ``ab`` plus
+    the two corners J[0, 2] and J[n-1, n-3].
+
+    Each corner is folded in by one row operation (row 0 minus a multiple of
+    row 1, row n-1 minus a multiple of row n-2) on copies, so ``ab`` and
+    ``rhs`` are left as they are.
+    """
+    n = ab.shape[1]
+    du, d, dl = ab[0, 1:].copy(), ab[1].copy(), ab[2, :-1].copy()
+    b = np.array(rhs, dtype=float)
+    j02, jn3 = corners
+    if j02 != 0.0:
+        if du[1] == 0.0:
+            raise JacobianSingularError(1)
+        m = j02 / du[1]
+        d[0] -= m * dl[0]
+        du[0] -= m * d[1]
+        b[0] -= m * b[1]
+    if jn3 != 0.0:
+        if dl[n - 3] == 0.0:
+            raise JacobianSingularError(n - 2)
+        m = jn3 / dl[n - 3]
+        dl[n - 2] -= m * d[n - 2]
+        d[n - 1] -= m * du[n - 2]
+        b[n - 1] -= m * b[n - 2]
+    if n == 1:
+        du = dl = np.zeros(1)  # dgtsv wants length-1 off-diagonals at n = 1
+    x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    if info > 0:
+        raise JacobianSingularError(info - 1)
+    return x
 
 
 def solve_bvp(
@@ -164,21 +190,28 @@ def solve_bvp(
     jacobian: Callable[[np.ndarray], np.ndarray],
     initial_guess: np.ndarray,
     tol: float,
-    bandwidth: tuple[int, int] = (1, 1),
+    corners: tuple[float, float] = (0.0, 0.0),
     max_iter: int = 50,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Damped Newton iteration for a discrete two-point BVP.
 
-    ``jacobian`` must return the matrix in LAPACK band storage,
-    ``ab[ku + i - j, j] = J[i, j]`` with bandwidths ``(kl, ku)``.  The line
-    search halves the step until the residual sup-norm decreases, down to a
-    minimum fraction 2^-10; if no decrease is found the minimal step is
-    taken anyway and the iteration runs until ``max_iter``.
+    ``jacobian`` must return the tridiagonal part of the matrix in (1, 1)
+    LAPACK band storage, the 3 x n array ``ab[1 + i - j, j] = J[i, j]``.
+    ``corners = (J[0, 2], J[n-1, n-3])`` are the two entries outside that
+    band, left by second-order one-sided boundary stencils; they must not
+    depend on the iterate.  Each step is solved by LAPACK ``dgtsv`` after
+    one row operation per nonzero corner; an exactly zero pivot, or a zero
+    J[1, 2] or J[n-2, n-3] under a nonzero corner, raises
+    :class:`JacobianSingularError` with its row.  The line search halves
+    the step until the residual sup-norm decreases, down to a minimum
+    fraction 2^-10; if no decrease is found the minimal step is taken anyway
+    and the iteration runs until ``max_iter``.
     """
-    kl, ku = bandwidth
     x = np.asarray(initial_guess, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess must be finite")
+    if x.size < 3 and any(corners):
+        raise ValueError("nonzero corners need at least 3 unknowns")
     report = NewtonReport(iterations=0, final_residual_norm=math.inf, converged=False)
     r = residual(x)
     norm = float(np.max(np.abs(r)))
@@ -186,8 +219,7 @@ def solve_bvp(
         if norm <= tol:
             report.converged = True
             break
-        ab = jacobian(x)
-        step = _banded_solve(ab, kl, ku, -r)
+        step = _tridiag_solve(jacobian(x), corners, -r)
         lam = 1.0
         best = None
         while lam >= 2.0**-10:
@@ -223,7 +255,7 @@ class ParameterizedBVP:
 
     residual: Callable[[np.ndarray, float], np.ndarray]
     jacobian: Callable[[np.ndarray, float], np.ndarray]
-    bandwidth: tuple[int, int] = (1, 1)
+    corners: tuple[float, float] = (0.0, 0.0)
     tol: float = 1e-10
     max_iter: int = 50
 
@@ -265,7 +297,7 @@ def continue_branch(
         lambda x: problem.jacobian(x, p0),
         start,
         problem.tol,
-        problem.bandwidth,
+        problem.corners,
         problem.max_iter,
     )
     if not rep0.converged:
@@ -289,7 +321,7 @@ def continue_branch(
             lambda x: problem.jacobian(x, p_new),
             guess,
             problem.tol,
-            problem.bandwidth,
+            problem.corners,
             problem.max_iter,
         )
         if rep.converged:

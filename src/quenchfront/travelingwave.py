@@ -221,6 +221,8 @@ class _LogFrontSystem:
             -(g0 + g1) / (g0 * g1),
             (2.0 * g0 + g1) / (g0 * (g0 + g1)),
         )
+        # the Jacobian entries J[0, 2] and J[n-1, n-3] outside the tridiagonal
+        self.corners = (self.left_stencil[2], self.right_stencil[0])
 
     def phase(self, epsilon: float) -> float:
         return self.phase_fn(epsilon) if self.phase_fn is not None else 0.0
@@ -266,21 +268,21 @@ class _LogFrontSystem:
         return r
 
     def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
+        """Tridiagonal part of the Jacobian in (1, 1) band storage; the two
+        corners outside it are the constants ``self.corners``."""
         mu, nu_u, nu_s, u_plus = self.coefficients(epsilon)
-        c = self.c
         n = w.size
-        ab = np.zeros((5, n))
         wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        d1 = self.d1m * wm + self.d1c * wc + self.d1p * wp
-        idx = np.arange(1, n - 1)
-        ab[1, idx + 1] = self.d2p + (2.0 * d1 - c) * self.d1p
-        ab[2, idx] = self.d2c + (2.0 * d1 - c) * self.d1c - 2.0 * np.exp(2.0 * wc)
-        ab[3, idx - 1] = self.d2m + (2.0 * d1 - c) * self.d1m
-        a0, b0, c0 = self.left_stencil
-        ab[2, 0], ab[1, 1], ab[0, 2] = a0, b0, c0
-        a1, b1, c1 = self.right_stencil
-        ab[4, n - 3], ab[3, n - 2] = a1, b1
-        ab[2, n - 1] = c1 - nu_s * u_plus * np.exp(-w[-1])
+        g = 2.0 * (self.d1m * wm + self.d1c * wc + self.d1p * wp) - self.c
+        ab = np.empty((3, n))
+        ab[0, 2:] = self.d2p + g * self.d1p
+        ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * wc)
+        ab[2, :-2] = self.d2m + g * self.d1m
+        a0, b0, _ = self.left_stencil
+        ab[0, 0], ab[0, 1], ab[1, 0] = 0.0, b0, a0
+        _, b1, c1 = self.right_stencil
+        ab[2, -2], ab[2, -1] = b1, 0.0
+        ab[1, -1] = c1 - nu_s * u_plus * np.exp(-w[-1])
         return ab
 
     def seed(self, eps: float) -> np.ndarray:
@@ -378,7 +380,7 @@ def solve_front(
         jacobian=lambda w: system.jacobian(w, params.epsilon),
         initial_guess=w0,
         tol=_TOL,
-        bandwidth=(2, 2),
+        corners=system.corners,
         max_iter=80,
     )
     if not report.converged:
@@ -479,7 +481,7 @@ def front_branch(
     problem = ParameterizedBVP(
         residual=lambda w, s: system.residual(w, math.exp(s)),
         jacobian=lambda w, s: system.jacobian(w, math.exp(s)),
-        bandwidth=(2, 2),
+        corners=system.corners,
         tol=_TOL,
         max_iter=80,
     )
@@ -488,7 +490,7 @@ def front_branch(
         lambda w: system.jacobian(w, eps_start),
         system.seed(eps_start),
         _TOL,
-        (2, 2),
+        system.corners,
         max_iter=80,
     )
     if not rep.converged:
@@ -516,7 +518,7 @@ def front_branch(
             lambda w: system.jacobian(w, eps_t),
             w_cur,
             _TOL,
-            (2, 2),
+            system.corners,
             max_iter=80,
         )
         if not rep_t.converged:

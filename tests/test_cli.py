@@ -256,6 +256,20 @@ class TestPde:
         )
         assert code == 1
 
+    def test_coarse_grid_default_dt_stays_in_invariant_region(self, tmp_path, capsys):
+        # at h = 5 the accuracy limit 0.2 h = 1 would break the explicit
+        # reaction's dt |f'| < 4/3; the default falls to the stability limit 0.5
+        coarse = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "21", "--t-end", "40"]
+        code, out = run(coarse, tmp_path)
+        assert code == 0
+        meta, body = read_meta(out / "pde_snapshots.csv")
+        assert meta["columns"] == "t,x,u"
+        assert np.max(np.abs(body[:, 2])) <= 1.0
+        code, out = run([*coarse, "--dt", "0.6"], tmp_path, "refused")
+        assert code == 1
+        assert "min(0.2 h, 0.5)" in capsys.readouterr().err
+        assert not (out / "pde_snapshots.csv").exists()
+
     @pytest.mark.parametrize(
         "bad", [["--ic-width", "0"], ["--ic-width", "-5"], ["--ic-amplitude", "nan"]]
     )

@@ -1,6 +1,6 @@
-"""Tests for the shared numerics: banded Newton, continuation, the embedded
-RK4(5) integrator, and the tridiagonal eigensolver (LAPACK bisection via
-scipy.linalg.eigh_tridiagonal)."""
+"""Tests for the shared numerics: tridiagonal Newton with two boundary corners
+on LAPACK dgtsv, continuation, the embedded RK4(5) integrator, and the
+tridiagonal eigensolver (LAPACK bisection via scipy.linalg.eigh_tridiagonal)."""
 
 import math
 
@@ -144,6 +144,80 @@ class TestSolveBvp:
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert all(1.8 <= o <= 2.2 for o in order)
 
+    @staticmethod
+    def _neumann_sinh(n):
+        # u'' = u, u(0) = 0, u'(1) = 1 by the second-order one-sided stencil
+        # (3u[n-1] - 4u[n-2] + u[n-3]) / 2h; closed form sinh(x)/cosh(1)
+        x = np.linspace(0.0, 1.0, n)
+        h = x[1] - x[0]
+
+        def residual(u):
+            r = np.empty(n)
+            r[0] = u[0]
+            r[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2 - u[1:-1]
+            r[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h) - 1.0
+            return r
+
+        def jacobian(u):
+            lower = np.full(n - 1, 1.0 / h**2)
+            diag = np.full(n, -2.0 / h**2 - 1.0)
+            upper = np.full(n - 1, 1.0 / h**2)
+            diag[0], upper[0] = 1.0, 0.0
+            diag[-1], lower[-1] = 3.0 / (2.0 * h), -4.0 / (2.0 * h)
+            return _banded_from_tridiag(lower, diag, upper)
+
+        u, rep = solve_bvp(
+            residual, jacobian, np.zeros(n), tol=1e-8, corners=(0.0, 1.0 / (2.0 * h))
+        )
+        assert rep.converged
+        return np.max(np.abs(u - np.sinh(x) / math.cosh(1.0)))
+
+    def test_sinh_bvp_one_sided_neumann_order(self):
+        # measured order with the corner J[n-1, n-3] of the one-sided closure
+        errs = [self._neumann_sinh(n) for n in (51, 101, 201)]
+        order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
+        assert all(1.8 <= o <= 2.2 for o in order)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 50, 400])
+    def test_step_matches_dense_solve(self, n):
+        # one Newton step on J x - b from x = 0 is x = J^{-1} b; J is a random
+        # diagonally dominant tridiagonal plus the corners J[0, 2], J[n-1, n-3]
+        rng = np.random.default_rng(n)
+        dense = np.diag(rng.uniform(-1.0, 1.0, n - 1), -1) + np.diag(
+            rng.uniform(-1.0, 1.0, n - 1), 1
+        )
+        if n >= 3:
+            dense[0, 2], dense[-1, -3] = rng.uniform(0.5, 1.0, 2) * rng.choice([-1.0, 1.0], 2)
+        dense += np.diag(rng.choice([-1.0, 1.0], n) * (3.0 + rng.uniform(0.0, 1.0, n)))
+        corners = (dense[0, 2], dense[-1, -3]) if n >= 3 else (0.0, 0.0)
+        ab = _banded_from_tridiag(np.diag(dense, -1), np.diag(dense), np.diag(dense, 1))
+        cached = ab.copy()
+        b = rng.standard_normal(n)
+        x, rep = solve_bvp(
+            residual=lambda x: dense @ x - b,
+            jacobian=lambda x: ab,
+            initial_guess=np.zeros(n),
+            tol=0.0,
+            corners=corners,
+            max_iter=1,
+        )
+        want = np.linalg.solve(dense, b)
+        assert rep.iterations == 1 and rep.damping_history == [1.0]
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(ab, cached)  # the caller's Jacobian is not overwritten
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_corner_needs_three_unknowns(self, n):
+        ab = _banded_from_tridiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+        with pytest.raises(ValueError, match="corners"):
+            solve_bvp(
+                residual=lambda x: x,
+                jacobian=lambda x: ab,
+                initial_guess=np.ones(n),
+                tol=1e-14,
+                corners=(0.0, 1.0),
+            )
+
     def test_no_root_reports_failure(self):
         x, rep = solve_bvp(
             residual=lambda x: np.array([x[0] ** 2 + 1.0]),
@@ -182,7 +256,7 @@ def _pitchfork_problem():
     return ParameterizedBVP(
         residual=lambda u, mu: mu * u - u**3,
         jacobian=lambda u, mu: np.vstack([[0.0], [mu - 3.0 * u[0] ** 2], [0.0]]),
-        bandwidth=(1, 1),
+        corners=(0.0, 0.0),
         tol=1e-12,
     )
 
