@@ -149,7 +149,6 @@ class SimResult:
     times: np.ndarray
     snapshots: np.ndarray  # shape (len(times), n)
     track: FrontTrack
-    track_threshold: FrontTrack | None  # comoving runs: crossing of c/4
     config: SimConfig
     steps: int = 0
     wall_s: float = 0.0
@@ -279,7 +278,7 @@ def _explicit_step(u: np.ndarray, mu: float | np.ndarray, dt: float, out: np.nda
 
 def simulate(cfg: SimConfig) -> SimResult:
     """March with SBDF2 (one IMEX Euler step first); returns snapshots and
-    front tracks.
+    the front track.
 
     A non-finite state aborts with :class:`SimulationAbort` carrying the
     last healthy snapshot.
@@ -300,9 +299,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     times, snaps = [0.0], [u.copy()]
     tt, tx = [0.0], [_rightmost_crossing(x, u, cfg.track_level)[0]]
     multi = False
-    thr_track = None
-    if cfg.frame == "comoving" and cfg.c > 0.0:
-        thr_tt, thr_tx = [0.0], [_rightmost_crossing(x, u, cfg.c / 4.0)[0]]
     t = 0.0
     # mu depends on t only in the lab frame without a frozen value
     mu_varies = cfg.frozen_mu is None and cfg.frame == "lab"
@@ -336,17 +332,12 @@ def simulate(cfg: SimConfig) -> SimResult:
                 multi = multi or count > 1
                 tt.append(t)
                 tx.append(xi)
-                if cfg.frame == "comoving" and cfg.c > 0.0:
-                    thr_tt.append(t)
-                    thr_tx.append(_rightmost_crossing(x, u, cfg.c / 4.0)[0])
             if k % snap_stride == 0 or k == steps:
                 times.append(t)
                 snaps.append(u.copy())
     track = FrontTrack(np.array(tt), np.array(tx), cfg.track_level, multi)
-    if cfg.frame == "comoving" and cfg.c > 0.0:
-        thr_track = FrontTrack(np.array(thr_tt), np.array(thr_tx), cfg.c / 4.0)
     return SimResult(
-        x, np.array(times), np.stack(snaps), track, thr_track, cfg,
+        x, np.array(times), np.stack(snaps), track, cfg,
         steps=steps, wall_s=time.perf_counter() - wall0,
     )
 

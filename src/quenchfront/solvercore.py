@@ -1,10 +1,11 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
 iteration on discrete two-point BVPs (tridiagonal Newton with two boundary
-corners on LAPACK ``dgtsv``), natural-parameter continuation with a
-secant predictor, ODE integration by scipy's ``DOP853`` or (stiff) ``LSODA``
-stepper with sign-change events located by ``brentq`` on the dense output,
-and the largest eigenvalues of a symmetric tridiagonal matrix by LAPACK
-bisection via ``scipy.linalg.eigh_tridiagonal``.
+corners on LAPACK ``dgtsv``), natural-parameter continuation with a secant
+predictor through an ordered list of stops, each landed on exactly, ODE
+integration by scipy's ``DOP853`` or (stiff) ``LSODA`` stepper with
+sign-change events located by ``brentq`` on the dense output, and the
+largest eigenvalues of a symmetric tridiagonal matrix by LAPACK bisection
+via ``scipy.linalg.eigh_tridiagonal``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ class OdeBlowUpError(RuntimeError):
 
 
 class ContinuationError(RuntimeError):
-    pass
+    """The start of a continuation did not converge; carries its report."""
+
+    def __init__(self, message: str, report: "NewtonReport | None" = None):
+        super().__init__(message)
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,6 @@ class BranchEntry:
 @dataclass
 class ContinuationBranch:
     entries: list[BranchEntry]
-    direction: int
     step_history: list[float]
     status: str  # "completed" | "stalled"
 
@@ -282,63 +286,69 @@ class ContinuationBranch:
 def continue_branch(
     problem: ParameterizedBVP,
     start: np.ndarray,
-    param_range: tuple[float, float],
+    param_range: Sequence[float],
     step0: float,
 ) -> ContinuationBranch:
     """Natural-parameter continuation with a secant predictor and Newton
-    corrector.  The step halves on corrector failure and grows by 1.3 after
-    three consecutive successes; stepping stops at the range end or when the
-    step drops below 1e-10 (branch flagged "stalled").
+    corrector, from ``param_range[0]`` through each later entry in turn.
+
+    The entries must run in one direction; every one after the first is a
+    stop that the branch lands on exactly (the step to it is shortened to
+    reach it), and the step length, its growth count and the secant history
+    carry across stops.  The step halves on corrector failure and grows by
+    1.3 after three consecutive successes; stepping ends at the last stop or
+    when the step drops below 1e-10 (branch flagged "stalled").  A start that
+    does not converge raises :class:`ContinuationError` carrying its report.
     """
-    p0, p1 = float(param_range[0]), float(param_range[1])
-    direction = 1 if p1 >= p0 else -1
-    x0, rep0 = solve_bvp(
-        lambda x: problem.residual(x, p0),
-        lambda x: problem.jacobian(x, p0),
-        start,
-        problem.tol,
-        problem.corners,
-        problem.max_iter,
-    )
-    if not rep0.converged:
-        raise ContinuationError(f"start solution does not converge at parameter {p0}")
-    entries = [BranchEntry(p0, x0, rep0)]
-    steps: list[float] = []
-    step = abs(step0)
-    successes = 0
-    p_prev, x_prev = p0, x0
-    p_prev2, x_prev2 = None, None
-    while (p1 - p_prev) * direction > 1e-14 * max(1.0, abs(p1)):
-        step = min(step, abs(p1 - p_prev))
-        p_new = p_prev + direction * step
-        if p_prev2 is None or abs(p_prev - p_prev2) == 0.0:
-            guess = x_prev
-        else:
-            frac = (p_new - p_prev) / (p_prev - p_prev2)
-            guess = x_prev + frac * (x_prev - x_prev2)
-        x_new, rep = solve_bvp(
-            lambda x: problem.residual(x, p_new),
-            lambda x: problem.jacobian(x, p_new),
+    stops = [float(p) for p in param_range]
+    direction = 1 if len(stops) < 2 or stops[-1] >= stops[0] else -1
+    if len(stops) < 2 or any((b - a) * direction < 0.0 for a, b in zip(stops, stops[1:])):
+        raise ValueError("param_range needs a start and stops ordered in one direction")
+
+    def correct(p: float, guess: np.ndarray) -> tuple[np.ndarray, NewtonReport]:
+        return solve_bvp(
+            lambda x: problem.residual(x, p),
+            lambda x: problem.jacobian(x, p),
             guess,
             problem.tol,
             problem.corners,
             problem.max_iter,
         )
-        if rep.converged:
-            entries.append(BranchEntry(p_new, x_new, rep))
-            steps.append(direction * step)
-            p_prev2, x_prev2 = p_prev, x_prev
-            p_prev, x_prev = p_new, x_new
-            successes += 1
-            if successes >= 3:
-                step *= 1.3
+
+    p_prev = stops[0]
+    x_prev, rep0 = correct(p_prev, start)
+    if not rep0.converged:
+        raise ContinuationError(f"start solution does not converge at parameter {p_prev}", rep0)
+    entries = [BranchEntry(p_prev, x_prev, rep0)]
+    steps: list[float] = []
+    step = abs(step0)
+    successes = 0
+    p_prev2, x_prev2 = None, None
+    for stop in stops[1:]:
+        while p_prev != stop:
+            h = min(step, abs(stop - p_prev))
+            p_new = stop if h == abs(stop - p_prev) else p_prev + direction * h
+            if p_prev2 is None or abs(p_prev - p_prev2) == 0.0:
+                guess = x_prev
+            else:
+                frac = (p_new - p_prev) / (p_prev - p_prev2)
+                guess = x_prev + frac * (x_prev - x_prev2)
+            x_new, rep = correct(p_new, guess)
+            if rep.converged:
+                entries.append(BranchEntry(p_new, x_new, rep))
+                steps.append(direction * h)
+                p_prev2, x_prev2 = p_prev, x_prev
+                p_prev, x_prev = p_new, x_new
+                successes += 1
+                if successes >= 3:
+                    step *= 1.3
+                    successes = 0
+            else:
                 successes = 0
-        else:
-            successes = 0
-            step *= 0.5
-            if step < 1e-10:
-                return ContinuationBranch(entries, direction, steps, "stalled")
-    return ContinuationBranch(entries, direction, steps, "completed")
+                step = 0.5 * h
+                if step < 1e-10:
+                    return ContinuationBranch(entries, steps, "stalled")
+    return ContinuationBranch(entries, steps, "completed")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from .solvercore import (
     ContinuationBranch,
+    ContinuationError,
     Mesh,
     NewtonReport,
     ParameterizedBVP,
@@ -57,6 +58,10 @@ __all__ = [
 
 # residual sup-norm tolerance of every Newton solve on the front system
 _TOL = 1e-10
+# every eps-branch starts from the tanh seed at eps = _EPS_START, on a mesh
+# of finest spacing _H_MIN
+_EPS_START = 0.05
+_H_MIN = 0.05
 
 
 class FrontSolveError(RuntimeError):
@@ -227,8 +232,9 @@ class _LogFrontSystem:
     def phase(self, epsilon: float) -> float:
         return self.phase_fn(epsilon) if self.phase_fn is not None else 0.0
 
-    def mu_values(self, epsilon: float) -> np.ndarray:
-        arg = epsilon * self.mesh.nodes + self.phase(epsilon)
+    def mu_values(self, epsilon: float, z: np.ndarray | None = None) -> np.ndarray:
+        """The ramp at the mesh nodes, or at the stored-frame points ``z``."""
+        arg = epsilon * (self.mesh.nodes if z is None else z) + self.phase(epsilon)
         if self.ramp == "tanh":
             return np.tanh(arg)
         return np.clip(arg, -1.0, 1.0)
@@ -236,11 +242,12 @@ class _LogFrontSystem:
     def true_zeta(self, epsilon: float) -> np.ndarray:
         return self.mesh.nodes + self.phase(epsilon) / epsilon
 
-    def coefficients(self, epsilon: float):
-        mu = self.mu_values(epsilon)
-        nu_u, nu_s = projection_rates(self.c, mu[0], mu[-1])
-        u_plus = math.sqrt(mu[-1])
-        return mu, nu_u, nu_s, u_plus
+    def closures(self, epsilon: float) -> tuple[float, float, float]:
+        """(nu_u, nu_s, u_plus) of the projection closures, from the ramp at
+        the two end nodes only."""
+        mu_left, mu_right = self.mu_values(epsilon, self.mesh.nodes[[0, -1]])
+        nu_u, nu_s = projection_rates(self.c, mu_left, mu_right)
+        return nu_u, nu_s, math.sqrt(mu_right)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         v = np.empty_like(u)
@@ -252,7 +259,8 @@ class _LogFrontSystem:
         return v
 
     def residual(self, w: np.ndarray, epsilon: float) -> np.ndarray:
-        mu, nu_u, nu_s, u_plus = self.coefficients(epsilon)
+        mu = self.mu_values(epsilon)
+        nu_u, nu_s, u_plus = self.closures(epsilon)
         c = self.c
         r = np.empty_like(w)
         wm, wc, wp = w[:-2], w[1:-1], w[2:]
@@ -270,7 +278,7 @@ class _LogFrontSystem:
     def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
         """Tridiagonal part of the Jacobian in (1, 1) band storage; the two
         corners outside it are the constants ``self.corners``."""
-        mu, nu_u, nu_s, u_plus = self.coefficients(epsilon)
+        _, nu_s, u_plus = self.closures(epsilon)
         n = w.size
         wm, wc, wp = w[:-2], w[1:-1], w[2:]
         g = 2.0 * (self.d1m * wm + self.d1c * wc + self.d1p * wp) - self.c
@@ -395,7 +403,7 @@ def solve_front(
 def _log_profile(u: np.ndarray, system: _LogFrontSystem, eps: float) -> np.ndarray:
     """log of a sampled profile; the unresolvable left tail (underflow in u)
     is continued affinely with the left projection slope."""
-    _, nu_u, _, _ = system.coefficients(eps)
+    nu_u, _, _ = system.closures(eps)
     z = system.mesh.nodes
     floor = max(float(np.max(u)), 1e-30) * 1e-290
     w = np.log(np.maximum(u, floor))
@@ -438,37 +446,33 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
 def front_branch(
     c: float,
     eps_targets: Sequence[float],
-    eps_start: float = 0.05,
     ramp: str = "tanh",
-    h_min: float = 0.05,
     strict: bool = True,
 ) -> FrontBranch:
-    """Continue the front family downward in eps from ``eps_start`` through
-    each target (direct Newton from the tanh seed fails below eps ~ 0.01).
+    """Continue the front family from the tanh seed at eps = 0.05 down
+    through each target (direct Newton from the seed fails below eps ~ 0.01).
 
-    Continuation runs in log(eps) on a single mesh, with two changes of
-    variables that keep the correctors quadratic all the way down: the frame
-    is shifted by the predicted interface position (so the jump stays pinned
-    near the mesh origin while the physical interface travels O(1/eps)), and
-    the unknown is the log-amplitude w = log(u) (so the exponentially small
-    plateau is resolved relatively, not additively).  Every target is landed
-    on exactly and returned as a FrontSolution in the unshifted u-variables.
-    With the tanh ramp the shift is atanh(predicted_delay(c, eps)), so a
-    start where that prediction reaches 1 (c near 2) raises ``ValueError``.
+    One continuation in log(eps) on a single mesh takes every target as a
+    stop and lands on it exactly.  Two changes of variables keep the
+    correctors quadratic all the way down: the frame is shifted by the
+    predicted interface position (so the jump stays pinned near the mesh
+    origin while the physical interface travels O(1/eps)), and the unknown
+    is the log-amplitude w = log(u) (so the exponentially small plateau is
+    resolved relatively, not additively).  Each front is returned in the
+    unshifted u-variables with its target as ``params.epsilon``.  With the
+    tanh ramp the shift is atanh(predicted_delay(c, eps)), so a start where
+    that prediction reaches 1 (c near 2) raises ``ValueError``.
     """
     targets = sorted(set(float(e) for e in eps_targets), reverse=True)
-    if not targets:
-        raise ValueError("no ramp-rate targets given")
-    eps_min = targets[-1]
-    if eps_min <= 0.0 or max(targets) > eps_start:
-        raise ValueError("targets must lie in (0, eps_start]")
+    if not targets or targets[-1] <= 0.0 or targets[0] > _EPS_START:
+        raise ValueError(f"need at least one target, all in (0, {_EPS_START}]")
     if c > 0.0:
         if ramp == "tanh":
-            mu_start = predicted_delay(c, eps_start)
+            mu_start = predicted_delay(c, _EPS_START)
             if mu_start >= 1.0:
                 raise ValueError(
                     f"predicted interface mu_fr = {mu_start:.4f} >= 1 at c={c}, "
-                    f"eps_start={eps_start}: the atanh phase of the shifted frame is "
+                    f"eps_start={_EPS_START}: the atanh phase of the shifted frame is "
                     "undefined there"
                 )
             phase_fn = lambda e: math.atanh(predicted_delay(c, e))
@@ -476,7 +480,7 @@ def front_branch(
             phase_fn = lambda e: predicted_delay(c, e)
     else:
         phase_fn = None
-    mesh = _branch_mesh(c, eps_start, eps_min, ramp, h_min)
+    mesh = _branch_mesh(c, targets[-1], ramp)
     system = _LogFrontSystem(mesh, c, ramp, phase_fn)
     problem = ParameterizedBVP(
         residual=lambda w, s: system.residual(w, math.exp(s)),
@@ -485,49 +489,18 @@ def front_branch(
         tol=_TOL,
         max_iter=80,
     )
-    w_start, rep = solve_bvp(
-        lambda w: system.residual(w, eps_start),
-        lambda w: system.jacobian(w, eps_start),
-        system.seed(eps_start),
-        _TOL,
-        system.corners,
-        max_iter=80,
-    )
-    if not rep.converged:
-        raise FrontSolveError(f"branch seed failed at eps={eps_start}", rep)
-
-    fronts: list[FrontSolution] = []
-    entries = []
-    steps: list[float] = []
-    status = "completed"
-    s_cur, w_cur = math.log(eps_start), w_start
-    for eps_t in targets:
-        s_t = math.log(eps_t)
-        if s_t < s_cur:
-            seg = continue_branch(problem, w_cur, (s_cur, s_t), step0=0.4)
-            # drop the duplicated join point between consecutive segments
-            entries.extend(seg.entries[1:] if entries else seg.entries)
-            steps.extend(seg.step_history)
-            if seg.status != "completed":
-                status = "stalled"
-                break
-            s_cur, w_cur = seg.entries[-1].param, seg.entries[-1].solution
-        params_t = QuenchParams(c, eps_t, ramp)
-        w_t, rep_t = solve_bvp(
-            lambda w: system.residual(w, eps_t),
-            lambda w: system.jacobian(w, eps_t),
-            w_cur,
-            _TOL,
-            system.corners,
-            max_iter=80,
-        )
-        if not rep_t.converged:
-            status = "stalled"
-            break
-        w_cur = w_t
-        fronts.append(system.front_solution(w_t, params_t, rep_t))
-    branch = ContinuationBranch(entries, direction=-1, step_history=steps, status=status)
-    if status != "completed" and strict:
+    stops = [math.log(e) for e in [_EPS_START, *targets]]
+    try:
+        branch = continue_branch(problem, system.seed(_EPS_START), stops, 0.4)
+    except ContinuationError as exc:
+        raise FrontSolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
+    landed = {e.param: e for e in branch.entries}
+    fronts = [
+        system.front_solution(landed[s].solution, QuenchParams(c, eps, ramp), landed[s].report)
+        for eps, s in zip(targets, stops[1:])
+        if s in landed
+    ]
+    if branch.status != "completed" and strict:
         raise FrontSolveError(
             f"continuation stalled before eps={targets[len(fronts)]}; "
             f"{len(fronts)} of {len(targets)} targets reached"
@@ -535,7 +508,7 @@ def front_branch(
     return FrontBranch(fronts=fronts, branch=branch, mesh=mesh, system=system)
 
 
-def _branch_mesh(c: float, eps_start: float, eps_min: float, ramp: str, h_min: float) -> Mesh:
+def _branch_mesh(c: float, eps_min: float, ramp: str) -> Mesh:
     """One mesh serving the whole eps-continuation, in the shifted frame
     where the interface sits near the origin.  Fine spacing covers the
     take-off zone between the instability point and the interface; the ends
@@ -552,8 +525,8 @@ def _branch_mesh(c: float, eps_start: float, eps_min: float, ramp: str, h_min: f
     else:
         lo, hi = -4.0 * scale - 20.0, 4.0 * scale + 20.0
         left = right = 5.0 / eps_min + 10.0
-    h_max = max((left + right) / 1000.0, 4.0 * h_min)
-    return Mesh.graded(-left, right, lo, hi, h_min=h_min, factor=1.05, h_max=h_max)
+    h_max = max((left + right) / 1000.0, 4.0 * _H_MIN)
+    return Mesh.graded(-left, right, lo, hi, h_min=_H_MIN, factor=1.05, h_max=h_max)
 
 
 def stationary_amplitude_at_pitchfork(fronts: Sequence[FrontSolution]) -> float:

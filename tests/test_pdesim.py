@@ -336,7 +336,6 @@ class TestHomogeneousQuench:
             times=np.array([0.0]),
             snapshots=np.zeros((1, 2201)),
             track=FrontTrack(tt, xx, 0.2),
-            track_threshold=None,
             config=cfg,
         )
         comp = compare_homogeneous_quench(cfg, result=fake)

@@ -278,8 +278,37 @@ class TestContinuation:
             jacobian=lambda u, mu: np.vstack([[0.0], [2.0 * u[0] + 1e-8], [0.0]]),
             tol=1e-12,
         )
-        with pytest.raises(ContinuationError):
+        with pytest.raises(ContinuationError) as err:
             continue_branch(bad, np.array([1.0]), (0.0, 1.0), step0=0.1)
+        assert err.value.report.converged is False
+
+    def test_interior_stops_landed_exactly(self):
+        stops = [0.1, 0.25, 0.4, 1.0]
+        branch = continue_branch(
+            _pitchfork_problem(), np.array([math.sqrt(0.1)]), stops, step0=0.05
+        )
+        assert branch.status == "completed"
+        params = list(branch.params)
+        assert all(stop in params for stop in stops)
+        for e in branch.entries:
+            assert abs(e.solution[0] - math.sqrt(e.param)) < 1e-8
+
+    def test_stop_landed_exactly_where_adding_the_step_rounds(self):
+        # x + (0.9 - x) rounds away from 0.9: the step onto a stop must set
+        # the parameter to the stop, not add the remaining distance
+        prob = ParameterizedBVP(
+            residual=lambda u, mu: np.array([u[0] ** 2 - mu]),
+            jacobian=lambda u, mu: np.vstack([[0.0], [2.0 * u[0]], [0.0]]),
+            tol=1e-12,
+        )
+        x = 0.06353383458646616
+        assert x + (0.9 - x) != 0.9
+        branch = continue_branch(prob, np.array([math.sqrt(x)]), [x, 0.9], step0=1.0)
+        assert list(branch.params) == [x, 0.9]
+
+    def test_unordered_stops_refused(self):
+        with pytest.raises(ValueError, match="ordered in one direction"):
+            continue_branch(_pitchfork_problem(), np.array([0.5]), [0.25, 0.5, 0.4], step0=0.05)
 
     def test_stall_on_unsolvable_range(self):
         # branch u = sqrt(mu) ceases to exist for mu < 0: stepping into the

@@ -201,6 +201,24 @@ class TestFrontBranch:
             r = fb.system.residual(entry.solution, math.exp(entry.param))
             assert np.max(np.abs(r)) <= 1e-10
 
+    def test_one_newton_solve_per_step(self, monkeypatch):
+        # no seed solve, segment restart or landing re-solve: every Newton
+        # call is one accepted continuation step (or the start)
+        import quenchfront.solvercore as sc
+
+        calls = []
+        solve = sc.solve_bvp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sc, "solve_bvp", counted)
+        targets = list(np.geomspace(1e-3, 2.5e-3, 5))
+        fb = front_branch(1.2, targets)
+        assert len(calls) == len(fb.branch.entries)
+        assert [f.params.epsilon for f in fb.fronts] == sorted(targets, reverse=True)
+
     def test_monotone_parameter_path(self):
         fb = front_branch(0.0, [5e-3, 2e-3])
         p = fb.branch.params
