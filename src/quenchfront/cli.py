@@ -20,14 +20,22 @@ are JSON.  Identical configurations produce bit-identical data files; the
 manifest (wall time) is excluded from that guarantee.
 
 Exit codes: 0 success, 1 usage/config error, 2 solver failure,
-3 certificate failure, 4 simulation abort.  A ``--fold`` sweep too short
-to fit (refused before any passage runs) and a ``--compare`` run that is
-not a lab-frame homogeneous quench are usage errors; a compared front that
-never crosses the level or never leaves the transient is a solver failure.
-``front`` below eps = 1e-3 runs the eps-continuation, which sizes its own
-mesh, so an explicit ``--L`` or ``--n`` there is a usage error, as is a
-continuation (``front`` or the BVP ``delay-sweep``) at a speed so close to 2
-that its start is refused.
+3 certificate failure, 4 simulation abort.  Commands raise; ``main`` maps
+what they raise through the one table ``_FAILURES`` (``ValueError`` -> 1
+``error:``; front, connection, fold-passage and quench-comparison failures
+-> 2 ``solver failure:``; certificates -> 3; simulation aborts -> 4).  A
+BVP ``delay-sweep`` that converges on fewer than 80 % of its points writes
+its results and exits 2.  Parsing refuses with exit 1, before any work, a
+config key that names no option of the subcommand, a ``painleve
+--classify`` token that is not a finite number, and a ``delay-sweep
+--points`` below 1 or ``--eps-decade`` not LO:HI with both ends positive.
+A ``--fold`` sweep too short to fit (refused before any passage runs) and a
+``--compare`` run that is not a lab-frame homogeneous quench are usage
+errors; a compared front that never crosses the level or never leaves the
+transient is a solver failure.  ``front`` below eps = 1e-3 runs the
+eps-continuation, which sizes its own mesh, so an explicit ``--L`` or
+``--n`` there is a usage error, as is a continuation (``front`` or the BVP
+``delay-sweep``) at a speed so close to 2 that its start is refused.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from .travelingwave import (
     compare_with_rescaled_profile,
     front_branch,
     predicted_delay,
+    rescaled_inner_profile,
     solve_front,
 )
 
@@ -83,6 +92,17 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CERTIFICATE = 3
 EXIT_SIMULATION = 4
+
+# what a command raises -> (exit code, stderr prefix)
+_FAILURES = {
+    ValueError: (EXIT_USAGE, "error"),
+    FrontSolveError: (EXIT_SOLVER, "solver failure"),
+    HMSolveError: (EXIT_SOLVER, "solver failure"),
+    FoldPassageError: (EXIT_SOLVER, "solver failure"),
+    QuenchComparisonError: (EXIT_SOLVER, "solver failure"),
+    CertificateError: (EXIT_CERTIFICATE, "certificate failure"),
+    SimulationAbort: (EXIT_SIMULATION, "simulation abort"),
+}
 
 
 @dataclass
@@ -163,15 +183,17 @@ def _outdir(args) -> str:
     return out
 
 
-def _extract_config(argv: list[str], parser: argparse.ArgumentParser) -> tuple[list[str], dict]:
-    """Pull --config FILE out of argv and parse the flat key=value file."""
-    if "--config" not in argv:
-        return argv, {}
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        parser.error("--config needs a file path")
+def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+    """Turn the flat key = value file at ``path`` into command-line tokens
+    for ``subparser``, so each value passes through the same argparse action
+    (type, nargs, choices) as its flag.  Each key must name an option of the
+    subcommand other than ``config`` (``-`` and ``_`` alike); switches take
+    exactly true/false/1/0."""
+    options = {
+        a.dest: a
+        for a in subparser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     entries = {}
     try:
         with open(path) as fh:
@@ -182,28 +204,19 @@ def _extract_config(argv: list[str], parser: argparse.ArgumentParser) -> tuple[l
                 if "=" not in line:
                     raise ValueError(f"malformed config line: {line!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
-                entries[key.replace("-", "_")] = value
+                dest = key.replace("-", "_")
+                if dest not in options:
+                    raise ValueError(f"key {key!r} names no option of {subparser.prog}")
+                entries[dest] = value
     except (OSError, ValueError) as exc:
-        parser.error(f"config file: {exc}")
-    return argv[:i] + argv[i + 2 :], entries
-
-
-def _config_tokens(entries: dict, subparser: argparse.ArgumentParser) -> list[str]:
-    """Turn config entries into command-line tokens for ``subparser``, so
-    each value passes through the same argparse action (type, nargs,
-    choices) as its flag.  Switches take exactly true/false/1/0."""
+        subparser.error(f"config file: {exc}")
     tokens = []
-    for action in subparser._actions:
-        if action.dest not in entries or not action.option_strings:
-            continue
-        flag, raw = action.option_strings[0], entries[action.dest]
+    for dest, raw in entries.items():
+        action = options[dest]
+        flag = action.option_strings[0]
         if action.nargs == 0:
-            if action.const is not True:  # only store_true switches are settable
-                continue
             if raw not in ("true", "false", "1", "0"):
-                subparser.error(
-                    f"config entry {action.dest} = {raw!r}: expected true, false, 1 or 0"
-                )
+                subparser.error(f"config entry {dest} = {raw!r}: expected true, false, 1 or 0")
             if raw in ("true", "1"):
                 tokens.append(flag)
         elif action.nargs is None:
@@ -220,28 +233,24 @@ def _config_tokens(entries: dict, subparser: argparse.ArgumentParser) -> list[st
 def cmd_front(args) -> int:
     t0 = time.time()
     if args.c is None or args.eps is None:
-        print("error: front needs --c and --eps (flags or config file)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("front needs --c and --eps (flags or config file)")
     c, eps = args.c, args.eps
     outdir = _outdir(args)
     params = {"c": c, "eps": eps, "ramp": args.ramp}
+    quench = QuenchParams(c, eps, args.ramp)
+    if eps < 1e-3 and (args.L is not None or args.n is not None):
+        raise ValueError(
+            "--L and --n apply only at eps >= 1e-3; below it the "
+            "eps-continuation sizes its own mesh"
+        )
     try:
-        quench = QuenchParams(c, eps, args.ramp)
         if eps >= 1e-3:
             half = args.L if args.L is not None else 5.0 / eps
             n = args.n if args.n is not None else 4001
             params.update(L=half, n=n)
             sol = solve_front(quench, half, n=n)
         else:
-            if args.L is not None or args.n is not None:
-                raise ValueError(
-                    "--L and --n apply only at eps >= 1e-3; below it the "
-                    "eps-continuation sizes its own mesh"
-                )
             sol = front_branch(c, [eps], ramp=args.ramp).fronts[0]
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FrontSolveError as exc:
         report = exc.report
         _write_json(
@@ -252,20 +261,14 @@ def cmd_front(args) -> int:
                 "final_residual_norm": getattr(report, "final_residual_norm", None),
             },
         )
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise
 
     meta = dict(params)
     columns = ["zeta", "xi", "mu", "u", "v"]
     rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v)
     if c == 0.0:
         hm = solve_hastings_mcleod()
-        scale = eps ** (1.0 / 3.0)
-        inner = np.where(
-            np.abs(sol.xi) <= scale ** -1.0,
-            math.sqrt(2.0) * scale * np.interp(scale * sol.xi, hm.eta, hm.w),
-            math.nan,
-        )
+        inner = rescaled_inner_profile(sol, hm.eta, hm.w)
         dev, eps23 = compare_with_rescaled_profile(sol, hm.eta, hm.w)
         meta.update(u_at_origin=sol.u_at_origin, inner_sup_deviation=dev, eps_two_thirds=eps23)
         columns = ["zeta", "xi", "mu", "u", "v", "u_inner"]
@@ -304,27 +307,17 @@ def cmd_delay_sweep(args) -> int:
     t0 = time.time()
     outdir = _outdir(args)
     if args.c is None or args.eps_decade is None:
-        print("error: delay-sweep needs --c and --eps-decade", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        lo, hi = (float(s) for s in args.eps_decade.split(":"))
-        eps_list = np.geomspace(lo, hi, args.points)
-    except ValueError:
-        print("error: --eps-decade expects LO:HI", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("delay-sweep needs --c and --eps-decade")
+    lo, hi = args.eps_decade
+    eps_list = np.geomspace(lo, hi, args.points)
     if args.fold:
         # refuse what a passage or the fit would refuse before integrating
-        try:
-            for e in eps_list:
-                check_passage(args.c, float(e), args.delta)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        for e in eps_list:
+            check_passage(args.c, float(e), args.delta)
         try:
             check_fit_sweep(eps_list)
         except ValueError as exc:
-            print(f"error: fit refused: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"fit refused: {exc}") from exc
     params = {
         "c": args.c, "eps_lo": lo, "eps_hi": hi, "points": args.points,
         "fold": args.fold, "delta": args.delta,
@@ -345,11 +338,7 @@ def cmd_delay_sweep(args) -> int:
         converged = len(records)
         total = len(eps_list)
     else:
-        try:
-            branch = front_branch(args.c, eps_list, ramp="tanh", strict=False)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        branch = front_branch(args.c, eps_list, ramp="tanh", strict=False)
         got = {f.params.epsilon: f for f in branch.fronts}
         delays = []
         for e in eps_list:
@@ -393,15 +382,11 @@ def cmd_painleve(args) -> int:
     t0 = time.time()
     outdir = _outdir(args)
     l_minus, l_plus = args.window
-    params = {"l_minus": l_minus, "l_plus": l_plus, "n": args.n, "classify": args.classify or ""}
-    try:
-        sol = solve_hastings_mcleod(l_minus, l_plus, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HMSolveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    params = {
+        "l_minus": l_minus, "l_plus": l_plus, "n": args.n,
+        "classify": ",".join(_fmt(k) for k in args.classify),
+    }
+    sol = solve_hastings_mcleod(l_minus, l_plus, args.n)
     outputs = []
     v = sol.eta + 6.0 * sol.w**2
     outputs.append(
@@ -431,13 +416,11 @@ def cmd_painleve(args) -> int:
         )
     except CertificateError as exc:
         summary["certificate_failure"] = str(exc)
-        outputs.append(_write_json(os.path.join(outdir, "painleve_summary.json"), summary))
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        _write_json(os.path.join(outdir, "painleve_summary.json"), summary)
+        raise
     if args.classify:
         rows = []
-        for tok in args.classify.split(","):
-            k = float(tok)
+        for k in args.classify:
             tc = classify_airy_tail(k, l_minus=min(l_minus, 8.0), l_plus=l_plus)
             rows.append((k, tc.kind, tc.pole_position if tc.pole_position is not None else math.nan))
             print(f"k = {k}: {tc.kind}" + (f" at eta = {tc.pole_position:.4f}" if tc.pole_position else ""))
@@ -462,27 +445,23 @@ def cmd_painleve(args) -> int:
 def cmd_pde(args) -> int:
     t0 = time.time()
     outdir = _outdir(args)
-    try:
-        cfg = SimConfig(
-            frame=args.frame,
-            alpha=args.alpha,
-            c=args.c,
-            epsilon=args.eps,
-            domain=(args.domain[0], args.domain[1]),
-            n=args.n,
-            t_end=args.t_end,
-            dt=args.dt,
-            ic=args.ic,
-            ic_amplitude=args.ic_amplitude,
-            ic_width=args.ic_width,
-            frozen_mu=args.frozen_mu,
-            track_level=args.level,
-        )
-        if args.compare:
-            check_quench_comparable(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = SimConfig(
+        frame=args.frame,
+        alpha=args.alpha,
+        c=args.c,
+        epsilon=args.eps,
+        domain=(args.domain[0], args.domain[1]),
+        n=args.n,
+        t_end=args.t_end,
+        dt=args.dt,
+        ic=args.ic,
+        ic_amplitude=args.ic_amplitude,
+        ic_width=args.ic_width,
+        frozen_mu=args.frozen_mu,
+        track_level=args.level,
+    )
+    if args.compare:
+        check_quench_comparable(cfg)
     params = {
         "frame": cfg.frame, "alpha": cfg.alpha, "c": cfg.c, "eps": cfg.epsilon,
         "x_lo": cfg.domain[0], "x_hi": cfg.domain[1], "n": cfg.n,
@@ -490,11 +469,8 @@ def cmd_pde(args) -> int:
         "frozen_mu": cfg.frozen_mu if cfg.frozen_mu is not None else "none",
         "level": cfg.track_level,
     }
-    compare = None
     try:
         res = simulate(cfg)
-        if args.compare:
-            compare = compare_homogeneous_quench(cfg, result=res)
     except SimulationAbort as exc:
         _write_csv(
             os.path.join(outdir, "pde_last_state.csv"),
@@ -502,11 +478,8 @@ def cmd_pde(args) -> int:
             ["u"],
             ((v,) for v in exc.u),
         )
-        print(f"simulation abort: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except QuenchComparisonError as exc:
-        print(f"comparison failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise
+    compare = compare_homogeneous_quench(cfg, result=res) if args.compare else None
     outputs = []
     outputs.append(
         _write_lines(
@@ -552,11 +525,33 @@ def cmd_pde(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _speed(value: str) -> float:
-    c = float(value)
-    if not (0.0 <= c < 2.0):
-        raise argparse.ArgumentTypeError("quench speed must lie in [0, 2)")
-    return c
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text and refuse it unless ``ok``."""
+
+    def parse(value: str):
+        try:
+            out = convert(value)
+            if ok(out):
+                return out
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
+
+
+_speed = _checked(float, lambda c: 0.0 <= c < 2.0, "a quench speed in [0, 2)")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_eps_range = _checked(
+    lambda v: tuple(float(s) for s in v.split(":")),
+    lambda r: len(r) == 2 and all(0.0 < e < math.inf for e in r),
+    "LO:HI with both ends positive",
+)
+_multipliers = _checked(
+    lambda v: [float(s) for s in v.split(",")],
+    lambda ks: all(map(math.isfinite, ks)),
+    "comma-separated finite numbers",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,10 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.qf_subparsers = {}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--outdir", default=None)
+    common.add_argument("--config", help="flat key=value config file")
 
     p = sub.add_parser(
         "front",
+        parents=[common],
         help="solve one front profile",
         description=(
             "Solve the quenched traveling-front boundary-value problem and "
@@ -589,13 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=None, help="mesh nodes (default 4001); only for eps >= 1e-3"
     )
     p.add_argument("--ramp", choices=["tanh", "linear-clipped"], default="tanh")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_front)
-    parser.qf_subparsers["front"] = p
 
     p = sub.add_parser(
         "delay-sweep",
+        parents=[common],
         help="interface-delay scaling over a range of ramp rates",
         description=(
             "Measure the eps^{2/3} interface-delay scaling: log-log slope of "
@@ -606,17 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--c", type=_speed, default=None)
-    p.add_argument("--eps-decade", default=None, help="LO:HI range for eps")
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--eps-decade", type=_eps_range, default=None, help="LO:HI range for eps")
+    p.add_argument("--points", type=_positive_int, default=10)
     p.add_argument("--fold", action="store_true", help="reduced slow-passage system only")
     p.add_argument("--delta", type=float, default=0.25, help="fold section offset")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_delay_sweep)
-    parser.qf_subparsers["delay-sweep"] = p
 
     p = sub.add_parser(
         "painleve",
+        parents=[common],
         help="connection profile and certificates",
         description=(
             "Solve the connection problem w'' = eta w + 2 w^3 (decaying like "
@@ -629,14 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--window", type=float, nargs=2, default=[12.0, 8.0], metavar=("LMINUS", "LPLUS"))
     p.add_argument("--n", type=int, default=8001)
-    p.add_argument("--classify", help="comma-separated tail multipliers k")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument(
+        "--classify", type=_multipliers, default=(), help="comma-separated tail multipliers k"
+    )
     p.set_defaults(func=cmd_painleve)
-    parser.qf_subparsers["painleve"] = p
 
     p = sub.add_parser(
         "pde",
+        parents=[common],
         help="direct simulation with front tracking",
         description=(
             "Direct simulation of u_t = u_xx + mu u - u^3: frozen mu = 1 "
@@ -664,16 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic-width", type=float, default=5.0)
     p.add_argument("--level", type=float, default=0.2)
     p.add_argument("--compare", action="store_true", help="homogeneous-quench comparison")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_pde)
-    parser.qf_subparsers["pde"] = p
     # argparse's default pattern takes only plain decimals (-5, -.5) as
     # negative numbers and reads -1e-05 as an unknown option, so
     # "--domain -1e-05 50" (or domain = -1e-05 50 in a config file) would be
     # refused; any "-digit" or "-.digit" token is a value here.
-    for p in parser.qf_subparsers.values():
+    for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"-\.?\d")
+    parser.qf_subparsers = sub.choices
     return parser
 
 
@@ -681,21 +673,22 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv, config_entries = _extract_config(argv, parser)
         args = parser.parse_args(argv)
-        if config_entries:
+        if args.config:
             # config tokens go right after the subcommand, so explicit flags,
             # parsed later, win (flags > config file > built-in defaults)
             i = argv.index(args.command) + 1
-            tokens = _config_tokens(config_entries, parser.qf_subparsers[args.command])
+            tokens = _config_tokens(args.config, parser.qf_subparsers[args.command])
             args = parser.parse_args(argv[:i] + tokens + argv[i:])
+        del args.config  # its entries now stand as flags
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FoldPassageError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(row for kind, row in _FAILURES.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

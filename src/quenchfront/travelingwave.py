@@ -52,6 +52,7 @@ __all__ = [
     "projection_rates",
     "front_branch",
     "stationary_amplitude_at_pitchfork",
+    "rescaled_inner_profile",
     "compare_with_rescaled_profile",
 ]
 
@@ -550,20 +551,27 @@ def stationary_amplitude_at_pitchfork(fronts: Sequence[FrontSolution]) -> float:
     return float(slope)
 
 
+def rescaled_inner_profile(sol: FrontSolution, eta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The rescaled connection profile sqrt(2) eps^{1/3} w(eps^{1/3} xi) at
+    each node of the c = 0 front ``sol``; NaN outside |xi| <= eps^{-1/3}."""
+    scale = sol.params.epsilon ** (1.0 / 3.0)
+    return np.where(
+        np.abs(sol.xi) <= 1.0 / scale,
+        math.sqrt(2.0) * scale * np.interp(scale * sol.xi, eta, w),
+        math.nan,
+    )
+
+
 def compare_with_rescaled_profile(
     sol: FrontSolution, eta: np.ndarray, w: np.ndarray
 ) -> tuple[float, float]:
-    """Sup-norm deviation of a c = 0 front from the rescaled connection
-    profile sqrt(2) eps^{1/3} w(eps^{1/3} xi) over |xi| <= eps^{-1/3}.
+    """Sup-norm deviation of a c = 0 front from ``rescaled_inner_profile``
+    over its window |xi| <= eps^{-1/3}.
 
     Returns (sup_deviation, eps^{2/3}) so callers can form the bounded
     ratio deviation / eps^{2/3}.
     """
-    eps = sol.params.epsilon
-    scale = eps ** (1.0 / 3.0)
-    xi = sol.xi[::-1]  # increasing xi
-    u_xi = sol.u[::-1]
-    mask = np.abs(xi) <= 1.0 / scale
-    inner = np.sqrt(2.0) * scale * np.interp(scale * xi[mask], eta, w)
-    dev = float(np.max(np.abs(u_xi[mask] - inner)))
-    return dev, eps ** (2.0 / 3.0)
+    inner = rescaled_inner_profile(sol, eta, w)
+    window = ~np.isnan(inner)
+    dev = float(np.max(np.abs(sol.u[window] - inner[window])))
+    return dev, sol.params.epsilon ** (2.0 / 3.0)

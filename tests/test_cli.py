@@ -3,6 +3,9 @@ exit codes, config precedence, and output determinism."""
 
 import json
 import os
+import subprocess
+import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchfront import cli
-from quenchfront.pdesim import SimConfig, simulate
+from quenchfront.folddelay import FoldPassageError
+from quenchfront.painleve import CertificateError, HMSolveError
+from quenchfront.pdesim import QuenchComparisonError, SimConfig, SimulationAbort, simulate
+from quenchfront.travelingwave import FrontSolveError
 
 
 def run(args, tmp_path, sub=""):
@@ -184,6 +190,24 @@ class TestDelaySweep:
         code, _ = run(["delay-sweep", "--c", "1.2", "--eps-decade", "0:1e-3"], tmp_path)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--points", "-1"), ("--points", "0"), ("--points", "2.5"),
+            ("--eps-decade", "1e-4:-1e-3"), ("--eps-decade", "nan:1e-3"),
+            ("--eps-decade", "1e-4:inf"), ("--eps-decade", "1e-4:1e-3:1e-2"),
+        ],
+    )
+    def test_bad_input_refused_naming_its_flag(self, tmp_path, capsys, flag, value):
+        args = {"--c": "1.2", "--eps-decade": "1e-4:1e-3", "--points": "5", flag: value}
+        with mock.patch.object(cli, "front_branch") as branch:
+            code, out = run(["delay-sweep", *(t for kv in args.items() for t in kv)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and repr(value) in err
+        branch.assert_not_called()
+        assert not (out / "delay_sweep.csv").exists()
+
 
 class TestPainleve:
     def test_default_run(self, tmp_path, capsys):
@@ -202,6 +226,15 @@ class TestPainleve:
         assert code == 0
         meta, body = read_meta(out / "painleve_classification.csv")
         assert body.shape[0] == 2
+
+    @pytest.mark.parametrize("value", ["0.5,abc", "inf", "0.5,nan", ""])
+    def test_bad_classify_refused_before_solving(self, tmp_path, capsys, value):
+        with mock.patch.object(cli, "solve_hastings_mcleod") as solve:
+            code, out = run(["painleve", "--classify", value], tmp_path)
+        assert code == 1
+        assert "argument --classify:" in capsys.readouterr().err
+        solve.assert_not_called()
+        assert not (out / "painleve_profile.csv").exists()
 
     def test_window_flag(self, tmp_path):
         code, out = run(["painleve", "--window", "12", "8", "--n", "4001"], tmp_path)
@@ -362,6 +395,17 @@ class TestConfigValues:
         assert code == 1
         assert "compare" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["epsilon_typo = 0.004", "fold = true", "config = other.cfg", "help = true"]
+    )
+    def test_unknown_key_refused_before_simulating(self, tmp_path, capsys, line):
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = self.run_config(tmp_path, line + "\n")
+        assert code == 1
+        assert f"key {line.split()[0]!r} names no option" in capsys.readouterr().err
+        sim.assert_not_called()
+        assert not (out / "pde_snapshots.csv").exists()
+
 
 class TestConfigRoundTrip:
     """A --config file parses to the same Namespace as the equivalent flags."""
@@ -420,3 +464,103 @@ class TestEnvironmentOutdir:
         code = cli.main(["painleve", "--n", "4001"])
         assert code == 0
         assert (target / "painleve_summary.json").exists()
+
+
+class TestExitTable:
+    """``main`` alone maps what a command raises to its exit code and
+    stderr prefix."""
+
+    @pytest.mark.parametrize(
+        "exc,code,prefix",
+        [
+            (ValueError("refused"), 1, "error"),
+            (FrontSolveError("no front"), 2, "solver failure"),
+            (HMSolveError("no connection"), 2, "solver failure"),
+            (FoldPassageError("no passage"), 2, "solver failure"),
+            (QuenchComparisonError("no crossing"), 2, "solver failure"),
+            (CertificateError("not positive"), 3, "certificate failure"),
+            (SimulationAbort(1.5, np.zeros(3)), 4, "simulation abort"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_every_row_maps_through_main(self, capsys, exc, code, prefix):
+        def command(args):
+            raise exc
+
+        with mock.patch.object(cli, "cmd_pde", command):
+            assert cli.main(["pde"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_unlisted_exception_is_not_an_exit_code(self):
+        with mock.patch.object(cli, "cmd_pde", mock.Mock(side_effect=RuntimeError("bug"))):
+            with pytest.raises(RuntimeError, match="bug"):
+                cli.main(["pde"])
+
+
+class TestFailureArtifacts:
+    """Each documented failure file is written before the failure reaches
+    ``main``."""
+
+    def test_front_failure_json(self, tmp_path, capsys):
+        report = SimpleNamespace(iterations=80, final_residual_norm=1.5e-10)
+        failure = FrontSolveError("Newton stalled", report)
+        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=failure)):
+            code, out = run(["front", "--c", "1.2", "--eps", "0.0025"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: Newton stalled\n"
+        assert json.loads((out / "front_failure.json").read_text()) == {
+            "error": "Newton stalled", "iterations": 80, "final_residual_norm": 1.5e-10,
+        }
+        assert not (out / "front_profile.csv").exists()
+
+    def test_painleve_certificate_failure(self, tmp_path, capsys):
+        failure = CertificateError("lower bound violated")
+        with mock.patch.object(cli, "certify_lower_bound", mock.Mock(side_effect=failure)):
+            code, out = run(["painleve", "--n", "4001"], tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err == "certificate failure: lower bound violated\n"
+        summary = json.loads((out / "painleve_summary.json").read_text())
+        assert summary["certificate_failure"] == "lower bound violated"
+        assert not (out / "painleve_manifest.json").exists()
+
+    def test_pde_last_state(self, tmp_path, capsys):
+        abort = SimulationAbort(1.5, np.array([0.25, -0.5]))
+        with mock.patch.object(cli, "simulate", mock.Mock(side_effect=abort)):
+            code, out = run(["pde", "--t-end", "2"], tmp_path)
+        assert code == 4
+        assert capsys.readouterr().err.startswith("simulation abort: simulation aborted at t = 1.5")
+        meta, body = read_meta(out / "pde_last_state.csv")
+        assert float(meta["t"]) == 1.5 and meta["columns"] == "u"
+        assert list(body) == [0.25, -0.5]
+        assert not (out / "pde_snapshots.csv").exists()
+
+
+class TestProcess:
+    """``python -m quenchfront.cli`` as its own process: the documented exit
+    code and a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args,code,message",
+        [
+            (
+                ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-6:2e-6", "--points", "2"],
+                2,
+                "solver failure: branch seed failed at eps=0.05",
+            ),
+            (["painleve", "--classify", "0.5,abc"], 1, "argument --classify:"),
+            (["front", "--config", "typo.cfg"], 1, "key 'epsilon_typo' names no option"),
+        ],
+        ids=["seed-failure", "bad-classify", "unknown-config-key"],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, args, code, message):
+        (tmp_path / "typo.cfg").write_text("c = 1.2\neps = 0.004\nepsilon_typo = 0.004\nfold = true\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "quenchfront.cli", *args, "--outdir", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list((tmp_path / "out").glob("*"))  # no data, summary or manifest
