@@ -23,19 +23,22 @@ Exit codes: 0 success, 1 usage/config error, 2 solver failure,
 3 certificate failure, 4 simulation abort.  Commands raise; ``main`` maps
 what they raise through the one table ``_FAILURES`` (``ValueError`` -> 1
 ``error:``; front, connection, fold-passage and quench-comparison failures
--> 2 ``solver failure:``; certificates -> 3; simulation aborts -> 4).  A
-BVP ``delay-sweep`` that converges on fewer than 80 % of its points writes
-its results and exits 2.  Parsing refuses with exit 1, before any work, a
-config key that names no option of the subcommand, a ``painleve
---classify`` token that is not a finite number, and a ``delay-sweep
---points`` below 1 or ``--eps-decade`` not LO:HI with both ends positive.
-A ``--fold`` sweep too short to fit (refused before any passage runs) and a
-``--compare`` run that is not a lab-frame homogeneous quench are usage
-errors; a compared front that never crosses the level or never leaves the
-transient is a solver failure.  ``front`` below eps = 1e-3 runs the
-eps-continuation, which sizes its own mesh, so an explicit ``--L`` or
-``--n`` there is a usage error, as is a continuation (``front`` or the BVP
-``delay-sweep``) at a speed so close to 2 that its start is refused.
+and a singular Newton Jacobian -> 2 ``solver failure:``; certificates -> 3;
+simulation aborts -> 4).  A BVP ``delay-sweep`` that converges on fewer
+than 80 % of its points writes its results and exits 2.  Parsing refuses
+with exit 1, before any work, a config key that names no option of the
+subcommand, a ``painleve --classify`` token that is not a finite number,
+and a ``delay-sweep --points`` below 1 or ``--eps-decade`` not LO:HI with
+both ends positive.  Before any solve, ``pde`` refuses with exit 1 a
+non-finite number, a ``--dt`` that is not positive and a ``--level``
+outside (0, 1), and ``front`` a non-finite ``--L``.  A ``--fold`` sweep
+too short to fit (refused before any passage runs) and a ``--compare`` run
+that is not a lab-frame homogeneous quench are usage errors; a compared
+front that never crosses the level or never leaves the transient is a
+solver failure.  ``front`` below eps = 1e-3 runs the eps-continuation,
+which sizes its own mesh, so an explicit ``--L`` or ``--n`` there is a
+usage error, as is a continuation (``front`` or the BVP ``delay-sweep``) at
+a speed so close to 2 that its start is refused.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from .pdesim import (
     compare_homogeneous_quench,
     simulate,
 )
+from .solvercore import JacobianSingularError
 from .travelingwave import (
     FrontSolveError,
     QuenchParams,
@@ -97,6 +101,7 @@ EXIT_SIMULATION = 4
 _FAILURES = {
     ValueError: (EXIT_USAGE, "error"),
     FrontSolveError: (EXIT_SOLVER, "solver failure"),
+    JacobianSingularError: (EXIT_SOLVER, "solver failure"),
     HMSolveError: (EXIT_SOLVER, "solver failure"),
     FoldPassageError: (EXIT_SOLVER, "solver failure"),
     QuenchComparisonError: (EXIT_SOLVER, "solver failure"),
@@ -656,7 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", choices=["small-bump", "front-seed", "zero"], default="small-bump")
     p.add_argument("--ic-amplitude", type=float, default=0.05)
     p.add_argument("--ic-width", type=float, default=5.0)
-    p.add_argument("--level", type=float, default=0.2)
+    p.add_argument(
+        "--level", type=float, default=0.2, help="tracked level crossing of u, in (0, 1)"
+    )
     p.add_argument("--compare", action="store_true", help="homogeneous-quench comparison")
     p.set_defaults(func=cmd_pde)
     # argparse's default pattern takes only plain decimals (-5, -.5) as

@@ -54,7 +54,8 @@ class FoldDelayRecord:
     epsilon: float
     theta_exit: float
     delta: float
-    compact_chart_used: bool
+    # never set by the passage; kept so five-field positional records build
+    compact_chart_used: bool = False
 
     @property
     def theta_fold(self) -> float:
@@ -80,28 +81,16 @@ def check_passage(c: float, epsilon: float, delta: float) -> None:
         raise ValueError("section offset must lie in (0, 0.5]")
 
 
-def run_fold_passage(
-    c: float,
-    epsilon: float,
-    delta: float = 0.25,
-    chart: str = "plain",
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-    z0_offset: float = 0.0,
-) -> FoldDelayRecord:
+def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelayRecord:
     """Integrate the slow-passage system from the attracting slow manifold
     at theta0 = -1/4 and record theta at the section z = -delta.
 
     The initial z carries the first-order slow-manifold correction
-    eps*g(theta0)/(4|theta0|) so the measurement starts transient-free
-    (``z0_offset`` perturbs it for attraction tests).  ``chart`` selects the
-    integration variable: "plain" uses z directly (with delta <= 1/2
-    the section is reached before the fast fall would need compactifying),
-    "arctan" runs fully in s = arctan(z).
+    eps*g(theta0)/(4|theta0|) so the measurement starts transient-free.  The
+    integration runs in z itself: with delta <= 1/2 the section is reached
+    before the fast fall would need compactifying.
     """
     check_passage(c, epsilon, delta)
-    if chart not in ("plain", "arctan"):
-        raise ValueError(f"unknown chart {chart!r}")
     mu_c = c * c / 4.0
     theta_cap = 1.0 - mu_c
 
@@ -109,35 +98,26 @@ def run_fold_passage(
         return 1.0 - (theta + mu_c) ** 2
 
     theta0 = -0.25
-    z0 = math.sqrt(-theta0) + epsilon * g(theta0) / (4.0 * (-theta0)) + z0_offset
-    t_end = 20.0 / epsilon
-    if chart == "arctan":
+    z0 = math.sqrt(-theta0) + epsilon * g(theta0) / (4.0 * (-theta0))
 
-        def field(t, y):
-            s, theta = y
-            sin, cos = math.sin(s), math.cos(s)
-            return np.array([-sin * sin - theta * cos * cos, epsilon * g(theta)])
+    def field(t, y):
+        z, theta = y
+        return np.array([-z * z - theta, epsilon * g(theta)])
 
-        section = lambda t, y: y[0] - math.atan(-delta)
-        section.terminal = True
-        section.direction = -1
-        y0 = [math.atan(z0), theta0]
-    else:
-
-        def field(t, y):
-            z, theta = y
-            return np.array([-z * z - theta, epsilon * g(theta)])
-
-        section = lambda t, y: y[0] + delta
-        section.terminal = True
-        section.direction = -1
-        y0 = [z0, theta0]
-
+    section = lambda t, y: y[0] + delta
+    section.terminal = True
+    section.direction = -1
     # stiff: near the fold the fast rate 2 sqrt(-theta) stays O(1) while theta
     # drifts at rate eps, so explicit steps are bounded by stability, not
     # accuracy (LSODA: 715 steps at eps = 1e-5, explicit RK4(5): 11 485)
     res = integrate_ode(
-        field, y0, (0.0, t_end), rtol=rtol, atol=atol, events=[section], stiff=True
+        field,
+        [z0, theta0],
+        (0.0, 20.0 / epsilon),
+        rtol=1e-10,
+        atol=1e-13,
+        events=[section],
+        stiff=True,
     )
     if res.status != "event":
         theta_last = res.y[-1, 1]
@@ -145,13 +125,8 @@ def run_fold_passage(
             f"section z = -{delta} not reached before theta = {theta_last:.4f} "
             f"(cap {theta_cap:.4f})"
         )
-    theta_exit = float(res.events[0].y[1])
     return FoldDelayRecord(
-        c=c,
-        epsilon=epsilon,
-        theta_exit=theta_exit,
-        delta=delta,
-        compact_chart_used=(chart == "arctan"),
+        c=c, epsilon=epsilon, theta_exit=float(res.events[0].y[1]), delta=delta
     )
 
 
@@ -165,23 +140,19 @@ def check_fit_sweep(eps: Sequence[float]) -> None:
         raise ValueError("eps values must span at least 1.5 decades")
 
 
-def fit_delay_scaling(
-    records: Sequence[FoldDelayRecord], remove_section_offset: bool = True
-) -> DelayFit:
-    """Least-squares fit of log(theta) against log(eps).
+def fit_delay_scaling(records: Sequence[FoldDelayRecord]) -> DelayFit:
+    """Least-squares fit of log(theta_fold) against log(eps).
 
-    By default the fit uses ``theta_fold`` (section-offset removed); the raw
-    section readings are biased low by (1-c^4/16) eps/delta, which drags the
-    fitted prefactor well outside the delay law at moderate eps.  Requires
-    at least five records at a common speed spanning >= 1.5 decades.
+    The fit uses ``theta_fold`` (section offset removed): the raw section
+    readings are biased low by (1-c^4/16) eps/delta, which drags the fitted
+    prefactor well outside the delay law at moderate eps.  Requires at least
+    five records at a common speed spanning >= 1.5 decades.
     """
     eps = np.array([r.epsilon for r in records])
     check_fit_sweep(eps)
     if len({r.c for r in records}) != 1:
         raise ValueError("records must share a common speed")
-    theta = np.array(
-        [r.theta_fold if remove_section_offset else r.theta_exit for r in records]
-    )
+    theta = np.array([r.theta_fold for r in records])
     slope, intercept = np.polyfit(np.log(eps), np.log(theta), 1)
     return DelayFit(
         exponent=float(slope),

@@ -42,7 +42,6 @@ __all__ = [
     "PotentialCertificate",
     "TailClassification",
     "HMSolveError",
-    "SeparatrixMissedError",
     "CertificateError",
     "solve_hastings_mcleod",
     "classify_airy_tail",
@@ -57,10 +56,6 @@ class HMSolveError(RuntimeError):
     def __init__(self, message: str, report: NewtonReport | None = None):
         super().__init__(message)
         self.report = report
-
-
-class SeparatrixMissedError(HMSolveError):
-    """Newton iterates ran off toward the pole side of the separatrix."""
 
 
 class CertificateError(RuntimeError):
@@ -90,7 +85,6 @@ class PotentialCertificate:
 
     min_value: float
     argmin: float
-    grid_spacing: float
     margin_bound: float
 
 
@@ -156,9 +150,8 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     # below the rounding floor at n ~ 10^4
     w, report = solve_bvp(residual, jacobian, seed, tol=1e-8, corners=(0.0, 1.0 / (2.0 * h)))
     if np.max(np.abs(w)) > pole_guard:
-        raise SeparatrixMissedError(
-            "left separatrix missed (iterate exceeded the pole guard)", report
-        )
+        # the iterates ran off toward the pole side of the separatrix
+        raise HMSolveError("left separatrix missed (iterate exceeded the pole guard)", report)
     if not report.converged:
         raise HMSolveError(
             f"connection solve failed (residual {report.final_residual_norm:.3e})", report
@@ -235,7 +228,6 @@ def certify_potential_positive(sol: HMSolution) -> PotentialCertificate:
     cert = PotentialCertificate(
         min_value=float(v[i_min]),
         argmin=float(sol.eta[i_min]),
-        grid_spacing=float(np.max(sol.mesh.spacing)),
         margin_bound=float(np.min(margins)),
     )
     if cert.min_value <= 0.0 or cert.margin_bound <= 0.0:
@@ -266,9 +258,10 @@ def certify_lower_bound(sol: HMSolution) -> bool:
     return True
 
 
-def linearization_ground_state(sol: HMSolution, k: int = 5, n_sub: int | None = None) -> Spectrum:
-    """Largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with Dirichlet
-    truncation on a uniform sub-mesh; the ground state must be negative."""
+def linearization_ground_state(sol: HMSolution, n_sub: int | None = None) -> Spectrum:
+    """The five largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with
+    Dirichlet truncation on a uniform sub-mesh of ``n_sub`` nodes (default
+    min(n, 4001)); the ground state must be negative."""
     _require_converged(sol)
     eta = sol.eta
     if n_sub is None:
@@ -280,7 +273,7 @@ def linearization_ground_state(sol: HMSolution, k: int = 5, n_sub: int | None = 
     inner = slice(1, -1)
     diag = -2.0 / h**2 - v[inner]
     off = np.full(n_sub - 3, 1.0 / h**2)
-    spec = eig_tridiag_symmetric(diag, off, k)
+    spec = eig_tridiag_symmetric(diag, off, 5)
     if spec.eigenvalues[0] >= 0.0:
         raise CertificateError(
             f"ground state is not negative (lambda0 = {spec.eigenvalues[0]:.3e})"

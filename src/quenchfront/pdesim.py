@@ -29,9 +29,11 @@ dt <= min(0.2 h, 0.5), are the default and the bound.  :func:`relax` iterates
 the first-order step at large dt to a steady state of a time-independent
 mode.
 
-The tracked front is the level crossing u = 0.2 (rightmost crossing,
-linearly interpolated); the homogeneous-quench comparison measures it
-against the characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds.
+The tracked front is the rightmost crossing of u through ``track_level``
+(linearly interpolated), a level in (0, 1), default 0.2; the
+homogeneous-quench comparison measures it against the characteristic
+prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the end of the
+transient.
 """
 
 from __future__ import annotations
@@ -95,9 +97,15 @@ class SimConfig:
     frozen_mu: float | None = None
     track_level: float = 0.2
     snapshot_dt: float | None = None
-    track_every: int | None = None
 
     def __post_init__(self):
+        for name, value in (
+            ("alpha", self.alpha), ("c", self.c), ("epsilon", self.epsilon),
+            ("frozen_mu", self.frozen_mu), ("domain start", self.domain[0]),
+            ("domain end", self.domain[1]), ("t_end", self.t_end),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.frame not in ("lab", "comoving"):
             raise ValueError(f"unknown frame {self.frame!r}")
         if self.ic not in ("small-bump", "front-seed", "zero"):
@@ -116,11 +124,13 @@ class SimConfig:
             raise ValueError("ic_amplitude must be finite")
         if self.snapshot_dt is not None and not self.snapshot_dt > 0.0:
             raise ValueError("snapshot_dt must be positive")
-        if self.track_every is not None and self.track_every < 1:
-            raise ValueError("track_every must be >= 1")
+        if not 0.0 < self.track_level < 1.0:
+            raise ValueError(f"track_level must lie in (0, 1), got {self.track_level!r}")
         dt_max = min(0.2 * self.h, 0.5)
         if self.dt is None:
             self.dt = dt_max
+        elif not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         elif self.dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {self.dt:g} exceeds min(0.2 h, 0.5) = {dt_max:g}: the accuracy limit "
@@ -294,7 +304,7 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
-    track_stride = cfg.track_every or max(1, steps // 2000)
+    track_stride = max(1, steps // 2000)
 
     times, snaps = [0.0], [u.copy()]
     tt, tx = [0.0], [_rightmost_crossing(x, u, cfg.track_level)[0]]
@@ -402,11 +412,9 @@ def relax(
     raise RelaxationError(f"no steady state within {max_steps} steps (tol {tol:g})")
 
 
-def predicted_front_path(
-    epsilon: float, ramp: str = "tanh", x0: float = 0.0, t_grid: Sequence[float] = ()
-) -> np.ndarray:
-    """Characteristic prediction x(t) = x0 + int_0^t 2 sqrt(mu(s)) ds for the
-    homogeneous quench mu(t) = tanh(eps t) (or eps t for the linear ramp).
+def predicted_front_path(epsilon: float, t_grid: Sequence[float]) -> np.ndarray:
+    """Characteristic prediction x(t) = int_0^t 2 sqrt(mu(s)) ds for the
+    homogeneous quench mu(t) = tanh(eps t).
 
     The integrand's sqrt(t) corner at the origin is removed by substituting
     s = tau^2; each stretch between consecutive grid times is then one
@@ -419,15 +427,9 @@ def predicted_front_path(
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0):
         raise ValueError("the clock starts at mu = 0: prediction needs t >= 0")
-    if ramp == "tanh":
-        mu = lambda s: math.tanh(epsilon * s)
-    elif ramp == "linear":
-        mu = lambda s: epsilon * s
-    else:
-        raise ValueError(f"unknown ramp {ramp!r}")
 
     def integrand(tau):
-        return 4.0 * tau * math.sqrt(max(mu(tau * tau), 0.0))
+        return 4.0 * tau * math.sqrt(max(math.tanh(epsilon * (tau * tau)), 0.0))
 
     order = np.argsort(t_grid)
     roots = np.sqrt(t_grid[order])
@@ -437,7 +439,7 @@ def predicted_front_path(
         if tau > prev_tau:
             acc += quad(integrand, prev_tau, tau, epsabs=1e-10, epsrel=1e-10)[0]
         prev_tau = tau
-        out[j] = x0 + acc
+        out[j] = acc
     return out
 
 
@@ -480,7 +482,7 @@ def compare_homogeneous_quench(
     sel = have & (tt >= t_tr)
     t_sel = tt[sel]
     x_sel = xx[sel]
-    pred = predicted_front_path(cfg.epsilon, "tanh", 0.0, t_sel)
+    pred = predicted_front_path(cfg.epsilon, t_sel)
     pred += x_sel[0] - pred[0]  # anchor at the transient end
     diff = x_sel - pred
     slope = np.polyfit(t_sel, diff, 1)[0] if t_sel.size > 2 else 0.0

@@ -100,10 +100,6 @@ class Mesh:
         return np.diff(self.nodes)
 
     @staticmethod
-    def uniform(a: float, b: float, n: int) -> "Mesh":
-        return Mesh(np.linspace(a, b, n))
-
-    @staticmethod
     def graded(
         a: float,
         b: float,
@@ -114,7 +110,10 @@ class Mesh:
         h_max: float = math.inf,
     ) -> "Mesh":
         """Uniform spacing ``h_min`` on [focus_lo, focus_hi], geometrically
-        coarsened by ``factor`` toward both domain ends, capped at ``h_max``."""
+        coarsened by ``factor`` toward both domain ends, capped at ``h_max``.
+        Both ends must be finite."""
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"mesh ends must be finite, got [{a!r}, {b!r}]")
         if not (a <= focus_lo < focus_hi <= b):
             raise ValueError("focus interval must lie inside the domain")
         if not (1.0 < factor <= 4.0):

@@ -36,8 +36,6 @@ __all__ = [
 class LcOperator:
     """Symmetric tridiagonal discretization of Lc (interior nodes only)."""
 
-    grid: np.ndarray  # interior nodes of the uniform resampling
-    h: float
     diag: np.ndarray
     offdiag: np.ndarray
 
@@ -53,7 +51,7 @@ def operator_from_potential(grid: np.ndarray, q: np.ndarray) -> LcOperator:
     h = float(grid[1] - grid[0])
     diag = -2.0 / h**2 + np.asarray(q, dtype=float)
     off = np.full(grid.size - 1, 1.0 / h**2)
-    return LcOperator(grid=grid, h=h, diag=diag, offdiag=off)
+    return LcOperator(diag=diag, offdiag=off)
 
 
 def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:

@@ -295,8 +295,9 @@ class _LogFrontSystem:
         return ab
 
     def seed(self, eps: float) -> np.ndarray:
-        """log of the tanh seed: affine tail left of the instability point,
-        log(sqrt(mu)) plateau to the right."""
+        """Start profile in w = log(u): affine tail of slope (1 + c)/2 up to
+        the instability point z_c, where it reaches log(c/4) (log(1/4) at
+        c = 0), then the plateau log(sqrt(mu)) floored at that level."""
         mu = self.mu_values(eps)
         c = self.c
         if c > 0.0:
@@ -366,8 +367,10 @@ def solve_front(
     """Solve the truncated front BVP with projection boundary conditions.
 
     The domain must satisfy L >= 5/eps so that the ramp sits within 1e-4 of
-    its limits at the truncation points.  Without a ``guess`` the solve is
-    seeded with sqrt(max(mu,0)) * (1 + tanh(zeta - zeta_c))/2.  The discrete
+    its limits at the truncation points.  Without a ``guess`` the solve
+    starts from ``_LogFrontSystem.seed``: in w = log(u), an affine tail of
+    slope (1 + c)/2 up to the instability point zeta_c where mu = c^2/4, then
+    the plateau log(sqrt(mu)), floored at the tail's level.  The discrete
     system is posed in the log-amplitude w = log(u) (the front's plateau
     passes exponentially close to u = 0, which an additive solve cannot
     resolve); the residual tolerance applies to that system.
@@ -377,7 +380,10 @@ def solve_front(
     if n < 2001:
         raise ValueError("front discretization needs n >= 2001")
     mesh = _default_mesh(params, domain_halflength, n)
-    system = _LogFrontSystem(mesh, params.c, params.ramp)
+    # a halflength past ~1e154 overflows the difference weights of the end
+    # cells to zero; the Newton step then raises JacobianSingularError
+    with np.errstate(over="ignore"):
+        system = _LogFrontSystem(mesh, params.c, params.ramp)
     if guess is not None:
         w0 = _log_profile(
             np.interp(mesh.nodes, guess.mesh.nodes, guess.u), system, params.epsilon
@@ -450,8 +456,8 @@ def front_branch(
     ramp: str = "tanh",
     strict: bool = True,
 ) -> FrontBranch:
-    """Continue the front family from the tanh seed at eps = 0.05 down
-    through each target (direct Newton from the seed fails below eps ~ 0.01).
+    """Continue the front family from the seed (``_LogFrontSystem.seed``)
+    at eps = 0.05 down through each target.
 
     One continuation in log(eps) on a single mesh takes every target as a
     stop and lands on it exactly.  Two changes of variables keep the
@@ -532,8 +538,9 @@ def _branch_mesh(c: float, eps_min: float, ramp: str) -> Mesh:
 
 def stationary_amplitude_at_pitchfork(fronts: Sequence[FrontSolution]) -> float:
     """Log-log least-squares exponent of u(xi = 0) against eps for a c = 0
-    branch.  Requires at least six converged entries spanning a decade; at
-    least four usable points after exclusions."""
+    branch.  Requires at least six entries, of which at least four are
+    usable (converged, with u(0) > 0); the usable entries must span a
+    decade in eps."""
     usable = [
         f
         for f in fronts

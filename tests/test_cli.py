@@ -17,6 +17,7 @@ from quenchfront import cli
 from quenchfront.folddelay import FoldPassageError
 from quenchfront.painleve import CertificateError, HMSolveError
 from quenchfront.pdesim import QuenchComparisonError, SimConfig, SimulationAbort, simulate
+from quenchfront.solvercore import JacobianSingularError
 from quenchfront.travelingwave import FrontSolveError
 
 
@@ -475,6 +476,7 @@ class TestExitTable:
         [
             (ValueError("refused"), 1, "error"),
             (FrontSolveError("no front"), 2, "solver failure"),
+            (JacobianSingularError(7), 2, "solver failure"),
             (HMSolveError("no connection"), 2, "solver failure"),
             (FoldPassageError("no passage"), 2, "solver failure"),
             (QuenchComparisonError("no crossing"), 2, "solver failure"),
@@ -549,8 +551,22 @@ class TestProcess:
             ),
             (["painleve", "--classify", "0.5,abc"], 1, "argument --classify:"),
             (["front", "--config", "typo.cfg"], 1, "key 'epsilon_typo' names no option"),
+            (["pde", "--dt", "0"], 1, "error: dt must be positive and finite"),
+            (
+                ["front", "--c", "1.2", "--eps", "0.0025", "--L", "inf"],
+                1,
+                "error: mesh ends must be finite",
+            ),
+            (
+                ["front", "--c", "1.2", "--eps", "0.0025", "--L", "1e300"],
+                2,
+                "solver failure: jacobian singular",
+            ),
         ],
-        ids=["seed-failure", "bad-classify", "unknown-config-key"],
+        ids=[
+            "seed-failure", "bad-classify", "unknown-config-key", "zero-dt", "infinite-L",
+            "singular-jacobian",
+        ],
     )
     def test_exit_code_without_traceback(self, tmp_path, args, code, message):
         (tmp_path / "typo.cfg").write_text("c = 1.2\neps = 0.004\nepsilon_typo = 0.004\nfold = true\n")

@@ -54,19 +54,30 @@ class TestRunFoldPassage:
 
     def test_monotone_delay(self):
         eps = np.geomspace(2e-5, 1e-3, 5)
-        theta = [run_fold_passage(1.2, e, 0.25, rtol=1e-9).theta_exit for e in eps]
+        theta = [run_fold_passage(1.2, e, 0.25).theta_exit for e in eps]
         assert np.all(np.diff(theta) > 0.0)
 
-    def test_chart_consistency(self, record_c12):
-        compact = run_fold_passage(1.2, 1e-4, 0.25, chart="arctan")
-        assert compact.compact_chart_used
-        assert not record_c12.compact_chart_used
-        assert abs(compact.theta_exit - record_c12.theta_exit) <= 1e-6
-
     def test_attraction_insensitivity(self, record_c12):
+        # the same field started 0.05 off the slow manifold is attracted to
+        # it and reads the same section crossing
+        eps, mu_c = 1e-4, 1.2 * 1.2 / 4.0
+        g = lambda theta: 1.0 - (theta + mu_c) ** 2
+        z0 = 0.5 + eps * g(-0.25)
+        section = lambda t, y: y[0] + 0.25
+        section.terminal = True
+        section.direction = -1
         for off in (0.05, -0.05):
-            rec = run_fold_passage(1.2, 1e-4, 0.25, z0_offset=off)
-            assert abs(rec.theta_exit - record_c12.theta_exit) < 1e-8
+            res = integrate_ode(
+                lambda t, y: np.array([-y[0] * y[0] - y[1], eps * g(y[1])]),
+                [z0 + off, -0.25],
+                (0.0, 20.0 / eps),
+                rtol=1e-10,
+                atol=1e-13,
+                events=[section],
+                stiff=True,
+            )
+            assert res.status == "event"
+            assert res.events[0].y[1] == pytest.approx(record_c12.theta_exit, abs=1e-8)
 
     @pytest.mark.parametrize("c", [1.2, 1.6])
     @pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3])
@@ -99,8 +110,6 @@ class TestRunFoldPassage:
             run_fold_passage(1.2, 0.1)
         with pytest.raises(ValueError):
             run_fold_passage(1.2, 1e-4, 0.8)
-        with pytest.raises(ValueError):
-            run_fold_passage(1.2, 1e-4, chart="polar")
 
 
 class TestNormalForm:
@@ -132,29 +141,33 @@ class TestNormalForm:
 
 class TestFit:
     def _synthetic(self, prefactor=3.0, c=1.2):
+        # theta_exit is set so that theta_fold, which the fit reads, is the
+        # exact power law prefactor eps^{2/3}
         eps = np.geomspace(1e-5, 1e-3, 6)
+        offset = 1.0 - c**4 / 16.0
         return [
-            FoldDelayRecord(c, e, prefactor * e ** (2.0 / 3.0), 0.25, False) for e in eps
+            FoldDelayRecord(c, e, prefactor * e ** (2.0 / 3.0) - offset * e / 0.25, 0.25, False)
+            for e in eps
         ]
 
     def test_synthetic_exact(self):
-        fit = fit_delay_scaling(self._synthetic(), remove_section_offset=False)
+        fit = fit_delay_scaling(self._synthetic())
         assert fit.exponent == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert fit.prefactor == pytest.approx(3.0, rel=1e-10)
 
     def test_reference_prefactor_value(self):
-        fit = fit_delay_scaling(self._synthetic(), remove_section_offset=False)
+        fit = fit_delay_scaling(self._synthetic())
         assert fit.reference_prefactor == pytest.approx(2.1315, abs=2e-4)
 
     @pytest.mark.parametrize("c", [0.4, 1.2, 1.6])
     def test_reference_prefactor_is_the_front_law(self, c):
         # the fit and the front BVP's delay law share one prefactor
-        fit = fit_delay_scaling(self._synthetic(c=c), remove_section_offset=False)
+        fit = fit_delay_scaling(self._synthetic(c=c))
         assert fit.reference_prefactor == delay_prefactor(c)
 
     def test_small_real_sweep(self):
         eps = np.geomspace(5e-5, 1.6e-3, 5)
-        recs = [run_fold_passage(1.2, e, 0.25, rtol=1e-9) for e in eps]
+        recs = [run_fold_passage(1.2, e, 0.25) for e in eps]
         fit = fit_delay_scaling(recs)
         assert fit.exponent == pytest.approx(2.0 / 3.0, abs=0.03)
         assert fit.prefactor == pytest.approx(fit.reference_prefactor, rel=0.06)

@@ -28,7 +28,7 @@ from quenchfront.solvercore import (
 
 class TestMesh:
     def test_uniform(self):
-        m = Mesh.uniform(0.0, 1.0, 11)
+        m = Mesh(np.linspace(0.0, 1.0, 11))
         assert m.count == 11
         assert np.allclose(m.spacing, 0.1)
 
