@@ -25,20 +25,21 @@ what they raise through the one table ``_FAILURES`` (``ValueError`` -> 1
 ``error:``; front, connection, fold-passage and quench-comparison failures
 and a singular Newton Jacobian -> 2 ``solver failure:``; certificates -> 3;
 simulation aborts -> 4).  A BVP ``delay-sweep`` that converges on fewer
-than 80 % of its points writes its results and exits 2.  Parsing refuses
+than 80 % of its points writes its results, then raises a front failure
+(exit 2, ``solver failure: k of n eps points converged``).  Parsing refuses
 with exit 1, before any work, a config key that names no option of the
 subcommand, a ``painleve --classify`` token that is not a finite number,
 and a ``delay-sweep --points`` below 1 or ``--eps-decade`` not LO:HI with
 both ends positive.  Before any solve, ``pde`` refuses with exit 1 a
-non-finite number, a ``--dt`` that is not positive and a ``--level``
-outside (0, 1), and ``front`` a non-finite ``--L``.  A ``--fold`` sweep
-too short to fit (refused before any passage runs) and a ``--compare`` run
-that is not a lab-frame homogeneous quench are usage errors; a compared
-front that never crosses the level or never leaves the transient is a
-solver failure.  ``front`` below eps = 1e-3 runs the eps-continuation,
-which sizes its own mesh, so an explicit ``--L`` or ``--n`` there is a
-usage error, as is a continuation (``front`` or the BVP ``delay-sweep``) at
-a speed so close to 2 that its start is refused.
+non-finite number, a ``--dt`` or ``--eps`` that is not positive and a
+``--level`` outside (0, 1), and ``front`` a non-finite ``--L``.  A
+``--fold`` sweep too short to fit (refused before any passage runs) and a
+``--compare`` run that is not a lab-frame homogeneous quench are usage
+errors; a compared front that never crosses the level or never leaves the
+transient is a solver failure.  ``front`` below eps = 1e-3 runs the
+eps-continuation, which sizes its own mesh, so an explicit ``--L`` or
+``--n`` there is a usage error, as is a continuation (``front`` or the BVP
+``delay-sweep``) at a speed so close to 2 that its start is refused.
 """
 
 from __future__ import annotations
@@ -376,7 +377,9 @@ def cmd_delay_sweep(args) -> int:
             f"(reference {summary['reference_prefactor']:.4f})"
         )
     _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
-    return EXIT_OK if converged >= 0.8 * total else EXIT_SOLVER
+    if converged < 0.8 * total:
+        raise FrontSolveError(f"{converged} of {total} eps points converged")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .solvercore import (
     Mesh,
@@ -262,6 +261,10 @@ def linearization_ground_state(sol: HMSolution, n_sub: int | None = None) -> Spe
     """The five largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with
     Dirichlet truncation on a uniform sub-mesh of ``n_sub`` nodes (default
     min(n, 4001)); the ground state must be negative."""
+    # imported here, not at module level: the front and pde commands never
+    # resample, and scipy.interpolate adds ~0.24 s to their import
+    from scipy.interpolate import CubicSpline
+
     _require_converged(sol)
     eta = sol.eta
     if n_sub is None:

@@ -112,6 +112,8 @@ class SimConfig:
             raise ValueError(f"unknown initial condition {self.ic!r}")
         if self.alpha < 0.0:
             raise ValueError("quench slope alpha must be >= 0")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         if self.n < 11:
             raise ValueError("need at least 11 grid points")
         if self.domain[1] <= self.domain[0]:
@@ -414,33 +416,26 @@ def relax(
 
 def predicted_front_path(epsilon: float, t_grid: Sequence[float]) -> np.ndarray:
     """Characteristic prediction x(t) = int_0^t 2 sqrt(mu(s)) ds for the
-    homogeneous quench mu(t) = tanh(eps t).
+    homogeneous quench mu(t) = tanh(eps t), in closed form.
 
-    The integrand's sqrt(t) corner at the origin is removed by substituting
-    s = tau^2; each stretch between consecutive grid times is then one
-    ``scipy.integrate.quad`` call in tau, to 1e-10 absolute and relative.
+    Substituting y = sqrt(tanh(eps s)) turns the integrand into
+    (4/eps) y^2/(1 - y^4), so x(t) = (2/eps) (artanh y - arctan y) with
+    y = sqrt(tanh(eps t)).  With x = eps t,
+
+        artanh y = x + log1p(y) + log1p(expm1(-2 x)/2)/2,
+
+    from (1 + y)/(1 - y) = (1 + y)^2 (1 + e^{-2x})/(2 e^{-2x}).  This stays
+    finite once tanh(x) rounds to 1 (x >~ 19) and is exactly 0 at t = 0.
+    The (2/eps) x term is added as 2t, so the large linear part carries no
+    rounding of eps t.
     """
-    # imported here, not at module level: scipy.integrate adds ~0.1 s to the
-    # package import, which every command pays
-    from scipy.integrate import quad
-
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0):
         raise ValueError("the clock starts at mu = 0: prediction needs t >= 0")
-
-    def integrand(tau):
-        return 4.0 * tau * math.sqrt(max(math.tanh(epsilon * (tau * tau)), 0.0))
-
-    order = np.argsort(t_grid)
-    roots = np.sqrt(t_grid[order])
-    out = np.empty(t_grid.size)
-    acc, prev_tau = 0.0, 0.0
-    for j, tau in zip(order, roots):
-        if tau > prev_tau:
-            acc += quad(integrand, prev_tau, tau, epsabs=1e-10, epsrel=1e-10)[0]
-        prev_tau = tau
-        out[j] = acc
-    return out
+    x = epsilon * t_grid
+    y = np.sqrt(np.tanh(x))
+    rest = np.log1p(y) + 0.5 * np.log1p(0.5 * np.expm1(-2.0 * x)) - np.arctan(y)
+    return 2.0 * t_grid + (2.0 / epsilon) * rest
 
 
 def check_quench_comparable(cfg: SimConfig) -> None:

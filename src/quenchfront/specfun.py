@@ -1,7 +1,9 @@
 """Airy data behind the two delay laws: the pair (Ai, Ai') from
 ``scipy.special.airy``, and the delay constant Omega0, the smallest positive
 zero of J_{-1/3}(2z^{3/2}/3) + J_{1/3}(2z^{3/2}/3) (the first zero of
-Ai(-z)), found by ``brentq`` on ``scipy.special.jv``.
+Ai(-z)).  Omega0 is stored as the double that ``brentq`` on
+``scipy.special.jv`` returns in [2, 3] at ``xtol=1e-15``, so no root finder
+is loaded to use it; ``tests/test_specfun.py`` re-derives it that way.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special
-from scipy.optimize import brentq
 
 __all__ = ["AiryPair", "Omega0", "airy", "omega0"]
+
+# brentq(_bessel_combination, 2.0, 3.0, xtol=1e-15), bit for bit;
+# scipy.special.ai_zeros(1) is 3.6e-15 away (2.3381074104597674), enough to
+# move a front solve that stops near its Newton tolerance
+_OMEGA0 = 2.338107410459764
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class Omega0:
     """Smallest positive zero of J_{-1/3}(2z^{3/2}/3) + J_{1/3}(2z^{3/2}/3).
 
     ``residual`` is the absolute value of that Bessel combination at the
-    returned root.
+    stored root.
     """
 
     value: float
@@ -55,7 +61,6 @@ def _bessel_combination(z: float) -> float:
 
 @lru_cache(maxsize=1)
 def omega0() -> Omega0:
-    """Root of the J_{+-1/3} combination in [2, 3] by ``brentq``
-    (``xtol=1e-15``); the first zero of Ai(-z), 2.338107..."""
-    root = brentq(_bessel_combination, 2.0, 3.0, xtol=1e-15)
-    return Omega0(value=root, residual=abs(_bessel_combination(root)))
+    """The stored root of the J_{+-1/3} combination, 2.338107...; the first
+    zero of Ai(-z).  ``residual`` is the combination evaluated there."""
+    return Omega0(value=_OMEGA0, residual=abs(_bessel_combination(_OMEGA0)))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .solvercore import Spectrum, eig_tridiag_symmetric
 from .travelingwave import FrontSolution
@@ -58,6 +57,10 @@ def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
     """Resample the front onto a uniform grid (cubic interpolation of u*,
     closed-form ramp) and assemble the symmetric tridiagonal Lc with
     Dirichlet truncation at the front domain's ends."""
+    # imported here, not at module level: the front and pde commands never
+    # resample, and scipy.interpolate adds ~0.24 s to their import
+    from scipy.interpolate import CubicSpline
+
     if not front.report.converged:
         raise ValueError("spectral assembly requires a converged front")
     zeta = front.mesh.nodes

@@ -175,6 +175,20 @@ class TestDelaySweep:
         assert 0.5 < summary["slope"] < 0.8
         assert summary["converged"] == 3
 
+    def test_too_few_converged_is_solver_failure(self, tmp_path, capsys):
+        front = SimpleNamespace(params=SimpleNamespace(epsilon=1e-3), mu_fr=0.37)
+        branch = SimpleNamespace(fronts=[front])
+        with mock.patch.object(cli, "front_branch", mock.Mock(return_value=branch)):
+            code, out = run(
+                ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-4:1e-3", "--points", "5"],
+                tmp_path,
+            )
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: 1 of 5 eps points converged\n"
+        summary = json.loads((out / "delay_sweep_summary.json").read_text())
+        assert (summary["converged"], summary["total"]) == (1, 5)
+        assert (out / "delay_sweep.csv").exists()
+
     @pytest.mark.parametrize("c", ["1.9", "1.95"])
     def test_speed_near_two_refused(self, tmp_path, capsys, c):
         code, out = run(
@@ -289,6 +303,15 @@ class TestPde:
             tmp_path,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("eps", ["0", "-0.005"])
+    def test_nonpositive_eps_is_usage_error(self, tmp_path, capsys, eps):
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = run(["pde", "--eps", eps, "--t-end", "40"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: epsilon must be positive\n"
+        sim.assert_not_called()
+        assert not list(out.glob("*"))
 
     def test_coarse_grid_default_dt_stays_in_invariant_region(self, tmp_path, capsys):
         # at h = 5 the accuracy limit 0.2 h = 1 would break the explicit

@@ -1,10 +1,14 @@
-"""Package-level checks: every exported name exists, and every command of
-the README's "Command line" block parses."""
+"""Package-level checks: every exported name exists, every command of the
+README's "Command line" block parses, and the ``pde`` and ``front`` paths
+load no scipy module they do not run."""
 
 import importlib
 import os
 import pkgutil
 import shlex
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -37,3 +41,35 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert args.func is getattr(cli, "cmd_" + args.command.replace("-", "_"))
+
+
+def test_pde_and_front_load_no_unused_scipy(tmp_path):
+    # in a fresh process: scipy.optimize, interpolate and integrate cost
+    # about 0.3 s and 20 MB of import, and none of these commands uses them
+    script = textwrap.dedent(
+        """
+        import sys
+        from quenchfront import cli
+
+        cases = [
+            ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
+            ["pde", "--frame", "comoving", "--c", "1.2", "--eps", "0.05", "--ic", "front-seed",
+             "--domain", "-20", "60", "--n", "201", "--t-end", "1"],
+            ["pde", "--eps", "0.05", "--domain", "0", "60", "--n", "301", "--t-end", "30",
+             "--compare"],
+            ["front", "--c", "1.2", "--eps", "0.01"],
+        ]
+        for argv in cases:
+            assert cli.main(argv + ["--outdir", "out"]) == 0, argv
+        heavy = ("scipy.optimize", "scipy.interpolate", "scipy.integrate")
+        print("loaded:", *(m for m in heavy if m in sys.modules))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(quenchfront.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"

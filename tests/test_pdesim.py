@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import lapack
 
 from quenchfront.pdesim import (
@@ -50,6 +51,7 @@ class TestConfig:
             dict(domain=(math.nan, 300.0)), dict(domain=(0.0, math.inf)),
             dict(t_end=math.nan), dict(t_end=math.inf), dict(track_level=math.nan),
             dict(track_level=0.0), dict(track_level=1.0), dict(track_level=5.0),
+            dict(epsilon=0.0), dict(epsilon=-0.005),
         ):
             with pytest.raises(ValueError):
                 SimConfig(**bad)
@@ -298,6 +300,22 @@ class TestPrediction:
         brute = h / 3.0 * (f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum())
         got = predicted_front_path(eps, [t])[0]
         assert got == pytest.approx(brute, abs=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-4, 2.5e-3, 5e-3, 0.05, 1.0])
+    def test_closed_form_against_quadrature(self, eps):
+        # oracle: adaptive quadrature in tau = sqrt(s) of the deficit
+        # 2 - 2 sqrt(tanh(eps s)), with x(t) = 2t - deficit.  The check
+        # compares x(t) - 2t with -deficit, so the oracle is not rounded to
+        # the scale of x (one ulp of x ~ 1e6 is 1.2e-10 at eps = 1e-4,
+        # eps t = 50)
+        t = np.concatenate([[0.0], np.geomspace(1e-6, 50.0, 40)]) / eps
+        got = predicted_front_path(eps, t)
+        for tk, xk in zip(t, got):
+            deficit = quad(
+                lambda tau: 4.0 * tau * (1.0 - math.sqrt(math.tanh(eps * tau * tau))),
+                0.0, math.sqrt(tk), epsabs=1e-13, epsrel=1e-13, limit=200,
+            )[0]
+            assert abs((xk - 2.0 * tk) + deficit) < 1e-10
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

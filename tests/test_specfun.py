@@ -14,6 +14,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from quenchfront import specfun
 
@@ -166,3 +167,11 @@ class TestOmega0:
             return scipy.special.jv(-1.0 / 3.0, t) + scipy.special.jv(1.0 / 3.0, t)
 
         assert combination(o.value - 1e-6) * combination(o.value + 1e-6) < 0.0
+
+    def test_stored_root_is_the_brentq_root(self):
+        # the stored double is exactly what the root finder returns, and
+        # within rounding of scipy's Airy zero (3.6e-15 away, not equal)
+        o = specfun.omega0()
+        assert o.value == brentq(specfun._bessel_combination, 2.0, 3.0, xtol=1e-15)
+        assert abs(o.value - -scipy.special.ai_zeros(1)[0][0]) < 1e-14
+        assert o.residual == abs(specfun._bessel_combination(o.value))
