@@ -2,7 +2,8 @@
 
 Each subcommand reproduces one quantitative claim about quenched fronts:
 
-* ``front``        -- one traveling/stationary front profile and its
+* ``front``        -- one traveling/stationary front profile behind the
+  tanh ramp mu = -tanh(eps (x - ct)), the only ramp solved, and its
   interface delay against the law mu_fr = c^2/4 + Omega0 (1-c^4/16)^{2/3}
   eps^{2/3}.
 * ``delay-sweep``  -- the eps^{2/3} delay scaling, from the full front BVP
@@ -26,13 +27,15 @@ what they raise through the one table ``_FAILURES`` (``ValueError`` -> 1
 and a singular Newton Jacobian -> 2 ``solver failure:``; certificates -> 3;
 simulation aborts -> 4).  A BVP ``delay-sweep`` that converges on fewer
 than 80 % of its points writes its results, then raises a front failure
-(exit 2, ``solver failure: k of n eps points converged``).  Parsing refuses
+(exit 2, ``solver failure: k of n eps points converged``); it fits a slope
+only when at least two distinct eps converged.  Parsing refuses
 with exit 1, before any work, a config key that names no option of the
 subcommand, a ``painleve --classify`` token that is not a finite number,
 and a ``delay-sweep --points`` below 1 or ``--eps-decade`` not LO:HI with
 both ends positive.  Before any solve, ``pde`` refuses with exit 1 a
 non-finite number, a ``--dt`` or ``--eps`` that is not positive and a
-``--level`` outside (0, 1), and ``front`` a non-finite ``--L``.  A
+``--level`` outside (0, 1), ``front`` a non-finite ``--L`` and ``painleve``
+a non-finite ``--window`` end.  A
 ``--fold`` sweep too short to fit (refused before any passage runs) and a
 ``--compare`` run that is not a lab-frame homogeneous quench are usage
 errors; a compared front that never crosses the level or never leaves the
@@ -242,8 +245,8 @@ def cmd_front(args) -> int:
         raise ValueError("front needs --c and --eps (flags or config file)")
     c, eps = args.c, args.eps
     outdir = _outdir(args)
-    params = {"c": c, "eps": eps, "ramp": args.ramp}
-    quench = QuenchParams(c, eps, args.ramp)
+    params = {"c": c, "eps": eps}
+    quench = QuenchParams(c, eps)
     if eps < 1e-3 and (args.L is not None or args.n is not None):
         raise ValueError(
             "--L and --n apply only at eps >= 1e-3; below it the "
@@ -256,7 +259,7 @@ def cmd_front(args) -> int:
             params.update(L=half, n=n)
             sol = solve_front(quench, half, n=n)
         else:
-            sol = front_branch(c, [eps], ramp=args.ramp).fronts[0]
+            sol = front_branch(c, [eps]).fronts[0]
     except FrontSolveError as exc:
         report = exc.report
         _write_json(
@@ -344,7 +347,7 @@ def cmd_delay_sweep(args) -> int:
         converged = len(records)
         total = len(eps_list)
     else:
-        branch = front_branch(args.c, eps_list, ramp="tanh", strict=False)
+        branch = front_branch(args.c, eps_list, strict=False)
         got = {f.params.epsilon: f for f in branch.fronts}
         delays = []
         for e in eps_list:
@@ -358,13 +361,13 @@ def cmd_delay_sweep(args) -> int:
                 delays.append((f.params.epsilon, f.mu_fr - mu_c))
         columns = ["eps", "mu_fr", "delay", "mu_fr_pred", "converged"]
         converged, total = len(delays), len(eps_list)
-        if len(delays) >= 2:
+        if len({d[0] for d in delays}) >= 2:
             le = np.log([d[0] for d in delays])
             ld = np.log([d[1] for d in delays])
             slope, intercept = np.polyfit(le, ld, 1)
             summary.update(slope=float(slope), prefactor=float(math.exp(intercept)))
         else:
-            summary["fit"] = "refused: need at least 2 converged points"
+            summary["fit"] = "refused: need at least 2 distinct converged eps"
     summary["converged"] = converged
     summary["total"] = total
     csv_path = _write_csv(os.path.join(outdir, "delay_sweep.csv"), params, columns, rows)
@@ -594,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=int, default=None, help="mesh nodes (default 4001); only for eps >= 1e-3"
     )
-    p.add_argument("--ramp", choices=["tanh", "linear-clipped"], default="tanh")
     p.set_defaults(func=cmd_front)
 
     p = sub.add_parser(

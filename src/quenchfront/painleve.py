@@ -103,9 +103,11 @@ def left_boundary_value(l_minus: float) -> float:
 def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8001) -> HMSolution:
     """Global Newton solve of the truncated connection problem.
 
-    Requires l_minus >= 8 (the dropped tail term is ~73/(128 L^6)),
-    l_plus >= 6, and n >= 4001.
+    Requires a finite window with l_minus >= 8 (the dropped tail term is
+    ~73/(128 L^6)) and l_plus >= 6, and n >= 4001.
     """
+    if not (math.isfinite(l_minus) and math.isfinite(l_plus)):
+        raise ValueError(f"window ends must be finite, got ({l_minus}, {l_plus})")
     if l_minus < 8.0:
         raise ValueError("left window must reach at least eta = -8")
     if l_plus < 6.0:

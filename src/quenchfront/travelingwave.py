@@ -6,10 +6,11 @@ variable zeta = -(x - ct),
     u'' - c u' + mu(zeta) u - u^3 = 0,
     u(-inf) = 0,   u(+inf) = 1,
 
-with the ramp mu(zeta) = tanh(eps * zeta) (or its clipped-linear variant).
-The stationary quench c = 0 is the mirror image of the same problem, so a
-single discretization covers both; xi-based diagnostics for c = 0 use
-xi = -zeta.
+with the ramp mu(zeta) = tanh(eps * zeta): the paper's mu = -tanh(eps (x - ct))
+in the solve variable, and the only ramp solved.  The delay law's prefactor
+is built from its slope 1 - mu_c^2 at mu_c = c^2/4.  The stationary quench
+c = 0 is the mirror image of the same problem, so a single discretization
+covers both; xi-based diagnostics for c = 0 use xi = -zeta.
 
 The truncated problem closes with projection boundary conditions: at the
 left end (u, u') must lie in the unstable eigendirection of the
@@ -79,34 +80,26 @@ class NoInterfaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuenchParams:
-    """Quench speed/steepness pair plus the ramp shape.
+    """Quench speed/steepness pair of the tanh ramp.
 
-    In the original frame xi = x - ct the ramp is mu(xi) = -tanh(eps*xi)
-    (or clamp(-eps*xi, -1, 1)); in the solve variable zeta = -xi it is
-    tanh(eps*zeta).
+    In the original frame xi = x - ct the ramp is mu(xi) = -tanh(eps*xi); in
+    the solve variable zeta = -xi it is tanh(eps*zeta).
     """
 
     c: float
     epsilon: float
-    ramp: str = "tanh"
 
     def __post_init__(self):
         if not (0.0 <= self.c < 2.0):
             raise ValueError("quench speed must lie in [0, 2)")
         if not (0.0 < self.epsilon <= 0.1):
             raise ValueError("ramp rate must lie in (0, 0.1]")
-        if self.ramp not in ("tanh", "linear-clipped"):
-            raise ValueError(f"unknown ramp shape {self.ramp!r}")
 
     def mu_of_zeta(self, zeta):
-        if self.ramp == "tanh":
-            return np.tanh(self.epsilon * np.asarray(zeta, dtype=float))
-        return np.clip(self.epsilon * np.asarray(zeta, dtype=float), -1.0, 1.0)
+        return np.tanh(self.epsilon * np.asarray(zeta, dtype=float))
 
     def zeta_of_mu(self, mu: float) -> float:
-        if self.ramp == "tanh":
-            return math.atanh(mu) / self.epsilon
-        return mu / self.epsilon
+        return math.atanh(mu) / self.epsilon
 
 
 @dataclass
@@ -200,10 +193,9 @@ class _LogFrontSystem:
     varies; the unshifted problem has phase 0.
     """
 
-    def __init__(self, mesh: Mesh, c: float, ramp: str, phase_fn=None):
+    def __init__(self, mesh: Mesh, c: float, phase_fn=None):
         self.mesh = mesh
         self.c = c
-        self.ramp = ramp
         self.phase_fn = phase_fn
         z = mesh.nodes
         h = np.diff(z)
@@ -235,10 +227,7 @@ class _LogFrontSystem:
 
     def mu_values(self, epsilon: float, z: np.ndarray | None = None) -> np.ndarray:
         """The ramp at the mesh nodes, or at the stored-frame points ``z``."""
-        arg = epsilon * (self.mesh.nodes if z is None else z) + self.phase(epsilon)
-        if self.ramp == "tanh":
-            return np.tanh(arg)
-        return np.clip(arg, -1.0, 1.0)
+        return np.tanh(epsilon * (self.mesh.nodes if z is None else z) + self.phase(epsilon))
 
     def true_zeta(self, epsilon: float) -> np.ndarray:
         return self.mesh.nodes + self.phase(epsilon) / epsilon
@@ -301,7 +290,7 @@ class _LogFrontSystem:
         mu = self.mu_values(eps)
         c = self.c
         if c > 0.0:
-            arg_c = math.atanh(c * c / 4.0) if self.ramp == "tanh" else c * c / 4.0
+            arg_c = math.atanh(c * c / 4.0)
             level = math.log(c / 4.0)
         else:
             arg_c = 0.0
@@ -358,19 +347,14 @@ def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mes
     )
 
 
-def solve_front(
-    params: QuenchParams,
-    domain_halflength: float,
-    n: int = 4001,
-    guess: FrontSolution | None = None,
-) -> FrontSolution:
+def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -> FrontSolution:
     """Solve the truncated front BVP with projection boundary conditions.
 
     The domain must satisfy L >= 5/eps so that the ramp sits within 1e-4 of
-    its limits at the truncation points.  Without a ``guess`` the solve
-    starts from ``_LogFrontSystem.seed``: in w = log(u), an affine tail of
-    slope (1 + c)/2 up to the instability point zeta_c where mu = c^2/4, then
-    the plateau log(sqrt(mu)), floored at the tail's level.  The discrete
+    its limits at the truncation points.  The solve starts from
+    ``_LogFrontSystem.seed``: in w = log(u), an affine tail of slope
+    (1 + c)/2 up to the instability point zeta_c where mu = c^2/4, then the
+    plateau log(sqrt(mu)), floored at the tail's level.  The discrete
     system is posed in the log-amplitude w = log(u) (the front's plateau
     passes exponentially close to u = 0, which an additive solve cannot
     resolve); the residual tolerance applies to that system.
@@ -383,17 +367,11 @@ def solve_front(
     # a halflength past ~1e154 overflows the difference weights of the end
     # cells to zero; the Newton step then raises JacobianSingularError
     with np.errstate(over="ignore"):
-        system = _LogFrontSystem(mesh, params.c, params.ramp)
-    if guess is not None:
-        w0 = _log_profile(
-            np.interp(mesh.nodes, guess.mesh.nodes, guess.u), system, params.epsilon
-        )
-    else:
-        w0 = system.seed(params.epsilon)
+        system = _LogFrontSystem(mesh, params.c)
     w, report = solve_bvp(
         residual=lambda w: system.residual(w, params.epsilon),
         jacobian=lambda w: system.jacobian(w, params.epsilon),
-        initial_guess=w0,
+        initial_guess=system.seed(params.epsilon),
         tol=_TOL,
         corners=system.corners,
         max_iter=80,
@@ -405,20 +383,6 @@ def solve_front(
             report,
         )
     return system.front_solution(w, params, report)
-
-
-def _log_profile(u: np.ndarray, system: _LogFrontSystem, eps: float) -> np.ndarray:
-    """log of a sampled profile; the unresolvable left tail (underflow in u)
-    is continued affinely with the left projection slope."""
-    nu_u, _, _ = system.closures(eps)
-    z = system.mesh.nodes
-    floor = max(float(np.max(u)), 1e-30) * 1e-290
-    w = np.log(np.maximum(u, floor))
-    ok = u > floor
-    if not ok.all() and ok.any():
-        i0 = int(np.argmax(ok))
-        w[:i0] = w[i0] + nu_u * (z[:i0] - z[i0])
-    return w
 
 
 def front_location(sol: FrontSolution) -> tuple[float, float]:
@@ -453,11 +417,10 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
 def front_branch(
     c: float,
     eps_targets: Sequence[float],
-    ramp: str = "tanh",
     strict: bool = True,
 ) -> FrontBranch:
-    """Continue the front family from the seed (``_LogFrontSystem.seed``)
-    at eps = 0.05 down through each target.
+    """Continue the tanh-ramp front family from its seed
+    (``_LogFrontSystem.seed``) at eps = 0.05 down through each target.
 
     One continuation in log(eps) on a single mesh takes every target as a
     stop and lands on it exactly.  Two changes of variables keep the
@@ -466,29 +429,26 @@ def front_branch(
     origin while the physical interface travels O(1/eps)), and the unknown
     is the log-amplitude w = log(u) (so the exponentially small plateau is
     resolved relatively, not additively).  Each front is returned in the
-    unshifted u-variables with its target as ``params.epsilon``.  With the
-    tanh ramp the shift is atanh(predicted_delay(c, eps)), so a start where
-    that prediction reaches 1 (c near 2) raises ``ValueError``.
+    unshifted u-variables with its target as ``params.epsilon``.  The shift
+    is atanh(predicted_delay(c, eps)), so a start where that prediction
+    reaches 1 (c near 2) raises ``ValueError``.
     """
     targets = sorted(set(float(e) for e in eps_targets), reverse=True)
     if not targets or targets[-1] <= 0.0 or targets[0] > _EPS_START:
         raise ValueError(f"need at least one target, all in (0, {_EPS_START}]")
     if c > 0.0:
-        if ramp == "tanh":
-            mu_start = predicted_delay(c, _EPS_START)
-            if mu_start >= 1.0:
-                raise ValueError(
-                    f"predicted interface mu_fr = {mu_start:.4f} >= 1 at c={c}, "
-                    f"eps_start={_EPS_START}: the atanh phase of the shifted frame is "
-                    "undefined there"
-                )
-            phase_fn = lambda e: math.atanh(predicted_delay(c, e))
-        else:
-            phase_fn = lambda e: predicted_delay(c, e)
+        mu_start = predicted_delay(c, _EPS_START)
+        if mu_start >= 1.0:
+            raise ValueError(
+                f"predicted interface mu_fr = {mu_start:.4f} >= 1 at c={c}, "
+                f"eps_start={_EPS_START}: the atanh phase of the shifted frame is "
+                "undefined there"
+            )
+        phase_fn = lambda e: math.atanh(predicted_delay(c, e))
     else:
         phase_fn = None
-    mesh = _branch_mesh(c, targets[-1], ramp)
-    system = _LogFrontSystem(mesh, c, ramp, phase_fn)
+    mesh = _branch_mesh(c, targets[-1])
+    system = _LogFrontSystem(mesh, c, phase_fn)
     problem = ParameterizedBVP(
         residual=lambda w, s: system.residual(w, math.exp(s)),
         jacobian=lambda w, s: system.jacobian(w, math.exp(s)),
@@ -503,7 +463,7 @@ def front_branch(
         raise FrontSolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
     landed = {e.param: e for e in branch.entries}
     fronts = [
-        system.front_solution(landed[s].solution, QuenchParams(c, eps, ramp), landed[s].report)
+        system.front_solution(landed[s].solution, QuenchParams(c, eps), landed[s].report)
         for eps, s in zip(targets, stops[1:])
         if s in landed
     ]
@@ -515,14 +475,14 @@ def front_branch(
     return FrontBranch(fronts=fronts, branch=branch, mesh=mesh, system=system)
 
 
-def _branch_mesh(c: float, eps_min: float, ramp: str) -> Mesh:
+def _branch_mesh(c: float, eps_min: float) -> Mesh:
     """One mesh serving the whole eps-continuation, in the shifted frame
     where the interface sits near the origin.  Fine spacing covers the
     take-off zone between the instability point and the interface; the ends
     keep the ramp within 1e-4 of its limits for every eps in range."""
     scale = eps_min ** (-1.0 / 3.0)
     if c > 0.0:
-        p_min = QuenchParams(c, eps_min, ramp)
+        p_min = QuenchParams(c, eps_min)
         zfp = p_min.zeta_of_mu(predicted_delay(c, eps_min))
         span = zfp - p_min.zeta_of_mu(c * c / 4.0)
         lo = -span - max(40.0, 2.0 * scale)

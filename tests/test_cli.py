@@ -114,6 +114,24 @@ class TestFront:
         assert "c=1.9, eps_start=0.05" in err and "atanh phase" in err
         assert not (out / "front_profile.csv").exists()
 
+    def test_ramp_option_gone(self, tmp_path, capsys):
+        code, out = run(
+            ["front", "--c", "1.2", "--eps", "0.0025", "--ramp", "linear-clipped"], tmp_path
+        )
+        assert code == 1
+        assert "unrecognized arguments: --ramp" in capsys.readouterr().err
+        assert not (out / "front_profile.csv").exists()
+
+    def test_ramp_config_key_refused(self, tmp_path, capsys):
+        cfgfile = tmp_path / "front.cfg"
+        cfgfile.write_text("c = 1.2\neps = 0.0025\nramp = tanh\n")
+        with mock.patch.object(cli, "solve_front") as solve:
+            code, out = run(["front", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        assert "key 'ramp' names no option" in capsys.readouterr().err
+        solve.assert_not_called()
+        assert not (out / "front_profile.csv").exists()
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this line has no equals sign\n")
@@ -174,6 +192,17 @@ class TestDelaySweep:
         summary = json.loads((out / "delay_sweep_summary.json").read_text())
         assert 0.5 < summary["slope"] < 0.8
         assert summary["converged"] == 3
+
+    def test_repeated_eps_fit_refused(self, tmp_path, capsys):
+        code, out = run(
+            ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-3:1e-3", "--points", "3"], tmp_path
+        )
+        assert code == 0
+        assert "slope" not in capsys.readouterr().out
+        summary = json.loads((out / "delay_sweep_summary.json").read_text())
+        assert summary["fit"] == "refused: need at least 2 distinct converged eps"
+        assert "slope" not in summary and "prefactor" not in summary
+        assert (summary["converged"], summary["total"]) == (3, 3)
 
     def test_too_few_converged_is_solver_failure(self, tmp_path, capsys):
         front = SimpleNamespace(params=SimpleNamespace(epsilon=1e-3), mu_fr=0.37)
@@ -254,6 +283,17 @@ class TestPainleve:
     def test_window_flag(self, tmp_path):
         code, out = run(["painleve", "--window", "12", "8", "--n", "4001"], tmp_path)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "window", [("nan", "8"), ("inf", "8"), ("12", "nan"), ("12", "inf")],
+        ids=["left-nan", "left-inf", "right-nan", "right-inf"],
+    )
+    def test_non_finite_window_refused(self, tmp_path, capsys, window):
+        code, out = run(["painleve", "--window", *window], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window ends must be finite") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestPde:
