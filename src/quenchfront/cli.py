@@ -39,10 +39,13 @@ a non-finite ``--window`` end.  A
 ``--fold`` sweep too short to fit (refused before any passage runs) and a
 ``--compare`` run that is not a lab-frame homogeneous quench are usage
 errors; a compared front that never crosses the level or never leaves the
-transient is a solver failure.  ``front`` below eps = 1e-3 runs the
-eps-continuation, which sizes its own mesh, so an explicit ``--L`` or
-``--n`` there is a usage error, as is a continuation (``front`` or the BVP
-``delay-sweep``) at a speed so close to 2 that its start is refused.
+transient is a solver failure.  ``front`` solves by direct Newton at
+every eps, on ``--L`` and ``--n``, and falls back to the eps-continuation
+(its own mesh) only where that does not converge; ``front_diagnostics.json``
+records which ran as ``"solver"``.  An ``--L`` whose half falls short of
+the instability point atanh(c^2/4)/eps is refused with exit 1.  A continuation that refuses the case
+(c near 2, or eps above its start 0.05) leaves the direct failure to
+report, exit 2; the BVP ``delay-sweep`` refuses such a c with exit 1.
 """
 
 from __future__ import annotations
@@ -239,27 +242,31 @@ def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
 # front
 # ---------------------------------------------------------------------------
 
+def _solve_front_or_continue(quench: QuenchParams, half: float, n: int):
+    """(front, "direct") from Newton on +-``half`` with about ``n`` nodes;
+    where that does not converge, (front, "continuation").  A continuation
+    that refuses the case re-raises the direct failure."""
+    try:
+        return solve_front(quench, half, n=n), "direct"
+    except FrontSolveError as direct:
+        try:
+            return front_branch(quench.c, [quench.epsilon]).fronts[0], "continuation"
+        except ValueError:
+            raise direct from None
+
+
 def cmd_front(args) -> int:
     t0 = time.time()
     if args.c is None or args.eps is None:
         raise ValueError("front needs --c and --eps (flags or config file)")
     c, eps = args.c, args.eps
     outdir = _outdir(args)
-    params = {"c": c, "eps": eps}
     quench = QuenchParams(c, eps)
-    if eps < 1e-3 and (args.L is not None or args.n is not None):
-        raise ValueError(
-            "--L and --n apply only at eps >= 1e-3; below it the "
-            "eps-continuation sizes its own mesh"
-        )
+    half = args.L if args.L is not None else 5.0 / eps
+    n = args.n if args.n is not None else 4001
+    params = {"c": c, "eps": eps, "L": half, "n": n}
     try:
-        if eps >= 1e-3:
-            half = args.L if args.L is not None else 5.0 / eps
-            n = args.n if args.n is not None else 4001
-            params.update(L=half, n=n)
-            sol = solve_front(quench, half, n=n)
-        else:
-            sol = front_branch(c, [eps]).fronts[0]
+        sol, solver = _solve_front_or_continue(quench, half, n)
     except FrontSolveError as exc:
         report = exc.report
         _write_json(
@@ -272,7 +279,8 @@ def cmd_front(args) -> int:
         )
         raise
 
-    meta = dict(params)
+    # the continuation sizes its own mesh; the diagnostics record it
+    meta = dict(params) if solver == "direct" else {"c": c, "eps": eps}
     columns = ["zeta", "xi", "mu", "u", "v"]
     rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v)
     if c == 0.0:
@@ -295,6 +303,7 @@ def cmd_front(args) -> int:
         "iterations": sol.report.iterations,
         "n": sol.mesh.count,
         "L": 0.5 * float(sol.zeta[-1] - sol.zeta[0]),
+        "solver": solver,
     }
     diag_path = _write_json(os.path.join(outdir, "front_diagnostics.json"), diag)
     if c > 0:
@@ -592,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument(
         "--L", type=float, default=None,
-        help="domain halflength (default 5/eps); only for eps >= 1e-3",
+        help="domain halflength of the direct solve (default 5/eps)",
     )
     p.add_argument(
-        "--n", type=int, default=None, help="mesh nodes (default 4001); only for eps >= 1e-3"
+        "--n", type=int, default=None, help="mesh nodes of the direct solve (default 4001)"
     )
     p.set_defaults(func=cmd_front)
 

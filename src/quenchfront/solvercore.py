@@ -23,7 +23,6 @@ __all__ = [
     "NewtonReport",
     "BranchEntry",
     "ContinuationBranch",
-    "ParameterizedBVP",
     "OdeResult",
     "EventRecord",
     "Spectrum",
@@ -249,21 +248,6 @@ def solve_bvp(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ParameterizedBVP:
-    """A discrete system depending on one scalar parameter.
-
-    ``max_iter`` raises the per-corrector Newton budget for problems whose
-    convergence degrades to a linear rate (near-singular branches).
-    """
-
-    residual: Callable[[np.ndarray, float], np.ndarray]
-    jacobian: Callable[[np.ndarray, float], np.ndarray]
-    corners: tuple[float, float] = (0.0, 0.0)
-    tol: float = 1e-10
-    max_iter: int = 50
-
-
-@dataclass
 class BranchEntry:
     param: float
     solution: np.ndarray
@@ -282,13 +266,14 @@ class ContinuationBranch:
 
 
 def continue_branch(
-    problem: ParameterizedBVP,
+    correct: Callable[[np.ndarray, float], tuple[np.ndarray, NewtonReport]],
     start: np.ndarray,
     param_range: Sequence[float],
     step0: float,
 ) -> ContinuationBranch:
-    """Natural-parameter continuation with a secant predictor and Newton
-    corrector, from ``param_range[0]`` through each later entry in turn.
+    """Natural-parameter continuation with a secant predictor and the
+    corrector ``correct(guess, param) -> (solution, NewtonReport)``, from
+    ``param_range[0]`` through each later entry in turn.
 
     The entries must run in one direction; every one after the first is a
     stop that the branch lands on exactly (the step to it is shortened to
@@ -303,18 +288,8 @@ def continue_branch(
     if len(stops) < 2 or any((b - a) * direction < 0.0 for a, b in zip(stops, stops[1:])):
         raise ValueError("param_range needs a start and stops ordered in one direction")
 
-    def correct(p: float, guess: np.ndarray) -> tuple[np.ndarray, NewtonReport]:
-        return solve_bvp(
-            lambda x: problem.residual(x, p),
-            lambda x: problem.jacobian(x, p),
-            guess,
-            problem.tol,
-            problem.corners,
-            problem.max_iter,
-        )
-
     p_prev = stops[0]
-    x_prev, rep0 = correct(p_prev, start)
+    x_prev, rep0 = correct(start, p_prev)
     if not rep0.converged:
         raise ContinuationError(f"start solution does not converge at parameter {p_prev}", rep0)
     entries = [BranchEntry(p_prev, x_prev, rep0)]
@@ -331,7 +306,7 @@ def continue_branch(
             else:
                 frac = (p_new - p_prev) / (p_prev - p_prev2)
                 guess = x_prev + frac * (x_prev - x_prev2)
-            x_new, rep = correct(p_new, guess)
+            x_new, rep = correct(guess, p_new)
             if rep.converged:
                 entries.append(BranchEntry(p_new, x_new, rep))
                 steps.append(direction * h)

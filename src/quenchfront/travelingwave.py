@@ -34,7 +34,6 @@ from .solvercore import (
     ContinuationError,
     Mesh,
     NewtonReport,
-    ParameterizedBVP,
     continue_branch,
     solve_bvp,
 )
@@ -251,30 +250,26 @@ class _LogFrontSystem:
     def residual(self, w: np.ndarray, epsilon: float) -> np.ndarray:
         mu = self.mu_values(epsilon)
         nu_u, nu_s, u_plus = self.closures(epsilon)
-        c = self.c
+        d1 = self.derivative(w)
         r = np.empty_like(w)
         wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        d1 = self.d1m * wm + self.d1c * wc + self.d1p * wp
+        dc = d1[1:-1]
         r[1:-1] = (
-            self.d2m * wm + self.d2c * wc + self.d2p * wp + d1 * d1 - c * d1 + mu[1:-1]
+            self.d2m * wm + self.d2c * wc + self.d2p * wp + dc * dc - self.c * dc + mu[1:-1]
             - np.exp(2.0 * wc)
         )
-        a0, b0, c0 = self.left_stencil
-        r[0] = a0 * w[0] + b0 * w[1] + c0 * w[2] - nu_u
-        a1, b1, c1 = self.right_stencil
-        r[-1] = a1 * w[-3] + b1 * w[-2] + c1 * w[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+        r[0] = d1[0] - nu_u
+        r[-1] = d1[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
         return r
 
     def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
         """Tridiagonal part of the Jacobian in (1, 1) band storage; the two
         corners outside it are the constants ``self.corners``."""
         _, nu_s, u_plus = self.closures(epsilon)
-        n = w.size
-        wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        g = 2.0 * (self.d1m * wm + self.d1c * wc + self.d1p * wp) - self.c
-        ab = np.empty((3, n))
+        g = 2.0 * self.derivative(w)[1:-1] - self.c
+        ab = np.empty((3, w.size))
         ab[0, 2:] = self.d2p + g * self.d1p
-        ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * wc)
+        ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * w[1:-1])
         ab[2, :-2] = self.d2m + g * self.d1m
         a0, b0, _ = self.left_stencil
         ab[0, 0], ab[0, 1], ab[1, 0] = 0.0, b0, a0
@@ -282,6 +277,18 @@ class _LogFrontSystem:
         ab[2, -2], ab[2, -1] = b1, 0.0
         ab[1, -1] = c1 - nu_s * u_plus * np.exp(-w[-1])
         return ab
+
+    def solve(self, guess: np.ndarray, epsilon: float) -> tuple[np.ndarray, NewtonReport]:
+        """Newton at ramp rate ``epsilon`` from ``guess``, to ``_TOL`` in at
+        most 80 iterations: the front layer's one Newton set-up.  The result
+        may be unconverged (``report.converged``).  A trial step whose
+        e^{2w} overflows has an infinite residual, which the line search
+        halves away, so the overflow is not reported."""
+        with np.errstate(over="ignore"):
+            return solve_bvp(
+                lambda w: self.residual(w, epsilon), lambda w: self.jacobian(w, epsilon),
+                guess, _TOL, self.corners, max_iter=80,
+            )
 
     def seed(self, eps: float) -> np.ndarray:
         """Start profile in w = log(u): affine tail of slope (1 + c)/2 up to
@@ -363,19 +370,20 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
         raise ValueError("domain too short: need halflength >= 5/epsilon")
     if n < 2001:
         raise ValueError("front discretization needs n >= 2001")
+    zeta_c = params.zeta_of_mu(params.c**2 / 4.0)
+    if zeta_c >= 0.5 * domain_halflength:
+        # the mesh is graded toward [zeta_c, interface], clipped to +-L/2
+        raise ValueError(
+            f"instability point zeta_c = {zeta_c:.1f} at c={params.c}, eps={params.epsilon} "
+            f"lies beyond L/2 = {0.5 * domain_halflength:.1f}; --L must exceed "
+            f"2 zeta_c = {2.0 * zeta_c:.1f}"
+        )
     mesh = _default_mesh(params, domain_halflength, n)
     # a halflength past ~1e154 overflows the difference weights of the end
     # cells to zero; the Newton step then raises JacobianSingularError
     with np.errstate(over="ignore"):
         system = _LogFrontSystem(mesh, params.c)
-    w, report = solve_bvp(
-        residual=lambda w: system.residual(w, params.epsilon),
-        jacobian=lambda w: system.jacobian(w, params.epsilon),
-        initial_guess=system.seed(params.epsilon),
-        tol=_TOL,
-        corners=system.corners,
-        max_iter=80,
-    )
+    w, report = system.solve(system.seed(params.epsilon), params.epsilon)
     if not report.converged:
         raise FrontSolveError(
             f"front solve failed at c={params.c}, eps={params.epsilon} "
@@ -423,15 +431,18 @@ def front_branch(
     (``_LogFrontSystem.seed``) at eps = 0.05 down through each target.
 
     One continuation in log(eps) on a single mesh takes every target as a
-    stop and lands on it exactly.  Two changes of variables keep the
-    correctors quadratic all the way down: the frame is shifted by the
-    predicted interface position (so the jump stays pinned near the mesh
-    origin while the physical interface travels O(1/eps)), and the unknown
-    is the log-amplitude w = log(u) (so the exponentially small plateau is
-    resolved relatively, not additively).  Each front is returned in the
-    unshifted u-variables with its target as ``params.epsilon``.  The shift
-    is atanh(predicted_delay(c, eps)), so a start where that prediction
-    reaches 1 (c near 2) raises ``ValueError``.
+    stop and lands on it exactly, each corrector being
+    ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.  The
+    ``front`` command runs this only where that direct solve does not
+    converge.  Two changes of variables keep the correctors quadratic all
+    the way down: the frame is shifted by the predicted interface position
+    (so the jump stays pinned near the mesh origin while the physical
+    interface travels O(1/eps)), and the unknown is the log-amplitude
+    w = log(u) (so the exponentially small plateau is resolved relatively,
+    not additively).  Each front is returned in the unshifted u-variables
+    with its target as ``params.epsilon``.  The shift is
+    atanh(predicted_delay(c, eps)), so a start where that prediction reaches
+    1 (c near 2) raises ``ValueError``, as does a target above the start.
     """
     targets = sorted(set(float(e) for e in eps_targets), reverse=True)
     if not targets or targets[-1] <= 0.0 or targets[0] > _EPS_START:
@@ -449,16 +460,10 @@ def front_branch(
         phase_fn = None
     mesh = _branch_mesh(c, targets[-1])
     system = _LogFrontSystem(mesh, c, phase_fn)
-    problem = ParameterizedBVP(
-        residual=lambda w, s: system.residual(w, math.exp(s)),
-        jacobian=lambda w, s: system.jacobian(w, math.exp(s)),
-        corners=system.corners,
-        tol=_TOL,
-        max_iter=80,
-    )
     stops = [math.log(e) for e in [_EPS_START, *targets]]
+    correct = lambda w, s: system.solve(w, math.exp(s))
     try:
-        branch = continue_branch(problem, system.seed(_EPS_START), stops, 0.4)
+        branch = continue_branch(correct, system.seed(_EPS_START), stops, 0.4)
     except ContinuationError as exc:
         raise FrontSolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
     landed = {e.param: e for e in branch.entries}

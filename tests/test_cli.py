@@ -18,7 +18,7 @@ from quenchfront.folddelay import FoldPassageError
 from quenchfront.painleve import CertificateError, HMSolveError
 from quenchfront.pdesim import QuenchComparisonError, SimConfig, SimulationAbort, simulate
 from quenchfront.solvercore import JacobianSingularError
-from quenchfront.travelingwave import FrontSolveError
+from quenchfront.travelingwave import FrontSolveError, front_branch
 
 
 def run(args, tmp_path, sub=""):
@@ -77,41 +77,115 @@ class TestFront:
         assert diag["eps"] == 0.004  # flag wins over config entry
 
     def test_diagnostics_record_the_mesh_used(self, tmp_path, capsys):
-        # direct solve (eps >= 1e-3) and eps-continuation (eps < 1e-3)
-        for sub, eps, half in (("direct", "0.0025", 2000.0), ("branch", "0.0005", None)):
+        # direct Newton on +-L (default 5/eps) at every eps
+        for sub, eps, half in (("above", "0.0025", 2000.0), ("below", "0.0005", 10000.0)):
             code, out = run(["front", "--c", "1.2", "--eps", eps], tmp_path, sub)
             assert code == 0
             meta, body = read_meta(out / "front_profile.csv")
             diag = json.loads((out / "front_diagnostics.json").read_text())
             zeta = body[:, 0]
+            assert diag["solver"] == "direct"
             assert diag["n"] == body.shape[0]
             assert diag["L"] == pytest.approx(0.5 * (zeta[-1] - zeta[0]), rel=1e-12)
-            if half is not None:
-                assert diag["L"] == half and float(meta["L"]) == half
-            else:
-                assert "L" not in meta and "n" not in meta
+            assert diag["L"] == half and float(meta["L"]) == half and meta["n"] == "4001"
 
     @pytest.mark.parametrize(
-        "extra, config",
-        [(["--n", "8001"], ""), (["--L", "3000"], ""), (["--L", "10"], ""), ([], "n = 8001\n")],
-        ids=["flag-n", "flag-L", "flag-short-L", "config-n"],
+        "extra, config, key, value",
+        [
+            (["--n", "8001"], "", "n", 8001),
+            (["--L", "12000"], "", "L", 12000.0),
+            ([], "n = 8001\n", "n", 8001),
+        ],
+        ids=["flag-n", "flag-L", "config-n"],
     )
-    def test_mesh_options_refused_below_direct_range(self, tmp_path, capsys, extra, config):
+    def test_mesh_options_honoured_below_1e_3(self, tmp_path, capsys, extra, config, key, value):
         args = ["front", "--c", "1.2", "--eps", "5e-4", *extra]
         if config:
             cfgfile = tmp_path / "front.cfg"
             cfgfile.write_text(config)
             args += ["--config", str(cfgfile)]
         code, out = run(args, tmp_path)
+        assert code == 0
+        meta, _ = read_meta(out / "front_profile.csv")
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["solver"] == "direct"
+        assert float(meta[key]) == value
+        if key == "L":
+            assert diag["L"] == value
+        else:  # the graded mesh has about n nodes
+            assert value <= diag["n"] <= 1.05 * value
+
+    def test_short_domain_refused(self, tmp_path, capsys):
+        code, out = run(["front", "--c", "1.2", "--eps", "5e-4", "--L", "10"], tmp_path)
         assert code == 1
-        assert "--L and --n apply only at eps >= 1e-3" in capsys.readouterr().err
+        assert "domain too short" in capsys.readouterr().err
         assert not (out / "front_profile.csv").exists()
 
-    def test_speed_near_two_refused(self, tmp_path, capsys):
+    def test_speed_near_two_solved(self, tmp_path, capsys):
         code, out = run(["front", "--c", "1.9", "--eps", "5e-4"], tmp_path)
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["solver"] == "direct"
+        assert 1.9**2 / 4.0 < diag["mu_fr"] < 1.0
+
+    def test_instability_point_beyond_focus_refused(self, tmp_path, capsys):
+        # atanh(c^2/4)/eps = 2647.9 > L/2 = 2.5/eps: refused before any mesh
+        code, out = run(["front", "--c", "1.99", "--eps", "1e-3"], tmp_path)
         assert code == 1
         err = capsys.readouterr().err
-        assert "c=1.9, eps_start=0.05" in err and "atanh phase" in err
+        assert "c=1.99, eps=0.001" in err and "--L must exceed 2 zeta_c = 5295.8" in err
+        assert "focus interval" not in err
+        assert not (out / "front_profile.csv").exists()
+        code, out = run(["front", "--c", "1.99", "--eps", "1e-3", "--L", "20000"], tmp_path, "long")
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["solver"] == "direct" and diag["mu_fr"] == pytest.approx(0.99162, abs=1e-5)
+
+    def test_continuation_where_direct_newton_fails(self, tmp_path, capsys):
+        # direct Newton stalls at (1.8, 1e-5); the eps-continuation lands it
+        code, out = run(["front", "--c", "1.8", "--eps", "1e-5"], tmp_path)
+        assert code == 0
+        meta, body = read_meta(out / "front_profile.csv")
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["solver"] == "continuation"
+        assert diag["mu_fr"] == front_branch(1.8, [1e-5]).fronts[0].mu_fr
+        # the continuation sizes its own mesh: the profile holds no L or n
+        assert "L" not in meta and "n" not in meta
+        assert diag["n"] == body.shape[0]
+        assert diag["L"] == pytest.approx(0.5 * (body[-1, 0] - body[0, 0]), rel=1e-12)
+
+    @pytest.mark.parametrize("c", ["0", "0.4", "1.2", "1.6"])
+    @pytest.mark.parametrize("eps", ["5e-4", "1e-4"])
+    def test_direct_agrees_with_continuation(self, tmp_path, capsys, c, eps):
+        code, out = run(["front", "--c", c, "--eps", eps], tmp_path)
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["solver"] == "direct"
+        ref = front_branch(float(c), [float(eps)]).fronts[0]
+        if c == "0":
+            assert diag["u_at_origin"] == pytest.approx(ref.u_at_origin, abs=1e-7)
+        else:
+            assert diag["mu_fr"] == pytest.approx(ref.mu_fr, abs=1e-7)
+
+    @pytest.mark.parametrize("eps", ["1e-5", "0.08"], ids=["start-refused", "target-above-start"])
+    def test_refused_continuation_reports_the_direct_failure(self, tmp_path, capsys, eps):
+        # direct Newton fails at c = 1.9, and front_branch refuses the case
+        code, out = run(["front", "--c", "1.9", "--eps", eps], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver failure: front solve failed at c=1.9, eps={float(eps)}")
+        failure = json.loads((out / "front_failure.json").read_text())
+        assert err == f"solver failure: {failure['error']}\n"
+        assert failure["iterations"] == 80 and failure["final_residual_norm"] > 1e-10
+        assert not (out / "front_profile.csv").exists()
+
+    def test_both_solvers_failing_reports_the_continuation(self, tmp_path, capsys):
+        code, out = run(["front", "--c", "1.2", "--eps", "1e-6"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: branch seed failed at eps=0.05\n"
+        failure = json.loads((out / "front_failure.json").read_text())
+        assert failure["error"] == "branch seed failed at eps=0.05"
+        assert failure["iterations"] == 80 and failure["final_residual_norm"] > 1e-10
         assert not (out / "front_profile.csv").exists()
 
     def test_ramp_option_gone(self, tmp_path, capsys):
@@ -567,14 +641,19 @@ class TestFailureArtifacts:
     ``main``."""
 
     def test_front_failure_json(self, tmp_path, capsys):
+        # direct Newton fails, then the continuation: its report is written
+        stalled = SimpleNamespace(iterations=80, final_residual_norm=1e-3)
         report = SimpleNamespace(iterations=80, final_residual_norm=1.5e-10)
-        failure = FrontSolveError("Newton stalled", report)
-        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=failure)):
+        direct = FrontSolveError("Newton stalled", stalled)
+        failure = FrontSolveError("branch seed failed", report)
+        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=direct)), \
+                mock.patch.object(cli, "front_branch", mock.Mock(side_effect=failure)) as branch:
             code, out = run(["front", "--c", "1.2", "--eps", "0.0025"], tmp_path)
         assert code == 2
-        assert capsys.readouterr().err == "solver failure: Newton stalled\n"
+        branch.assert_called_once_with(1.2, [0.0025])
+        assert capsys.readouterr().err == "solver failure: branch seed failed\n"
         assert json.loads((out / "front_failure.json").read_text()) == {
-            "error": "Newton stalled", "iterations": 80, "final_residual_norm": 1.5e-10,
+            "error": "branch seed failed", "iterations": 80, "final_residual_norm": 1.5e-10,
         }
         assert not (out / "front_profile.csv").exists()
 

@@ -1,8 +1,11 @@
 """Package-level checks: every exported name exists, every command of the
-README's "Command line" block parses, and the ``pde`` and ``front`` paths
-load no scipy module they do not run."""
+README's "Command line" block parses, the ``pde`` and ``front`` paths
+load no scipy module they do not run, and the names the benchmark tracer
+rebinds still exist and still carry the calls it counts."""
 
 import importlib
+import importlib.util
+import inspect
 import os
 import pkgutil
 import shlex
@@ -73,3 +76,40 @@ def test_pde_and_front_load_no_unused_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+def _tracer_module():
+    path = os.path.join(os.path.dirname(README), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_tracer_rebinds_resolve():
+    # the benchmark's tracer rebinds these names and reads these parameters;
+    # a rename here silently drops its counters
+    tracer = _tracer_module()
+    missing = [f"{m.__name__}.{a}" for m, a, _ in tracer._BINDINGS if not hasattr(m, a)]
+    assert not missing
+    from quenchfront import solvercore, travelingwave
+
+    def params(fn):
+        return inspect.signature(fn).parameters
+
+    assert {"residual", "jacobian"} <= params(solvercore.solve_bvp).keys()
+    assert "field" in params(solvercore.integrate_ode)
+    assert "diag" in params(solvercore.eig_tridiag_symmetric)
+    # the front system finds solve_bvp as a module global, so the rebinding
+    # counts every front Newton call
+    t = tracer.Tracer()
+    with t.installed():
+        travelingwave.solve_front(travelingwave.QuenchParams(1.2, 0.01), 500.0, 2001)
+        travelingwave.front_branch(1.2, [0.02])
+    counts = t.counters[0]
+    assert counts["solvercore.continuation.calls"] == 1
+    assert counts["solvercore.continuation.steps"] > 0
+    # the direct solve, the branch start, then one call per step or reject
+    assert counts["solvercore.newton.calls"] == 2 + (
+        counts["solvercore.continuation.steps"] + counts["solvercore.continuation.rejects"]
+    )

@@ -14,7 +14,6 @@ from quenchfront.solvercore import (
     JacobianSingularError,
     Mesh,
     OdeBlowUpError,
-    ParameterizedBVP,
     continue_branch,
     eig_tridiag_symmetric,
     integrate_ode,
@@ -251,13 +250,26 @@ class TestSolveBvp:
 # continue_branch
 # ---------------------------------------------------------------------------
 
+def _corrector(residual, jacobian):
+    # Newton at tolerance 1e-12 with solve_bvp's default budget and no corners
+    return lambda guess, mu: solve_bvp(
+        lambda u: residual(u, mu), lambda u: jacobian(u, mu), guess, tol=1e-12
+    )
+
+
 def _pitchfork_problem():
     # 0 = mu*u - u^3, nontrivial branch u = sqrt(mu)
-    return ParameterizedBVP(
-        residual=lambda u, mu: mu * u - u**3,
-        jacobian=lambda u, mu: np.vstack([[0.0], [mu - 3.0 * u[0] ** 2], [0.0]]),
-        corners=(0.0, 0.0),
-        tol=1e-12,
+    return _corrector(
+        lambda u, mu: mu * u - u**3,
+        lambda u, mu: np.vstack([[0.0], [mu - 3.0 * u[0] ** 2], [0.0]]),
+    )
+
+
+def _square_root_problem():
+    # 0 = u^2 - mu, branch u = sqrt(mu) for mu > 0
+    return _corrector(
+        lambda u, mu: np.array([u[0] ** 2 - mu]),
+        lambda u, mu: np.vstack([[0.0], [2.0 * u[0]], [0.0]]),
     )
 
 
@@ -273,10 +285,9 @@ class TestContinuation:
         assert np.all(np.diff(p) > 0)  # natural stepping is monotone
 
     def test_immediate_failure_raises(self):
-        bad = ParameterizedBVP(
-            residual=lambda u, mu: u**2 + 1.0,
-            jacobian=lambda u, mu: np.vstack([[0.0], [2.0 * u[0] + 1e-8], [0.0]]),
-            tol=1e-12,
+        bad = _corrector(
+            lambda u, mu: u**2 + 1.0,
+            lambda u, mu: np.vstack([[0.0], [2.0 * u[0] + 1e-8], [0.0]]),
         )
         with pytest.raises(ContinuationError) as err:
             continue_branch(bad, np.array([1.0]), (0.0, 1.0), step0=0.1)
@@ -296,11 +307,7 @@ class TestContinuation:
     def test_stop_landed_exactly_where_adding_the_step_rounds(self):
         # x + (0.9 - x) rounds away from 0.9: the step onto a stop must set
         # the parameter to the stop, not add the remaining distance
-        prob = ParameterizedBVP(
-            residual=lambda u, mu: np.array([u[0] ** 2 - mu]),
-            jacobian=lambda u, mu: np.vstack([[0.0], [2.0 * u[0]], [0.0]]),
-            tol=1e-12,
-        )
+        prob = _square_root_problem()
         x = 0.06353383458646616
         assert x + (0.9 - x) != 0.9
         branch = continue_branch(prob, np.array([math.sqrt(x)]), [x, 0.9], step0=1.0)
@@ -313,11 +320,7 @@ class TestContinuation:
     def test_stall_on_unsolvable_range(self):
         # branch u = sqrt(mu) ceases to exist for mu < 0: stepping into the
         # unsolvable range must collapse the step and flag a stall
-        prob = ParameterizedBVP(
-            residual=lambda u, mu: np.array([u[0] ** 2 - mu]),
-            jacobian=lambda u, mu: np.vstack([[0.0], [2.0 * u[0]], [0.0]]),
-            tol=1e-12,
-        )
+        prob = _square_root_problem()
         branch = continue_branch(prob, np.array([1.0]), (1.0, -1.0), step0=0.25)
         assert branch.status == "stalled"
         assert branch.entries[-1].param > -1.0

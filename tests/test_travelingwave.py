@@ -192,16 +192,16 @@ class TestFrontBranch:
     def test_one_newton_solve_per_step(self, monkeypatch):
         # no seed solve, segment restart or landing re-solve: every Newton
         # call is one accepted continuation step (or the start)
-        import quenchfront.solvercore as sc
+        import quenchfront.travelingwave as tw
 
         calls = []
-        solve = sc.solve_bvp
+        solve = tw.solve_bvp
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(sc, "solve_bvp", counted)
+        monkeypatch.setattr(tw, "solve_bvp", counted)
         targets = list(np.geomspace(1e-3, 2.5e-3, 5))
         fb = front_branch(1.2, targets)
         assert len(calls) == len(fb.branch.entries)
