@@ -22,30 +22,8 @@ manifest (wall time) is excluded from that guarantee.
 
 Exit codes: 0 success, 1 usage/config error, 2 solver failure,
 3 certificate failure, 4 simulation abort.  Commands raise; ``main`` maps
-what they raise through the one table ``_FAILURES`` (``ValueError`` -> 1
-``error:``; front, connection, fold-passage and quench-comparison failures
-and a singular Newton Jacobian -> 2 ``solver failure:``; certificates -> 3;
-simulation aborts -> 4).  A BVP ``delay-sweep`` that converges on fewer
-than 80 % of its points writes its results, then raises a front failure
-(exit 2, ``solver failure: k of n eps points converged``); it fits a slope
-only when at least two distinct eps converged.  Parsing refuses
-with exit 1, before any work, a config key that names no option of the
-subcommand, a ``painleve --classify`` token that is not a finite number,
-and a ``delay-sweep --points`` below 1 or ``--eps-decade`` not LO:HI with
-both ends positive.  Before any solve, ``pde`` refuses with exit 1 a
-non-finite number, a ``--dt`` or ``--eps`` that is not positive and a
-``--level`` outside (0, 1), ``front`` a non-finite ``--L`` and ``painleve``
-a non-finite ``--window`` end.  A
-``--fold`` sweep too short to fit (refused before any passage runs) and a
-``--compare`` run that is not a lab-frame homogeneous quench are usage
-errors; a compared front that never crosses the level or never leaves the
-transient is a solver failure.  ``front`` solves by direct Newton at
-every eps, on ``--L`` and ``--n``, and falls back to the eps-continuation
-(its own mesh) only where that does not converge; ``front_diagnostics.json``
-records which ran as ``"solver"``.  An ``--L`` whose half falls short of
-the instability point atanh(c^2/4)/eps is refused with exit 1.  A continuation that refuses the case
-(c near 2, or eps above its start 0.05) leaves the direct failure to
-report, exit 2; the BVP ``delay-sweep`` refuses such a c with exit 1.
+what they raise through the one table ``_FAILURES``.  The README's
+"Command line" section states which input or failure ends in which code.
 """
 
 from __future__ import annotations
@@ -64,7 +42,6 @@ import numpy as np
 
 from . import __version__
 from .folddelay import (
-    FoldPassageError,
     check_fit_sweep,
     check_passage,
     fit_delay_scaling,
@@ -72,7 +49,6 @@ from .folddelay import (
 )
 from .painleve import (
     CertificateError,
-    HMSolveError,
     certify_lower_bound,
     certify_potential_positive,
     classify_airy_tail,
@@ -80,16 +56,14 @@ from .painleve import (
     solve_hastings_mcleod,
 )
 from .pdesim import (
-    QuenchComparisonError,
     SimConfig,
     SimulationAbort,
     check_quench_comparable,
     compare_homogeneous_quench,
     simulate,
 )
-from .solvercore import JacobianSingularError
+from .solvercore import JacobianSingularError, SolveError
 from .travelingwave import (
-    FrontSolveError,
     QuenchParams,
     compare_with_rescaled_profile,
     front_branch,
@@ -107,11 +81,8 @@ EXIT_SIMULATION = 4
 # what a command raises -> (exit code, stderr prefix)
 _FAILURES = {
     ValueError: (EXIT_USAGE, "error"),
-    FrontSolveError: (EXIT_SOLVER, "solver failure"),
+    SolveError: (EXIT_SOLVER, "solver failure"),
     JacobianSingularError: (EXIT_SOLVER, "solver failure"),
-    HMSolveError: (EXIT_SOLVER, "solver failure"),
-    FoldPassageError: (EXIT_SOLVER, "solver failure"),
-    QuenchComparisonError: (EXIT_SOLVER, "solver failure"),
     CertificateError: (EXIT_CERTIFICATE, "certificate failure"),
     SimulationAbort: (EXIT_SIMULATION, "simulation abort"),
 }
@@ -248,7 +219,7 @@ def _solve_front_or_continue(quench: QuenchParams, half: float, n: int):
     that refuses the case re-raises the direct failure."""
     try:
         return solve_front(quench, half, n=n), "direct"
-    except FrontSolveError as direct:
+    except SolveError as direct:
         try:
             return front_branch(quench.c, [quench.epsilon]).fronts[0], "continuation"
         except ValueError:
@@ -267,7 +238,7 @@ def cmd_front(args) -> int:
     params = {"c": c, "eps": eps, "L": half, "n": n}
     try:
         sol, solver = _solve_front_or_continue(quench, half, n)
-    except FrontSolveError as exc:
+    except SolveError as exc:
         report = exc.report
         _write_json(
             os.path.join(outdir, "front_failure.json"),
@@ -390,7 +361,7 @@ def cmd_delay_sweep(args) -> int:
         )
     _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
     if converged < 0.8 * total:
-        raise FrontSolveError(f"{converged} of {total} eps points converged")
+        raise SolveError(f"{converged} of {total} eps points converged")
     return EXIT_OK
 
 
@@ -672,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SBDF2 time step (default and maximum min(0.2 h, 0.5): 0.2 h for accuracy, "
         "0.5 for the explicit reaction's stability dt |f'(u)| < 4/3)",
     )
-    p.add_argument("--ic", choices=["small-bump", "front-seed", "zero"], default="small-bump")
+    p.add_argument("--ic", choices=["small-bump", "front-seed"], default="small-bump")
     p.add_argument("--ic-amplitude", type=float, default=0.05)
     p.add_argument("--ic-width", type=float, default=5.0)
     p.add_argument(

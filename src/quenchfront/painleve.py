@@ -29,6 +29,7 @@ import numpy as np
 from .solvercore import (
     Mesh,
     NewtonReport,
+    SolveError,
     Spectrum,
     eig_tridiag_symmetric,
     integrate_ode,
@@ -40,7 +41,6 @@ __all__ = [
     "HMSolution",
     "PotentialCertificate",
     "TailClassification",
-    "HMSolveError",
     "CertificateError",
     "solve_hastings_mcleod",
     "classify_airy_tail",
@@ -49,12 +49,6 @@ __all__ = [
     "linearization_ground_state",
     "left_boundary_value",
 ]
-
-
-class HMSolveError(RuntimeError):
-    def __init__(self, message: str, report: NewtonReport | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 class CertificateError(RuntimeError):
@@ -152,9 +146,9 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     w, report = solve_bvp(residual, jacobian, seed, tol=1e-8, corners=(0.0, 1.0 / (2.0 * h)))
     if np.max(np.abs(w)) > pole_guard:
         # the iterates ran off toward the pole side of the separatrix
-        raise HMSolveError("left separatrix missed (iterate exceeded the pole guard)", report)
+        raise SolveError("left separatrix missed (iterate exceeded the pole guard)", report)
     if not report.converged:
-        raise HMSolveError(
+        raise SolveError(
             f"connection solve failed (residual {report.final_residual_norm:.3e})", report
         )
     wprime = np.empty_like(w)

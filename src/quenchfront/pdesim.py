@@ -46,14 +46,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import lapack
 
+from .solvercore import SolveError
+
 __all__ = [
     "SimConfig",
     "FrontTrack",
     "SimResult",
     "RelaxResult",
-    "RelaxationError",
     "QuenchComparison",
-    "QuenchComparisonError",
     "SimulationAbort",
     "simulate",
     "relax",
@@ -61,14 +61,6 @@ __all__ = [
     "check_quench_comparable",
     "compare_homogeneous_quench",
 ]
-
-
-class QuenchComparisonError(RuntimeError):
-    """The tracked front never reached the level or never left the transient."""
-
-
-class RelaxationError(RuntimeError):
-    """The relaxation did not reach its tolerance within ``max_steps``."""
 
 
 class SimulationAbort(RuntimeError):
@@ -90,7 +82,7 @@ class SimConfig:
     n: int = 3001
     t_end: float = 200.0
     dt: float | None = None  # defaults to the bound min(0.2 h, 0.5)
-    ic: str = "small-bump"  # "small-bump" | "front-seed" | "zero"
+    ic: str = "small-bump"  # "small-bump" | "front-seed"
     ic_center: float = 0.0
     ic_width: float = 5.0
     ic_amplitude: float = 0.05
@@ -108,10 +100,19 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.frame not in ("lab", "comoving"):
             raise ValueError(f"unknown frame {self.frame!r}")
-        if self.ic not in ("small-bump", "front-seed", "zero"):
+        if self.ic not in ("small-bump", "front-seed"):
             raise ValueError(f"unknown initial condition {self.ic!r}")
         if self.alpha < 0.0:
             raise ValueError("quench slope alpha must be >= 0")
+        if self.c != 0.0 and self.frame != "comoving":
+            raise ValueError(
+                f"c = {self.c!r} is the comoving-frame speed; the lab frame needs c = 0"
+            )
+        if self.alpha != 0.0 and (self.frame == "comoving" or self.frozen_mu is not None):
+            raise ValueError(
+                f"alpha = {self.alpha!r} is the lab-frame ramp's slope; the comoving frame "
+                "and frozen_mu need alpha = 0"
+            )
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.n < 11:
@@ -187,8 +188,6 @@ class QuenchComparison:
 
 
 def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
-    if cfg.ic == "zero":
-        return np.zeros_like(x)
     if cfg.ic == "small-bump":
         return cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
     # front-seed: sqrt(max(mu,0)) switched on at the predicted interface
@@ -234,10 +233,6 @@ def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[flo
     else:
         xi = best_exact
     return float(xi), int(count)
-
-
-def _advection_speed(cfg: SimConfig) -> float:
-    return cfg.c if cfg.frame == "comoving" else 0.0
 
 
 def _implicit_solver(n: int, h: float, dt: float, c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -300,9 +295,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     dt = cfg.dt
     steps = int(math.ceil(cfg.t_end / dt))
     u = _initial_condition(cfg, x)
-    c = _advection_speed(cfg)
-    solve_first = _implicit_solver(cfg.n, cfg.h, dt, c)
-    solve = _implicit_solver(cfg.n, cfg.h, 2.0 * dt / 3.0, c)
+    solve_first = _implicit_solver(cfg.n, cfg.h, dt, cfg.c)
+    solve = _implicit_solver(cfg.n, cfg.h, 2.0 * dt / 3.0, cfg.c)
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -386,7 +380,7 @@ def relax(
     step count, that residual and the wall time.
 
     Raises ``ValueError`` when mu depends on t (lab frame without
-    ``frozen_mu``), :class:`RelaxationError` when ``max_steps`` steps do not
+    ``frozen_mu``), :class:`SolveError` when ``max_steps`` steps do not
     reach ``tol``, and :class:`SimulationAbort` on a non-finite state.
     """
     if cfg.frame == "lab" and cfg.frozen_mu is None:
@@ -396,8 +390,7 @@ def relax(
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     u = _initial_condition(cfg, x)
-    c = _advection_speed(cfg)
-    solve = _implicit_solver(cfg.n, cfg.h, dt, c)
+    solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c)
     mu = _mu_profile(cfg, x, 0.0)
     buf, diff = np.empty_like(u), np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
@@ -408,10 +401,10 @@ def relax(
                 raise SimulationAbort((k - 1) * dt, u)
             u, buf = u_new, u
             if change < tol * dt:
-                residual = float(np.max(np.abs(_steady_residual(u, cfg.h, c, mu))))
+                residual = float(np.max(np.abs(_steady_residual(u, cfg.h, cfg.c, mu))))
                 if residual < tol:
                     return RelaxResult(x, u, k, residual, time.perf_counter() - wall0)
-    raise RelaxationError(f"no steady state within {max_steps} steps (tol {tol:g})")
+    raise SolveError(f"no steady state within {max_steps} steps (tol {tol:g})")
 
 
 def predicted_front_path(epsilon: float, t_grid: Sequence[float]) -> np.ndarray:
@@ -467,11 +460,11 @@ def compare_homogeneous_quench(
     tt, xx = res.track.times, res.track.x_fr_num
     have = np.isfinite(xx)
     if not np.any(have):
-        raise QuenchComparisonError("front never crossed the tracking level")
+        raise SolveError("front never crossed the tracking level")
     t0, x_first = tt[have][0], xx[have][0]
     moved = have & (xx >= x_first + 5.0)
     if not np.any(moved):
-        raise QuenchComparisonError("front never advanced past the transient window")
+        raise SolveError("front never advanced past the transient window")
     i_tr = int(np.nonzero(moved)[0][0])
     t_tr = float(tt[i_tr])
     sel = have & (tt >= t_tr)

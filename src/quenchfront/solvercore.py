@@ -26,9 +26,9 @@ __all__ = [
     "OdeResult",
     "EventRecord",
     "Spectrum",
+    "SolveError",
     "JacobianSingularError",
     "OdeBlowUpError",
-    "ContinuationError",
     "solve_bvp",
     "continue_branch",
     "integrate_ode",
@@ -36,16 +36,27 @@ __all__ = [
 ]
 
 
+class SolveError(RuntimeError):
+    """A solver could not return its result; carries its Newton report
+    where it has one."""
+
+    def __init__(self, message: str, report: "NewtonReport | None" = None):
+        super().__init__(message)
+        self.report = report
+
+
 class JacobianSingularError(RuntimeError):
     """The tridiagonal Newton step with two boundary corners on ``dgtsv``
-    broke down; carries the 0-based row of the exactly zero pivot."""
+    broke down; carries the 0-based row of the exactly zero pivot.  Not a
+    :class:`SolveError`: the posed system itself is degenerate, so no
+    caller falls back to another solver on it."""
 
     def __init__(self, pivot_index: int):
         super().__init__(f"jacobian singular (pivot index {pivot_index})")
         self.pivot_index = pivot_index
 
 
-class OdeBlowUpError(RuntimeError):
+class OdeBlowUpError(SolveError):
     """Step size underflow (stiffness or finite-time blow-up); carries the
     last healthy state."""
 
@@ -53,14 +64,6 @@ class OdeBlowUpError(RuntimeError):
         super().__init__(f"stiff/blow-up: step underflow at t={t!r}")
         self.t = t
         self.y = np.asarray(y).copy()
-
-
-class ContinuationError(RuntimeError):
-    """The start of a continuation did not converge; carries its report."""
-
-    def __init__(self, message: str, report: "NewtonReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +284,7 @@ def continue_branch(
     carry across stops.  The step halves on corrector failure and grows by
     1.3 after three consecutive successes; stepping ends at the last stop or
     when the step drops below 1e-10 (branch flagged "stalled").  A start that
-    does not converge raises :class:`ContinuationError` carrying its report.
+    does not converge raises :class:`SolveError` carrying its report.
     """
     stops = [float(p) for p in param_range]
     direction = 1 if len(stops) < 2 or stops[-1] >= stops[0] else -1
@@ -291,7 +294,7 @@ def continue_branch(
     p_prev = stops[0]
     x_prev, rep0 = correct(start, p_prev)
     if not rep0.converged:
-        raise ContinuationError(f"start solution does not converge at parameter {p_prev}", rep0)
+        raise SolveError(f"start solution does not converge at parameter {p_prev}", rep0)
     entries = [BranchEntry(p_prev, x_prev, rep0)]
     steps: list[float] = []
     step = abs(step0)

@@ -31,9 +31,9 @@ import numpy as np
 
 from .solvercore import (
     ContinuationBranch,
-    ContinuationError,
     Mesh,
     NewtonReport,
+    SolveError,
     continue_branch,
     solve_bvp,
 )
@@ -43,8 +43,6 @@ __all__ = [
     "QuenchParams",
     "FrontSolution",
     "FrontBranch",
-    "FrontSolveError",
-    "NoInterfaceError",
     "solve_front",
     "front_location",
     "delay_prefactor",
@@ -63,18 +61,6 @@ _TOL = 1e-10
 # of finest spacing _H_MIN
 _EPS_START = 0.05
 _H_MIN = 0.05
-
-
-class FrontSolveError(RuntimeError):
-    """Newton failed on the front BVP; carries the report."""
-
-    def __init__(self, message: str, report: NewtonReport | None = None):
-        super().__init__(message)
-        self.report = report
-
-
-class NoInterfaceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -327,7 +313,7 @@ class _LogFrontSystem:
         if params.c > 0.0:
             try:
                 sol.mu_fr, sol.zeta_fr = front_location(sol)
-            except NoInterfaceError:
+            except SolveError:  # no crossing: mu_fr stays None
                 pass
         else:
             sol.u_at_origin = float(np.interp(0.0, mesh.nodes, u))
@@ -385,7 +371,7 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
         system = _LogFrontSystem(mesh, params.c)
     w, report = system.solve(system.seed(params.epsilon), params.epsilon)
     if not report.converged:
-        raise FrontSolveError(
+        raise SolveError(
             f"front solve failed at c={params.c}, eps={params.epsilon} "
             f"(residual {report.final_residual_norm:.3e})",
             report,
@@ -408,7 +394,7 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
     thr = c / 4.0
     above = np.nonzero(sol.u >= thr)[0]
     if above.size == 0:
-        raise NoInterfaceError(f"profile never crosses the threshold {thr}")
+        raise SolveError(f"profile never crosses the threshold {thr}")
     j = int(above[0])
     if sol.u[j] == thr or j == 0:
         mu_fr = float(sol.mu[j])
@@ -464,8 +450,8 @@ def front_branch(
     correct = lambda w, s: system.solve(w, math.exp(s))
     try:
         branch = continue_branch(correct, system.seed(_EPS_START), stops, 0.4)
-    except ContinuationError as exc:
-        raise FrontSolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
+    except SolveError as exc:
+        raise SolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
     landed = {e.param: e for e in branch.entries}
     fronts = [
         system.front_solution(landed[s].solution, QuenchParams(c, eps), landed[s].report)
@@ -473,7 +459,7 @@ def front_branch(
         if s in landed
     ]
     if branch.status != "completed" and strict:
-        raise FrontSolveError(
+        raise SolveError(
             f"continuation stalled before eps={targets[len(fronts)]}; "
             f"{len(fronts)} of {len(targets)} targets reached"
         )

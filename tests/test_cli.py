@@ -14,11 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchfront import cli
-from quenchfront.folddelay import FoldPassageError
-from quenchfront.painleve import CertificateError, HMSolveError
-from quenchfront.pdesim import QuenchComparisonError, SimConfig, SimulationAbort, simulate
-from quenchfront.solvercore import JacobianSingularError
-from quenchfront.travelingwave import FrontSolveError, front_branch
+from quenchfront.painleve import CertificateError
+from quenchfront.pdesim import SimConfig, SimulationAbort, simulate
+from quenchfront.solvercore import JacobianSingularError, OdeBlowUpError, SolveError
+from quenchfront.travelingwave import front_branch
 
 
 def run(args, tmp_path, sub=""):
@@ -450,6 +449,24 @@ class TestPde:
         assert "error: ic_" in capsys.readouterr().err
         assert not (out / "pde_snapshots.csv").exists()
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (["--frame", "lab", "--c", "1.5"], "error: c = 1.5 is the comoving-frame speed"),
+            (["--frame", "comoving", "--alpha", "0.7"], "error: alpha = 0.7 is the lab-frame"),
+            (["--frozen-mu", "1", "--alpha", "0.5"], "error: alpha = 0.5 is the lab-frame"),
+            (["--ic", "zero"], "argument --ic: invalid choice: 'zero'"),
+        ],
+        ids=["c-in-lab-frame", "alpha-comoving", "alpha-frozen-mu", "ic-zero"],
+    )
+    def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, bad, message):
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = run(["pde", "--t-end", "2", *bad], tmp_path)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        sim.assert_not_called()
+        assert not list(out.glob("*"))
+
     def test_manifest_reports_steps_and_wall_time(self, tmp_path):
         code, out = run(
             ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
@@ -565,11 +582,11 @@ class TestConfigRoundTrip:
         frozen_mu=st.none() | floats,
         domain=st.tuples(floats, floats),
         n=st.integers(-10**6, 10**6),
-        ic=st.sampled_from(["small-bump", "front-seed", "zero"]),
+        ic=st.sampled_from(["small-bump", "front-seed"]),
         switch=st.sampled_from(["true", "1", "false", "0"]),
     )
     @example(alpha=-1e-05, eps=0.005, frozen_mu=None, domain=(-1e-05, 50.0), n=501,
-             ic="zero", switch="1")
+             ic="front-seed", switch="1")
     @settings(max_examples=150, deadline=None)
     def test_config_matches_flags(
         self, tmp_path_factory, alpha, eps, frozen_mu, domain, n, ic, switch
@@ -612,13 +629,31 @@ class TestExitTable:
         "exc,code,prefix",
         [
             (ValueError("refused"), 1, "error"),
-            (FrontSolveError("no front"), 2, "solver failure"),
+            (SolveError("no front"), 2, "solver failure"),
             (JacobianSingularError(7), 2, "solver failure"),
-            (HMSolveError("no connection"), 2, "solver failure"),
-            (FoldPassageError("no passage"), 2, "solver failure"),
-            (QuenchComparisonError("no crossing"), 2, "solver failure"),
             (CertificateError("not positive"), 3, "certificate failure"),
             (SimulationAbort(1.5, np.zeros(3)), 4, "simulation abort"),
+            (OdeBlowUpError(0.5, np.zeros(2)), 2, "solver failure"),
+            # each solver's own SolveError message, under the id of the
+            # per-solver class it was raised as before SolveError merged them
+            pytest.param(
+                SolveError("branch seed failed at eps=0.05"), 2, "solver failure",
+                id="FrontSolveError-2-solver failure",
+            ),
+            pytest.param(
+                SolveError("left separatrix missed (iterate exceeded the pole guard)"),
+                2, "solver failure",
+                id="HMSolveError-2-solver failure",
+            ),
+            pytest.param(
+                SolveError("section z = -0.25 not reached before theta = 3.0000 (cap 3.0000)"),
+                2, "solver failure",
+                id="FoldPassageError-2-solver failure",
+            ),
+            pytest.param(
+                SolveError("front never crossed the tracking level"), 2, "solver failure",
+                id="QuenchComparisonError-2-solver failure",
+            ),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
     )
@@ -644,8 +679,8 @@ class TestFailureArtifacts:
         # direct Newton fails, then the continuation: its report is written
         stalled = SimpleNamespace(iterations=80, final_residual_norm=1e-3)
         report = SimpleNamespace(iterations=80, final_residual_norm=1.5e-10)
-        direct = FrontSolveError("Newton stalled", stalled)
-        failure = FrontSolveError("branch seed failed", report)
+        direct = SolveError("Newton stalled", stalled)
+        failure = SolveError("branch seed failed", report)
         with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=direct)), \
                 mock.patch.object(cli, "front_branch", mock.Mock(side_effect=failure)) as branch:
             code, out = run(["front", "--c", "1.2", "--eps", "0.0025"], tmp_path)

@@ -1,4 +1,5 @@
-"""Package-level checks: every exported name exists, every command of the
+"""Package-level checks: every exported name exists, every exported
+exception has a row of the CLI exit table, every command of the
 README's "Command line" block parses, the ``pde`` and ``front`` paths
 load no scipy module they do not run, and the names the benchmark tracer
 rebinds still exist and still carry the calls it counts."""
@@ -17,6 +18,9 @@ import pytest
 
 import quenchfront
 from quenchfront import cli
+from quenchfront.painleve import CertificateError
+from quenchfront.pdesim import SimulationAbort
+from quenchfront.solvercore import JacobianSingularError, SolveError
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -28,6 +32,25 @@ def test_every_all_entry_resolves():
         module = importlib.import_module(f"quenchfront.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"quenchfront.{name}.__all__ names missing objects: {missing}"
+
+
+def test_every_exported_exception_has_an_exit_code():
+    # a solver module's failure class maps through an existing row of the
+    # exit table, never a row of its own and never an unmapped traceback
+    exported = set()
+    for name in (m.name for m in pkgutil.iter_modules(quenchfront.__path__)):
+        module = importlib.import_module(f"quenchfront.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                exported.add(obj)
+    assert exported
+    unmapped = [e.__name__ for e in exported if not issubclass(e, tuple(cli._FAILURES))]
+    assert not unmapped
+    # one row per outcome
+    assert set(cli._FAILURES) == {
+        ValueError, SolveError, JacobianSingularError, CertificateError, SimulationAbort,
+    }
 
 
 def test_readme_commands_parse():

@@ -8,10 +8,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import lapack
 
+from quenchfront.solvercore import SolveError
 from quenchfront.pdesim import (
     FrontTrack,
     QuenchComparison,
-    RelaxationError,
     SimConfig,
     SimResult,
     SimulationAbort,
@@ -265,7 +265,7 @@ class TestRelax:
         assert np.max(np.abs(res.snapshots[-1] - steady.u)) <= 1e-6
 
     def test_step_budget_raises(self):
-        with pytest.raises(RelaxationError):
+        with pytest.raises(SolveError):
             relax(self._comoving(), max_steps=10)
 
     def test_time_dependent_mu_rejected(self):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchfront.solvercore import (
-    ContinuationError,
     JacobianSingularError,
     Mesh,
     OdeBlowUpError,
+    SolveError,
     continue_branch,
     eig_tridiag_symmetric,
     integrate_ode,
@@ -289,7 +289,7 @@ class TestContinuation:
             lambda u, mu: u**2 + 1.0,
             lambda u, mu: np.vstack([[0.0], [2.0 * u[0] + 1e-8], [0.0]]),
         )
-        with pytest.raises(ContinuationError) as err:
+        with pytest.raises(SolveError) as err:
             continue_branch(bad, np.array([1.0]), (0.0, 1.0), step0=0.1)
         assert err.value.report.converged is False
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from quenchfront.solvercore import integrate_ode
 from quenchfront.travelingwave import (
     FrontSolution,
-    NoInterfaceError,
     QuenchParams,
     compare_with_rescaled_profile,
     delay_prefactor,
@@ -26,7 +25,7 @@ from quenchfront.travelingwave import (
     solve_front,
     stationary_amplitude_at_pitchfork,
 )
-from quenchfront.solvercore import Mesh, NewtonReport
+from quenchfront.solvercore import Mesh, NewtonReport, SolveError
 
 
 class TestEquilibria:
@@ -154,7 +153,7 @@ class TestFrontLocation:
             params=params,
             report=NewtonReport(1, 0.0, True),
         )
-        with pytest.raises(NoInterfaceError):
+        with pytest.raises(SolveError):
             front_location(sol)
 
     def test_stationary_rejected(self):
