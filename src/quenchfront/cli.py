@@ -377,6 +377,8 @@ def cmd_painleve(args) -> int:
         "l_minus": l_minus, "l_plus": l_plus, "n": args.n,
         "classify": ",".join(_fmt(k) for k in args.classify),
     }
+    # a multiplier classify_airy_tail refuses ends the run before any file is written
+    tails = [classify_airy_tail(k, l_minus=min(l_minus, 8.0), l_plus=l_plus) for k in args.classify]
     sol = solve_hastings_mcleod(l_minus, l_plus, args.n)
     outputs = []
     v = sol.eta + 6.0 * sol.w**2
@@ -411,8 +413,7 @@ def cmd_painleve(args) -> int:
         raise
     if args.classify:
         rows = []
-        for k in args.classify:
-            tc = classify_airy_tail(k, l_minus=min(l_minus, 8.0), l_plus=l_plus)
+        for k, tc in zip(args.classify, tails):
             rows.append((k, tc.kind, tc.pole_position if tc.pole_position is not None else math.nan))
             print(f"k = {k}: {tc.kind}" + (f" at eta = {tc.pole_position:.4f}" if tc.pole_position else ""))
         outputs.append(

@@ -173,7 +173,9 @@ def classify_airy_tail(k: float, l_minus: float = 8.0, l_plus: float = 8.0) -> T
     sign(k) sqrt(-eta/2) are the separatrix; the rest decay in oscillatory
     fashion.  The two non-separatrix classes sit on opposite sides of
     |k| = 1; k = 1 itself is the connection solution handled by
-    :func:`solve_hastings_mcleod`.
+    :func:`solve_hastings_mcleod`.  Raises ``ValueError`` for a non-finite
+    k, and for one whose start |k Ai(l_plus)| is already at or past the
+    pole event.
     """
     if not math.isfinite(k):
         raise ValueError("tail multiplier must be finite")
@@ -181,6 +183,11 @@ def classify_airy_tail(k: float, l_minus: float = 8.0, l_plus: float = 8.0) -> T
         return TailClassification("oscillatory-decay")  # w identically zero
     ai = airy(l_plus)
     y0 = np.array([k * ai.value, k * ai.derivative])
+    if abs(y0[0]) >= 1e3:
+        raise ValueError(
+            f"tail multiplier k = {k:g} starts at |k Ai({l_plus:g})| = {abs(y0[0]):.3g}, "
+            "at or past the pole event |w| = 1e3"
+        )
 
     def field(t, y):
         return np.array([y[1], t * y[0] + 2.0 * y[0] ** 3])

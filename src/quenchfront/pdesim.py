@@ -30,10 +30,12 @@ the first-order step at large dt to a steady state of a time-independent
 mode.
 
 The tracked front is the rightmost crossing of u through ``track_level``
-(linearly interpolated), a level in (0, 1), default 0.2; the
-homogeneous-quench comparison measures it against the characteristic
-prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the end of the
-transient.
+(linearly interpolated), a level in (0, 1), default 0.2.  A node with
+u == level counts as below it, so a profile that touches the level from
+below does not cross it, and one that touches it from above crosses it
+twice.  The homogeneous-quench comparison measures the front against the
+characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the
+end of the transient.
 """
 
 from __future__ import annotations
@@ -214,40 +216,30 @@ def _mu_profile(cfg: SimConfig, x: np.ndarray, t: float) -> float | np.ndarray:
 
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
-    du = u - level
-    with np.errstate(over="ignore"):  # inf products still compare correctly
-        sign_change = du[:-1] * du[1:] < 0.0
-    idx = np.nonzero(sign_change)[0]
-    count = idx.size
-    exact = np.nonzero(du == 0.0)[0]
-    if exact.size:
-        count += exact.size
-        best_exact = x[exact[-1]]
-    if count == 0:
+    above = u > level  # u == level counts as below
+    idx = np.flatnonzero(above[1:] != above[:-1])
+    if idx.size == 0:
         return math.nan, 0
-    if idx.size:
-        i = idx[-1]
-        xi = x[i] + (x[i + 1] - x[i]) * du[i] / (du[i] - du[i + 1])
-        if exact.size and exact[-1] > i + 1:
-            xi = best_exact
-    else:
-        xi = best_exact
-    return float(xi), int(count)
+    i = idx[-1]
+    (x0, x1), (d0, d1) = x[i:i + 2].tolist(), (u[i:i + 2] - level).tolist()
+    return x0 + (x1 - x0) * d0 / (d0 - d1), int(idx.size)
 
 
-def _implicit_solver(n: int, h: float, dt: float, c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor M = I - dt*(D2 - c D1) with mirror-ghost Neumann rows once and
+def _implicit_solver(
+    n: int, h: float, dt: float, c: float, s: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor M = s I - dt*(D2 - c D1) with mirror-ghost Neumann rows once and
     return a solve that overwrites its right-hand side.
 
     Without advection, halving rows 0 and n-1 makes M symmetric positive
-    definite with off-diagonal -dt/h^2 throughout, so ``dpttrf``/``dpttrs``
-    apply (the solve halves b[0] and b[-1] to match); with advection M is
-    nonsymmetric and ``dgttrf``/``dgttrs`` are used.
+    definite for any s > 0, with off-diagonal -dt/h^2 throughout, so
+    ``dpttrf``/``dpttrs`` apply (the solve halves b[0] and b[-1] to match);
+    with advection M is nonsymmetric and ``dgttrf``/``dgttrs`` are used.
     """
     lam = dt / (h * h)
     if c == 0.0:
-        main = np.full(n, 1.0 + 2.0 * lam)
-        main[0] = main[-1] = 0.5 + lam
+        main = np.full(n, s + 2.0 * lam)
+        main[0] = main[-1] = 0.5 * s + lam
         d, e, info = lapack.dpttrf(main, np.full(n - 1, -lam))
         if info != 0:
             raise np.linalg.LinAlgError(
@@ -263,7 +255,7 @@ def _implicit_solver(n: int, h: float, dt: float, c: float) -> Callable[[np.ndar
     adv = c * dt / (2.0 * h)
     sup = np.full(n - 1, -lam + adv)
     sub = np.full(n - 1, -lam - adv)
-    main = np.full(n, 1.0 + 2.0 * lam)
+    main = np.full(n, s + 2.0 * lam)
     sup[0] = -2.0 * lam  # mirror ghost at the left boundary
     sub[-1] = -2.0 * lam  # mirror ghost at the right boundary
     dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
@@ -272,13 +264,12 @@ def _implicit_solver(n: int, h: float, dt: float, c: float) -> Callable[[np.ndar
     return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
 
 
-def _explicit_step(u: np.ndarray, mu: float | np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-    """out <- u*(1 + dt*(mu - u^2)), i.e. u + dt*(mu u - u^3) in factored
-    form, evaluated in place in that order."""
+def _reaction(u: np.ndarray, a: float | np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
+    """out <- u*(a + b u^2) in four in-place passes; with a = w(1 + dt mu) and
+    b = -w dt this is w(u + dt(mu u - u^3))."""
     np.multiply(u, u, out=out)
-    np.subtract(mu, out, out=out)
-    out *= dt
-    out += 1.0
+    out *= b
+    out += a
     out *= u
     return out
 
@@ -295,8 +286,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     dt = cfg.dt
     steps = int(math.ceil(cfg.t_end / dt))
     u = _initial_condition(cfg, x)
-    solve_first = _implicit_solver(cfg.n, cfg.h, dt, cfg.c)
-    solve = _implicit_solver(cfg.n, cfg.h, 2.0 * dt / 3.0, cfg.c)
+    solve_first = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
+    solve = _implicit_solver(cfg.n, cfg.h, 2.0 * dt, cfg.c, 3.0)
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -308,27 +299,26 @@ def simulate(cfg: SimConfig) -> SimResult:
     t = 0.0
     # mu depends on t only in the lab frame without a frozen value
     mu_varies = cfg.frozen_mu is None and cfg.frame == "lab"
-    mu = _mu_profile(cfg, x, t)
+    b = -2.0 * dt  # the reaction is evaluated as E = 2 e = u (a + b u^2)
     # u_prev holds u_{k-2} until it is overwritten by the right-hand side;
-    # e and e_prev hold e_{k-1} and e_{k-2}
+    # e and e_prev hold E_{k-1} and E_{k-2}
     u_prev, e, e_prev = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    zeros = np.zeros_like(u)  # zeros @ u is NaN iff u has a NaN or an inf
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(1, steps + 1):
-            if mu_varies:
-                mu = _mu_profile(cfg, x, t)
-            _explicit_step(u, mu, dt, e)
+            if k == 1 or mu_varies:
+                a = 2.0 + 2.0 * dt * _mu_profile(cfg, x, t)
+            _reaction(u, a, b, e)
             if k == 1:
-                np.copyto(u_prev, e)
+                np.multiply(e, 0.5, out=u_prev)
                 u_new = solve_first(u_prev)
             else:
-                # (4 e_{k-1} - 2 e_{k-2} + u_{k-2}) / 3, built in u_prev
-                e_prev *= -2.0
-                e_prev += u_prev
-                np.multiply(e, 4.0, out=u_prev)
-                u_prev += e_prev
-                u_prev /= 3.0
+                # 4 e_{k-1} - 2 e_{k-2} + u_{k-2} = 2 E_{k-1} - E_{k-2} + u_{k-2}
+                u_prev -= e_prev
+                u_prev += e
+                u_prev += e
                 u_new = solve(u_prev)
-            if not np.isfinite(u_new).all():
+            if not math.isfinite(zeros @ u_new):
                 raise SimulationAbort(t, u)
             u_prev, u = u, u_new  # u_new is the old u_prev buffer solved in place
             e_prev, e = e, e_prev
@@ -390,12 +380,13 @@ def relax(
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     u = _initial_condition(cfg, x)
-    solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c)
+    solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
     mu = _mu_profile(cfg, x, 0.0)
+    a, b = 1.0 + dt * mu, -dt
     buf, diff = np.empty_like(u), np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(1, max_steps + 1):
-            u_new = solve(_explicit_step(u, mu, dt, buf))
+            u_new = solve(_reaction(u, a, b, buf))
             change = np.abs(np.subtract(u_new, u, out=diff), out=diff).max()
             if not math.isfinite(change):
                 raise SimulationAbort((k - 1) * dt, u)

@@ -353,6 +353,17 @@ class TestPainleve:
         solve.assert_not_called()
         assert not (out / "painleve_profile.csv").exists()
 
+    def test_classify_past_pole_event_refused_before_solving(self, tmp_path, capsys):
+        with mock.patch.object(cli, "solve_hastings_mcleod") as solve:
+            code, out = run(["painleve", "--classify", "0.5,1e150"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tail multiplier k = 1e+150 starts at |k Ai(8)| = 4.69e+142, "
+            "at or past the pole event |w| = 1e3\n"
+        )
+        solve.assert_not_called()
+        assert not list(out.glob("*"))
+
     def test_window_flag(self, tmp_path):
         code, out = run(["painleve", "--window", "12", "8", "--n", "4001"], tmp_path)
         assert code == 0
@@ -727,6 +738,7 @@ class TestProcess:
                 "solver failure: branch seed failed at eps=0.05",
             ),
             (["painleve", "--classify", "0.5,abc"], 1, "argument --classify:"),
+            (["painleve", "--classify", "1e150"], 1, "error: tail multiplier k = 1e+150"),
             (["front", "--config", "typo.cfg"], 1, "key 'epsilon_typo' names no option"),
             (["pde", "--dt", "0"], 1, "error: dt must be positive and finite"),
             (
@@ -741,8 +753,8 @@ class TestProcess:
             ),
         ],
         ids=[
-            "seed-failure", "bad-classify", "unknown-config-key", "zero-dt", "infinite-L",
-            "singular-jacobian",
+            "seed-failure", "bad-classify", "classify-past-pole", "unknown-config-key", "zero-dt",
+            "infinite-L", "singular-jacobian",
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, args, code, message):
@@ -755,5 +767,5 @@ class TestProcess:
         )
         assert proc.returncode == code
         assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not list((tmp_path / "out").glob("*"))  # no data, summary or manifest

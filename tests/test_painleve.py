@@ -124,6 +124,12 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_airy_tail(float("nan"))
 
+    @pytest.mark.parametrize("k", [1e11, -1e11, 1e150])
+    def test_start_past_pole_event_refused(self, k):
+        # k Ai(8) = 4.7e3 at k = 1e11: the start already has |w| >= 1e3
+        with pytest.raises(ValueError, match="past the pole event"):
+            classify_airy_tail(k)
+
 
 def _synthetic_solution(eta, w):
     wprime = np.gradient(w, eta)

@@ -2,12 +2,14 @@
 characteristic front-path prediction."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import lapack
 
+from quenchfront import pdesim
 from quenchfront.solvercore import SolveError
 from quenchfront.pdesim import (
     FrontTrack,
@@ -94,6 +96,40 @@ class TestInvasion:
         with pytest.raises(SimulationAbort) as err:
             simulate(cfg)
         assert np.all(np.isfinite(err.value.u))
+
+    @pytest.mark.parametrize(
+        "value,aborts",
+        [(math.nan, True), (math.inf, True), (-math.inf, True), (sys.float_info.max, False)],
+        ids=["nan", "inf", "-inf", "max-double"],
+    )
+    def test_abort_check_on_the_step_a_value_appears(self, monkeypatch, value, aborts):
+        # the solve of the last step returns `value` at one node
+        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0)
+        steps = math.ceil(cfg.t_end / cfg.dt)
+        real, calls = pdesim._implicit_solver, []
+
+        def injecting_solver(*args):
+            solve = real(*args)
+
+            def wrapped(b):
+                out = solve(b)
+                calls.append(None)
+                if len(calls) == steps:
+                    out[50] = value
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(pdesim, "_implicit_solver", injecting_solver)
+        if aborts:
+            with pytest.raises(SimulationAbort) as err:
+                simulate(cfg)
+            assert err.value.t == (steps - 1) * cfg.dt
+            assert np.all(np.isfinite(err.value.u))
+        else:
+            res = simulate(cfg)
+            assert res.snapshots[-1][50] == value
+        assert len(calls) == steps
 
     def test_comparison_principle(self):
         base = dict(
@@ -186,6 +222,62 @@ _INVASION = dict(
     frame="lab", frozen_mu=1.0, domain=(0.0, 200.0), n=2001, t_end=60.0,
     ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
 )
+
+
+def _rightmost_crossing_reference(x, u, level):
+    """The tracker as it was before it counted u == level as below: sign
+    products of u - level, with exact hits counted and taken as crossings."""
+    du = u - level
+    with np.errstate(over="ignore"):
+        sign_change = du[:-1] * du[1:] < 0.0
+    idx = np.nonzero(sign_change)[0]
+    count = idx.size
+    exact = np.nonzero(du == 0.0)[0]
+    if exact.size:
+        count += exact.size
+        best_exact = x[exact[-1]]
+    if count == 0:
+        return math.nan, 0
+    if idx.size:
+        i = idx[-1]
+        xi = x[i] + (x[i + 1] - x[i]) * du[i] / (du[i] - du[i + 1])
+        if exact.size and exact[-1] > i + 1:
+            xi = best_exact
+    else:
+        xi = best_exact
+    return float(xi), int(count)
+
+
+class TestTracker:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_on_strict_crossings(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        x = np.sort(rng.uniform(-50.0, 250.0, n))
+        level = float(rng.uniform(0.01, 0.99))
+        # smooth random profiles with a few crossings, and rough ones with many
+        u = np.cumsum(rng.normal(0.0, 0.1 if seed % 2 else 0.5, n)) + level
+        assert not np.any(u == level)
+        got = pdesim._rightmost_crossing(x, u, level)
+        want = _rightmost_crossing_reference(x, u, level)
+        assert got[1] == want[1]
+        assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+    @pytest.mark.parametrize(
+        "u,expected",
+        [
+            ([0.1, 0.2, 0.1], (math.nan, 0)),  # touches from below: no crossing
+            ([0.5, 0.2, 0.5], (1.0, 2)),  # touches from above: two crossings
+            ([0.5, 0.2, 0.1], (1.0, 1)),  # passes through the level at a node
+            ([0.1, 0.2, 0.5], (1.0, 1)),
+            ([0.2, 0.2, 0.2], (math.nan, 0)),
+        ],
+        ids=["touch-below", "touch-above", "down-through-node", "up-through-node", "flat"],
+    )
+    def test_exact_level_counts_as_below(self, u, expected):
+        xi, count = pdesim._rightmost_crossing(np.array([0.0, 1.0, 2.0]), np.array(u), 0.2)
+        assert count == expected[1]
+        assert xi == expected[0] or (math.isnan(xi) and math.isnan(expected[0]))
 
 
 def _last_crossing(x, u, level):
