@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solvercore import SolveError, integrate_ode
+from .solvercore import integrate_ode
 from .travelingwave import delay_prefactor
 
 __all__ = [
@@ -54,6 +54,8 @@ class FoldDelayRecord:
     delta: float
     # never set by the passage; kept so five-field positional records build
     compact_chart_used: bool = False
+    # accepted ODE steps of the passage's two legs
+    steps: int = 0
 
     @property
     def theta_fold(self) -> float:
@@ -80,52 +82,44 @@ def check_passage(c: float, epsilon: float, delta: float) -> None:
 
 
 def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelayRecord:
-    """Integrate the slow-passage system from the attracting slow manifold
-    at theta0 = -1/4 and record theta at the section z = -delta.
+    """Follow the trajectory from the attracting slow manifold at
+    theta0 = -1/4 to the section z = -delta and record theta there.
 
     The initial z carries the first-order slow-manifold correction
-    eps*g(theta0)/(4|theta0|) so the measurement starts transient-free.  The
-    integration runs in z itself: with delta <= 1/2 the section is reached
-    before the fast fall would need compactifying.
+    eps*g(theta0)/(4|theta0|) so the measurement starts transient-free.  z
+    decreases monotonically, so the passage is integrated along z and the
+    section is the end of the range, in two LSODA legs (stiff: in z the slow
+    manifold attracts at rate 4z^2/(eps g)).  From z0 down to 0 the unknown
+    is s = (z^2 + theta)/eps, with ds/dz = (2z - g(eps s - z^2)/s)/eps, since
+    theta(z) has a pole at theta = -z^2, only about eps (1 - c^4/16)/(2z)
+    from the branch.  From 0 down to -delta it is theta, from eps s(0), with
+    dtheta/dz = eps g(theta)/(-z^2 - theta); z^2 + theta stays positive
+    while g > 0, so z always reaches -delta.  Both legs use rtol 1e-10 and
+    atol 1e-10 of the delay law's theta.  ``steps`` counts the accepted
+    steps of both; the only failure is an ODE step-size underflow.
     """
     check_passage(c, epsilon, delta)
     mu_c = c * c / 4.0
-    theta_cap = 1.0 - mu_c
 
     def g(theta):
         return 1.0 - (theta + mu_c) ** 2
 
+    def near(z, y):  # y = [s]
+        return np.array([(2.0 * z - g(epsilon * y[0] - z * z) / y[0]) / epsilon])
+
+    def past(z, y):  # y = [theta]
+        return np.array([epsilon * g(y[0]) / (-z * z - y[0])])
+
     theta0 = -0.25
-    z0 = math.sqrt(-theta0) + epsilon * g(theta0) / (4.0 * (-theta0))
-
-    def field(t, y):
-        z, theta = y
-        return np.array([-z * z - theta, epsilon * g(theta)])
-
-    section = lambda t, y: y[0] + delta
-    section.terminal = True
-    section.direction = -1
-    # stiff: near the fold the fast rate 2 sqrt(-theta) stays O(1) while theta
-    # drifts at rate eps, so explicit steps are bounded by stability, not
-    # accuracy (LSODA: 715 steps at eps = 1e-5, explicit RK4(5): 11 485)
-    res = integrate_ode(
-        field,
-        [z0, theta0],
-        (0.0, 20.0 / epsilon),
-        rtol=1e-10,
-        atol=1e-13,
-        events=[section],
-        stiff=True,
-    )
-    if res.status != "event":
-        theta_last = res.y[-1, 1]
-        raise SolveError(
-            f"section z = -{delta} not reached before theta = {theta_last:.4f} "
-            f"(cap {theta_cap:.4f})"
-        )
-    return FoldDelayRecord(
-        c=c, epsilon=epsilon, theta_exit=float(res.events[0].y[1]), delta=delta
-    )
+    root, dz = math.sqrt(-theta0), epsilon * g(theta0) / (4.0 * (-theta0))
+    z0 = root + dz
+    s0 = dz * (2.0 * root + dz) / epsilon  # (z0^2 + theta0)/eps, no cancellation
+    atol = 1e-10 * delay_prefactor(c) * epsilon ** (2.0 / 3.0)
+    s_leg = integrate_ode(near, [s0], (z0, 0.0), rtol=1e-10, atol=atol / epsilon, stiff=True)
+    theta1 = epsilon * s_leg.y[-1, 0]
+    theta_leg = integrate_ode(past, [theta1], (0.0, -delta), rtol=1e-10, atol=atol, stiff=True)
+    steps = len(s_leg.t) + len(theta_leg.t) - 2
+    return FoldDelayRecord(c, epsilon, float(theta_leg.y[-1, 0]), delta, steps=steps)
 
 
 def check_fit_sweep(eps: Sequence[float]) -> None:

@@ -395,7 +395,7 @@ def integrate_ode(
         t_new, y_new = solver.t, solver.y.copy()
         if (
             solver.status == "failed"
-            or not np.all(np.isfinite(y_new))
+            or not all(map(math.isfinite, y_new.tolist()))
             or (solver.status == "running" and abs(t_new - t) < 1e-14 * max(1.0, abs(t)))
         ):
             raise OdeBlowUpError(t, y)

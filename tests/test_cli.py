@@ -222,6 +222,12 @@ class TestDelaySweep:
         summary = json.loads((out / "delay_sweep_summary.json").read_text())
         assert summary["exponent"] == pytest.approx(2.0 / 3.0, abs=0.03)
         assert summary["prefactor"] == pytest.approx(summary["reference_prefactor"], rel=0.06)
+        lines = (out / "delay_sweep.csv").read_text().splitlines()
+        assert "columns=eps,theta_exit,theta_fold,delta,steps " in lines[0]
+        steps = [int(line.split(",")[-1]) for line in lines[1:]]
+        assert len(steps) == 5 and all(s > 0 for s in steps)
+        manifest = json.loads((out / "delay-sweep_manifest.json").read_text())
+        assert manifest["steps"] == sum(steps)
 
     def test_fold_mode_sequential_runs_byte_identical(self, tmp_path):
         args = ["delay-sweep", "--c", "0.8", "--fold", "--eps-decade", "3e-5:1e-3", "--points", "5"]
@@ -657,7 +663,7 @@ class TestExitTable:
                 id="HMSolveError-2-solver failure",
             ),
             pytest.param(
-                SolveError("section z = -0.25 not reached before theta = 3.0000 (cap 3.0000)"),
+                SolveError("stiff/blow-up: step underflow at t=-0.125"),
                 2, "solver failure",
                 id="FoldPassageError-2-solver failure",
             ),

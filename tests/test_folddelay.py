@@ -1,6 +1,7 @@
 """Tests for the slow-passage fold-delay measurements and the scaling fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,40 @@ class TestRunFoldPassage:
         theta_ref = ref.y_events[0][0][1]
         rec = run_fold_passage(c, eps, 0.25)
         assert rec.theta_exit == pytest.approx(theta_ref, rel=1e-8)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.5])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-2])
+    @pytest.mark.parametrize("c", [0.05, 1.99])
+    def test_corners_against_time_parametrized_reference(self, c, eps, delta):
+        # the passage integrates along z; the same trajectory integrated in
+        # time by LSODA at rtol 1e-13 with an event at the section must read
+        # the same crossing at the corners of the accepted (c, eps, delta)
+        mu_c = c * c / 4.0
+        g = lambda theta: 1.0 - (theta + mu_c) ** 2
+        z0 = 0.5 + eps * g(-0.25)
+        section = lambda t, y: y[0] + delta
+        section.terminal = True
+        section.direction = -1
+        ref = solve_ivp(
+            lambda t, y: [-y[0] * y[0] - y[1], eps * g(y[1])],
+            (0.0, 20.0 / eps),
+            [z0, -0.25],
+            method="LSODA",
+            rtol=1e-13,
+            atol=1e-22,
+            events=[section],
+        )
+        theta_ref = ref.y_events[0][0][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run_fold_passage(c, eps, delta)
+        assert rec.theta_exit == pytest.approx(theta_ref, rel=5e-9)
+        assert 0 < rec.steps < 2000
+
+    def test_step_count_pinned(self, record_c12):
+        # 443 accepted steps over both legs; the count must repeat exactly
+        assert record_c12.steps <= 1000
+        assert run_fold_passage(1.2, 1e-4, 0.25).steps == record_c12.steps
 
     def test_validation(self):
         with pytest.raises(ValueError):
