@@ -313,13 +313,11 @@ def cmd_delay_sweep(args) -> int:
     }
     mu_c = args.c**2 / 4.0
     rows, summary = [], {"c": args.c, "mode": "fold" if args.fold else "bvp"}
-    stats = {}
     if args.fold:
         records = [run_fold_passage(args.c, float(e), args.delta) for e in eps_list]
         for rec in records:
-            rows.append((rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta, rec.steps))
-        columns = ["eps", "theta_exit", "theta_fold", "delta", "steps"]
-        stats["steps"] = sum(rec.steps for rec in records)
+            rows.append((rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta))
+        columns = ["eps", "theta_exit", "theta_fold", "delta"]
         fit = fit_delay_scaling(records)
         summary.update(
             exponent=fit.exponent,
@@ -361,7 +359,7 @@ def cmd_delay_sweep(args) -> int:
             f"exponent = {summary['exponent']:.4f}, prefactor = {summary['prefactor']:.4f} "
             f"(reference {summary['reference_prefactor']:.4f})"
         )
-    _finish("delay-sweep", params, [csv_path, json_path], outdir, t0, **stats)
+    _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
     if converged < 0.8 * total:
         raise SolveError(f"{converged} of {total} eps points converged")
     return EXIT_OK

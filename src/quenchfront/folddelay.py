@@ -54,8 +54,6 @@ class FoldDelayRecord:
     delta: float
     # never set by the passage; kept so five-field positional records build
     compact_chart_used: bool = False
-    # accepted ODE steps of the passage's two legs
-    steps: int = 0
 
     @property
     def theta_fold(self) -> float:
@@ -75,8 +73,9 @@ def check_passage(c: float, epsilon: float, delta: float) -> None:
     :func:`run_fold_passage` accepts."""
     if not (0.0 < c < 2.0):
         raise ValueError("speed must lie in (0, 2)")
-    if not (0.0 < epsilon <= 1e-2):
-        raise ValueError(f"ramp rate must lie in (0, 1e-2], got {epsilon:g}")
+    # below about 1e-13 the passage's first step underflows at the start
+    if not (1e-12 <= epsilon <= 1e-2):
+        raise ValueError(f"ramp rate must lie in [1e-12, 1e-2], got {epsilon:g}")
     if not (0.0 < delta <= 0.5):
         raise ValueError("section offset must lie in (0, 0.5]")
 
@@ -95,8 +94,9 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
     from the branch.  From 0 down to -delta it is theta, from eps s(0), with
     dtheta/dz = eps g(theta)/(-z^2 - theta); z^2 + theta stays positive
     while g > 0, so z always reaches -delta.  Both legs use rtol 1e-10 and
-    atol 1e-10 of the delay law's theta.  ``steps`` counts the accepted
-    steps of both; the only failure is an ODE step-size underflow.
+    atol 1e-10 of the delay law's theta.  The only failure is an ODE
+    step-size underflow; over the eps that :func:`check_passage` accepts,
+    none has been seen.
     """
     check_passage(c, epsilon, delta)
     mu_c = c * c / 4.0
@@ -118,8 +118,7 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
     s_leg = integrate_ode(near, [s0], (z0, 0.0), rtol=1e-10, atol=atol / epsilon, stiff=True)
     theta1 = epsilon * s_leg.y[-1, 0]
     theta_leg = integrate_ode(past, [theta1], (0.0, -delta), rtol=1e-10, atol=atol, stiff=True)
-    steps = len(s_leg.t) + len(theta_leg.t) - 2
-    return FoldDelayRecord(c, epsilon, float(theta_leg.y[-1, 0]), delta, steps=steps)
+    return FoldDelayRecord(c, epsilon, float(theta_leg.y[-1, 0]), delta)
 
 
 def check_fit_sweep(eps: Sequence[float]) -> None:

@@ -205,13 +205,14 @@ def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
 
 def _mu_profile(cfg: SimConfig, x: np.ndarray, t: float) -> float | np.ndarray:
     """Ramp coefficient at time t: a float where mu does not vary in space
-    (frozen mu, lab frame at alpha = 0), an array on the grid in the comoving
-    frame.  The lab-frame ramp at alpha > 0 is built in :func:`simulate`."""
+    (frozen mu, lab frame at alpha = 0), an array on the grid otherwise."""
     if cfg.frozen_mu is not None:
         return float(cfg.frozen_mu)
     if cfg.frame == "comoving":
         return np.tanh(cfg.epsilon * x)
-    return math.tanh(cfg.epsilon * t)
+    if cfg.alpha == 0.0:
+        return math.tanh(cfg.epsilon * t)
+    return -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
 
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
@@ -298,11 +299,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     t = 0.0
     # mu depends on t only in the lab frame without a frozen value
     mu_varies = cfg.frozen_mu is None and cfg.frame == "lab"
-    # at alpha > 0, mu = -tanh(eps (alpha x - t)) = tanh(eps t - eps alpha x),
-    # with eps alpha x formed once and a rebuilt in place each step
-    ramp = cfg.epsilon * cfg.alpha * x if mu_varies and cfg.alpha != 0.0 else None
-    if ramp is not None:
-        a = np.empty_like(u)
     b = -2.0 * dt  # the reaction is evaluated as E = 2 e = u (a + b u^2)
     # u_prev holds u_{k-2} until it is overwritten by the right-hand side;
     # e and e_prev hold E_{k-1} and E_{k-2}
@@ -310,12 +306,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     zeros = np.zeros_like(u)  # zeros @ u is NaN iff u has a NaN or an inf
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(1, steps + 1):
-            if ramp is not None:
-                np.subtract(cfg.epsilon * t, ramp, out=a)
-                np.tanh(a, out=a)
-                a *= 2.0 * dt
-                a += 2.0
-            elif k == 1 or mu_varies:
+            if k == 1 or mu_varies:
                 a = 2.0 + 2.0 * dt * _mu_profile(cfg, x, t)
             _reaction(u, a, b, e)
             if k == 1:

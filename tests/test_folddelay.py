@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from quenchfront import folddelay
 from quenchfront.folddelay import (
     DelayFit,
     FoldDelayRecord,
@@ -22,6 +23,21 @@ OMEGA0 = 2.3381074104597670
 @pytest.fixture(scope="module")
 def record_c12():
     return run_fold_passage(1.2, 1e-4, 0.25)
+
+
+def passage_with_steps(monkeypatch, *args):
+    """Run a fold passage and count the accepted ODE steps of its legs."""
+    steps = []
+
+    def counted(*a, **kw):
+        res = integrate_ode(*a, **kw)
+        steps.append(len(res.t) - 1)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(folddelay, "integrate_ode", counted)
+        rec = run_fold_passage(*args)
+    return rec, sum(steps)
 
 
 class TestRunFoldPassage:
@@ -107,7 +123,7 @@ class TestRunFoldPassage:
     @pytest.mark.parametrize("delta", [0.01, 0.5])
     @pytest.mark.parametrize("eps", [1e-8, 1e-2])
     @pytest.mark.parametrize("c", [0.05, 1.99])
-    def test_corners_against_time_parametrized_reference(self, c, eps, delta):
+    def test_corners_against_time_parametrized_reference(self, monkeypatch, c, eps, delta):
         # the passage integrates along z; the same trajectory integrated in
         # time by LSODA at rtol 1e-13 with an event at the section must read
         # the same crossing at the corners of the accepted (c, eps, delta)
@@ -129,20 +145,23 @@ class TestRunFoldPassage:
         theta_ref = ref.y_events[0][0][1]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rec = run_fold_passage(c, eps, delta)
+            rec, steps = passage_with_steps(monkeypatch, c, eps, delta)
         assert rec.theta_exit == pytest.approx(theta_ref, rel=5e-9)
-        assert 0 < rec.steps < 2000
+        assert 0 < steps < 2000
 
-    def test_step_count_pinned(self, record_c12):
+    def test_step_count_pinned(self, monkeypatch):
         # 443 accepted steps over both legs; the count must repeat exactly
-        assert record_c12.steps <= 1000
-        assert run_fold_passage(1.2, 1e-4, 0.25).steps == record_c12.steps
+        _, steps = passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)
+        assert steps <= 1000
+        assert passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)[1] == steps
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_fold_passage(0.0, 1e-4)
         with pytest.raises(ValueError):
             run_fold_passage(1.2, 0.1)
+        with pytest.raises(ValueError):
+            run_fold_passage(1.2, 1e-14)
         with pytest.raises(ValueError):
             run_fold_passage(1.2, 1e-4, 0.8)
 

@@ -217,30 +217,6 @@ class TestDifferential:
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
 
 
-    def test_lab_ramp_matches_the_per_step_formula(self, monkeypatch):
-        # simulate forms eps alpha x once and builds tanh(eps t - eps alpha x)
-        # in place; the same run with a = 2 + 2 dt mu rebuilt each step from
-        # mu = -tanh(eps (alpha x - t)) must give the same snapshots
-        cfg = SimConfig(
-            frame="lab", alpha=1.0, epsilon=0.05, domain=(0.0, 100.0), n=1001, t_end=40.0,
-        )
-        new = simulate(cfg)
-        x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-        reaction, calls = pdesim._reaction, []
-
-        def per_step_formula(u, a, b, out):
-            t = len(calls) * cfg.dt
-            calls.append(t)
-            mu = -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
-            return reaction(u, 2.0 + 2.0 * cfg.dt * mu, b, out)
-
-        monkeypatch.setattr(pdesim, "_reaction", per_step_formula)
-        old = simulate(cfg)
-        assert len(calls) == new.steps
-        assert np.array_equal(old.times, new.times)
-        assert np.max(np.abs(old.snapshots - new.snapshots)) <= 1e-13
-
-
 # criterion 8(b): frozen mu = 1 invasion from a small bump, h = 0.1
 _INVASION = dict(
     frame="lab", frozen_mu=1.0, domain=(0.0, 200.0), n=2001, t_end=60.0,
