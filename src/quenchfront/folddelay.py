@@ -87,16 +87,17 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
     The initial z carries the first-order slow-manifold correction
     eps*g(theta0)/(4|theta0|) so the measurement starts transient-free.  z
     decreases monotonically, so the passage is integrated along z and the
-    section is the end of the range, in two LSODA legs (stiff: in z the slow
-    manifold attracts at rate 4z^2/(eps g)).  From z0 down to 0 the unknown
-    is s = (z^2 + theta)/eps, with ds/dz = (2z - g(eps s - z^2)/s)/eps, since
-    theta(z) has a pole at theta = -z^2, only about eps (1 - c^4/16)/(2z)
-    from the branch.  From 0 down to -delta it is theta, from eps s(0), with
+    section is the end of the range, in two legs, each one compiled LSODA
+    call (stiff: in z the slow manifold attracts at rate 4z^2/(eps g)).
+    From z0 down to 0 the unknown is s = (z^2 + theta)/eps, with
+    ds/dz = (2z - g(eps s - z^2)/s)/eps, since theta(z) has a pole at
+    theta = -z^2, only about eps (1 - c^4/16)/(2z) from the branch.  From 0
+    down to -delta it is theta, from eps s(0), with
     dtheta/dz = eps g(theta)/(-z^2 - theta); z^2 + theta stays positive
     while g > 0, so z always reaches -delta.  Both legs use rtol 1e-10 and
     atol 1e-10 of the delay law's theta.  The only failure is an ODE
-    step-size underflow; over the eps that :func:`check_passage` accepts,
-    none has been seen.
+    step-size underflow; in the ranges :func:`check_passage` accepts it has
+    been seen only at the start, at eps = 1e-12 with c >= 1.999.
     """
     check_passage(c, epsilon, delta)
     mu_c = c * c / 4.0

@@ -2,15 +2,17 @@
 iteration on discrete two-point BVPs (tridiagonal Newton with two boundary
 corners on LAPACK ``dgtsv``), natural-parameter continuation with a secant
 predictor through an ordered list of stops, each landed on exactly, ODE
-integration by scipy's ``DOP853`` or (stiff) ``LSODA`` stepper with
-sign-change events located by ``brentq`` on the dense output, and the
-largest eigenvalues of a symmetric tridiagonal matrix by LAPACK bisection
-via ``scipy.linalg.eigh_tridiagonal``.
+integration by scipy's ``DOP853`` stepper with sign-change events located
+by ``brentq`` on the dense output or (stiff, no events) by one compiled
+LSODA call, ``scipy.integrate.odeint``, and the largest eigenvalues of a
+symmetric tridiagonal matrix by LAPACK bisection via
+``scipy.linalg.eigh_tridiagonal``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,8 +59,8 @@ class JacobianSingularError(RuntimeError):
 
 
 class OdeBlowUpError(SolveError):
-    """Step size underflow (stiffness or finite-time blow-up); carries the
-    last healthy state."""
+    """Step size underflow or a failed step (stiffness or finite-time
+    blow-up); carries the last state the integration reached."""
 
     def __init__(self, t: float, y: np.ndarray):
         super().__init__(f"stiff/blow-up: step underflow at t={t!r}")
@@ -328,7 +330,8 @@ def continue_branch(
 
 
 # ---------------------------------------------------------------------------
-# ODE integration with event location (scipy's DOP853 and LSODA steppers)
+# ODE integration: scipy's DOP853 stepper with event location, or one
+# compiled LSODA call (odeint) when stiff
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -344,6 +347,7 @@ class OdeResult:
     y: np.ndarray  # shape (len(t), dim)
     events: list[EventRecord]
     status: str  # "completed" | "event"
+    steps: int  # accepted steps
 
 
 def integrate_ode(
@@ -356,36 +360,46 @@ def integrate_ode(
     stiff: bool = False,
 ) -> OdeResult:
     """Adaptive integration with scipy's ``DOP853`` (explicit Runge-Kutta
-    of order 8) or, with ``stiff``, ``LSODA`` (Adams/BDF with automatic
-    stiffness switching).
+    of order 8) or, with ``stiff``, LSODA (Adams/BDF with automatic
+    stiffness switching) through one ``scipy.integrate.odeint`` call.
 
     ``stiff`` exists because the callers need different steppers.  Slow-fast
     systems, whose explicit steps are limited by stability rather than
     accuracy, take an order of magnitude fewer steps under LSODA.  LSODA's
     error control is too loose for solutions that must shadow an unstable
-    orbit over a long range, so that case stays on DOP853.
+    orbit over a long range, so that case stays on DOP853.  The stiff path
+    runs LSODA to the range end without stepping past it (``tcrit``), so it
+    takes the same steps as scipy's ``LSODA`` stepper; it returns the two
+    endpoints only and takes no events (``ValueError``).
 
-    The result holds every accepted step.  Events are scalar functions of
-    (t, y).  A sign change over an accepted step, in the direction given by
-    an optional ``direction`` attribute (+1 rising, -1 falling, 0 both), is
-    located by ``brentq`` on the step's dense output to 1e-12 in time.  An
-    event function with a truthy ``terminal`` attribute stops integration
-    at its earliest crossing.  :class:`OdeBlowUpError`, carrying the last
-    accepted state, is raised when the stepper fails, when the state turns
-    non-finite, or when a step short of the range end advances by less than
-    1e-14 max(1, |t|) (stiffness or finite-time blow-up).
+    On DOP853 the result holds every accepted step.  Events are scalar
+    functions of (t, y).  A sign change over an accepted step, in the
+    direction given by an optional ``direction`` attribute (+1 rising, -1
+    falling, 0 both), is located by ``brentq`` on the step's dense output to
+    1e-12 in time.  An event function with a truthy ``terminal`` attribute
+    stops integration at its earliest crossing.  ``steps`` counts the
+    accepted steps on either path.  :class:`OdeBlowUpError`, carrying the
+    last state reached, is raised when the stepper fails, when the state
+    turns non-finite, or when the integration stalls short of the range end
+    (stiffness or finite-time blow-up): on DOP853, a step that advances by
+    less than 1e-14 max(1, |t|); on LSODA, an end more than
+    1e-14 max(1, |t1|) short of t1.
     """
     # imported here, not at module level: on top of the package import,
     # scipy.integrate (which loads scipy.optimize) costs 0.21-0.24 s and
     # ~19 MB peak RSS (scipy 1.17.1, 2-core Xeon), and only the fold
     # passage and the Airy-tail classifier integrate
-    from scipy.integrate import DOP853, LSODA
+    from scipy.integrate import DOP853
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
+    if stiff and events:
+        raise ValueError("stiff integration takes no events")
     if not np.all(np.isfinite(np.asarray(field(t0, y), dtype=float))):
         raise ValueError("vector field not finite at the initial state")
-    solver = (LSODA if stiff else DOP853)(field, t0, y, t1, rtol=rtol, atol=atol)
+    if stiff:
+        return _odeint_leg(field, y, t0, t1, rtol, atol)
+    solver = DOP853(field, t0, y, t1, rtol=rtol, atol=atol)
     ts, ys = [t0], [y]
     records: list[EventRecord] = []
     g_prev = [ev(t0, y) for ev in events]
@@ -411,10 +425,54 @@ def integrate_ode(
         for t_e, i, y_e in sorted(hits, key=lambda hit: abs(hit[0] - t)):
             records.append(EventRecord(i, t_e, y_e))
             if getattr(events[i], "terminal", False):
-                return OdeResult(np.array(ts + [t_e]), np.stack(ys + [y_e]), records, "event")
+                return OdeResult(
+                    np.array(ts + [t_e]), np.stack(ys + [y_e]), records, "event", len(ts)
+                )
         ts.append(t_new)
         ys.append(y_new)
-    return OdeResult(np.array(ts), np.stack(ys), records, "completed")
+    return OdeResult(np.array(ts), np.stack(ys), records, "completed", len(ts) - 1)
+
+
+# odeint's step cap for one stiff call.  LSODA does not stop at a finite-time
+# blow-up: its step shrinks until t + h == t and the state grows on until it
+# overflows (after about 9 000 steps for y' = y^2 at rtol 1e-8), so the cap
+# ends such a run first; a fold-passage leg has taken at most 1 892.
+_STIFF_MAX_STEPS = 5000
+
+
+def _odeint_leg(field, y, t0, t1, rtol, atol) -> OdeResult:
+    """The stiff path of :func:`integrate_ode`: one LSODA call to t1."""
+    from scipy.integrate import ODEintWarning, odeint
+
+    if t1 == t0:  # odeint would leave its counters unset
+        return OdeResult(np.array([t0, t1]), np.stack([y, y]), [], "completed", 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ODEintWarning)
+        ys, info = odeint(
+            field,
+            y,
+            [t0, t1],
+            rtol=rtol,
+            atol=atol,
+            tcrit=[t1],
+            mxstep=_STIFF_MAX_STEPS,
+            full_output=True,
+            tfirst=True,
+        )
+    failed = False
+    for w in caught:  # odeint reports a failure as an ODEintWarning
+        if issubclass(w.category, ODEintWarning):
+            failed = True
+        else:
+            warnings.warn(w.message, stacklevel=3)
+    t_end = float(info["tcur"][0])
+    if (
+        failed
+        or abs(t_end - t1) > 1e-14 * max(1.0, abs(t1))
+        or not all(map(math.isfinite, ys[-1].tolist()))
+    ):
+        raise OdeBlowUpError(t_end, ys[-1])
+    return OdeResult(np.array([t0, t1]), ys, [], "completed", int(info["nst"][0]))
 
 
 def _locate_event(ev, dense, t_a, g_a, t_b, g_b) -> float:

@@ -14,7 +14,7 @@ from quenchfront.folddelay import (
     fit_delay_scaling,
     run_fold_passage,
 )
-from quenchfront.solvercore import integrate_ode
+from quenchfront.solvercore import OdeResult, integrate_ode
 from quenchfront.travelingwave import delay_prefactor
 
 OMEGA0 = 2.3381074104597670
@@ -25,13 +25,22 @@ def record_c12():
     return run_fold_passage(1.2, 1e-4, 0.25)
 
 
-def passage_with_steps(monkeypatch, *args):
-    """Run a fold passage and count the accepted ODE steps of its legs."""
+def lsoda_stepper(field, y0, t_span, rtol, atol, stiff):
+    """A leg on scipy's LSODA stepper, driven step by step by solve_ivp."""
+    assert stiff
+    sol = solve_ivp(field, t_span, y0, method="LSODA", rtol=rtol, atol=atol)
+    assert sol.success
+    return OdeResult(sol.t, sol.y.T, [], "completed", len(sol.t) - 1)
+
+
+def passage_with_steps(monkeypatch, *args, kernel=integrate_ode):
+    """Run a fold passage with its legs on ``kernel`` and count their
+    accepted ODE steps."""
     steps = []
 
     def counted(*a, **kw):
-        res = integrate_ode(*a, **kw)
-        steps.append(len(res.t) - 1)
+        res = kernel(*a, **kw)
+        steps.append(res.steps)
         return res
 
     with monkeypatch.context() as m:
@@ -84,17 +93,17 @@ class TestRunFoldPassage:
         section.terminal = True
         section.direction = -1
         for off in (0.05, -0.05):
-            res = integrate_ode(
-                lambda t, y: np.array([-y[0] * y[0] - y[1], eps * g(y[1])]),
-                [z0 + off, -0.25],
+            res = solve_ivp(
+                lambda t, y: [-y[0] * y[0] - y[1], eps * g(y[1])],
                 (0.0, 20.0 / eps),
+                [z0 + off, -0.25],
+                method="LSODA",
                 rtol=1e-10,
                 atol=1e-13,
                 events=[section],
-                stiff=True,
             )
-            assert res.status == "event"
-            assert res.events[0].y[1] == pytest.approx(record_c12.theta_exit, abs=1e-8)
+            assert res.status == 1
+            assert res.y_events[0][0][1] == pytest.approx(record_c12.theta_exit, abs=1e-8)
 
     @pytest.mark.parametrize("c", [1.2, 1.6])
     @pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3])
@@ -148,6 +157,18 @@ class TestRunFoldPassage:
             rec, steps = passage_with_steps(monkeypatch, c, eps, delta)
         assert rec.theta_exit == pytest.approx(theta_ref, rel=5e-9)
         assert 0 < steps < 2000
+
+    @pytest.mark.parametrize("delta", [0.01, 0.25, 0.5])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-5, 1e-2])
+    @pytest.mark.parametrize("c", [0.05, 1.2, 1.99])
+    def test_legs_match_lsoda_stepper(self, monkeypatch, c, eps, delta):
+        # each leg is one compiled LSODA call (odeint); scipy's LSODA
+        # stepper on the same fields, ranges and tolerances must read the
+        # same section after the same number of accepted steps
+        rec, steps = passage_with_steps(monkeypatch, c, eps, delta)
+        ref, ref_steps = passage_with_steps(monkeypatch, c, eps, delta, kernel=lsoda_stepper)
+        assert rec.theta_exit == pytest.approx(ref.theta_exit, rel=1e-14)
+        assert steps == ref_steps
 
     def test_step_count_pinned(self, monkeypatch):
         # 443 accepted steps over both legs; the count must repeat exactly

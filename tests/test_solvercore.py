@@ -1,13 +1,16 @@
 """Tests for the shared numerics: tridiagonal Newton with two boundary corners
-on LAPACK dgtsv, continuation, the embedded RK4(5) integrator, and the
-tridiagonal eigensolver (LAPACK bisection via scipy.linalg.eigh_tridiagonal)."""
+on LAPACK dgtsv, continuation, the DOP853 and (stiff) LSODA integrators, and
+the tridiagonal eigensolver (LAPACK bisection via
+scipy.linalg.eigh_tridiagonal)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from quenchfront.solvercore import (
     JacobianSingularError,
@@ -385,9 +388,51 @@ class TestIntegrateOde:
         )
         assert res.y[-1, 0] == pytest.approx(math.e, rel=1e-8)
 
+    def test_empty_range(self):
+        res = integrate_ode(lambda t, y: -y, [1.0], (0.5, 0.5), stiff=self.stiff)
+        assert res.status == "completed"
+        assert res.t[-1] == 0.5 and res.y[-1, 0] == 1.0
+
+    def test_steps_match_scipy_stepper(self):
+        # the same run through solve_ivp ends in the same state after the
+        # same number of accepted steps
+        field = lambda t, y: np.array([y[1], -math.sin(y[0])])
+        res = integrate_ode(field, [0.9, 0.0], (0.0, 5.0), rtol=1e-9, atol=1e-12, stiff=self.stiff)
+        ref = solve_ivp(
+            field,
+            (0.0, 5.0),
+            [0.9, 0.0],
+            method="LSODA" if self.stiff else "DOP853",
+            rtol=1e-9,
+            atol=1e-12,
+        )
+        assert res.steps == len(ref.t) - 1 > 0
+        assert np.array_equal(res.y[-1], ref.y[:, -1])
+
+    def test_field_warnings_pass_through(self):
+        def field(t, y):
+            warnings.warn("from the field", UserWarning)
+            return -y
+
+        with pytest.warns(UserWarning, match="from the field"):
+            integrate_ode(field, [1.0], (0.0, 1.0), stiff=self.stiff)
+
 
 class TestIntegrateOdeStiff(TestIntegrateOde):
-    stiff = True
+    stiff = True  # one odeint call: the two endpoints, no events
+
+    def test_linear_event_time(self):
+        ev = lambda t, y: y[0]
+        ev.terminal = True
+        with pytest.raises(ValueError, match="no events"):
+            integrate_ode(lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), events=[ev], stiff=True)
+
+    def test_nonterminal_event_direction(self):
+        ev = lambda t, y: y[0]
+        ev.direction = -1
+        field = lambda t, y: np.array([y[1], -y[0]])
+        with pytest.raises(ValueError, match="no events"):
+            integrate_ode(field, [1.0, 0.0], (0.0, 10.0), events=[ev], stiff=True)
 
 
 # ---------------------------------------------------------------------------
