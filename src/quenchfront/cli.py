@@ -56,9 +56,12 @@ from .painleve import (
     solve_hastings_mcleod,
 )
 from .pdesim import (
+    DT_CAP,
+    DT_PER_H,
     SimConfig,
     SimulationAbort,
     check_quench_comparable,
+    check_spreading_speed,
     compare_homogeneous_quench,
     simulate,
 )
@@ -454,6 +457,7 @@ def cmd_pde(args) -> int:
     )
     if args.compare:
         check_quench_comparable(cfg)
+    spreading_speed = check_spreading_speed(cfg)
     params = {
         "frame": cfg.frame, "alpha": cfg.alpha, "c": cfg.c, "eps": cfg.epsilon,
         "x_lo": cfg.domain[0], "x_hi": cfg.domain[1], "n": cfg.n,
@@ -509,7 +513,10 @@ def cmd_pde(args) -> int:
             f"front lead after transient (t >= {compare.t_transient:.1f}): "
             f"min {float(np.min(compare.difference)):.4f}, final {float(compare.difference[-1]):.4f}"
         )
-    _finish("pde", params, outputs, outdir, t0, steps=res.steps, wall_s=res.wall_s)
+    _finish(
+        "pde", params, outputs, outdir, t0,
+        steps=res.steps, wall_s=res.wall_s, spreading_speed=spreading_speed,
+    )
     return EXIT_OK
 
 
@@ -641,8 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument(
         "--dt", type=float, default=None,
-        help="SBDF2 time step (default and maximum min(0.2 h, 0.5): 0.2 h for accuracy, "
-        "0.5 for the explicit reaction's stability dt |f'(u)| < 4/3)",
+        help=f"SBDF3 time step (default and maximum min({DT_PER_H:g} h, {DT_CAP:g}): "
+        f"{DT_PER_H:g} h for accuracy, {DT_CAP:g} to keep the explicit reaction's "
+        f"dt |f'(u)| <= {2.0 * DT_CAP:g}, well inside its stability limit 20/21)",
     )
     p.add_argument("--ic", choices=["small-bump", "front-seed"], default="small-bump")
     p.add_argument("--ic-amplitude", type=float, default=0.05)

@@ -76,6 +76,15 @@ def check_passage(c: float, epsilon: float, delta: float) -> None:
     # below about 1e-13 the passage's first step underflows at the start
     if not (1e-12 <= epsilon <= 1e-2):
         raise ValueError(f"ramp rate must lie in [1e-12, 1e-2], got {epsilon:g}")
+    # near c = 2 the first leg's first step fails too: LSODA's corrector does
+    # not converge at z0 and no step is taken.  Measured boundary in
+    # eps (1 - c^4/16): 3.9e-15 at 1 - c^4/16 = 3e-3, falling to 2e-17 at
+    # 1e-6; 1e-14 refuses every failing start with a 2.5x margin
+    if epsilon * (1.0 - c**4 / 16.0) < 1e-14:
+        raise ValueError(
+            f"eps (1 - c^4/16) must be >= 1e-14, got {epsilon * (1.0 - c**4 / 16.0):.3g} "
+            f"at c = {c!r}, eps = {epsilon:g}: the passage cannot start that close to c = 2"
+        )
     if not (0.0 < delta <= 0.5):
         raise ValueError("section offset must lie in (0, 0.5]")
 
@@ -96,8 +105,9 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
     dtheta/dz = eps g(theta)/(-z^2 - theta); z^2 + theta stays positive
     while g > 0, so z always reaches -delta.  Both legs use rtol 1e-10 and
     atol 1e-10 of the delay law's theta.  The only failure is an ODE
-    step-size underflow; in the ranges :func:`check_passage` accepts it has
-    been seen only at the start, at eps = 1e-12 with c >= 1.999.
+    failure raised as ``OdeBlowUpError``; in the ranges :func:`check_passage`
+    accepts it has been seen only within 2e-4 of c = 2 near eps = 3e-10,
+    where LSODA stays on its nonstiff method and runs out of steps.
     """
     check_passage(c, epsilon, delta)
     mu_c = c * c / 4.0

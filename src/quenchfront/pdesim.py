@@ -1,7 +1,7 @@
 """Method-of-lines simulation of the quenched Allen-Cahn equation.
 
 Three operating modes share one semi-implicit stepper (diffusion and
-advection implicit, cubic reaction explicit, Neumann boundaries).  The
+advection implicit, cubic reaction explicit, Neumann boundaries).  Each
 constant tridiagonal implicit operator is factored once per run: without
 advection (lab frame, frozen mu) it is symmetric positive definite once its
 two ghost rows are halved, and LAPACK ``dpttrf``/``dpttrs`` factor and solve
@@ -14,20 +14,30 @@ it; with advection ``dgttrf``/``dgttrs`` do.
   at alpha = 0, spatially homogeneous) quench mu(s) = -tanh(eps s).
 * ``frozen_mu``: constant-coefficient runs for invasion-speed checks.
 
-:func:`simulate` marches with SBDF2, the second-order semi-implicit BDF of
-Ascher, Ruuth and Wetton (1995): with A = D2 - c D1 and
-e_k = u_k + dt f(u_k, t_k),
+:func:`simulate` marches with SBDF3, the third-order semi-implicit BDF of
+Ascher, Ruuth and Wetton (1995): with A = D2 - c D1 and F_k = f(u_k, t_k),
 
-    (3 I - 2 dt A) u_{k+1} = 4 e_k - 2 e_{k-1} + u_{k-1},
+    (11 I - 6 dt A) u_{k+1} = 18 u_k - 9 u_{k-1} + 2 u_{k-2}
+                              + 6 dt (3 F_k - 3 F_{k-1} + F_{k-2}),
 
-after one first-order IMEX Euler step (I - dt A) u_1 = e_0.  The time error
-is O(dt^2), so dt <= 0.2 h keeps it at or below the O(h^2) space error.
-The extrapolated reaction is stable for dt |f'(u)| < 4/3, with
-f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]), so dt <= 0.5 keeps
-dt |f'| <= 1; that limit binds on coarse grids, h > 5/2.  Both together,
-dt <= min(0.2 h, 0.5), are the default and the bound.  :func:`relax` iterates
-the first-order step at large dt to a steady state of a time-independent
-mode.
+after one first-order IMEX Euler step (I - dt A) u_1 = u_0 + dt F_0 and one
+SBDF2 step (3 I - 2 dt A) u_2 = 4 u_1 - u_0 + 2 dt (2 F_1 - F_0) at the same
+dt.  The time error is O(dt^3), so dt <= 0.5 h keeps it at or below the
+O(h^2) space error.  The extrapolated reaction is stable for
+dt |f'(u)| < 20/21, with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).
+Near that limit a parasitic root of the extrapolation is close to -1 (-0.76
+at dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
+it (by 4e-4 at dt = 0.4 on h = 5); dt <= 0.2 keeps dt |f'| <= 0.4 and u
+within rounding of the invariant region |u| <= 1 on grids up to h = 10.
+That limit binds on coarse grids, h > 0.4.  Both together,
+dt <= min(0.5 h, 0.2) (``DT_PER_H`` and ``DT_CAP``), are the default and the
+bound.  :func:`relax` iterates the first-order step at large dt to a steady
+state of a time-independent mode.
+
+A pulled front runs at its discretization's own linear spreading speed
+(:func:`spreading_speed`), not at 2 sqrt(mu); :func:`check_spreading_speed`
+refuses a grid whose speed misses 2 sqrt(mu) by more than ``SPEED_TOLERANCE``
+of it.
 
 The tracked front is the rightmost crossing of u through ``track_level``
 (linearly interpolated), a level in (0, 1), default 0.2.  A node with
@@ -46,7 +56,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .solvercore import SolveError
 
@@ -57,12 +67,25 @@ __all__ = [
     "RelaxResult",
     "QuenchComparison",
     "SimulationAbort",
+    "DT_PER_H",
+    "DT_CAP",
+    "SPEED_TOLERANCE",
     "simulate",
     "relax",
+    "spreading_speed",
+    "check_spreading_speed",
     "predicted_front_path",
     "check_quench_comparable",
     "compare_homogeneous_quench",
 ]
+
+
+# the default and largest step is min(DT_PER_H h, DT_CAP); see the module notes
+DT_PER_H = 0.5
+DT_CAP = 0.2
+# a grid whose spreading speed misses 2 sqrt(mu) by more than this fraction of
+# it is refused: criterion 8(b)'s tolerance, 0.05 on a speed of 2
+SPEED_TOLERANCE = 0.025
 
 
 class SimulationAbort(RuntimeError):
@@ -83,7 +106,7 @@ class SimConfig:
     domain: tuple[float, float] = (0.0, 300.0)
     n: int = 3001
     t_end: float = 200.0
-    dt: float | None = None  # defaults to the bound min(0.2 h, 0.5)
+    dt: float | None = None  # defaults to the bound min(DT_PER_H h, DT_CAP)
     ic: str = "small-bump"  # "small-bump" | "front-seed"
     ic_center: float = 0.0
     ic_width: float = 5.0
@@ -131,18 +154,19 @@ class SimConfig:
             raise ValueError("snapshot_dt must be positive")
         if not 0.0 < self.track_level < 1.0:
             raise ValueError(f"track_level must lie in (0, 1), got {self.track_level!r}")
-        dt_max = min(0.2 * self.h, 0.5)
+        dt_max = min(DT_PER_H * self.h, DT_CAP)
         if self.dt is None:
             self.dt = dt_max
         elif not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         elif self.dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
-                f"dt = {self.dt:g} exceeds min(0.2 h, 0.5) = {dt_max:g}: the accuracy limit "
-                "dt <= 0.2 h keeps the second-order time error at or below the O(h^2) "
-                "space error, and the stability limit dt <= 0.5 keeps the explicit "
-                "reaction's dt |f'(u)| < 4/3 for |f'| <= 2 (diffusion is implicit and "
-                "stable for any dt)"
+                f"dt = {self.dt:g} exceeds min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g}: the "
+                f"accuracy limit dt <= {DT_PER_H:g} h keeps SBDF3's third-order time error at "
+                f"or below the O(h^2) space error, and the limit dt <= {DT_CAP:g} keeps the "
+                f"explicit reaction's dt |f'(u)| <= {2.0 * DT_CAP:g} for |f'| <= 2, well inside "
+                "its stability interval (20/21) and free of overshoot past |u| = 1 "
+                "(diffusion is implicit and stable for any dt)"
             )
 
     @property
@@ -203,16 +227,12 @@ def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(mu, 0.0)) * 0.5 * (1.0 + np.tanh(x - center))
 
 
-def _mu_profile(cfg: SimConfig, x: np.ndarray, t: float) -> float | np.ndarray:
-    """Ramp coefficient at time t: a float where mu does not vary in space
-    (frozen mu, lab frame at alpha = 0), an array on the grid otherwise."""
+def _mu_profile(cfg: SimConfig, x: np.ndarray) -> float | np.ndarray:
+    """Ramp coefficient of a time-independent mode: a float for frozen mu,
+    the static ramp tanh(eps z) on the grid in the comoving frame."""
     if cfg.frozen_mu is not None:
         return float(cfg.frozen_mu)
-    if cfg.frame == "comoving":
-        return np.tanh(cfg.epsilon * x)
-    if cfg.alpha == 0.0:
-        return math.tanh(cfg.epsilon * t)
-    return -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
+    return np.tanh(cfg.epsilon * x)
 
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
@@ -275,19 +295,25 @@ def _reaction(u: np.ndarray, a: float | np.ndarray, b: float, out: np.ndarray) -
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """March with SBDF2 (one IMEX Euler step first); returns snapshots and
-    the front track.
+    """March with SBDF3 (one IMEX Euler and one SBDF2 step first); returns
+    snapshots and the front track.
 
     A non-finite state aborts with :class:`SimulationAbort` carrying the
     last healthy snapshot.
     """
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    dt = cfg.dt
+    dt, eps = cfg.dt, cfg.epsilon
     steps = int(math.ceil(cfg.t_end / dt))
     u = _initial_condition(cfg, x)
-    solve_first = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
-    solve = _implicit_solver(cfg.n, cfg.h, 2.0 * dt, cfg.c, 3.0)
+    # each step solves M u_{k+1} = m E_k + P_k with E_k = 18 (u_k + dt F_k):
+    # 18 (I - dt A) for the Euler start, 9 (3I - 2dt A) with m = 2 for the
+    # SBDF2 step, then 11I - 6dt A.  P_k and Q_k carry what the two earlier
+    # levels add: P_{k+1} = Q_k + 9 u_k - E_k and Q_{k+1} = E_k/3 - 4 u_k.
+    solvers = [
+        _implicit_solver(cfg.n, cfg.h, dt_m, cfg.c, s)
+        for dt_m, s in ((18.0 * dt, 18.0), (18.0 * dt, 27.0), (6.0 * dt, 11.0))
+    ]
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -296,39 +322,44 @@ def simulate(cfg: SimConfig) -> SimResult:
     times, snaps = [0.0], [u.copy()]
     tt, tx = [0.0], [_rightmost_crossing(x, u, cfg.track_level)[0]]
     multi = False
-    t = 0.0
-    # mu depends on t only in the lab frame without a frozen value
-    mu_varies = cfg.frozen_mu is None and cfg.frame == "lab"
-    b = -2.0 * dt  # the reaction is evaluated as E = 2 e = u (a + b u^2)
-    # u_prev holds u_{k-2} until it is overwritten by the right-hand side;
-    # e and e_prev hold E_{k-1} and E_{k-2}
-    u_prev, e, e_prev = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    w = 18.0  # the reaction is evaluated as E = u (a + b u^2), a = w (1 + dt mu)
+    b = -w * dt
+    # mu depends on t only in the lab frame without a frozen value: per step
+    # a float at alpha = 0, else -tanh(ramp - eps t) with ramp formed once
+    ramp, quench = None, cfg.frozen_mu is None and cfg.frame == "lab" and cfg.alpha == 0.0
+    if cfg.frozen_mu is not None or cfg.frame == "comoving":
+        a = w + w * dt * _mu_profile(cfg, x)
+    elif not quench:
+        ramp, a = eps * cfg.alpha * x, np.empty_like(u)
+    e, p, q, free = np.empty_like(u), np.zeros_like(u), np.zeros_like(u), np.empty_like(u)
     zeros = np.zeros_like(u)  # zeros @ u is NaN iff u has a NaN or an inf
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
-        for k in range(1, steps + 1):
-            if k == 1 or mu_varies:
-                a = 2.0 + 2.0 * dt * _mu_profile(cfg, x, t)
+        for k in range(steps):
+            t = k * dt
+            if ramp is not None:
+                np.subtract(ramp, eps * t, out=a)
+                np.tanh(a, out=a)
+                a *= b
+                a += w
+            elif quench:
+                a = w + w * dt * math.tanh(eps * t)
             _reaction(u, a, b, e)
-            if k == 1:
-                np.multiply(e, 0.5, out=u_prev)
-                u_new = solve_first(u_prev)
-            else:
-                # 4 e_{k-1} - 2 e_{k-2} + u_{k-2} = 2 E_{k-1} - E_{k-2} + u_{k-2}
-                u_prev -= e_prev
-                u_prev += e
-                u_prev += e
-                u_new = solve(u_prev)
+            blas.daxpy(e, p, a=2.0 if k == 1 else 1.0)
+            u_new = solvers[min(k, 2)](p)  # p's buffer, solved in place
             if not math.isfinite(zeros @ u_new):
                 raise SimulationAbort(t, u)
-            u_prev, u = u, u_new  # u_new is the old u_prev buffer solved in place
-            e_prev, e = e, e_prev
-            t = k * dt
-            if k % track_stride == 0 or k == steps:
+            blas.daxpy(u, q, a=9.0)
+            q -= e  # q's buffer now holds P_{k+1}
+            np.multiply(u, -4.0, out=free)
+            blas.daxpy(e, free, a=1.0 / 3.0)  # Q_{k+1}
+            u, p, q, free = u_new, q, free, u
+            t = (k + 1) * dt
+            if (k + 1) % track_stride == 0 or k + 1 == steps:
                 xi, count = _rightmost_crossing(x, u, cfg.track_level)
                 multi = multi or count > 1
                 tt.append(t)
                 tx.append(xi)
-            if k % snap_stride == 0 or k == steps:
+            if (k + 1) % snap_stride == 0 or k + 1 == steps:
                 times.append(t)
                 snaps.append(u.copy())
     track = FrontTrack(np.array(tt), np.array(tx), cfg.track_level, multi)
@@ -356,8 +387,8 @@ def relax(
     A u + f(u) = 0.
 
     Fixed points of the step solve the steady problem exactly for any dt,
-    so ``dt`` is not held to the accuracy limit 0.2 h of :func:`simulate`;
-    only the explicit reaction bounds it.  On a front
+    so ``dt`` is not held to the SBDF3 bound min(0.5 h, 0.2) of
+    :func:`simulate`; only the explicit reaction bounds it.  On a front
     f'(u) = mu - 3u^2 lies in [-2, 1], and the frozen-coefficient condition
     |1 + dt f'| <= 1 gives dt < 1: at dt = 1 the uniform mode of the u = 1
     plateau (f' = -2) no longer decays.  The default 0.5 damps that mode in
@@ -381,7 +412,7 @@ def relax(
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     u = _initial_condition(cfg, x)
     solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
-    mu = _mu_profile(cfg, x, 0.0)
+    mu = _mu_profile(cfg, x)
     a, b = 1.0 + dt * mu, -dt
     buf, diff = np.empty_like(u), np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
@@ -396,6 +427,69 @@ def relax(
                 if residual < tol:
                     return RelaxResult(x, u, k, residual, time.perf_counter() - wall0)
     raise SolveError(f"no steady state within {max_steps} steps (tol {tol:g})")
+
+
+def spreading_speed(h: float, dt: float, mu: float) -> float:
+    """Linear spreading speed of the SBDF3 march of u_t = u_xx + mu u on a
+    grid of spacing h at step dt, for mu > 0 (van Saarloos, Phys. Rep. 386,
+    2003); advection (the comoving frame's c D1) is not included.
+
+    A mode G^k e^{-lam x} has A e^{-lam x} = s e^{-lam x} with
+    s = 2 (cosh(lam h) - 1)/h^2 and grows by the largest root G of
+
+        (11 - 6 dt s) G^3 - 18 (1 + dt mu) G^2 + (9 + 18 dt mu) G - (2 + 6 dt mu) = 0,
+
+    and the speed is the minimum over lam of ln(G)/(dt lam).  The relation
+    is solved for s at a given growth rate sigma = ln(G)/dt: with
+    g = G - 1 = expm1(sigma dt),
+
+        6 dt G^3 s = 11 g^3 + 15 g^2 + 6 g - 6 dt mu (3 g^2 + 3 g + 1),
+
+    which has no cancellation as dt -> 0, where s -> sigma - mu and the
+    speed tends to the semi-discrete min_lam (s(lam) + mu)/lam.  Then
+    lam = acosh(1 + s h^2/2)/h, and sigma/lam is minimised on a geometric
+    sigma grid refined three times around its smallest value.
+    """
+    if not (h > 0.0 and dt > 0.0 and mu > 0.0):
+        raise ValueError("spreading speed needs h > 0, dt > 0 and mu > 0")
+
+    def speed(sigma: np.ndarray) -> np.ndarray:
+        g = np.expm1(sigma * dt)
+        s = (g * (6.0 + g * (15.0 + 11.0 * g)) - 6.0 * dt * mu * (1.0 + 3.0 * g * (1.0 + g))) / (
+            6.0 * dt * (1.0 + g) ** 3
+        )
+        y = 0.5 * h * h * np.maximum(s, 0.0)
+        lam = np.log1p(y + np.sqrt(y * (y + 2.0))) / h
+        with np.errstate(divide="ignore"):
+            return sigma / lam  # s <= 0: lam = 0 and the speed is inf
+
+    sigma = mu * (1.0 + np.geomspace(1e-6, min(1e4, 50.0 / (dt * mu)), 201))
+    for _ in range(4):
+        c = speed(sigma)
+        i = int(np.argmin(c))
+        sigma = np.linspace(sigma[max(i - 1, 0)], sigma[min(i + 1, sigma.size - 1)], 101)
+    return float(c[i])
+
+
+def check_spreading_speed(cfg: SimConfig) -> float | None:
+    """The spreading speed of ``cfg``'s grid and step at mu = ``frozen_mu``
+    (else 1, the ramp's largest value); ``None`` when that mu is <= 0.
+
+    Raises ``ValueError`` when the speed misses 2 sqrt(mu) by more than
+    ``SPEED_TOLERANCE`` of it: such a grid cannot carry the front it is
+    run to measure.
+    """
+    mu = cfg.frozen_mu if cfg.frozen_mu is not None else 1.0
+    if mu <= 0.0:
+        return None
+    speed, target = spreading_speed(cfg.h, cfg.dt, mu), 2.0 * math.sqrt(mu)
+    if abs(speed - target) > SPEED_TOLERANCE * target:
+        raise ValueError(
+            f"grid too coarse for a front: h = {cfg.h:g}, dt = {cfg.dt:g} spread at "
+            f"{speed:.4f}, more than {SPEED_TOLERANCE:g} x 2 sqrt(mu) away from "
+            f"2 sqrt(mu) = {target:.4f}"
+        )
+    return speed
 
 
 def predicted_front_path(epsilon: float, t_grid: Sequence[float]) -> np.ndarray:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from quenchfront import cli
 from quenchfront.painleve import CertificateError
-from quenchfront.pdesim import SimConfig, SimulationAbort, simulate
+from quenchfront.pdesim import (
+    DT_CAP, DT_PER_H, SimConfig, SimulationAbort, simulate, spreading_speed,
+)
 from quenchfront.solvercore import JacobianSingularError, OdeBlowUpError, SolveError
 from quenchfront.travelingwave import front_branch
 
@@ -244,10 +246,11 @@ class TestDelaySweep:
         [
             (["--c", "1.2", "--eps-decade", "1e-4:0.05"], "ramp rate must lie in [1e-12, 1e-2], got 0.0105737"),
             (["--c", "1.2", "--eps-decade", "1e-16:1e-14"], "ramp rate must lie in [1e-12, 1e-2], got 1e-16"),
+            (["--c", "1.9999", "--eps-decade", "1e-12:1e-10"], "eps (1 - c^4/16) must be >= 1e-14"),
             (["--c", "0", "--eps-decade", "1e-5:1e-3"], "speed must lie in (0, 2)"),
             (["--c", "1.2", "--eps-decade", "1e-5:1e-3", "--delta", "0.8"], "section offset"),
         ],
-        ids=["eps", "eps-low", "c", "delta"],
+        ids=["eps", "eps-low", "eps-near-two", "c", "delta"],
     )
     def test_fold_out_of_range_refused_before_integrating(self, tmp_path, capsys, extra, message):
         with mock.patch.object(cli, "run_fold_passage") as passage:
@@ -439,18 +442,36 @@ class TestPde:
         assert not list(out.glob("*"))
 
     def test_coarse_grid_default_dt_stays_in_invariant_region(self, tmp_path, capsys):
-        # at h = 5 the accuracy limit 0.2 h = 1 would break the explicit
-        # reaction's dt |f'| < 4/3; the default falls to the stability limit 0.5
+        # at h = 5 the accuracy limit 0.5 h = 2.5 would break the explicit
+        # reaction's limit; the default falls to the cap, and the march stays
+        # in |u| <= 1.  The CLI refuses that grid before simulating: its own
+        # spreading speed is 2.79, not 2
+        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21, t_end=40.0)
+        assert cfg.dt == DT_CAP
+        assert np.max(np.abs(simulate(cfg).snapshots)) <= 1.0
         coarse = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "21", "--t-end", "40"]
-        code, out = run(coarse, tmp_path)
-        assert code == 0
-        meta, body = read_meta(out / "pde_snapshots.csv")
-        assert meta["columns"] == "t,x,u"
-        assert np.max(np.abs(body[:, 2])) <= 1.0
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = run(coarse, tmp_path)
+        assert code == 1
+        assert "grid too coarse for a front" in capsys.readouterr().err
+        sim.assert_not_called()
+        assert not list(out.glob("*"))
         code, out = run([*coarse, "--dt", "0.6"], tmp_path, "refused")
         assert code == 1
-        assert "min(0.2 h, 0.5)" in capsys.readouterr().err
+        assert f"min({DT_PER_H:g} h, {DT_CAP:g})" in capsys.readouterr().err
         assert not (out / "pde_snapshots.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n,accepted", [(201, True), (108, True), (107, False), (101, False), (21, False)]
+    )
+    def test_grid_refused_by_its_spreading_speed(self, tmp_path, capsys, n, accepted):
+        # h = 100/(n - 1) at the default dt: h = 0.935 spreads at 2.0491,
+        # h = 0.943 at 2.0502; the bound is 2.5 % of 2 sqrt(mu) = 2
+        argv = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", str(n), "--t-end", "1"]
+        with mock.patch.object(cli, "simulate", side_effect=SimulationAbort(0.0, np.zeros(n))):
+            code, _ = run(argv, tmp_path)
+        assert code == (4 if accepted else 1)
+        assert ("grid too coarse" in capsys.readouterr().err) != accepted
 
     @pytest.mark.parametrize(
         "bad", [["--ic-width", "0"], ["--ic-width", "-5"], ["--ic-amplitude", "nan"]]
@@ -486,8 +507,9 @@ class TestPde:
         )
         assert code == 0
         manifest = json.loads((out / "pde_manifest.json").read_text())
-        assert manifest["steps"] == 25  # ceil(1 / (0.2 * 0.2))
+        assert manifest["steps"] == 10  # ceil(1 / (0.5 * 0.2))
         assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
+        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.1, 1.0)
 
     def test_snapshot_bytes_equal_per_value_format(self, tmp_path):
         code, out = run(

@@ -11,6 +11,7 @@ from quenchfront import folddelay
 from quenchfront.folddelay import (
     DelayFit,
     FoldDelayRecord,
+    check_passage,
     fit_delay_scaling,
     run_fold_passage,
 )
@@ -175,6 +176,20 @@ class TestRunFoldPassage:
         _, steps = passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)
         assert steps <= 1000
         assert passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)[1] == steps
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10])
+    @pytest.mark.parametrize("c", [1.99, 1.995, 1.999, 1.9999])
+    def test_corner_near_two_passes_or_is_refused(self, c, eps):
+        # at eps = 1e-12 the first step fails for c >= 1.998; such starts
+        # are refused before integrating, everything accepted completes
+        try:
+            check_passage(c, eps, 0.25)
+        except ValueError as exc:
+            assert "eps (1 - c^4/16) must be >= 1e-14" in str(exc)
+            assert eps * (1.0 - c**4 / 16.0) < 1e-14
+            return
+        rec = run_fold_passage(c, eps, 0.25)
+        assert math.isfinite(rec.theta_exit)
 
     def test_validation(self):
         with pytest.raises(ValueError):

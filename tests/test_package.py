@@ -136,3 +136,24 @@ def test_names_the_tracer_rebinds_resolve():
     assert counts["solvercore.newton.calls"] == 2 + (
         counts["solvercore.continuation.steps"] + counts["solvercore.continuation.rejects"]
     )
+
+
+def test_dt_bound_quoted_from_the_module_constants():
+    # SimConfig's check, its message, the --dt help, the module and relax
+    # docstrings and the README pdesim row all quote min(DT_PER_H h, DT_CAP)
+    from quenchfront import pdesim
+
+    bound = f"min({pdesim.DT_PER_H:g} h, {pdesim.DT_CAP:g})"
+    with open(README) as fh:
+        row = next(line for line in fh if line.startswith("| `quenchfront.pdesim`"))
+    assert "SBDF3" in row and f"dt ≤ {bound}" in row
+    assert "SBDF3" in pdesim.__doc__ and f"dt <= {bound}" in pdesim.__doc__
+    assert "SBDF3" in pdesim.relax.__doc__ and bound in pdesim.relax.__doc__
+    pde = cli.build_parser().qf_subparsers["pde"]
+    help_text = next(a.help for a in pde._actions if "--dt" in a.option_strings)
+    assert "SBDF3" in help_text and bound in help_text
+    h = 1.0
+    assert pdesim.SimConfig(domain=(0.0, 100.0), n=101).dt == min(pdesim.DT_PER_H * h, pdesim.DT_CAP)
+    with pytest.raises(ValueError, match="SBDF3") as err:
+        pdesim.SimConfig(domain=(0.0, 100.0), n=101, dt=1.01 * pdesim.DT_CAP)
+    assert bound in str(err.value)

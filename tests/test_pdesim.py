@@ -26,13 +26,17 @@ from quenchfront.pdesim import (
 
 class TestConfig:
     def test_dt_bound_enforced(self):
-        SimConfig(domain=(0.0, 100.0), n=1001, dt=0.02)  # the bound 0.2 h itself
+        SimConfig(domain=(0.0, 100.0), n=1001, dt=0.05)  # the bound DT_PER_H h itself
         with pytest.raises(ValueError, match="dt"):
-            SimConfig(domain=(0.0, 100.0), n=1001, dt=0.0201)
+            SimConfig(domain=(0.0, 100.0), n=1001, dt=0.0501)
+        SimConfig(domain=(0.0, 100.0), n=101, dt=pdesim.DT_CAP)  # the cap binds at h = 1
+        with pytest.raises(ValueError, match=r"min\(0.5 h, 0.2\)"):
+            SimConfig(domain=(0.0, 100.0), n=101, dt=1.001 * pdesim.DT_CAP)
 
     def test_default_dt(self):
         cfg = SimConfig(domain=(0.0, 100.0), n=1001)
-        assert cfg.dt == pytest.approx(0.2 * cfg.h)
+        assert cfg.dt == pytest.approx(pdesim.DT_PER_H * cfg.h)
+        assert SimConfig(domain=(0.0, 100.0), n=101).dt == pdesim.DT_CAP
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,33 +107,37 @@ class TestInvasion:
         ids=["nan", "inf", "-inf", "max-double"],
     )
     def test_abort_check_on_the_step_a_value_appears(self, monkeypatch, value, aborts):
-        # the solve of the last step returns `value` at one node
+        # the solve of step j returns `value` at one node: a non-finite one
+        # aborts on that step, in the Euler start (j = 1), the SBDF2 step
+        # (j = 2) and the last, SBDF3 step; a finite one on the last step stays
         cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0)
         steps = math.ceil(cfg.t_end / cfg.dt)
-        real, calls = pdesim._implicit_solver, []
+        real = pdesim._implicit_solver
+        for j in (1, 2, steps) if aborts else (steps,):
+            calls = []
 
-        def injecting_solver(*args):
-            solve = real(*args)
+            def injecting_solver(*args):
+                solve = real(*args)
 
-            def wrapped(b):
-                out = solve(b)
-                calls.append(None)
-                if len(calls) == steps:
-                    out[50] = value
-                return out
+                def wrapped(b):
+                    out = solve(b)
+                    calls.append(None)
+                    if len(calls) == j:
+                        out[50] = value
+                    return out
 
-            return wrapped
+                return wrapped
 
-        monkeypatch.setattr(pdesim, "_implicit_solver", injecting_solver)
-        if aborts:
-            with pytest.raises(SimulationAbort) as err:
-                simulate(cfg)
-            assert err.value.t == (steps - 1) * cfg.dt
-            assert np.all(np.isfinite(err.value.u))
-        else:
-            res = simulate(cfg)
-            assert res.snapshots[-1][50] == value
-        assert len(calls) == steps
+            monkeypatch.setattr(pdesim, "_implicit_solver", injecting_solver)
+            if aborts:
+                with pytest.raises(SimulationAbort) as err:
+                    simulate(cfg)
+                assert err.value.t == (j - 1) * cfg.dt
+                assert np.all(np.isfinite(err.value.u))
+            else:
+                res = simulate(cfg)
+                assert res.snapshots[-1][50] == value
+            assert len(calls) == j
 
     def test_comparison_principle(self):
         base = dict(
@@ -140,6 +148,16 @@ class TestInvasion:
         hi = simulate(SimConfig(ic_amplitude=0.05, **base))
         for a, b in zip(lo.snapshots, hi.snapshots):
             assert np.all(a <= b + 1e-12)
+
+    @pytest.mark.parametrize("h", [1.0, 2.5, 5.0])
+    def test_coarse_grid_at_the_dt_cap_stays_in_invariant_region(self, h):
+        # every step, not only the snapshots; max |u| is 1 to within 4.4e-16
+        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=int(round(100.0 / h)) + 1,
+                        t_end=40.0, snapshot_dt=pdesim.DT_CAP)
+        assert cfg.dt == pdesim.DT_CAP
+        res = simulate(cfg)
+        assert len(res.times) == math.ceil(cfg.t_end / cfg.dt) + 1
+        assert np.max(np.abs(res.snapshots)) <= 1.0 + 1e-15
 
     def test_invariant_region(self):
         cfg = SimConfig(
@@ -169,14 +187,15 @@ def _dense_operator(cfg):
 
 def _dense_reference(cfg, u):
     """Unfactored, unfused copy of the stepper: with A dense and
-    e_k = u_k + dt(mu(t_k) u_k - u_k^3), one IMEX Euler step
-    (I - dt A) u_1 = e_0, then SBDF2 (3I - 2dt A) u_{k+1} = 4e_k - 2e_{k-1} + u_{k-1};
+    F_k = mu(t_k) u_k - u_k^3, one IMEX Euler step (I - dt A) u_1 = u_0 + dt F_0,
+    one SBDF2 step (3I - 2dt A) u_2 = 4u_1 - u_0 + 2dt(2F_1 - F_0), then SBDF3
+    (11I - 6dt A) u_{k+1} = 18u_k - 9u_{k-1} + 2u_{k-2} + 6dt(3F_k - 3F_{k-1} + F_{k-2});
     returns the states from u onwards (row k is t = k dt)."""
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    dt, n = cfg.dt, cfg.n
-    a = _dense_operator(cfg)
+    dt = cfg.dt
+    a, eye = _dense_operator(cfg), np.eye(cfg.n)
     steps = int(math.ceil(cfg.t_end / dt))
-    states, es = [u], []
+    us, fs = [u], []
     for k in range(steps):
         t = k * dt
         if cfg.frozen_mu is not None:
@@ -185,13 +204,19 @@ def _dense_reference(cfg, u):
             mu = np.tanh(cfg.epsilon * x)
         else:
             mu = -np.tanh(cfg.epsilon * (cfg.alpha * x - t))
-        es.append(states[k] + dt * (mu * states[k] - states[k] ** 3))
+        fs.append(mu * us[k] - us[k] ** 3)
         if k == 0:
-            u = np.linalg.solve(np.eye(n) - dt * a, es[0])
+            u = np.linalg.solve(eye - dt * a, us[0] + dt * fs[0])
+        elif k == 1:
+            rhs = 4.0 * us[1] - us[0] + 2.0 * dt * (2.0 * fs[1] - fs[0])
+            u = np.linalg.solve(3.0 * eye - 2.0 * dt * a, rhs)
         else:
-            u = np.linalg.solve(3.0 * np.eye(n) - 2.0 * dt * a, 4.0 * es[k] - 2.0 * es[k - 1] + states[k - 1])
-        states.append(u)
-    return np.array(states)
+            rhs = 18.0 * us[k] - 9.0 * us[k - 1] + 2.0 * us[k - 2] + 6.0 * dt * (
+                3.0 * fs[k] - 3.0 * fs[k - 1] + fs[k - 2]
+            )
+            u = np.linalg.solve(11.0 * eye - 6.0 * dt * a, rhs)
+        us.append(u)
+    return np.array(us)
 
 
 class TestDifferential:
@@ -212,7 +237,7 @@ class TestDifferential:
         )
         res = simulate(cfg)
         ref = _dense_reference(cfg, res.snapshots[0])
-        assert len(ref) == 301
+        assert len(ref) == 151
         steps = np.rint(res.times / cfg.dt).astype(int)
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
 
@@ -300,6 +325,24 @@ def _banded_euler_front(cfg, dt):
     return _last_crossing(x, u, cfg.track_level)
 
 
+def _banded_sbdf2_front(cfg, dt):
+    """x_fr(t_end) of SBDF2 with frozen mu, the stepper this package used
+    before SBDF3: one IMEX Euler step, then (3I - 2dt D2) u_{k+1} =
+    4u_k - u_{k-1} + 2dt(2F_k - F_{k-1}), each step solved by LAPACK ``dgtsv``."""
+    n, lam = cfg.n, dt / cfg.h**2
+    x = np.linspace(cfg.domain[0], cfg.domain[1], n)
+    sub, sup = np.full(n - 1, -lam), np.full(n - 1, -lam)
+    sup[0] = sub[-1] = -2.0 * lam  # mirror ghosts
+    u = cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
+    f = lambda v: cfg.frozen_mu * v - v**3
+    prev, u = u, lapack.dgtsv(sub, np.full(n, 1.0 + 2.0 * lam), sup, u + dt * f(u))[3]
+    sub2, main2, sup2 = 2.0 * sub, np.full(n, 3.0 + 4.0 * lam), 2.0 * sup
+    for _ in range(math.ceil(cfg.t_end / dt) - 1):
+        rhs = 4.0 * u - prev + 2.0 * dt * (2.0 * f(u) - f(prev))
+        prev, u = u, lapack.dgtsv(sub2, main2, sup2, rhs)[3]
+    return _last_crossing(x, u, cfg.track_level)
+
+
 @pytest.fixture(scope="module")
 def invasion_fronts():
     """x_fr(t_end) of :func:`simulate` at the default dt, dt/2 and dt/4."""
@@ -310,18 +353,68 @@ def invasion_fronts():
 
 
 class TestTimeAccuracy:
-    def test_second_order_in_dt(self, invasion_fronts):
-        # e(dt) = C dt^2: successive differences shrink by 4 per halving
+    def test_third_order_in_dt(self, invasion_fronts):
+        # e(dt) = C dt^3: successive differences shrink by 8 per halving.
+        # Measured 7.37 at the default dt (7.62 and 7.72 at the next two
+        # halvings): the one IMEX Euler start step's O(dt^2) local error
+        # still pulls the ratio below 8
         _, (q1, q2, q4) = invasion_fronts
-        assert 3.5 <= (q1 - q2) / (q2 - q4) <= 4.5
+        assert 7.0 <= (q1 - q2) / (q2 - q4) <= 8.5
 
     def test_default_dt_beats_euler_at_old_bound(self, invasion_fronts):
-        # time error against the Richardson (dt -> 0) value at the same h
+        # time error against the order-3 Richardson (dt -> 0) value at the
+        # same h, against IMEX Euler at 0.4 h^2 and SBDF2 at 0.2 h (measured
+        # 2.25e-2 against 3.27e-2 for SBDF2)
         _, (q1, q2, q4) = invasion_fronts
-        exact = (4.0 * q4 - q2) / 3.0
+        exact = (8.0 * q4 - q2) / 7.0
         cfg = SimConfig(**_INVASION)
         euler = _banded_euler_front(cfg, 0.4 * cfg.h**2)
+        sbdf2 = _banded_sbdf2_front(cfg, 0.2 * cfg.h)
         assert abs(q1 - exact) <= abs(euler - exact)
+        assert abs(q1 - exact) <= abs(sbdf2 - exact)
+
+
+class TestSpreadingSpeed:
+    @pytest.mark.parametrize(
+        "h,semi_discrete", [(0.1, 2.0008), (0.2, 2.0033), (0.5, 2.0201), (1.0, 2.0734)]
+    )
+    def test_semi_discrete_limit(self, h, semi_discrete):
+        # dt -> 0: min over lam of (2 (cosh(lam h) - 1)/h^2 + 1)/lam
+        assert round(pdesim.spreading_speed(h, 1e-9, 1.0), 4) == semi_discrete
+
+    @pytest.mark.parametrize("h,dt,mu", [(0.1, 0.05, 1.0), (1.0, 0.2, 1.0), (5.0, 0.2, 1.0),
+                                         (0.5, 0.2, 0.3), (0.2, 0.1, 4.0)])
+    def test_matches_largest_root(self, h, dt, mu):
+        # oracle: the largest real root of the amplification cubic by
+        # numpy.roots on a fine lam grid, minimised by a parabola
+        lam = np.linspace(0.05, 4.0, 4000) * math.sqrt(mu)
+        s = 2.0 * (np.cosh(lam * h) - 1.0) / h**2
+        lam, s = lam[6.0 * dt * s < 11.0], s[6.0 * dt * s < 11.0]
+        speeds = []
+        for lk, sk in zip(lam, s):
+            roots = np.roots([11.0 - 6.0 * dt * sk, -18.0 * (1.0 + dt * mu),
+                              9.0 + 18.0 * dt * mu, -(2.0 + 6.0 * dt * mu)])
+            speeds.append(math.log(max(roots.real[np.abs(roots.imag) < 1e-9])) / (dt * lk))
+        i = int(np.argmin(speeds))
+        p2, p1, p0 = np.polyfit(lam[i - 3:i + 4], speeds[i - 3:i + 4], 2)
+        oracle = p0 - p1 * p1 / (4.0 * p2)  # the parabola's vertex
+        assert pdesim.spreading_speed(h, dt, mu) == pytest.approx(oracle, rel=1e-8)
+
+    def test_check_refuses_a_coarse_grid(self):
+        fine = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=1001)
+        assert pdesim.check_spreading_speed(fine) == pdesim.spreading_speed(0.1, 0.05, 1.0)
+        with pytest.raises(ValueError, match="grid too coarse for a front"):
+            pdesim.check_spreading_speed(SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21))
+        # mu <= 0: no front to carry
+        assert pdesim.check_spreading_speed(SimConfig(frozen_mu=-1.0, n=21)) is None
+        # the ramp's largest value mu = 1 stands in where mu is not frozen
+        with pytest.raises(ValueError, match="grid too coarse"):
+            pdesim.check_spreading_speed(SimConfig(domain=(0.0, 100.0), n=21))
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.1, 1.0), (0.1, 0.0, 1.0), (0.1, 0.1, 0.0)])
+    def test_nonpositive_input_refused(self, bad):
+        with pytest.raises(ValueError):
+            pdesim.spreading_speed(*bad)
 
 
 class TestRelax:
