@@ -381,7 +381,7 @@ def cmd_painleve(args) -> int:
         "classify": ",".join(_fmt(k) for k in args.classify),
     }
     # a multiplier classify_airy_tail refuses ends the run before any file is written
-    tails = [classify_airy_tail(k, l_minus=min(l_minus, 8.0), l_plus=l_plus) for k in args.classify]
+    tails = [classify_airy_tail(k) for k in args.classify]
     sol = solve_hastings_mcleod(l_minus, l_plus, args.n)
     outputs = []
     v = sol.eta + 6.0 * sol.w**2

@@ -98,7 +98,8 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     """Global Newton solve of the truncated connection problem.
 
     Requires a finite window with l_minus >= 8 (the dropped tail term is
-    ~73/(128 L^6)) and l_plus >= 6, and n >= 4001.
+    ~73/(128 L^6)) and l_plus >= 6 with Ai(l_plus) nonzero (scipy's Ai
+    underflows to 0 between 103 and 103.5), and n >= 4001.
     """
     if not (math.isfinite(l_minus) and math.isfinite(l_plus)):
         raise ValueError(f"window ends must be finite, got ({l_minus}, {l_plus})")
@@ -108,9 +109,13 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         raise ValueError("right window must reach at least eta = +6")
     if n < 4001:
         raise ValueError("need n >= 4001")
+    ai = airy(l_plus)
+    if ai.value == 0.0:  # the Robin ratio Ai'/Ai would divide by zero
+        raise ValueError(
+            f"window ({l_minus:g}, {l_plus:g}) ends where Ai underflows: Ai({l_plus:g}) = 0"
+        )
     eta = np.linspace(-l_minus, l_plus, n)
     h = eta[1] - eta[0]
-    ai = airy(l_plus)
     robin = ai.derivative / ai.value  # w'/w at the right end
     w_left = left_boundary_value(l_minus)
     pole_guard = 10.0 * math.sqrt(l_minus / 2.0)
@@ -165,27 +170,29 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     )
 
 
-def classify_airy_tail(k: float, l_minus: float = 8.0, l_plus: float = 8.0) -> TailClassification:
-    """Backward integration of the k*Ai(eta) tail family from eta = l_plus.
+def classify_airy_tail(k: float) -> TailClassification:
+    """Backward integration of the k*Ai(eta) tail family from eta = 8 to
+    eta = -8.
 
     Solutions with a finite-time blow-up (|w| through 10^3) are classified
     as "pole" with the event position; bounded solutions tracking
     sign(k) sqrt(-eta/2) are the separatrix; the rest decay in oscillatory
     fashion.  The two non-separatrix classes sit on opposite sides of
     |k| = 1; k = 1 itself is the connection solution handled by
-    :func:`solve_hastings_mcleod`.  Raises ``ValueError`` for a non-finite
-    k, and for one whose start |k Ai(l_plus)| is already at or past the
-    pole event.
+    :func:`solve_hastings_mcleod`.  The range is fixed: from further right
+    the start k Ai(eta) falls below the absolute tolerance and the
+    classes blur.  Raises ``ValueError`` for a non-finite k, and for one
+    whose start |k Ai(8)| is already at or past the pole event.
     """
     if not math.isfinite(k):
         raise ValueError("tail multiplier must be finite")
     if k == 0.0:
         return TailClassification("oscillatory-decay")  # w identically zero
-    ai = airy(l_plus)
+    ai = airy(8.0)
     y0 = np.array([k * ai.value, k * ai.derivative])
     if abs(y0[0]) >= 1e3:
         raise ValueError(
-            f"tail multiplier k = {k:g} starts at |k Ai({l_plus:g})| = {abs(y0[0]):.3g}, "
+            f"tail multiplier k = {k:g} starts at |k Ai(8)| = {abs(y0[0]):.3g}, "
             "at or past the pole event |w| = 1e3"
         )
 
@@ -194,12 +201,12 @@ def classify_airy_tail(k: float, l_minus: float = 8.0, l_plus: float = 8.0) -> T
 
     blow = lambda t, y: y[0] ** 2 - 1e6
     blow.terminal = True
-    res = integrate_ode(field, y0, (l_plus, -l_minus), rtol=1e-10, atol=1e-16, events=[blow])
+    res = integrate_ode(field, y0, (8.0, -8.0), rtol=1e-10, atol=1e-16, events=[blow])
     if res.status == "event":
         return TailClassification("pole", pole_position=float(res.events[0].t))
     eta = res.t
     w = res.y[:, 0]
-    tail = eta <= -max(4.0, l_minus / 2.0)
+    tail = eta <= -4.0
     if np.any(tail):
         ref = np.sign(k) * np.sqrt(-eta[tail] / 2.0)
         if np.max(np.abs(w[tail] - ref) / np.abs(ref)) < 0.2:

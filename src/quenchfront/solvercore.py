@@ -2,10 +2,10 @@
 iteration on discrete two-point BVPs (tridiagonal Newton with two boundary
 corners on LAPACK ``dgtsv``), natural-parameter continuation with a secant
 predictor through an ordered list of stops, each landed on exactly, ODE
-integration by scipy's ``DOP853`` stepper with sign-change events located
-by ``brentq`` on the dense output or (stiff, no events) by one compiled
-LSODA call, ``scipy.integrate.odeint``, and the largest eigenvalues of a
-symmetric tridiagonal matrix by LAPACK bisection via
+integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, which
+locates sign-change events on the dense output, or (stiff, no events) by
+one compiled LSODA call, ``scipy.integrate.odeint``, and the largest
+eigenvalues of a symmetric tridiagonal matrix by LAPACK bisection via
 ``scipy.linalg.eigh_tridiagonal``.
 """
 
@@ -330,8 +330,8 @@ def continue_branch(
 
 
 # ---------------------------------------------------------------------------
-# ODE integration: scipy's DOP853 stepper with event location, or one
-# compiled LSODA call (odeint) when stiff
+# ODE integration: one solve_ivp call on DOP853, with its event location,
+# or one compiled LSODA call (odeint) when stiff
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -360,8 +360,9 @@ def integrate_ode(
     stiff: bool = False,
 ) -> OdeResult:
     """Adaptive integration with scipy's ``DOP853`` (explicit Runge-Kutta
-    of order 8) or, with ``stiff``, LSODA (Adams/BDF with automatic
-    stiffness switching) through one ``scipy.integrate.odeint`` call.
+    of order 8) through one ``scipy.integrate.solve_ivp`` call or, with
+    ``stiff``, LSODA (Adams/BDF with automatic stiffness switching) through
+    one ``scipy.integrate.odeint`` call.
 
     ``stiff`` exists because the callers need different steppers.  Slow-fast
     systems, whose explicit steps are limited by stability rather than
@@ -373,23 +374,22 @@ def integrate_ode(
     endpoints only and takes no events (``ValueError``).
 
     On DOP853 the result holds every accepted step.  Events are scalar
-    functions of (t, y).  A sign change over an accepted step, in the
-    direction given by an optional ``direction`` attribute (+1 rising, -1
-    falling, 0 both), is located by ``brentq`` on the step's dense output to
-    1e-12 in time.  An event function with a truthy ``terminal`` attribute
-    stops integration at its earliest crossing.  ``steps`` counts the
-    accepted steps on either path.  :class:`OdeBlowUpError`, carrying the
-    last state reached, is raised when the stepper fails, when the state
-    turns non-finite, or when the integration stalls short of the range end
-    (stiffness or finite-time blow-up): on DOP853, a step that advances by
-    less than 1e-14 max(1, |t|); on LSODA, an end more than
-    1e-14 max(1, |t1|) short of t1.
+    functions of (t, y), handed to ``solve_ivp``, which reads their optional
+    ``direction`` (+1 rising, -1 falling, 0 both) and ``terminal``
+    attributes and locates each sign change on the step's dense output; a
+    terminal event ends the run at its earliest crossing, which becomes the
+    last point.  ``steps`` counts the accepted steps on either path.
+    :class:`OdeBlowUpError`, carrying the last state reached, is raised when
+    the stepper fails (on DOP853, a step below ten spacings of the floats
+    at t: stiffness or finite-time blow-up), when the end state is not
+    finite, or, on LSODA, when the run ends more than 1e-14 max(1, |t1|)
+    short of t1.
     """
     # imported here, not at module level: on top of the package import,
     # scipy.integrate (which loads scipy.optimize) costs 0.21-0.24 s and
     # ~19 MB peak RSS (scipy 1.17.1, 2-core Xeon), and only the fold
     # passage and the Airy-tail classifier integrate
-    from scipy.integrate import DOP853
+    from scipy.integrate import solve_ivp
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
@@ -399,38 +399,21 @@ def integrate_ode(
         raise ValueError("vector field not finite at the initial state")
     if stiff:
         return _odeint_leg(field, y, t0, t1, rtol, atol)
-    solver = DOP853(field, t0, y, t1, rtol=rtol, atol=atol)
-    ts, ys = [t0], [y]
-    records: list[EventRecord] = []
-    g_prev = [ev(t0, y) for ev in events]
-    while solver.status == "running":
-        t, y = solver.t, ys[-1]
-        solver.step()
-        t_new, y_new = solver.t, solver.y.copy()
-        if (
-            solver.status == "failed"
-            or not all(map(math.isfinite, y_new.tolist()))
-            or (solver.status == "running" and abs(t_new - t) < 1e-14 * max(1.0, abs(t)))
-        ):
-            raise OdeBlowUpError(t, y)
-        hits = []
-        for i, ev in enumerate(events):
-            g_old, g_new = g_prev[i], ev(t_new, y_new)
-            g_prev[i] = g_new
-            ev_dir = getattr(ev, "direction", 0)
-            if (g_old < 0.0 <= g_new and ev_dir >= 0) or (g_old > 0.0 >= g_new and ev_dir <= 0):
-                dense = solver.dense_output()
-                t_e = _locate_event(ev, dense, t, g_old, t_new, g_new)
-                hits.append((t_e, i, y_new if t_e == t_new else dense(t_e)))
-        for t_e, i, y_e in sorted(hits, key=lambda hit: abs(hit[0] - t)):
-            records.append(EventRecord(i, t_e, y_e))
-            if getattr(events[i], "terminal", False):
-                return OdeResult(
-                    np.array(ts + [t_e]), np.stack(ys + [y_e]), records, "event", len(ts)
-                )
-        ts.append(t_new)
-        ys.append(y_new)
-    return OdeResult(np.array(ts), np.stack(ys), records, "completed", len(ts) - 1)
+    sol = solve_ivp(
+        field, (t0, t1), y, method="DOP853", rtol=rtol, atol=atol, events=events or None
+    )
+    if sol.status == -1 or not all(map(math.isfinite, sol.y[:, -1].tolist())):
+        raise OdeBlowUpError(sol.t[-1], sol.y[:, -1])
+    records = sorted(
+        (
+            EventRecord(i, float(t_e), y_e)
+            for i in range(len(events))
+            for t_e, y_e in zip(sol.t_events[i], sol.y_events[i])
+        ),
+        key=lambda rec: abs(rec.t - t0),
+    )
+    status = "event" if sol.status == 1 else "completed"
+    return OdeResult(sol.t, sol.y.T, records, status, sol.t.size - 1)
 
 
 # odeint's step cap for one stiff call.  LSODA does not stop at a finite-time
@@ -473,18 +456,6 @@ def _odeint_leg(field, y, t0, t1, rtol, atol) -> OdeResult:
     ):
         raise OdeBlowUpError(t_end, ys[-1])
     return OdeResult(np.array([t0, t1]), ys, [], "completed", int(info["nst"][0]))
-
-
-def _locate_event(ev, dense, t_a, g_a, t_b, g_b) -> float:
-    """Root of ``ev`` along the dense output of one step, to 1e-12 in time.
-    The bracket ends use the accepted states' values, so brentq sees the
-    same signs that detected the crossing."""
-    from scipy.optimize import brentq
-
-    def g(s):
-        return g_a if s == t_a else g_b if s == t_b else ev(s, dense(s))
-
-    return brentq(g, min(t_a, t_b), max(t_a, t_b), xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,23 @@ class TestPainleve:
         code, out = run(["painleve", "--window", "12", "8", "--n", "4001"], tmp_path)
         assert code == 0
 
+    def test_classes_do_not_depend_on_the_window(self, tmp_path):
+        # from eta = 30 the start 1.5 Ai(30) = 2.5e-27 would lie far below the
+        # classifier's atol; it classifies on its own fixed range instead
+        rows = {}
+        for window in (["12", "8"], ["12", "30"]):
+            sub = "_".join(window)
+            code, out = run(
+                ["painleve", "--window", *window, "--n", "4001", "--classify", "1.5,0.5"],
+                tmp_path,
+                sub,
+            )
+            assert code == 0
+            rows[sub] = (out / "painleve_classification.csv").read_text().splitlines()[1:]
+        assert rows["12_30"][0].startswith("1.5,pole,")
+        assert rows["12_30"][1] == "0.5,oscillatory-decay,nan"
+        assert rows["12_30"] == rows["12_8"]
+
     @pytest.mark.parametrize(
         "window", [("nan", "8"), ("inf", "8"), ("12", "nan"), ("12", "inf")],
         ids=["left-nan", "left-inf", "right-nan", "right-inf"],
@@ -381,6 +398,14 @@ class TestPainleve:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: window ends must be finite") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_window_past_airy_underflow_refused(self, tmp_path, capsys):
+        # scipy gives Ai(110) = 0, so the right-end Robin ratio Ai'/Ai is 0/0
+        code, out = run(["painleve", "--window", "12", "110"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: window (12, 110) ends where Ai underflows: Ai(110) = 0\n"
         assert list(out.iterdir()) == []
 
 

@@ -82,6 +82,23 @@ class TestSolve:
         order = math.log2(sups[0] / sups[1])
         assert 1.8 <= order <= 2.2
 
+    def test_richardson_constants_agree_across_mesh_pairs(self):
+        # the solve is second order in h, so (4 w_h/2 - w_h) / 3 from the
+        # 4001/8001 pair must match the 16001/32001 pair's value; eta = 0 is
+        # node 3 (n - 1) / 5 of the [-12, 8] window
+        def richardson(n):
+            coarse, fine = (solve_hastings_mcleod(12.0, 8.0, m) for m in (n, 2 * n - 1))
+            i, j = 3 * (n - 1) // 5, 3 * (2 * n - 2) // 5
+            assert coarse.eta[i] == fine.eta[j] == 0.0
+            return np.array(
+                [
+                    (4.0 * fine.w[j] - coarse.w[i]) / 3.0,
+                    (4.0 * fine.wprime[j] - coarse.wprime[i]) / 3.0,
+                ]
+            )
+
+        assert np.max(np.abs(richardson(4001) - richardson(16001))) <= 1e-12
+
     def test_shooting_cross_validation(self):
         # integrating the converged right-end data backward reproduces the
         # BVP interior at -L/2.  Deviations off the separatrix grow like
@@ -115,6 +132,34 @@ class TestClassification:
         got = classify_airy_tail(k)
         assert got.kind == "pole"
         assert got.pole_position < 0.0
+
+    @pytest.mark.parametrize("k", [1.5, 2.5])
+    def test_pole_odd_in_multiplier(self, k):
+        # the field is odd in w, so -k runs the mirror image of k
+        assert classify_airy_tail(-k).pole_position == classify_airy_tail(k).pole_position
+
+    @pytest.mark.parametrize("k", [1.5, 2.5, 10.0])
+    def test_pole_against_tight_lsoda_reference(self, k):
+        # LSODA at rtol 1e-12 lies within 7e-11 of Radau at rtol 1e-13; the
+        # classifier is 2e-10 to 5e-10 from that Radau reference
+        from scipy.integrate import solve_ivp
+
+        ai = airy(8.0)
+        blow = lambda t, y: y[0] ** 2 - 1e6
+        blow.terminal = True
+        ref = solve_ivp(
+            lambda t, y: [y[1], t * y[0] + 2.0 * y[0] ** 3],
+            (8.0, -8.0),
+            [k * ai.value, k * ai.derivative],
+            method="LSODA",
+            rtol=1e-12,
+            atol=1e-18,
+            events=[blow],
+        )
+        assert ref.status == 1
+        got = classify_airy_tail(k)
+        assert got.kind == "pole"
+        assert got.pole_position == pytest.approx(ref.t_events[0][0], abs=5e-9)
 
     def test_reflected_separatrix(self):
         got = classify_airy_tail(-1.0)
