@@ -310,6 +310,8 @@ def cmd_delay_sweep(args) -> int:
             check_fit_sweep(eps_list)
         except ValueError as exc:
             raise ValueError(f"fit refused: {exc}") from exc
+    elif args.c == 0.0:
+        raise ValueError("the BVP delay-sweep needs c > 0: at c = 0 there is no delay; see `front --c 0`")
     params = {
         "c": args.c, "eps_lo": lo, "eps_hi": hi, "points": args.points,
         "fold": args.fold, "delta": args.delta,
@@ -318,17 +320,11 @@ def cmd_delay_sweep(args) -> int:
     rows, summary = [], {"c": args.c, "mode": "fold" if args.fold else "bvp"}
     if args.fold:
         records = [run_fold_passage(args.c, float(e), args.delta) for e in eps_list]
-        for rec in records:
-            rows.append((rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta))
+        rows = [(rec.epsilon, rec.theta_exit, rec.theta_fold, rec.delta) for rec in records]
         columns = ["eps", "theta_exit", "theta_fold", "delta"]
         fit = fit_delay_scaling(records)
-        summary.update(
-            exponent=fit.exponent,
-            prefactor=fit.prefactor,
-            reference_prefactor=fit.reference_prefactor,
-        )
+        summary.update(asdict(fit))
         converged = len(records)
-        total = len(eps_list)
     else:
         branch = front_branch(args.c, eps_list, strict=False)
         got = {f.params.epsilon: f for f in branch.fronts}
@@ -343,7 +339,7 @@ def cmd_delay_sweep(args) -> int:
                 )
                 delays.append((f.params.epsilon, f.mu_fr - mu_c))
         columns = ["eps", "mu_fr", "delay", "mu_fr_pred", "converged"]
-        converged, total = len(delays), len(eps_list)
+        converged = len(delays)
         if len({d[0] for d in delays}) >= 2:
             le = np.log([d[0] for d in delays])
             ld = np.log([d[1] for d in delays])
@@ -351,8 +347,7 @@ def cmd_delay_sweep(args) -> int:
             summary.update(slope=float(slope), prefactor=float(math.exp(intercept)))
         else:
             summary["fit"] = "refused: need at least 2 distinct converged eps"
-    summary["converged"] = converged
-    summary["total"] = total
+    summary.update(converged=converged, total=len(eps_list))
     csv_path = _write_csv(os.path.join(outdir, "delay_sweep.csv"), params, columns, rows)
     json_path = _write_json(os.path.join(outdir, "delay_sweep_summary.json"), summary)
     if "slope" in summary:
@@ -363,8 +358,8 @@ def cmd_delay_sweep(args) -> int:
             f"(reference {summary['reference_prefactor']:.4f})"
         )
     _finish("delay-sweep", params, [csv_path, json_path], outdir, t0)
-    if converged < 0.8 * total:
-        raise SolveError(f"{converged} of {total} eps points converged")
+    if converged < 0.8 * len(eps_list):
+        raise SolveError(f"{converged} of {len(eps_list)} eps points converged")
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .solvercore import integrate_ode
-from .travelingwave import delay_prefactor
+from .travelingwave import delay_prefactor, predicted_delay
 
 __all__ = [
     "FoldDelayRecord",
@@ -42,6 +42,9 @@ __all__ = [
     "check_fit_sweep",
     "fit_delay_scaling",
 ]
+
+
+_START_SCALE = 3.0  # K, the passage's start in units of (eps g0)^{1/3}
 
 
 @dataclass(frozen=True)
@@ -69,45 +72,46 @@ class DelayFit:
 
 
 def check_passage(c: float, epsilon: float, delta: float) -> None:
-    """Raise ``ValueError`` unless (c, epsilon, delta) lie in the ranges
-    :func:`run_fold_passage` accepts."""
+    """Raise ``ValueError`` unless 0 < c < 2, 0 < eps <= 1e-2, 0 < delta <= 0.5
+    and the law's interface mu_fr = c^2/4 + theta lies below 1: the slow flow
+    stops where g = 0, at theta = 1 - c^2/4, so a law delay past it is never
+    reached (``front_branch`` refuses the same condition)."""
     if not (0.0 < c < 2.0):
         raise ValueError("speed must lie in (0, 2)")
-    # below about 1e-13 the passage's first step underflows at the start
-    if not (1e-12 <= epsilon <= 1e-2):
-        raise ValueError(f"ramp rate must lie in [1e-12, 1e-2], got {epsilon:g}")
-    # near c = 2 the first leg's first step fails too: LSODA's corrector does
-    # not converge at z0 and no step is taken.  Measured boundary in
-    # eps (1 - c^4/16): 3.9e-15 at 1 - c^4/16 = 3e-3, falling to 2e-17 at
-    # 1e-6; 1e-14 refuses every failing start with a 2.5x margin
-    if epsilon * (1.0 - c**4 / 16.0) < 1e-14:
+    if not (0.0 < epsilon <= 1e-2):
+        raise ValueError(f"ramp rate must lie in (0, 1e-2], got {epsilon:g}")
+    mu_fr = predicted_delay(c, epsilon)
+    if mu_fr >= 1.0:
         raise ValueError(
-            f"eps (1 - c^4/16) must be >= 1e-14, got {epsilon * (1.0 - c**4 / 16.0):.3g} "
-            f"at c = {c!r}, eps = {epsilon:g}: the passage cannot start that close to c = 2"
+            f"predicted interface mu_fr = {mu_fr:.8f} >= 1 at c = {c!r}, eps = {epsilon:g}: "
+            "the slow flow stops at theta = 1 - c^2/4, short of the law's delay"
         )
     if not (0.0 < delta <= 0.5):
         raise ValueError("section offset must lie in (0, 0.5]")
 
 
 def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelayRecord:
-    """Follow the trajectory from the attracting slow manifold at
-    theta0 = -1/4 to the section z = -delta and record theta there.
+    """Follow the trajectory from the attracting slow manifold to the
+    section z = -delta and record theta there.
 
-    The initial z carries the first-order slow-manifold correction
-    eps*g(theta0)/(4|theta0|) so the measurement starts transient-free.  z
-    decreases monotonically, so the passage is integrated along z and the
-    section is the end of the range, in two legs, each one compiled LSODA
-    call (stiff: in z the slow manifold attracts at rate 4z^2/(eps g)).
-    From z0 down to 0 the unknown is s = (z^2 + theta)/eps, with
-    ds/dz = (2z - g(eps s - z^2)/s)/eps, since theta(z) has a pole at
-    theta = -z^2, only about eps (1 - c^4/16)/(2z) from the branch.  From 0
-    down to -delta it is theta, from eps s(0), with
-    dtheta/dz = eps g(theta)/(-z^2 - theta); z^2 + theta stays positive
-    while g > 0, so z always reaches -delta.  Both legs use rtol 1e-10 and
-    atol 1e-10 of the delay law's theta.  The only failure is an ODE
-    failure raised as ``OdeBlowUpError``; in the ranges :func:`check_passage`
-    accepts it has been seen only within 2e-4 of c = 2 near eps = 3e-10,
-    where LSODA stays on its nonstiff method and runs out of steps.
+    It starts at the fold's blow-up scale, z1 = min(1/2, K (eps g0)^{1/3} +
+    2 K^3 eps), g0 = 1 - c^4/16, K = ``_START_SCALE`` = 3, on the first-order
+    slow manifold z0 = z1 + eps g(theta0)/(4|theta0|), theta0 = -z1^2.  K is
+    derived: a start error across the manifold is damped by e^{-A},
+    A = int_0^{z1} 4z^2/(eps g(-z^2)) dz >= (4/3) z1^3/(eps (g0 + 2 z1^2)),
+    as g(-z^2) = g0 + (c^2/2) z^2 - z^4 <= g0 + 2 z1^2 on [0, z1]; z1 obeys
+    z1^3 >= K^3 eps (g0 + 2 z1^2), so A >= (4/3) K^3 = 36 and the start is
+    exact to e^{-36} ~ 2e-16.  The attraction is bounded, so the step count
+    does not grow as eps falls.  z decreases, so the passage runs along z
+    in two legs, one compiled (stiff) LSODA call each: to z = 0 on
+    s = (z^2 + theta)/eps, ds/dz = (2z - g(eps s - z^2)/s)/eps, as theta(z)
+    has a pole at theta = -z^2, about eps g0/(2z) from the branch; then to
+    -delta on theta, from eps s(0), dtheta/dz = eps g(theta)/(-z^2 - theta);
+    dz and this field are grouped so that no product rounds on the
+    subnormal grid at tiny eps.  z^2 + theta stays positive while g > 0, so
+    z always reaches -delta.  Both legs use rtol 1e-10 and atol 1e-10 of the
+    law's theta.  The only failure is an ``OdeBlowUpError``, unseen in the
+    accepted ranges.
     """
     check_passage(c, epsilon, delta)
     mu_c = c * c / 4.0
@@ -119,14 +123,14 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
         return np.array([(2.0 * z - g(epsilon * y[0] - z * z) / y[0]) / epsilon])
 
     def past(z, y):  # y = [theta]
-        return np.array([epsilon * g(y[0]) / (-z * z - y[0])])
+        return np.array([g(y[0]) * (epsilon / (-z * z - y[0]))])
 
-    theta0 = -0.25
-    root, dz = math.sqrt(-theta0), epsilon * g(theta0) / (4.0 * (-theta0))
-    z0 = root + dz
+    k, g0 = _START_SCALE, 1.0 - c**4 / 16.0
+    root = min(0.5, k * epsilon ** (1 / 3) * g0 ** (1 / 3) + 2.0 * k**3 * epsilon)
+    dz = epsilon * (g(-root * root) / (4.0 * root * root))
     s0 = dz * (2.0 * root + dz) / epsilon  # (z0^2 + theta0)/eps, no cancellation
     atol = 1e-10 * delay_prefactor(c) * epsilon ** (2.0 / 3.0)
-    s_leg = integrate_ode(near, [s0], (z0, 0.0), rtol=1e-10, atol=atol / epsilon, stiff=True)
+    s_leg = integrate_ode(near, [s0], (root + dz, 0.0), rtol=1e-10, atol=atol / epsilon, stiff=True)
     theta1 = epsilon * s_leg.y[-1, 0]
     theta_leg = integrate_ode(past, [theta1], (0.0, -delta), rtol=1e-10, atol=atol, stiff=True)
     return FoldDelayRecord(c, epsilon, float(theta_leg.y[-1, 0]), delta)

@@ -419,7 +419,7 @@ def integrate_ode(
 # odeint's step cap for one stiff call.  LSODA does not stop at a finite-time
 # blow-up: its step shrinks until t + h == t and the state grows on until it
 # overflows (after about 9 000 steps for y' = y^2 at rtol 1e-8), so the cap
-# ends such a run first; a fold-passage leg has taken at most 1 892.
+# ends such a run first; a fold-passage leg has taken at most 413.
 _STIFF_MAX_STEPS = 5000
 
 

@@ -244,13 +244,12 @@ class TestDelaySweep:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            (["--c", "1.2", "--eps-decade", "1e-4:0.05"], "ramp rate must lie in [1e-12, 1e-2], got 0.0105737"),
-            (["--c", "1.2", "--eps-decade", "1e-16:1e-14"], "ramp rate must lie in [1e-12, 1e-2], got 1e-16"),
-            (["--c", "1.9999", "--eps-decade", "1e-12:1e-10"], "eps (1 - c^4/16) must be >= 1e-14"),
+            (["--c", "1.2", "--eps-decade", "1e-4:0.05"], "ramp rate must lie in (0, 1e-2], got 0.0105737"),
+            (["--c", "1.99999", "--eps-decade", "1e-4:1e-2"], "predicted interface mu_fr = 1.000"),
             (["--c", "0", "--eps-decade", "1e-5:1e-3"], "speed must lie in (0, 2)"),
             (["--c", "1.2", "--eps-decade", "1e-5:1e-3", "--delta", "0.8"], "section offset"),
         ],
-        ids=["eps", "eps-low", "eps-near-two", "c", "delta"],
+        ids=["eps", "mu-fr", "c", "delta"],
     )
     def test_fold_out_of_range_refused_before_integrating(self, tmp_path, capsys, extra, message):
         with mock.patch.object(cli, "run_fold_passage") as passage:
@@ -258,6 +257,30 @@ class TestDelaySweep:
         assert code == 1
         assert message in capsys.readouterr().err
         passage.assert_not_called()
+        assert not (out / "delay_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "c,decade,points",
+        [("1.2", "1e-16:1e-14", "5"), ("1.9999", "1e-10:1e-8", "9")],
+        ids=["eps-low", "eps-near-two"],
+    )
+    def test_fold_runs_down_to_small_eps_and_near_two(self, tmp_path, c, decade, points):
+        # eps down to 1e-16, and c = 1.9999 near eps = 3e-10, fit the 2/3 law
+        args = ["delay-sweep", "--fold", "--c", c, "--eps-decade", decade, "--points", points]
+        code, out = run(args, tmp_path)
+        assert code == 0
+        summary = json.loads((out / "delay_sweep_summary.json").read_text())
+        assert summary["exponent"] == pytest.approx(2.0 / 3.0, abs=0.02)
+
+    def test_bvp_mode_refuses_zero_speed(self, tmp_path, capsys):
+        # at c = 0 there is no interface threshold, so no delay to fit
+        with mock.patch.object(cli, "front_branch") as branch:
+            code, out = run(
+                ["delay-sweep", "--c", "0", "--eps-decade", "1e-3:1e-2", "--points", "6"], tmp_path
+            )
+        assert code == 1
+        assert "front --c 0" in capsys.readouterr().err
+        branch.assert_not_called()
         assert not (out / "delay_sweep.csv").exists()
 
     def test_bvp_mode(self, tmp_path, capsys):

@@ -109,8 +109,9 @@ class TestRunFoldPassage:
     @pytest.mark.parametrize("c", [1.2, 1.6])
     @pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3])
     def test_against_tight_explicit_reference(self, c, eps):
-        # the passage runs on LSODA; an explicit DOP853 run at rtol 1e-13,
-        # from the same start, must read the same section crossing
+        # the passage runs on LSODA from the blow-up scale; an explicit
+        # DOP853 run at rtol 1e-13, started at theta0 = -1/4, must read the
+        # same section crossing
         mu_c = c * c / 4.0
         g = lambda theta: 1.0 - (theta + mu_c) ** 2
         z0 = 0.5 + eps * g(-0.25)
@@ -134,9 +135,10 @@ class TestRunFoldPassage:
     @pytest.mark.parametrize("eps", [1e-8, 1e-2])
     @pytest.mark.parametrize("c", [0.05, 1.99])
     def test_corners_against_time_parametrized_reference(self, monkeypatch, c, eps, delta):
-        # the passage integrates along z; the same trajectory integrated in
-        # time by LSODA at rtol 1e-13 with an event at the section must read
-        # the same crossing at the corners of the accepted (c, eps, delta)
+        # the passage integrates along z; the trajectory started at
+        # theta0 = -1/4 and integrated in time by LSODA at rtol 1e-13 with
+        # an event at the section must read the same crossing at the
+        # corners of the accepted (c, eps, delta)
         mu_c = c * c / 4.0
         g = lambda theta: 1.0 - (theta + mu_c) ** 2
         z0 = 0.5 + eps * g(-0.25)
@@ -171,25 +173,66 @@ class TestRunFoldPassage:
         assert rec.theta_exit == pytest.approx(ref.theta_exit, rel=1e-14)
         assert steps == ref_steps
 
+    @pytest.mark.parametrize("delta", [0.01, 0.5])
+    @pytest.mark.parametrize("eps", [1e-14, 1e-16])
+    @pytest.mark.parametrize("c", [1.9999, 1.99999])
+    def test_corners_near_two_against_explicit_reference(self, monkeypatch, c, eps, delta):
+        # within 1e-4 of c = 2 at the smallest eps: DOP853 at rtol 1e-12 on
+        # the same two z-legs, started further out (K = 4), must read the
+        # same crossing
+        mu_c = c * c / 4.0
+        g = lambda theta: 1.0 - (theta + mu_c) ** 2
+        root = 4.0 * (eps * (1.0 - c**4 / 16.0)) ** (1 / 3) + 2.0 * 4.0**3 * eps
+        dz = eps * g(-root * root) / (4.0 * root * root)
+        kw = dict(method="DOP853", rtol=1e-12, atol=1e-30)
+        near = lambda z, y: [(2.0 * z - g(eps * y[0] - z * z) / y[0]) / eps]
+        s_leg = solve_ivp(near, (root + dz, 0.0), [dz * (2.0 * root + dz) / eps], **kw)
+        past = lambda z, y: [eps * g(y[0]) / (-z * z - y[0])]
+        theta_leg = solve_ivp(past, (0.0, -delta), [eps * s_leg.y[0, -1]], **kw)
+        assert s_leg.success and theta_leg.success
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec, steps = passage_with_steps(monkeypatch, c, eps, delta)
+        assert rec.theta_exit == pytest.approx(theta_leg.y[0, -1], rel=5e-9)
+        assert 0 < steps < 2000
+
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    @pytest.mark.parametrize("c", [0.05, 1.99999])
+    def test_subnormal_eps(self, c, eps):
+        # eps g(theta) would round on the subnormal grid; the passage forms
+        # g(theta) (eps / (-z^2 - theta)) instead and still reads the law
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run_fold_passage(c, eps, 0.25)
+        assert rec.theta_fold / (delay_prefactor(c) * eps ** (2 / 3)) == pytest.approx(1.0, abs=1e-9)
+
     def test_step_count_pinned(self, monkeypatch):
-        # 443 accepted steps over both legs; the count must repeat exactly
+        # 250 accepted steps over both legs; the count must repeat exactly
         _, steps = passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)
-        assert steps <= 1000
+        assert steps <= 300
         assert passage_with_steps(monkeypatch, 1.2, 1e-4, 0.25)[1] == steps
 
+    def test_step_count_independent_of_eps(self, monkeypatch):
+        # started at the blow-up scale, a passage integrates through a
+        # bounded attraction, so its cost does not grow as eps falls: on
+        # the fold benchmark's grid the steps vary by 1.10x (a start at
+        # theta0 = -1/4 varies 2.46x)
+        steps = [
+            passage_with_steps(monkeypatch, c, float(eps), 0.25)[1]
+            for c in (1.2, 1.6)
+            for eps in np.geomspace(1e-5, 1e-3, 7)
+        ]
+        assert max(steps) <= 1.2 * min(steps)
+
     @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10])
-    @pytest.mark.parametrize("c", [1.99, 1.995, 1.999, 1.9999])
+    @pytest.mark.parametrize("c", [1.99, 1.995, 1.999, 1.9999, 1.99999])
     def test_corner_near_two_passes_or_is_refused(self, c, eps):
-        # at eps = 1e-12 the first step fails for c >= 1.998; such starts
-        # are refused before integrating, everything accepted completes
-        try:
-            check_passage(c, eps, 0.25)
-        except ValueError as exc:
-            assert "eps (1 - c^4/16) must be >= 1e-14" in str(exc)
-            assert eps * (1.0 - c**4 / 16.0) < 1e-14
-            return
-        rec = run_fold_passage(c, eps, 0.25)
-        assert math.isfinite(rec.theta_exit)
+        # near c = 2 every small-eps corner is accepted and completes
+        check_passage(c, eps, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run_fold_passage(c, eps, 0.25)
+        assert math.isfinite(rec.theta_exit) and rec.theta_exit > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -197,9 +240,12 @@ class TestRunFoldPassage:
         with pytest.raises(ValueError):
             run_fold_passage(1.2, 0.1)
         with pytest.raises(ValueError):
-            run_fold_passage(1.2, 1e-14)
+            run_fold_passage(1.2, 0.0)
         with pytest.raises(ValueError):
             run_fold_passage(1.2, 1e-4, 0.8)
+        # the law's delay at or past theta = 1 - c^2/4, where g = 0
+        with pytest.raises(ValueError, match="mu_fr = 1.0000.* >= 1"):
+            run_fold_passage(1.99999, 1e-2)
 
 
 class TestNormalForm:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quenchfront.painleve import solve_hastings_mcleod
 from quenchfront.solvercore import integrate_ode
 from quenchfront.travelingwave import (
     FrontSolution,
@@ -118,6 +119,20 @@ class TestSolveFront:
         assert sol.u_at_origin == pytest.approx(
             math.sqrt(2.0) * 0.00981 ** (1 / 3) * 0.367, rel=0.05
         )
+
+    def test_stationary_amplitude_against_painleve_ii(self):
+        # u(0) = sqrt(2) w_HM(0) eps^{1/3} + O(eps^{2/3}), with w_HM(0) the
+        # 16001/32001 Richardson value (0.36706155155); the gaps over
+        # eps^{2/3} measure -0.0069, -0.0015 and -0.0002.  Below eps = 1e-4
+        # the 4001-node solve's own floor shows
+        coarse, fine = (solve_hastings_mcleod(12.0, 8.0, m) for m in (16001, 32001))
+        i, j = 3 * 16000 // 5, 3 * 32000 // 5
+        assert coarse.eta[i] == fine.eta[j] == 0.0
+        prefactor = math.sqrt(2.0) * (4.0 * fine.w[j] - coarse.w[i]) / 3.0
+        for eps in (1e-2, 1e-3, 1e-4):
+            sol = solve_front(QuenchParams(0.0, eps), domain_halflength=5.0 / eps, n=4001)
+            assert sol.report.converged
+            assert abs(sol.u_at_origin / eps ** (1 / 3) - prefactor) <= 0.01 * eps ** (2 / 3)
 
 
 class TestFrontLocation:
