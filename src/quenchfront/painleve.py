@@ -36,6 +36,7 @@ from .solvercore import (
     solve_bvp,
 )
 from .specfun import airy
+from .stability import resampled_operator
 
 __all__ = [
     "HMSolution",
@@ -156,15 +157,11 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         raise SolveError(
             f"connection solve failed (residual {report.final_residual_norm:.3e})", report
         )
-    wprime = np.empty_like(w)
-    wprime[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    wprime[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
-    wprime[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
     r = residual(w)
     return HMSolution(
         mesh=Mesh(eta),
         w=w,
-        wprime=wprime,
+        wprime=np.gradient(w, h, edge_order=2),
         report=report,
         boundary_residuals=(abs(float(r[0])), abs(float(r[-1]))),
     )
@@ -270,23 +267,13 @@ def certify_lower_bound(sol: HMSolution) -> bool:
 def linearization_ground_state(sol: HMSolution, n_sub: int | None = None) -> Spectrum:
     """The five largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with
     Dirichlet truncation on a uniform sub-mesh of ``n_sub`` nodes (default
-    min(n, 4001)); the ground state must be negative."""
-    # imported here, not at module level: the front and pde commands never
-    # resample, and scipy.interpolate adds ~0.24 s to their import
-    from scipy.interpolate import CubicSpline
-
+    min(n, 4001)), assembled by ``stability.resampled_operator`` (cubic
+    resampling of w); the ground state must be negative."""
     _require_converged(sol)
-    eta = sol.eta
     if n_sub is None:
-        n_sub = min(eta.size, 4001)
-    grid = np.linspace(eta[0], eta[-1], n_sub)
-    h = grid[1] - grid[0]
-    w_sub = CubicSpline(eta, sol.w)(grid)
-    v = grid + 6.0 * w_sub**2
-    inner = slice(1, -1)
-    diag = -2.0 / h**2 - v[inner]
-    off = np.full(n_sub - 3, 1.0 / h**2)
-    spec = eig_tridiag_symmetric(diag, off, 5)
+        n_sub = min(sol.eta.size, 4001)
+    op = resampled_operator(sol.eta, sol.w, n_sub, lambda grid, w: -(grid + 6.0 * w**2))
+    spec = eig_tridiag_symmetric(op.diag, op.offdiag, 5)
     if spec.eigenvalues[0] >= 0.0:
         raise CertificateError(
             f"ground state is not negative (lambda0 = {spec.eigenvalues[0]:.3e})"

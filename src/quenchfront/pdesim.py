@@ -86,6 +86,9 @@ DT_CAP = 0.2
 # a grid whose spreading speed misses 2 sqrt(mu) by more than this fraction of
 # it is refused: criterion 8(b)'s tolerance, 0.05 on a speed of 2
 SPEED_TOLERANCE = 0.025
+# relax's fixed step and its steady-residual tolerance; see relax
+_RELAX_DT = 0.5
+_RELAX_TOL = 1e-8
 
 
 class SimulationAbort(RuntimeError):
@@ -379,35 +382,32 @@ def _steady_residual(u: np.ndarray, h: float, c: float, mu: float | np.ndarray) 
     return res + mu * u - u**3
 
 
-def relax(
-    cfg: SimConfig, dt: float = 0.5, tol: float = 1e-8, max_steps: int = 200_000
-) -> RelaxResult:
+def relax(cfg: SimConfig, max_steps: int = 200_000) -> RelaxResult:
     """Iterate the first-order IMEX Euler step u <- M^{-1}(u + dt f(u)),
-    M = I - dt A, from the configured initial data to a steady state
-    A u + f(u) = 0.
+    M = I - dt A, at dt = 0.5 from the configured initial data to a steady
+    state A u + f(u) = 0.
 
     Fixed points of the step solve the steady problem exactly for any dt,
-    so ``dt`` is not held to the SBDF3 bound min(0.5 h, 0.2) of
+    so dt is not held to the SBDF3 bound min(0.5 h, 0.2) of
     :func:`simulate`; only the explicit reaction bounds it.  On a front
     f'(u) = mu - 3u^2 lies in [-2, 1], and the frozen-coefficient condition
     |1 + dt f'| <= 1 gives dt < 1: at dt = 1 the uniform mode of the u = 1
-    plateau (f' = -2) no longer decays.  The default 0.5 damps that mode in
-    one step.
+    plateau (f' = -2) no longer decays.  dt = 0.5 damps that mode in one
+    step.
 
     Each step is screened with max|u_{k+1} - u_k| / dt, which equals
     max|A u_{k+1} + f(u_k)| and so costs no operator product; once it is
-    below ``tol`` the true residual max|A u + f(u)| is evaluated, and the
-    iteration stops when that is below ``tol`` too.  The result carries the
+    below 1e-8 the true residual max|A u + f(u)| is evaluated, and the
+    iteration stops when that is below 1e-8 too.  The result carries the
     step count, that residual and the wall time.
 
     Raises ``ValueError`` when mu depends on t (lab frame without
     ``frozen_mu``), :class:`SolveError` when ``max_steps`` steps do not
-    reach ``tol``, and :class:`SimulationAbort` on a non-finite state.
+    reach 1e-8, and :class:`SimulationAbort` on a non-finite state.
     """
     if cfg.frame == "lab" and cfg.frozen_mu is None:
         raise ValueError("relax needs a time-independent mu: comoving frame or frozen_mu")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    dt, tol = _RELAX_DT, _RELAX_TOL
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     u = _initial_condition(cfg, x)

@@ -27,6 +27,7 @@ __all__ = [
     "LcOperator",
     "build_Lc",
     "operator_from_potential",
+    "resampled_operator",
     "leading_eigenvalues",
 ]
 
@@ -53,30 +54,33 @@ def operator_from_potential(grid: np.ndarray, q: np.ndarray) -> LcOperator:
     return LcOperator(diag=diag, offdiag=off)
 
 
-def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
-    """Resample the front onto a uniform grid (cubic interpolation of u*,
-    closed-form ramp) and assemble the symmetric tridiagonal Lc with
-    Dirichlet truncation at the front domain's ends."""
+def resampled_operator(nodes: np.ndarray, values: np.ndarray, n: int, potential) -> LcOperator:
+    """Resample ``values`` from ``nodes`` onto ``n`` uniform nodes by cubic
+    interpolation and assemble the Dirichlet u'' + q u on the interior
+    nodes, with q = ``potential(grid, resampled values)``."""
     # imported here, not at module level: the front and pde commands never
     # resample, and scipy.interpolate adds ~0.24 s to their import
     from scipy.interpolate import CubicSpline
 
+    grid = np.linspace(nodes[0], nodes[-1], n)
+    q = potential(grid, CubicSpline(nodes, values)(grid))
+    return operator_from_potential(grid[1:-1], q[1:-1])
+
+
+def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
+    """Resample the front onto a uniform grid (cubic interpolation of u*,
+    closed-form ramp) and assemble the symmetric tridiagonal Lc with
+    Dirichlet truncation at the front domain's ends."""
     if not front.report.converged:
         raise ValueError("spectral assembly requires a converged front")
     zeta = front.mesh.nodes
     n = max(int(round((zeta[-1] - zeta[0]) / h)) + 1, 16)
-    grid = np.linspace(zeta[0], zeta[-1], n)
-    u_star = CubicSpline(zeta, front.u)(grid)
-    mu = front.params.mu_of_zeta(grid)
     c = front.params.c
-    q = mu - c * c / 4.0 - 3.0 * u_star**2
-    return operator_from_potential(grid[1:-1], q[1:-1])
+    q = lambda grid, u: front.params.mu_of_zeta(grid) - c * c / 4.0 - 3.0 * u**2
+    return resampled_operator(zeta, front.u, n, q)
 
 
 def leading_eigenvalues(op: LcOperator, k: int) -> Spectrum:
     """The k largest eigenvalues of the discretized operator (descending),
     by LAPACK bisection via ``scipy.linalg.eigh_tridiagonal``."""
-    if k < 1:
-        raise ValueError("need at least one eigenvalue")
     return eig_tridiag_symmetric(op.diag, op.offdiag, k)
-

@@ -265,8 +265,9 @@ class _LogFrontSystem:
         return ab
 
     def solve(self, guess: np.ndarray, epsilon: float) -> tuple[np.ndarray, NewtonReport]:
-        """Newton at ramp rate ``epsilon`` from ``guess``, to ``_TOL`` in at
-        most 80 iterations: the front layer's one Newton set-up.  The result
+        """Newton at ramp rate ``epsilon`` from ``guess``, to ``_TOL`` or
+        ``solve_bvp``'s step stop in at most 80 iterations: the front
+        layer's one Newton set-up.  The result
         may be unconverged (``report.converged``).  A trial step whose
         e^{2w} overflows has an infinite residual, which the line search
         halves away, so the overflow is not reported."""
@@ -350,7 +351,8 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     plateau log(sqrt(mu)), floored at the tail's level.  The discrete
     system is posed in the log-amplitude w = log(u) (the front's plateau
     passes exponentially close to u = 0, which an additive solve cannot
-    resolve); the residual tolerance applies to that system.
+    resolve); the Newton stop (``_TOL`` on the residual, or a step below
+    1e-10 (1 + |w|)) applies to that system.
     """
     if domain_halflength < 5.0 / params.epsilon - 1e-9:
         raise ValueError("domain too short: need halflength >= 5/epsilon")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: subcommands, file formats,
 exit codes, config precedence, and output determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenchfront import cli
-from quenchfront.painleve import CertificateError
+from quenchfront import cli, solvercore
+from quenchfront.painleve import CertificateError, solve_hastings_mcleod
 from quenchfront.pdesim import (
     DT_CAP, DT_PER_H, SimConfig, SimulationAbort, simulate, spreading_speed,
 )
@@ -168,20 +169,28 @@ class TestFront:
         else:
             assert diag["mu_fr"] == pytest.approx(ref.mu_fr, abs=1e-7)
 
-    @pytest.mark.parametrize("eps", ["1e-5", "0.08"], ids=["start-refused", "target-above-start"])
-    def test_refused_continuation_reports_the_direct_failure(self, tmp_path, capsys, eps):
-        # direct Newton fails at c = 1.9, and front_branch refuses the case
-        code, out = run(["front", "--c", "1.9", "--eps", eps], tmp_path)
+    @pytest.mark.parametrize(
+        "c,eps,extra",
+        [("1.9", "1e-5", []), ("1.999", "0.08", ["--L", "150"])],
+        ids=["start-refused", "target-above-start"],
+    )
+    def test_refused_continuation_reports_the_direct_failure(self, tmp_path, capsys, c, eps, extra):
+        # direct Newton fails, and front_branch refuses the case: at c = 1.9
+        # its start, at eps = 0.08 a target above its start
+        code, out = run(["front", "--c", c, "--eps", eps, *extra], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"solver failure: front solve failed at c=1.9, eps={float(eps)}")
+        assert err.startswith(f"solver failure: front solve failed at c={c}, eps={float(eps)}")
         failure = json.loads((out / "front_failure.json").read_text())
         assert err == f"solver failure: {failure['error']}\n"
         assert failure["iterations"] == 80 and failure["final_residual_norm"] > 1e-10
         assert not (out / "front_profile.csv").exists()
 
     def test_both_solvers_failing_reports_the_continuation(self, tmp_path, capsys):
-        code, out = run(["front", "--c", "1.2", "--eps", "1e-6"], tmp_path)
+        # without the Newton step stop both solves stall on the residual's
+        # rounding floor, the continuation's at its seed
+        with mock.patch.object(solvercore, "_STEP_TOL", 0.0):
+            code, out = run(["front", "--c", "1.2", "--eps", "1e-6"], tmp_path)
         assert code == 2
         assert capsys.readouterr().err == "solver failure: branch seed failed at eps=0.05\n"
         failure = json.loads((out / "front_failure.json").read_text())
@@ -784,6 +793,21 @@ class TestFailureArtifacts:
         assert summary["certificate_failure"] == "lower bound violated"
         assert not (out / "painleve_manifest.json").exists()
 
+    def test_painleve_w0_below_airy(self, tmp_path, capsys):
+        # w and w' scaled by 0.95 keep the potential, lower-bound and
+        # ground-state certificates but put w(0) = 0.3487 below Ai(0)
+        sol = solve_hastings_mcleod()
+        low = dataclasses.replace(sol, w=0.95 * sol.w, wprime=0.95 * sol.wprime)
+        with mock.patch.object(cli, "solve_hastings_mcleod", mock.Mock(return_value=low)):
+            code, out = run(["painleve"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("certificate failure: w(0) = 0.3487") and "below Ai(0) = 0.355028054" in err
+        summary = json.loads((out / "painleve_summary.json").read_text())
+        assert err == f"certificate failure: {summary['certificate_failure']}\n"
+        assert summary["lower_bound"] == "certified" and summary["ground_state"] < 0.0
+        assert not (out / "painleve_manifest.json").exists()
+
     def test_pde_last_state(self, tmp_path, capsys):
         abort = SimulationAbort(1.5, np.array([0.25, -0.5]))
         with mock.patch.object(cli, "simulate", mock.Mock(side_effect=abort)):
@@ -796,6 +820,15 @@ class TestFailureArtifacts:
         assert not (out / "pde_snapshots.csv").exists()
 
 
+# the command line with the Newton step stop switched off, so that a Newton
+# solve can stall on the residual's rounding floor
+_NO_STEP_STOP = [
+    "-c",
+    "import sys; from quenchfront import cli, solvercore; "
+    "solvercore._STEP_TOL = 0.0; sys.exit(cli.main())",
+]
+
+
 class TestProcess:
     """``python -m quenchfront.cli`` as its own process: the documented exit
     code and a one-line message, never a traceback."""
@@ -804,7 +837,7 @@ class TestProcess:
         "args,code,message",
         [
             (
-                ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-6:2e-6", "--points", "2"],
+                [*_NO_STEP_STOP, "delay-sweep", "--c", "1.2", "--eps-decade", "1e-6:2e-6", "--points", "2"],
                 2,
                 "solver failure: branch seed failed at eps=0.05",
             ),
@@ -832,8 +865,9 @@ class TestProcess:
         (tmp_path / "typo.cfg").write_text("c = 1.2\neps = 0.004\nepsilon_typo = 0.004\nfold = true\n")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        launch = [] if args[0] == "-c" else ["-m", "quenchfront.cli"]
         proc = subprocess.run(
-            [sys.executable, "-m", "quenchfront.cli", *args, "--outdir", "out"],
+            [sys.executable, *launch, *args, "--outdir", "out"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == code

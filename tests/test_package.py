@@ -7,6 +7,7 @@ rebinds still exist and still carry the calls it counts."""
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import shlex
@@ -157,3 +158,12 @@ def test_dt_bound_quoted_from_the_module_constants():
     with pytest.raises(ValueError, match="SBDF3") as err:
         pdesim.SimConfig(domain=(0.0, 100.0), n=101, dt=1.01 * pdesim.DT_CAP)
     assert bound in str(err.value)
+
+
+def test_readme_suite_size_quoted_from_bench_suite():
+    # README quotes the tier-1 count and time recorded in BENCH_suite.json
+    with open(os.path.join(os.path.dirname(README), "BENCH_suite.json")) as fh:
+        tier1 = json.load(fh)["tier1"]
+    with open(README) as fh:
+        text = fh.read()
+    assert f"full suite ({tier1['tests']} tests, about {round(tier1['wall_s'])} s" in text

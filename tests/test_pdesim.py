@@ -434,7 +434,7 @@ class TestRelax:
     )
     def test_steady_residual_below_tol(self, mode):
         cfg = SimConfig(domain=(-20.0, 60.0), n=201, **mode)
-        res = relax(cfg, tol=1e-8)
+        res = relax(cfg)
         if cfg.frozen_mu is not None:
             mu = cfg.frozen_mu
         else:

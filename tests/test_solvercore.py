@@ -180,6 +180,24 @@ class TestSolveBvp:
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert all(1.8 <= o <= 2.2 for o in order)
 
+    def test_step_stop_below_the_rounding_floor(self):
+        # tol = 0 lies below any residual's rounding floor: the first step
+        # solves the linear system to rounding, and the second, below
+        # 1e-10 (1 + |x|), is taken in full and ends the solve
+        n = 40
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(n)
+        off = np.full(n - 1, -1.0)
+        dense = np.diag(np.full(n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
+        x, rep = solve_bvp(
+            residual=lambda x: dense @ x - b,
+            jacobian=lambda x: _banded_from_tridiag(off, np.full(n, 2.0), off),
+            initial_guess=np.zeros(n),
+            tol=0.0,
+        )
+        assert rep.converged and rep.iterations == 2 and rep.damping_history == [1.0, 1.0]
+        assert rep.final_residual_norm == np.max(np.abs(dense @ x - b)) > 0.0
+
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 50, 400])
     def test_step_matches_dense_solve(self, n):
         # one Newton step on J x - b from x = 0 is x = J^{-1} b; J is a random

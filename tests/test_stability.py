@@ -76,6 +76,14 @@ class TestFrontSpectrum:
         assert abs(coarse.eigenvalues[0]) > 1e-3
         assert abs(fine.eigenvalues[0] - coarse.eigenvalues[0]) < 1e-4
 
+    @pytest.mark.parametrize("c", [0.4, 1.2, 1.8])
+    @pytest.mark.parametrize("eps", [2.5e-3, 2.5e-4])
+    def test_leading_eigenvalue_negative_across_speeds(self, c, eps):
+        # the paper's stability claim over 0 < c < 2; lambda0 measures from
+        # -1.04e-2 (c = 0.4, eps = 2.5e-3) to -9.46e-5 (c = 1.8, eps = 2.5e-4)
+        front = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps)
+        assert leading_eigenvalues(build_Lc(front), 1).eigenvalues[0] < 0.0
+
     def test_requires_converged_front(self, front_c12):
         import copy
 

@@ -135,6 +135,26 @@ class TestSolveFront:
             assert abs(sol.u_at_origin / eps ** (1 / 3) - prefactor) <= 0.01 * eps ** (2 / 3)
 
 
+    @pytest.mark.parametrize(
+        "c,eps,lo,hi", [(0.0, 9.81e-3, 3.5, 4.5), (1.2, 2.5e-3, 3.0, math.inf)], ids=["c=0", "c=1.2"]
+    )
+    def test_newton_stops_on_every_mesh(self, c, eps, lo, hi):
+        # the residual's rounding floor grows like 1/h^2 and passes 1e-10 by
+        # n = 16001; the step stop still ends every solve.  u(0) at c = 0
+        # converges at second order (difference ratios 3.998, 3.999).  mu_fr
+        # is a threshold crossing interpolated linearly in mu, no clean h^2
+        # series: its differences 3.94e-8, 8.50e-9, 2.43e-9 shrink by 4.64
+        # and 3.50, so each must shrink by at least 3
+        values = []
+        for n in (4001, 8001, 16001, 32001):
+            sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=n)
+            assert sol.report.converged
+            values.append(sol.u_at_origin if c == 0.0 else sol.mu_fr)
+        diffs = np.abs(np.diff(values))
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((lo <= ratios) & (ratios <= hi))
+
+
 class TestFrontLocation:
     def _synthetic(self, c, eps, jump_index, at_threshold):
         params = QuenchParams(c, eps)
@@ -220,6 +240,16 @@ class TestFrontBranch:
         fb = front_branch(1.2, targets)
         assert len(calls) == len(fb.branch.entries)
         assert [f.params.epsilon for f in fb.fronts] == sorted(targets, reverse=True)
+
+    @pytest.mark.parametrize("c", [0.4, 0.8, 1.2, 1.6, 1.8])
+    def test_every_front_nonnegative_and_monotone(self, c):
+        # the paper's existence claim over 0 < c < 2; u underflows to 0 deep
+        # in the tail, and min diff(u) measures >= -1.1e-16
+        branch = front_branch(c, np.geomspace(2.5e-4, 2.5e-3, 10))
+        assert len(branch.fronts) == 10
+        for front in branch.fronts:
+            assert np.all(front.u >= 0.0)
+            assert np.min(np.diff(front.u)) >= -1e-9
 
     def test_monotone_parameter_path(self):
         fb = front_branch(0.0, [5e-3, 2e-3])
