@@ -1,11 +1,7 @@
 """Method-of-lines simulation of the quenched Allen-Cahn equation.
 
 Three operating modes share one semi-implicit stepper (diffusion and
-advection implicit, cubic reaction explicit, Neumann boundaries).  Each
-constant tridiagonal implicit operator is factored once per run: without
-advection (lab frame, frozen mu) it is symmetric positive definite once its
-two ghost rows are halved, and LAPACK ``dpttrf``/``dpttrs`` factor and solve
-it; with advection ``dgttrf``/``dgttrs`` do.
+advection implicit, cubic reaction explicit, Neumann boundaries):
 
 * ``frame="comoving"``: u_t = u_zz - c u_z + mu(z) u - u^3 with the static
   ramp mu = tanh(eps z); long-time states are the traveling fronts computed
@@ -14,25 +10,49 @@ it; with advection ``dgttrf``/``dgttrs`` do.
   at alpha = 0, spatially homogeneous) quench mu(s) = -tanh(eps s).
 * ``frozen_mu``: constant-coefficient runs for invasion-speed checks.
 
+Space is fourth order on three-point stencils, through the compact (Pade)
+form of u_t = u_xx - c u_x + f(u) (Lele, J. Comput. Phys. 103, 1992):
+
+    B u_t = A4 u + B f(u),   A4 = (1 + c^2 h^2/12) D2 - c D1,
+                             B = I + (h^2/12) (D2 - c D1),
+
+with D2 and D1 the centred second and first differences; at c = 0,
+B = tridiag(1, 10, 1)/12.  Both take the mirror ghost u_{-1} = u_1 at each
+end, so D2 doubles and D1 vanishes on rows 0 and n-1.  Every implicit
+matrix s B - dt_m A4 is tridiagonal and factored once per run: without
+advection it is symmetric positive definite once its two ghost rows are
+halved, and LAPACK ``dpttrf``/``dpttrs`` factor and solve it; with
+advection ``dgttrf``/``dgttrs`` do.  Each step applies B to its right-hand
+side in three array passes before the solve.
+
 :func:`simulate` marches with SBDF3, the third-order semi-implicit BDF of
-Ascher, Ruuth and Wetton (1995): with A = D2 - c D1 and F_k = f(u_k, t_k),
+Ascher, Ruuth and Wetton (1995): with F_k = f(u_k, t_k),
 
-    (11 I - 6 dt A) u_{k+1} = 18 u_k - 9 u_{k-1} + 2 u_{k-2}
-                              + 6 dt (3 F_k - 3 F_{k-1} + F_{k-2}),
+    (11 B - 6 dt A4) u_{k+1} = B (18 u_k - 9 u_{k-1} + 2 u_{k-2}
+                                  + 6 dt (3 F_k - 3 F_{k-1} + F_{k-2})),
 
-after one first-order IMEX Euler step (I - dt A) u_1 = u_0 + dt F_0 and one
-SBDF2 step (3 I - 2 dt A) u_2 = 4 u_1 - u_0 + 2 dt (2 F_1 - F_0) at the same
-dt.  The time error is O(dt^3), so dt <= 0.5 h keeps it at or below the
-O(h^2) space error.  The extrapolated reaction is stable for
-dt |f'(u)| < 20/21, with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).
-Near that limit a parasitic root of the extrapolation is close to -1 (-0.76
-at dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
-it (by 4e-4 at dt = 0.4 on h = 5); dt <= 0.2 keeps dt |f'| <= 0.4 and u
-within rounding of the invariant region |u| <= 1 on grids up to h = 10.
-That limit binds on coarse grids, h > 0.4.  Both together,
-dt <= min(0.5 h, 0.2) (``DT_PER_H`` and ``DT_CAP``), are the default and the
-bound.  :func:`relax` iterates the first-order step at large dt to a steady
-state of a time-independent mode.
+after one first-order IMEX Euler step (B - dt A4) u_1 = B (u_0 + dt F_0)
+and one SBDF2 step (3 B - 2 dt A4) u_2 = B (4 u_1 - u_0 + 2 dt (2 F_1 - F_0))
+at the same dt.  The extrapolated reaction is stable for dt |f'(u)| < 20/21,
+with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).  Near that limit a
+parasitic root of the extrapolation is close to -1 (-0.76 at
+dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
+it; dt <= 0.2 keeps dt |f'| <= 0.4.  The largest step is
+dt <= min(0.5 h, 0.2) (``DT_PER_H`` and ``DT_CAP``), and it is the default;
+the time error is O(dt^3) against O(h^4) in space, so the accuracy-chosen
+step of a run is smaller (the ``pde`` command's default is 0.04 on h = 0.4).
+
+Every implicit matrix also keeps its off-diagonals <= 0, which with its
+diagonal dominance makes it an M-matrix with a nonnegative inverse.  B's
+off-diagonals are positive, so this needs dt_m/s >= (h^2/12) r(x), with
+x = c h/2 and r(x) = (1 + |x|)/(1 + |x| + x^2/3) <= 1 (:func:`_min_step`).
+Of the three matrices, SBDF3's 11 B - 6 dt A4 has the largest s/dt_m, so
+it sets the positivity floor dt >= (11/6)(h^2/12) r(x), 11 h^2/72 at c = 0.
+Below it a solve can undershoot 0: a frozen-mu run on h = 5 at dt = 0.2
+reaches u = -1.007.  A grid on which no step meets both bounds (h > 1.14
+at c = 0) is refused.
+:func:`relax` iterates the first-order step at large dt to a steady state
+of a time-independent mode.
 
 A pulled front runs at its discretization's own linear spreading speed
 (:func:`spreading_speed`), not at 2 sqrt(mu); :func:`check_spreading_speed`
@@ -123,6 +143,7 @@ class SimConfig:
             ("alpha", self.alpha), ("c", self.c), ("epsilon", self.epsilon),
             ("frozen_mu", self.frozen_mu), ("domain start", self.domain[0]),
             ("domain end", self.domain[1]), ("t_end", self.t_end),
+            ("ic_center", self.ic_center),
         ):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -164,12 +185,23 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         elif self.dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
-                f"dt = {self.dt:g} exceeds min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g}: the "
-                f"accuracy limit dt <= {DT_PER_H:g} h keeps SBDF3's third-order time error at "
-                f"or below the O(h^2) space error, and the limit dt <= {DT_CAP:g} keeps the "
-                f"explicit reaction's dt |f'(u)| <= {2.0 * DT_CAP:g} for |f'| <= 2, well inside "
-                "its stability interval (20/21) and free of overshoot past |u| = 1 "
-                "(diffusion is implicit and stable for any dt)"
+                f"dt = {self.dt:g} exceeds min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g}: "
+                f"SBDF3's largest step, dt <= {DT_PER_H:g} h, and the limit dt <= {DT_CAP:g} "
+                f"that keeps the explicit reaction's dt |f'(u)| <= {2.0 * DT_CAP:g} for "
+                "|f'| <= 2, well inside its stability interval (20/21) and free of overshoot "
+                "past |u| = 1 (diffusion is implicit and stable for any dt)"
+            )
+        dt_min = _min_step(self.h, self.c, 11.0) / 6.0  # SBDF3's 11 B - 6 dt A4 binds
+        if self.dt < dt_min * (1.0 - 1e-12):
+            raise ValueError(
+                f"dt = {self.dt:g} lies below the positivity floor {dt_min:.4g} of h = "
+                f"{self.h:g}: below it SBDF3's implicit matrix 11 B - 6 dt A4 has positive "
+                "off-diagonals, and a solve can undershoot u = 0"
+                + (
+                    f"; no step up to min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g} reaches "
+                    "it, so the grid must be finer"
+                    if dt_min > dt_max else ""
+                )
             )
 
     @property
@@ -240,7 +272,7 @@ def _mu_profile(cfg: SimConfig, x: np.ndarray) -> float | np.ndarray:
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
     above = u > level  # u == level counts as below
-    idx = np.flatnonzero(above[1:] != above[:-1])
+    idx = (above[1:] != above[:-1]).nonzero()[0]  # np.flatnonzero without its wrappers
     if idx.size == 0:
         return math.nan, 0
     i = idx[-1]
@@ -248,43 +280,65 @@ def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[flo
     return x0 + (x1 - x0) * d0 / (d0 - d1), int(idx.size)
 
 
+def _min_step(h: float, c: float, s: float) -> float:
+    """Smallest dt_m at which every off-diagonal of s B - dt_m A4 is <= 0.
+
+    With x = c h/2 and lam = (12 dt_m/h^2)(1 + x^2/3), 12 times the sub-
+    and superdiagonal are s (1 +- x) - lam -+ (12 dt_m/h^2) x and 12 times
+    the ghost rows' 2 (s - lam); the larger off-diagonal binds and gives
+    dt_m >= (s h^2/12)(1 + |x|)/(1 + |x| + x^2/3).
+    """
+    x = 0.5 * abs(c) * h
+    return s * h * h / 12.0 * (1.0 + x) / (1.0 + x + x * x / 3.0)
+
+
 def _implicit_solver(
     n: int, h: float, dt: float, c: float, s: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor M = s I - dt*(D2 - c D1) with mirror-ghost Neumann rows once and
-    return a solve that overwrites its right-hand side.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Factor M = 12 (s B - dt A4) with mirror-ghost Neumann rows once and
+    return ``solve(b, out)``, which writes the solution of M u = 12 B b into
+    ``out`` and returns it (``b`` is left as it is).
 
-    Without advection, halving rows 0 and n-1 makes M symmetric positive
-    definite for any s > 0, with off-diagonal -dt/h^2 throughout, so
-    ``dpttrf``/``dpttrs`` apply (the solve halves b[0] and b[-1] to match);
-    with advection M is nonsymmetric and ``dgttrf``/``dgttrs`` are used.
+    Both sides have rows 0 and n-1 halved.  With x = c h/2 that makes
+    12 B = tridiag(1 + x, 10, 1 - x) (sub-, main and superdiagonal) with the
+    ghost rows 5 b_0 + b_1 and b_{n-2} + 5 b_{n-1}, applied in three array
+    passes (two scalar corrections when x != 0).  Without advection the
+    halved M is symmetric positive definite for any s > 0, so
+    ``dpttrf``/``dpttrs`` apply; with advection it is nonsymmetric and
+    ``dgttrf``/``dgttrs`` are used.
     """
-    lam = dt / (h * h)
+    x = 0.5 * c * h
+    lo, hi = 1.0 + x, 1.0 - x
+    lam = 12.0 * dt * (1.0 + x * x / 3.0) / (h * h)
+    adv = 6.0 * c * dt / h
+    diag_b = np.full(n, 10.0)
+    diag_b[0] = diag_b[-1] = 5.0
+
+    def apply_b(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(b, diag_b, out=out)
+        blas.daxpy(b, out, n=n - 1, a=lo, offy=1)  # out[1:] += lo b[:-1]
+        blas.daxpy(b, out, n=n - 1, a=hi, offx=1)  # out[:-1] += hi b[1:]
+        if x:  # the ghost rows' off-diagonal is 1, not 1 -+ x
+            out[0] += x * b[1]
+            out[-1] -= x * b[-2]
+        return out
+
+    main = np.full(n, 10.0 * s + 2.0 * lam)
+    main[0] = main[-1] = 5.0 * s + lam
     if c == 0.0:
-        main = np.full(n, s + 2.0 * lam)
-        main[0] = main[-1] = 0.5 * s + lam
-        d, e, info = lapack.dpttrf(main, np.full(n - 1, -lam))
+        d, e, info = lapack.dpttrf(main, np.full(n - 1, s - lam))
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"implicit operator not positive definite (dpttrf info = {info})"
             )
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b[0] *= 0.5
-            b[-1] *= 0.5
-            return lapack.dpttrs(d, e, b, overwrite_b=1)[0]
-
-        return solve
-    adv = c * dt / (2.0 * h)
-    sup = np.full(n - 1, -lam + adv)
-    sub = np.full(n - 1, -lam - adv)
-    main = np.full(n, s + 2.0 * lam)
-    sup[0] = -2.0 * lam  # mirror ghost at the left boundary
-    sub[-1] = -2.0 * lam  # mirror ghost at the right boundary
+        return lambda b, out: lapack.dpttrs(d, e, apply_b(b, out), overwrite_b=1)[0]
+    sup = np.full(n - 1, s * hi - lam + adv)
+    sub = np.full(n - 1, s * lo - lam - adv)
+    sup[0] = sub[-1] = s - lam  # mirror ghosts at both ends
     dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
     if info != 0:
         raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
-    return lambda b: lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+    return lambda b, out: lapack.dgttrs(dl, d, du, du2, ipiv, apply_b(b, out), overwrite_b=1)[0]
 
 
 def _reaction(u: np.ndarray, a: float | np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
@@ -309,10 +363,10 @@ def simulate(cfg: SimConfig) -> SimResult:
     dt, eps = cfg.dt, cfg.epsilon
     steps = int(math.ceil(cfg.t_end / dt))
     u = _initial_condition(cfg, x)
-    # each step solves M u_{k+1} = m E_k + P_k with E_k = 18 (u_k + dt F_k):
-    # 18 (I - dt A) for the Euler start, 9 (3I - 2dt A) with m = 2 for the
-    # SBDF2 step, then 11I - 6dt A.  P_k and Q_k carry what the two earlier
-    # levels add: P_{k+1} = Q_k + 9 u_k - E_k and Q_{k+1} = E_k/3 - 4 u_k.
+    # each step solves M u_{k+1} = B (m E_k + P_k) with E_k = 18 (u_k + dt F_k):
+    # M = 18 (B - dt A4) for the Euler start, 9 (3B - 2dt A4) with m = 2 for
+    # the SBDF2 step, then 11B - 6dt A4.  P_k and Q_k carry what the two
+    # earlier levels add: P_{k+1} = Q_k + 9 u_k - E_k and Q_{k+1} = E_k/3 - 4 u_k.
     solvers = [
         _implicit_solver(cfg.n, cfg.h, dt_m, cfg.c, s)
         for dt_m, s in ((18.0 * dt, 18.0), (18.0 * dt, 27.0), (6.0 * dt, 11.0))
@@ -348,14 +402,14 @@ def simulate(cfg: SimConfig) -> SimResult:
                 a = w + w * dt * math.tanh(eps * t)
             _reaction(u, a, b, e)
             blas.daxpy(e, p, a=2.0 if k == 1 else 1.0)
-            u_new = solvers[min(k, 2)](p)  # p's buffer, solved in place
+            u_new = solvers[min(k, 2)](p, free)
             if not math.isfinite(zeros @ u_new):
                 raise SimulationAbort(t, u)
             blas.daxpy(u, q, a=9.0)
             q -= e  # q's buffer now holds P_{k+1}
-            np.multiply(u, -4.0, out=free)
-            blas.daxpy(e, free, a=1.0 / 3.0)  # Q_{k+1}
-            u, p, q, free = u_new, q, free, u
+            np.multiply(u, -4.0, out=p)
+            blas.daxpy(e, p, a=1.0 / 3.0)  # Q_{k+1}
+            u, p, q, free = u_new, q, p, u
             t = (k + 1) * dt
             if (k + 1) % track_stride == 0 or k + 1 == steps:
                 xi, count = _rightmost_crossing(x, u, cfg.track_level)
@@ -372,20 +426,28 @@ def simulate(cfg: SimConfig) -> SimResult:
     )
 
 
+def _differences(v: np.ndarray, h: float, a2: float, a1: float) -> np.ndarray:
+    """a2 D2 v - a1 D1 v on mirror-ghost Neumann rows."""
+    out = np.empty_like(v)
+    out[1:-1] = a2 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h) - a1 * (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = 2.0 * a2 * (v[1] - v[0]) / (h * h)
+    out[-1] = 2.0 * a2 * (v[-2] - v[-1]) / (h * h)
+    return out
+
+
 def _steady_residual(u: np.ndarray, h: float, c: float, mu: float | np.ndarray) -> np.ndarray:
-    """A u + f(u) with A = D2 - c D1 on mirror-ghost Neumann rows and
-    f(u) = mu u - u^3."""
-    res = np.empty_like(u)
-    res[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) - c * (u[2:] - u[:-2]) / (2.0 * h)
-    res[0] = 2.0 * (u[1] - u[0]) / (h * h)
-    res[-1] = 2.0 * (u[-2] - u[-1]) / (h * h)
-    return res + mu * u - u**3
+    """A4 u + B f(u) with f(u) = mu u - u^3, both operators on mirror-ghost
+    Neumann rows."""
+    f = mu * u - u**3
+    return _differences(u, h, 1.0 + c * c * h * h / 12.0, c) + f + (h * h / 12.0) * _differences(
+        f, h, 1.0, c
+    )
 
 
 def relax(cfg: SimConfig, max_steps: int = 200_000) -> RelaxResult:
-    """Iterate the first-order IMEX Euler step u <- M^{-1}(u + dt f(u)),
-    M = I - dt A, at dt = 0.5 from the configured initial data to a steady
-    state A u + f(u) = 0.
+    """Iterate the first-order IMEX Euler step u <- M^{-1} B (u + dt f(u)),
+    M = B - dt A4, at dt = 0.5 from the configured initial data to a steady
+    state A4 u + B f(u) = 0.
 
     Fixed points of the step solve the steady problem exactly for any dt,
     so dt is not held to the SBDF3 bound min(0.5 h, 0.2) of
@@ -393,13 +455,15 @@ def relax(cfg: SimConfig, max_steps: int = 200_000) -> RelaxResult:
     f'(u) = mu - 3u^2 lies in [-2, 1], and the frozen-coefficient condition
     |1 + dt f'| <= 1 gives dt < 1: at dt = 1 the uniform mode of the u = 1
     plateau (f' = -2) no longer decays.  dt = 0.5 damps that mode in one
-    step.
+    step.  M keeps its off-diagonals <= 0: ``cfg``'s own step lies between
+    the positivity floor (11/6) :func:`_min_step` (h, c, 1) and 0.2, so that
+    floor is below 0.11, well under 0.5.
 
     Each step is screened with max|u_{k+1} - u_k| / dt, which equals
-    max|A u_{k+1} + f(u_k)| and so costs no operator product; once it is
-    below 1e-8 the true residual max|A u + f(u)| is evaluated, and the
-    iteration stops when that is below 1e-8 too.  The result carries the
-    step count, that residual and the wall time.
+    max|B^{-1} (A4 u_{k+1} + B f(u_k))| and so costs no operator product;
+    once it is below 1e-8 the true residual max|A4 u + B f(u)| is
+    evaluated, and the iteration stops when that is below 1e-8 too.  The
+    result carries the step count, that residual and the wall time.
 
     Raises ``ValueError`` when mu depends on t (lab frame without
     ``frozen_mu``), :class:`SolveError` when ``max_steps`` steps do not
@@ -414,14 +478,14 @@ def relax(cfg: SimConfig, max_steps: int = 200_000) -> RelaxResult:
     solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
     mu = _mu_profile(cfg, x)
     a, b = 1.0 + dt * mu, -dt
-    buf, diff = np.empty_like(u), np.empty_like(u)
+    buf, diff, out = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(1, max_steps + 1):
-            u_new = solve(_reaction(u, a, b, buf))
+            u_new = solve(_reaction(u, a, b, buf), out)
             change = np.abs(np.subtract(u_new, u, out=diff), out=diff).max()
             if not math.isfinite(change):
                 raise SimulationAbort((k - 1) * dt, u)
-            u, buf = u_new, u
+            u, out = u_new, u
             if change < tol * dt:
                 residual = float(np.max(np.abs(_steady_residual(u, cfg.h, cfg.c, mu))))
                 if residual < tol:
@@ -434,39 +498,49 @@ def spreading_speed(h: float, dt: float, mu: float) -> float:
     grid of spacing h at step dt, for mu > 0 (van Saarloos, Phys. Rep. 386,
     2003); advection (the comoving frame's c D1) is not included.
 
-    A mode G^k e^{-lam x} has A e^{-lam x} = s e^{-lam x} with
-    s = 2 (cosh(lam h) - 1)/h^2 and grows by the largest root G of
+    A mode G^k e^{-lam x} has D2 e^{-lam x} = s e^{-lam x} with
+    s = 2 (cosh(lam h) - 1)/h^2, so the compact operator B^{-1} A4 acts on
+    it by S = s/(1 + h^2 s/12), and it grows by the largest root G of
 
-        (11 - 6 dt s) G^3 - 18 (1 + dt mu) G^2 + (9 + 18 dt mu) G - (2 + 6 dt mu) = 0,
+        (11 - 6 dt S) G^3 - 18 (1 + dt mu) G^2 + (9 + 18 dt mu) G - (2 + 6 dt mu) = 0,
 
-    and the speed is the minimum over lam of ln(G)/(dt lam).  The relation
-    is solved for s at a given growth rate sigma = ln(G)/dt: with
+    and the speed is the saddle of ln(G)/(dt lam): its first local minimum
+    as lam grows from 0.  It is not the smallest value, because S saturates
+    at 12/h^2 as lam -> inf, so on modes far steeper than the front (at
+    h = 0.4, lam h > 16) ln(G)/(dt lam) falls below it again.  The relation
+    is solved for S at a given growth rate sigma = ln(G)/dt: with
     g = G - 1 = expm1(sigma dt),
 
-        6 dt G^3 s = 11 g^3 + 15 g^2 + 6 g - 6 dt mu (3 g^2 + 3 g + 1),
+        6 dt G^3 S = 11 g^3 + 15 g^2 + 6 g - 6 dt mu (3 g^2 + 3 g + 1),
 
-    which has no cancellation as dt -> 0, where s -> sigma - mu and the
-    speed tends to the semi-discrete min_lam (s(lam) + mu)/lam.  Then
-    lam = acosh(1 + s h^2/2)/h, and sigma/lam is minimised on a geometric
-    sigma grid refined three times around its smallest value.
+    which has no cancellation as dt -> 0, where S -> sigma - mu and the
+    speed tends to the semi-discrete min_lam (S(lam) + mu)/lam.  Then
+    s = S/(1 - h^2 S/12) (S < 12/h^2; no real lam reaches a larger S),
+    lam = acosh(1 + s h^2/2)/h, and the first local minimum of sigma/lam is
+    found on a geometric sigma grid (lam grows with sigma) and refined three
+    times around it.  A grid too coarse to have one returns the speed at the
+    steepest mode reached, far below 2 sqrt(mu).
     """
     if not (h > 0.0 and dt > 0.0 and mu > 0.0):
         raise ValueError("spreading speed needs h > 0, dt > 0 and mu > 0")
 
     def speed(sigma: np.ndarray) -> np.ndarray:
         g = np.expm1(sigma * dt)
-        s = (g * (6.0 + g * (15.0 + 11.0 * g)) - 6.0 * dt * mu * (1.0 + 3.0 * g * (1.0 + g))) / (
+        big_s = (g * (6.0 + g * (15.0 + 11.0 * g)) - 6.0 * dt * mu * (1.0 + 3.0 * g * (1.0 + g))) / (
             6.0 * dt * (1.0 + g) ** 3
         )
-        y = 0.5 * h * h * np.maximum(s, 0.0)
-        lam = np.log1p(y + np.sqrt(y * (y + 2.0))) / h
-        with np.errstate(divide="ignore"):
-            return sigma / lam  # s <= 0: lam = 0 and the speed is inf
+        r = np.clip(h * h * big_s / 12.0, 0.0, 1.0)  # 1 (no real lam) gives y = inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = 6.0 * r / (1.0 - r)  # h^2 s/2
+            lam = np.log1p(y + np.sqrt(y * (y + 2.0))) / h
+            # S <= 0: lam = 0 and the speed is inf; S >= 12/h^2: no mode
+            return np.where(r < 1.0, sigma / lam, np.inf)
 
     sigma = mu * (1.0 + np.geomspace(1e-6, min(1e4, 50.0 / (dt * mu)), 201))
     for _ in range(4):
         c = speed(sigma)
-        i = int(np.argmin(c))
+        rising = np.flatnonzero(c[1:] > c[:-1])
+        i = int(rising[0]) if rising.size else sigma.size - 1
         sigma = np.linspace(sigma[max(i - 1, 0)], sigma[min(i + 1, sigma.size - 1)], 101)
     return float(c[i])
 

@@ -156,6 +156,7 @@ class NewtonReport:
     final_residual_norm: float
     converged: bool
     damping_history: list[float] = field(default_factory=list)
+    stop: str | None = None  # the test that ended a converged solve: "residual" or "step"
 
 
 def _tridiag_solve(ab: np.ndarray, corners: tuple[float, float], rhs: np.ndarray) -> np.ndarray:
@@ -221,7 +222,9 @@ def solve_bvp(
     The solve converges when the residual sup-norm is at most ``tol``,
     tested before each step, or when a Newton step moves no unknown by more
     than 1e-10 (1 + |x_i|); that step is taken in full and the iteration
-    stops.  The step test is reachable on every mesh, where the residual
+    stops.  The report's ``stop`` names which of the two ended the solve, so
+    a step stop with a residual above ``tol`` is not mistaken for a residual
+    stop.  The step test is reachable on every mesh, where the residual
     test is not: the rounding floor of a discrete second derivative grows
     like |x| / h^2.
     """
@@ -235,13 +238,12 @@ def solve_bvp(
     norm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
         if norm <= tol:
-            report.converged = True
             break
         step = _tridiag_solve(jacobian(x), corners, -r)
         if np.max(np.abs(step) / (1.0 + np.abs(x))) <= _STEP_TOL:
             x = x + step
             norm = float(np.max(np.abs(residual(x))))
-            report.converged = True
+            report.converged, report.stop = True, "step"
             report.damping_history.append(1.0)
             report.iterations = it
             break
@@ -261,8 +263,8 @@ def solve_bvp(
         report.damping_history.append(lam_used)
         report.iterations = it
     report.final_residual_norm = norm
-    if norm <= tol:
-        report.converged = True
+    if norm <= tol and report.stop is None:
+        report.converged, report.stop = True, "residual"
     return x, report
 
 

@@ -54,6 +54,18 @@ class TestFront:
         for name in manifest["outputs"]:
             assert (out / name).stat().st_size > 0
 
+    @pytest.mark.parametrize(
+        "extra,stop", [([], "residual"), (["--n", "16001"], "step")], ids=["default", "n16001"]
+    )
+    def test_diagnostics_record_the_newton_stop(self, tmp_path, extra, stop):
+        # on 15 885 nodes the residual's rounding floor lies above the 1e-10
+        # tolerance, and the step test ends the solve at residual 2.5e-10
+        code, out = run(["front", "--c", "1.2", "--eps", "0.0025", *extra], tmp_path)
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["stop"] == stop
+        assert (diag["residual"] <= 1e-10) == (stop == "residual")
+
     def test_speed_out_of_range(self, tmp_path):
         code, _ = run(["front", "--c", "2.5", "--eps", "0.0025"], tmp_path)
         assert code == 1
@@ -498,34 +510,41 @@ class TestPde:
         sim.assert_not_called()
         assert not list(out.glob("*"))
 
-    def test_coarse_grid_default_dt_stays_in_invariant_region(self, tmp_path, capsys):
-        # at h = 5 the accuracy limit 0.5 h = 2.5 would break the explicit
-        # reaction's limit; the default falls to the cap, and the march stays
-        # in |u| <= 1.  The CLI refuses that grid before simulating: its own
-        # spreading speed is 2.79, not 2
-        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21, t_end=40.0)
-        assert cfg.dt == DT_CAP
-        assert np.max(np.abs(simulate(cfg).snapshots)) <= 1.0
-        coarse = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "21", "--t-end", "40"]
-        with mock.patch.object(cli, "simulate") as sim:
-            code, out = run(coarse, tmp_path)
-        assert code == 1
-        assert "grid too coarse for a front" in capsys.readouterr().err
-        sim.assert_not_called()
-        assert not list(out.glob("*"))
+    def test_grid_below_the_positivity_floor_refused(self, tmp_path, capsys):
+        # at h = 5 no step up to the cap 0.2 reaches the floor 11 h^2/72 =
+        # 3.82 (a run at dt = 0.2 would reach u = -1.007); h = 1 needs
+        # dt >= 0.153, above the default --dt 0.04
+        with pytest.raises(ValueError, match="the grid must be finer"):
+            SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21, t_end=40.0)
+        for n in ("21", "101"):
+            coarse = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", n, "--t-end", "40"]
+            with mock.patch.object(cli, "simulate") as sim:
+                code, out = run(coarse, tmp_path, n)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "positivity floor" in err and "--dt" in err
+            sim.assert_not_called()
+            assert not list(out.glob("*"))
         code, out = run([*coarse, "--dt", "0.6"], tmp_path, "refused")
         assert code == 1
-        assert f"min({DT_PER_H:g} h, {DT_CAP:g})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"min({DT_PER_H:g} h, {DT_CAP:g})" in err and "--dt" in err
         assert not (out / "pde_snapshots.csv").exists()
+        code, _ = run([*coarse, "--dt", str(DT_CAP)], tmp_path, "accepted")
+        assert code == 0
 
     @pytest.mark.parametrize(
-        "n,accepted", [(201, True), (108, True), (107, False), (101, False), (21, False)]
+        "mu,dt,accepted", [("1", "0.2", True), ("2", "0.1", True), ("2", "0.2", False),
+                           ("4", "0.1", False)]
     )
-    def test_grid_refused_by_its_spreading_speed(self, tmp_path, capsys, n, accepted):
-        # h = 100/(n - 1) at the default dt: h = 0.935 spreads at 2.0491,
-        # h = 0.943 at 2.0502; the bound is 2.5 % of 2 sqrt(mu) = 2
-        argv = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", str(n), "--t-end", "1"]
-        with mock.patch.object(cli, "simulate", side_effect=SimulationAbort(0.0, np.zeros(n))):
+    def test_grid_refused_by_its_spreading_speed(self, tmp_path, capsys, mu, dt, accepted):
+        # on h = 0.5 the march spreads 0.79 %, 0.83 %, 3.17 % and 3.30 %
+        # below 2 sqrt(mu); the bound is 2.5 %.  At mu = 1 the positivity
+        # floor refuses every grid coarse enough to miss it (h > 1.8 at
+        # dt = 0.04, h > 1.7 at dt = 0.2)
+        argv = ["pde", "--frozen-mu", mu, "--domain", "0", "100", "--n", "201", "--t-end", "1",
+                "--dt", dt]
+        with mock.patch.object(cli, "simulate", side_effect=SimulationAbort(0.0, np.zeros(201))):
             code, _ = run(argv, tmp_path)
         assert code == (4 if accepted else 1)
         assert ("grid too coarse" in capsys.readouterr().err) != accepted
@@ -564,9 +583,9 @@ class TestPde:
         )
         assert code == 0
         manifest = json.loads((out / "pde_manifest.json").read_text())
-        assert manifest["steps"] == 10  # ceil(1 / (0.5 * 0.2))
+        assert manifest["steps"] == 25  # ceil(1 / 0.04), the default --dt
         assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
-        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.1, 1.0)
+        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.04, 1.0)
 
     def test_snapshot_bytes_equal_per_value_format(self, tmp_path):
         code, out = run(
@@ -574,7 +593,7 @@ class TestPde:
             tmp_path,
         )
         assert code == 0
-        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0))
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
         expected = "".join(
             ",".join(cli._fmt(v) for v in (t, x, u)) + "\n"
             for t, snap in zip(res.times, res.snapshots)

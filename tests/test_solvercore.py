@@ -197,6 +197,15 @@ class TestSolveBvp:
         )
         assert rep.converged and rep.iterations == 2 and rep.damping_history == [1.0, 1.0]
         assert rep.final_residual_norm == np.max(np.abs(dense @ x - b)) > 0.0
+        assert rep.stop == "step"
+        # at a reachable tolerance the residual test ends the same solve
+        _, rep = solve_bvp(
+            residual=lambda x: dense @ x - b,
+            jacobian=lambda x: _banded_from_tridiag(off, np.full(n, 2.0), off),
+            initial_guess=np.zeros(n),
+            tol=1e-8,
+        )
+        assert rep.converged and rep.stop == "residual"
 
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 50, 400])
     def test_step_matches_dense_solve(self, n):
@@ -246,7 +255,7 @@ class TestSolveBvp:
             tol=1e-10,
             max_iter=50,
         )
-        assert not rep.converged
+        assert not rep.converged and rep.stop is None
         assert rep.iterations == 50
 
     def test_singular_jacobian_raises_with_pivot(self):
