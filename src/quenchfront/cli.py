@@ -130,6 +130,15 @@ def _snapshot_lines(times: np.ndarray, x: np.ndarray, snapshots: np.ndarray):
         yield "".join([prefix + xv + repr(uv) + "\n" for xv, uv in zip(xs, snap.tolist())])
 
 
+def _column_lines(*columns: np.ndarray):
+    """Rows of equal-length float columns, one line each.
+
+    The bytes equal ``_fmt`` on each value; like :func:`_snapshot_lines`,
+    the columns go through ``ndarray.tolist`` and ``repr``."""
+    for row in zip(*(col.tolist() for col in columns)):
+        yield ",".join(map(repr, row)) + "\n"
+
+
 def _write_json(path: str, payload: dict) -> str:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
@@ -487,7 +496,7 @@ def cmd_pde(args) -> int:
     )
     summary = {"frame": cfg.frame, "multiple_crossings": res.track.multiple_crossings}
     if compare is not None:
-        track_rows = zip(compare.times, compare.x_fr_num, compare.x_fr_pred, compare.difference)
+        track = (compare.times, compare.x_fr_num, compare.x_fr_pred, compare.difference)
         columns = ["t", "x_fr_num", "x_fr_pred", "diff"]
         summary.update(
             t_transient=compare.t_transient,
@@ -496,10 +505,12 @@ def cmd_pde(args) -> int:
             final_lead=float(compare.difference[-1]),
         )
     else:
-        track_rows = zip(res.track.times, res.track.x_fr_num)
+        track = (res.track.times, res.track.x_fr_num)
         columns = ["t", "x_fr_num"]
     outputs.append(
-        _write_csv(os.path.join(outdir, "pde_front_track.csv"), params, columns, track_rows)
+        _write_lines(
+            os.path.join(outdir, "pde_front_track.csv"), params, columns, _column_lines(*track)
+        )
     )
     if cfg.frozen_mu is not None and cfg.frozen_mu > 0:
         tt, xx = res.track.times, res.track.x_fr_num

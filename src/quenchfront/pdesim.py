@@ -19,10 +19,16 @@ form of u_t = u_xx - c u_x + f(u) (Lele, J. Comput. Phys. 103, 1992):
 with D2 and D1 the centred second and first differences; at c = 0,
 B = tridiag(1, 10, 1)/12.  Both take the mirror ghost u_{-1} = u_1 at each
 end, so D2 doubles and D1 vanishes on rows 0 and n-1.  Every implicit
-matrix s B - dt_m A4 is tridiagonal and factored once per run: without
-advection it is symmetric positive definite once its two ghost rows are
-halved, and LAPACK ``dpttrf``/``dpttrs`` factor and solve it; with
-advection ``dgttrf``/``dgttrs`` do.  Each step applies B to its right-hand
+matrix M = s B - dt_m A4 is tridiagonal and factored once per run, and
+LAPACK ``dpttrf``/``dpttrs`` factor and solve it as a symmetric positive
+definite matrix.  Without advection M is one once its two ghost rows are
+halved.  With advection D^-1 M D is one, for the diagonal D ~ e^{cz/2} (the
+weight that makes the comoving linearization self-adjoint; centred, max|ln D|
+is about c L/4 on a domain of length L): the right-hand side is divided by
+D before the solve and the solution multiplied by D after it.  Where no
+such D fits in doubles, ``dgttrf``/``dgttrs`` solve M as it is: at the
+positivity floor, where an off-diagonal of M is 0 up to rounding, and where
+max|ln D| exceeds 350 (c L > 1400).  Each step applies B to its right-hand
 side in three array passes before the solve.
 
 :func:`simulate` marches with SBDF3, the third-order semi-implicit BDF of
@@ -109,6 +115,13 @@ SPEED_TOLERANCE = 0.025
 # relax's fixed step and its steady-residual tolerance; see relax
 _RELAX_DT = 0.5
 _RELAX_TOL = 1e-8
+# an advective matrix is solved through its symmetrizer D (about e^{cz/2},
+# centred, so max|ln D| is about c L/4) only while max|ln D| <= this bound: a
+# solve divides the right-hand side by D and multiplies back, so every
+# |u| >= 2.2e-308 e^350 = 2.2e-156 stays a normal double at the end where D
+# is largest, and every |u| <= 1.8e308 e^-350 = 1.8e156 stays finite at the
+# other; e.g. c = 1.2 on a domain longer than 1167 is solved unscaled
+_MAX_LOG_SCALE = 350.0
 
 
 class SimulationAbort(RuntimeError):
@@ -292,6 +305,31 @@ def _min_step(h: float, c: float, s: float) -> float:
     return s * h * h / 12.0 * (1.0 + x) / (1.0 + x + x * x / 3.0)
 
 
+def _symmetrizer(sub: np.ndarray, sup: np.ndarray) -> np.ndarray | None:
+    """The diagonal D that makes D^-1 M D symmetric for a tridiagonal M with
+    these sub- and superdiagonals, D_{i+1}/D_i = sqrt(sub_i/sup_i), centred
+    by a power of two so that max|ln D| is about half the range of ln D;
+    ``None`` when some sub_i sup_i <= 0 (no real D) or max|ln D| exceeds
+    ``_MAX_LOG_SCALE``.
+
+    D is a running product from D_0 = 1, so each computed ratio is
+    sqrt(sub_i/sup_i) to one rounding, and the power of two shifts it
+    exactly.  A product that overflows or underflows spans more than e^708
+    and is refused by the bound.
+    """
+    if not np.all(sub * sup > 0.0):
+        return None
+    with np.errstate(over="ignore", under="ignore"):
+        d = np.cumprod(np.concatenate(([1.0], np.sqrt(sub / sup))))
+    lo, hi = float(d.min()), float(d.max())  # lo <= d_0 = 1 <= hi
+    if not (lo > 0.0 and hi < math.inf):
+        return None
+    shift = -round(0.5 * (math.log2(lo) + math.log2(hi)))
+    if max(math.log2(hi) + shift, -math.log2(lo) - shift) * math.log(2.0) > _MAX_LOG_SCALE:
+        return None
+    return np.ldexp(d, shift)
+
+
 def _implicit_solver(
     n: int, h: float, dt: float, c: float, s: float
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -303,9 +341,17 @@ def _implicit_solver(
     12 B = tridiag(1 + x, 10, 1 - x) (sub-, main and superdiagonal) with the
     ghost rows 5 b_0 + b_1 and b_{n-2} + 5 b_{n-1}, applied in three array
     passes (two scalar corrections when x != 0).  Without advection the
-    halved M is symmetric positive definite for any s > 0, so
-    ``dpttrf``/``dpttrs`` apply; with advection it is nonsymmetric and
-    ``dgttrf``/``dgttrs`` are used.
+    halved M is symmetric positive definite for any s > 0, and
+    ``dpttrf``/``dpttrs`` factor and solve it.  With advection it is not
+    symmetric, but the diagonal D of :func:`_symmetrizer` (the discrete
+    e^{cz/2}) makes S = D^-1 M D symmetric, with M's diagonal and the
+    off-diagonal -sqrt(sub_i sup_i).  S has M's eigenvalues, real because S
+    is symmetric and positive because M is diagonally dominant with a
+    positive diagonal, so it is positive definite: ``dpttrf`` factors it,
+    and a solve is 12 B b, then x 1/D, ``dpttrs`` and x D.  Where D does not
+    exist (some sub_i sup_i = 0) or spans more than e^{+-_MAX_LOG_SCALE}
+    (both happen at the positivity floor, where an off-diagonal is 0 up to
+    rounding), ``dgttrf``/``dgttrs`` factor and solve M itself.
     """
     x = 0.5 * c * h
     lo, hi = 1.0 + x, 1.0 - x
@@ -325,20 +371,43 @@ def _implicit_solver(
 
     main = np.full(n, 10.0 * s + 2.0 * lam)
     main[0] = main[-1] = 5.0 * s + lam
+    # off-diagonals are <= 0 from the positivity floor up, where the larger
+    # one is 0; clamping its rounding (+1.2e-15 at c = -1.2, h = 0.1) keeps
+    # the solve from undershooting 0 (by 1.8e-20 there)
+    ghost = min(s - lam, 0.0)
+    scale = None
     if c == 0.0:
-        d, e, info = lapack.dpttrf(main, np.full(n - 1, s - lam))
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"implicit operator not positive definite (dpttrf info = {info})"
-            )
-        return lambda b, out: lapack.dpttrs(d, e, apply_b(b, out), overwrite_b=1)[0]
-    sup = np.full(n - 1, s * hi - lam + adv)
-    sub = np.full(n - 1, s * lo - lam - adv)
-    sup[0] = sub[-1] = s - lam  # mirror ghosts at both ends
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
+        off = np.full(n - 1, ghost)
+    else:
+        sup = np.full(n - 1, min(s * hi - lam + adv, 0.0))
+        sub = np.full(n - 1, min(s * lo - lam - adv, 0.0))
+        sup[0] = sub[-1] = ghost  # mirror ghosts at both ends
+        scale = _symmetrizer(sub, sup)
+        if scale is None:
+            dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
+            return lambda b, out: lapack.dgttrs(
+                dl, d, du, du2, ipiv, apply_b(b, out), overwrite_b=1
+            )[0]
+        off = -np.sqrt(sub * sup)
+    d, e, info = lapack.dpttrf(main, off)
     if info != 0:
-        raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
-    return lambda b, out: lapack.dgttrs(dl, d, du, du2, ipiv, apply_b(b, out), overwrite_b=1)[0]
+        raise np.linalg.LinAlgError(
+            f"implicit operator not positive definite (dpttrf info = {info})"
+        )
+    if scale is None:
+        return lambda b, out: lapack.dpttrs(d, e, apply_b(b, out), overwrite_b=1)[0]
+    unscale = 1.0 / scale
+
+    def solve(b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        apply_b(b, out)
+        out *= unscale
+        u = lapack.dpttrs(d, e, out, overwrite_b=1)[0]
+        u *= scale
+        return u
+
+    return solve
 
 
 def _reaction(u: np.ndarray, a: float | np.ndarray, b: float, out: np.ndarray) -> np.ndarray:

@@ -611,6 +611,27 @@ class TestPde:
         )
         assert "".join(cli._snapshot_lines(times, x, snaps)) == per_value
 
+    def test_front_track_bytes_equal_per_value_format(self, tmp_path):
+        code, out = run(
+            ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
+        expected = "".join(
+            ",".join(cli._fmt(v) for v in row) + "\n"
+            for row in zip(res.track.times, res.track.x_fr_num)
+        )
+        body = (out / "pde_front_track.csv").read_text().split("\n", 1)[1]
+        assert body == expected
+        # four columns (the --compare track) with values whose repr is not a plain decimal
+        cols = (
+            np.array([0.0, 1e-5, 2.5e17]), np.array([np.nan, -0.0, 1.0 / 3.0]),
+            np.array([np.inf, -np.inf, 1e-300]), np.array([-1.0, 0.1, 7.0]),
+        )
+        per_value = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in zip(*cols))
+        assert "".join(cli._column_lines(*cols)) == per_value
+
     def test_determinism(self, tmp_path):
         args = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", "1001", "--t-end", "20"]
         _, out1 = run(args, tmp_path, "one")

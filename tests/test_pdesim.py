@@ -290,6 +290,59 @@ class TestDifferential:
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
 
 
+# the (dt_m, s) of the Euler start, the SBDF2 step and SBDF3 at step dt
+_STEP_MATRICES = ((18.0, 18.0), (18.0, 27.0), (6.0, 11.0))
+
+
+class TestImplicitSolver:
+    """``_implicit_solver`` against a dense solve of M u = 12 B b with
+    M = 12 (s B - dt_m A4); the advective matrices go through the
+    symmetrizer and ``dpttrs`` unless ``dgttrf``/``dgttrs`` fall back."""
+
+    @staticmethod
+    def _solve_both(monkeypatch, cfg, dt_m, s):
+        """The solver's and the dense solution for a b >= 0 that is zero on
+        the left third (so u has a decaying tail), and whether ``dgttrf`` ran."""
+        factored = []
+        real = lapack.dgttrf
+        monkeypatch.setattr(lapack, "dgttrf", lambda *a: factored.append(1) or real(*a))
+        a4, b_op = _dense_operators(cfg)
+        b = np.random.default_rng(cfg.n).random(cfg.n)
+        b[: cfg.n // 3] = 0.0
+        ref = np.linalg.solve(s * b_op - dt_m * a4, b_op @ b)
+        u = pdesim._implicit_solver(cfg.n, cfg.h, dt_m, cfg.c, s)(b.copy(), np.empty(cfg.n))
+        return u, ref, bool(factored)
+
+    @pytest.mark.parametrize("h", [0.1, 0.2, 0.4])
+    @pytest.mark.parametrize("c", [-1.2, 0.0, 0.6, 1.2, 1.99])
+    def test_matches_dense_solve(self, monkeypatch, c, h):
+        # measured: at most 1.2e-15 of max|u| here and in test_symmetrizer_bound
+        # (1.9e-15 with dgttrs on every advective matrix); the fallback runs
+        # only for SBDF3's matrix at the floor, whose larger off-diagonal is
+        # 0 up to rounding there
+        floor = pdesim._min_step(h, c, 11.0) / 6.0
+        for dt in (floor, min(pdesim.DT_PER_H * h, pdesim.DT_CAP)):
+            cfg = SimConfig(frame="comoving" if c else "lab", c=c, domain=(0.0, 20.0),
+                            n=int(round(20.0 / h)) + 1, dt=dt)
+            for m, s in _STEP_MATRICES:
+                u, ref, fallback = self._solve_both(monkeypatch, cfg, m * dt, s)
+                assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.all(u >= 0.0)
+                assert fallback == (c != 0.0 and dt == floor and s == 11.0)
+
+    @pytest.mark.parametrize("length,fallback", [(600.0, False), (720.0, True)])
+    def test_symmetrizer_bound(self, monkeypatch, length, fallback):
+        # c = 1.99 on h = 0.4: the symmetrizer spans about e^{+-c L/4}, e^{+-297}
+        # on L = 600 and e^{+-356} on L = 720, past _MAX_LOG_SCALE = 350
+        cfg = SimConfig(frame="comoving", c=1.99, domain=(0.0, length),
+                        n=int(round(length / 0.4)) + 1)
+        for m, s in _STEP_MATRICES:
+            u, ref, ran = self._solve_both(monkeypatch, cfg, m * cfg.dt, s)
+            assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.all(u >= 0.0)
+            assert ran == fallback
+
+
 # criterion 8(b): frozen mu = 1 invasion from a small bump, h = 0.1
 _INVASION = dict(
     frame="lab", frozen_mu=1.0, domain=(0.0, 200.0), n=2001, t_end=60.0,
