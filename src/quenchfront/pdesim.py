@@ -57,8 +57,8 @@ it sets the positivity floor dt >= (11/6)(h^2/12) r(x), 11 h^2/72 at c = 0.
 Below it a solve can undershoot 0: a frozen-mu run on h = 5 at dt = 0.2
 reaches u = -1.007.  A grid on which no step meets both bounds (h > 1.14
 at c = 0) is refused.
-:func:`relax` iterates the first-order step at large dt to a steady state
-of a time-independent mode.
+:func:`steady_state` solves the comoving frame's discrete steady state
+A4 u + B f(u) = 0 itself, by Newton in w = log u, with no time march.
 
 A pulled front runs at its discretization's own linear spreading speed
 (:func:`spreading_speed`), not at 2 sqrt(mu); :func:`check_spreading_speed`
@@ -84,20 +84,20 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .solvercore import SolveError
+from .solvercore import Mesh, NewtonReport, SolveError, solve_bvp
 
 __all__ = [
     "SimConfig",
     "FrontTrack",
     "SimResult",
-    "RelaxResult",
+    "SteadyState",
     "QuenchComparison",
     "SimulationAbort",
     "DT_PER_H",
     "DT_CAP",
     "SPEED_TOLERANCE",
     "simulate",
-    "relax",
+    "steady_state",
     "spreading_speed",
     "check_spreading_speed",
     "predicted_front_path",
@@ -112,9 +112,6 @@ DT_CAP = 0.2
 # a grid whose spreading speed misses 2 sqrt(mu) by more than this fraction of
 # it is refused: criterion 8(b)'s tolerance, 0.05 on a speed of 2
 SPEED_TOLERANCE = 0.025
-# relax's fixed step and its steady-residual tolerance; see relax
-_RELAX_DT = 0.5
-_RELAX_TOL = 1e-8
 # an advective matrix is solved through its symmetrizer D (about e^{cz/2},
 # centred, so max|ln D| is about c L/4) only while max|ln D| <= this bound: a
 # solve divides the right-hand side by D and multiplies back, so every
@@ -242,11 +239,11 @@ class SimResult:
 
 
 @dataclass
-class RelaxResult:
+class SteadyState:
     x: np.ndarray
     u: np.ndarray
-    steps: int
-    residual: float  # max |A u + f(u)| of the returned state
+    report: NewtonReport
+    residual: float  # max |A4 u + B f(u)| of the returned state
     wall_s: float
 
 
@@ -273,14 +270,6 @@ def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
     else:
         center = 0.0
     return np.sqrt(np.maximum(mu, 0.0)) * 0.5 * (1.0 + np.tanh(x - center))
-
-
-def _mu_profile(cfg: SimConfig, x: np.ndarray) -> float | np.ndarray:
-    """Ramp coefficient of a time-independent mode: a float for frozen mu,
-    the static ramp tanh(eps z) on the grid in the comoving frame."""
-    if cfg.frozen_mu is not None:
-        return float(cfg.frozen_mu)
-    return np.tanh(cfg.epsilon * x)
 
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
@@ -453,8 +442,10 @@ def simulate(cfg: SimConfig) -> SimResult:
     # mu depends on t only in the lab frame without a frozen value: per step
     # a float at alpha = 0, else -tanh(ramp - eps t) with ramp formed once
     ramp, quench = None, cfg.frozen_mu is None and cfg.frame == "lab" and cfg.alpha == 0.0
-    if cfg.frozen_mu is not None or cfg.frame == "comoving":
-        a = w + w * dt * _mu_profile(cfg, x)
+    if cfg.frozen_mu is not None:
+        a = w + w * dt * float(cfg.frozen_mu)
+    elif cfg.frame == "comoving":
+        a = w + w * dt * np.tanh(eps * x)
     elif not quench:
         ramp, a = eps * cfg.alpha * x, np.empty_like(u)
     e, p, q, free = np.empty_like(u), np.zeros_like(u), np.zeros_like(u), np.empty_like(u)
@@ -495,71 +486,76 @@ def simulate(cfg: SimConfig) -> SimResult:
     )
 
 
-def _differences(v: np.ndarray, h: float, a2: float, a1: float) -> np.ndarray:
-    """a2 D2 v - a1 D1 v on mirror-ghost Neumann rows."""
-    out = np.empty_like(v)
-    out[1:-1] = a2 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h) - a1 * (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = 2.0 * a2 * (v[1] - v[0]) / (h * h)
-    out[-1] = 2.0 * a2 * (v[-2] - v[-1]) / (h * h)
-    return out
+def steady_state(cfg: SimConfig) -> SteadyState:
+    """The comoving frame's discrete steady state A4 u + B f(u) = 0, by
+    Newton in w = log u on :func:`solvercore.solve_bvp`.
 
+    Row i divided by u_i, R_i = sum_j (A4_ij + B_ij (mu_j - u_j^2))
+    e^{w_j - w_i}, holds only neighbour ratios, so a tail far below the
+    smallest double (w reaches -3845 at eps = 1e-4) stays resolved and u
+    stays positive.  Its Jacobian, E^-1 (A4 + B diag(f'(u))) E - diag(R)
+    with E = diag(u) and f'(u) = mu - 3 u^2, is tridiagonal with the mirror
+    ghosts inside the band (corners (0, 0)).  R is the front equation
+    w'' + w'^2 - c w' + mu - e^{2w} to O(h^4), so the solve keeps the front
+    solve's Newton set-up: its tolerance, its 80 iterations and its seed
+    ``_LogFrontSystem.seed`` laid on the grid.  Only the grid, c and eps of
+    ``cfg`` are read; ``residual`` is max|A4 u + B f(u)| = max|u R|.
 
-def _steady_residual(u: np.ndarray, h: float, c: float, mu: float | np.ndarray) -> np.ndarray:
-    """A4 u + B f(u) with f(u) = mu u - u^3, both operators on mirror-ghost
-    Neumann rows."""
-    f = mu * u - u**3
-    return _differences(u, h, 1.0 + c * c * h * h / 12.0, c) + f + (h * h / 12.0) * _differences(
-        f, h, 1.0, c
-    )
-
-
-def relax(cfg: SimConfig, max_steps: int = 200_000) -> RelaxResult:
-    """Iterate the first-order IMEX Euler step u <- M^{-1} B (u + dt f(u)),
-    M = B - dt A4, at dt = 0.5 from the configured initial data to a steady
-    state A4 u + B f(u) = 0.
-
-    Fixed points of the step solve the steady problem exactly for any dt,
-    so dt is not held to the SBDF3 bound min(0.5 h, 0.2) of
-    :func:`simulate`; only the explicit reaction bounds it.  On a front
-    f'(u) = mu - 3u^2 lies in [-2, 1], and the frozen-coefficient condition
-    |1 + dt f'| <= 1 gives dt < 1: at dt = 1 the uniform mode of the u = 1
-    plateau (f' = -2) no longer decays.  dt = 0.5 damps that mode in one
-    step.  M keeps its off-diagonals <= 0: ``cfg``'s own step lies between
-    the positivity floor (11/6) :func:`_min_step` (h, c, 1) and 0.2, so that
-    floor is below 0.11, well under 0.5.
-
-    Each step is screened with max|u_{k+1} - u_k| / dt, which equals
-    max|B^{-1} (A4 u_{k+1} + B f(u_k))| and so costs no operator product;
-    once it is below 1e-8 the true residual max|A4 u + B f(u)| is
-    evaluated, and the iteration stops when that is below 1e-8 too.  The
-    result carries the step count, that residual and the wall time.
-
-    Raises ``ValueError`` when mu depends on t (lab frame without
-    ``frozen_mu``), :class:`SolveError` when ``max_steps`` steps do not
-    reach 1e-8, and :class:`SimulationAbort` on a non-finite state.
+    Raises ``ValueError`` outside the comoving ramp (lab frame or
+    ``frozen_mu``) and for c outside [0, 2), where the seed has no
+    instability point, and :class:`SolveError` with the report when Newton
+    does not converge.
     """
-    if cfg.frame == "lab" and cfg.frozen_mu is None:
-        raise ValueError("relax needs a time-independent mu: comoving frame or frozen_mu")
-    dt, tol = _RELAX_DT, _RELAX_TOL
+    if cfg.frame != "comoving" or cfg.frozen_mu is not None:
+        raise ValueError("steady_state needs frame='comoving' and no frozen_mu")
+    if not 0.0 <= cfg.c < 2.0:
+        raise ValueError(f"steady_state needs c in [0, 2), got {cfg.c!r}")
+    from .travelingwave import _TOL, _LogFrontSystem
+
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    u = _initial_condition(cfg, x)
-    solve = _implicit_solver(cfg.n, cfg.h, dt, cfg.c, 1.0)
-    mu = _mu_profile(cfg, x)
-    a, b = 1.0 + dt * mu, -dt
-    buf, diff, out = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):  # abort check below
-        for k in range(1, max_steps + 1):
-            u_new = solve(_reaction(u, a, b, buf), out)
-            change = np.abs(np.subtract(u_new, u, out=diff), out=diff).max()
-            if not math.isfinite(change):
-                raise SimulationAbort((k - 1) * dt, u)
-            u, out = u_new, u
-            if change < tol * dt:
-                residual = float(np.max(np.abs(_steady_residual(u, cfg.h, cfg.c, mu))))
-                if residual < tol:
-                    return RelaxResult(x, u, k, residual, time.perf_counter() - wall0)
-    raise SolveError(f"no steady state within {max_steps} steps (tol {tol:g})")
+    h, c = cfg.h, cfg.c
+    system = _LogFrontSystem(Mesh(x), c)
+    mu = system.mu_values(cfg.epsilon)
+    # A4 and B in (1, 1) band storage, ab[1 + i - j, j] = M[i, j]; the
+    # mirror ghosts double M[0, 1] and M[n-1, n-2]
+    a2, ones = (1.0 + c * c * h * h / 12.0) / (h * h), np.ones(cfg.n)
+    a4 = np.outer([a2 - 0.5 * c / h, -2.0 * a2, a2 + 0.5 * c / h], ones)
+    b = np.outer([1.0 - 0.5 * c * h, 10.0, 1.0 + 0.5 * c * h], ones) / 12.0
+    a4[0, 1] = a4[2, -2] = 2.0 * a2
+    b[0, 1] = b[2, -2] = 2.0 / 12.0
+
+    def scaled(w, g):
+        """A4 + B diag(g) with each M[i, j] times e^{w_j - w_i}."""
+        ab, dw = a4 + b * g, np.diff(w)
+        ab[0, 1:] *= np.exp(dw)
+        ab[2, :-1] *= np.exp(-dw)
+        return ab
+
+    def residual(w):
+        r = scaled(w, mu - np.exp(2.0 * w))
+        r[1, :-1] += r[0, 1:]
+        r[1, 1:] += r[2, :-1]
+        return r[1]
+
+    def jacobian(w):
+        ab = scaled(w, mu - 3.0 * np.exp(2.0 * w))
+        ab[1] -= residual(w)
+        return ab
+
+    # a trial step whose exponentials overflow has a non-finite residual,
+    # which the line search halves away
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, report = solve_bvp(residual, jacobian, system.seed(cfg.epsilon), _TOL, max_iter=80)
+    if not report.converged:
+        raise SolveError(
+            f"no steady state at c={c}, eps={cfg.epsilon} on {cfg.n} nodes "
+            f"(residual {report.final_residual_norm:.3e})",
+            report,
+        )
+    u = np.exp(w)
+    residual_u = float(np.max(np.abs(u * residual(w))))
+    return SteadyState(x, u, report, residual_u, time.perf_counter() - wall0)
 
 
 def spreading_speed(h: float, dt: float, mu: float) -> float:

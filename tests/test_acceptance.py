@@ -20,7 +20,7 @@ from quenchfront.painleve import (
     linearization_ground_state,
     solve_hastings_mcleod,
 )
-from quenchfront.pdesim import SimConfig, compare_homogeneous_quench, relax, simulate
+from quenchfront.pdesim import SimConfig, compare_homogeneous_quench, simulate, steady_state
 from quenchfront.solvercore import eig_tridiag_symmetric, integrate_ode, solve_bvp
 from quenchfront.stability import build_Lc, leading_eigenvalues
 from quenchfront.travelingwave import (
@@ -152,16 +152,15 @@ def test_criterion_7_spectral_negativity(hm_solution):
 
 
 def test_criterion_8_pde_cross_validation():
-    # (a) comoving relaxation to the BVP front within 5e-3 (Richardson pair)
+    # (a) the comoving discrete steady state within 5e-3 of the BVP front
+    # (Richardson pair)
     front = solve_front(QuenchParams(1.2, 0.0025), 2000.0, 8001)
     lo, hi = -60.0, front.zeta_fr + 200.0
     finals = {}
     for h in (0.2, 0.1):
         n = int(round((hi - lo) / h)) + 1
-        cfg = SimConfig(
-            frame="comoving", c=1.2, epsilon=0.0025, domain=(lo, hi), n=n, ic="front-seed",
-        )
-        finals[h] = relax(cfg)
+        cfg = SimConfig(frame="comoving", c=1.2, epsilon=0.0025, domain=(lo, hi), n=n)
+        finals[h] = steady_state(cfg)
     coarse, fine = finals[0.2], finals[0.1]
     u_sim = (16.0 * fine.u[::2] - coarse.u) / 15.0  # pdesim is fourth order in space
     u_bvp = np.interp(coarse.x, front.mesh.nodes, front.u)

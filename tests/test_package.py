@@ -140,8 +140,8 @@ def test_names_the_tracer_rebinds_resolve():
 
 
 def test_dt_bound_quoted_from_the_module_constants():
-    # SimConfig's check, its message, the --dt help, the module and relax
-    # docstrings and the README pdesim row all quote min(DT_PER_H h, DT_CAP)
+    # SimConfig's check, its message, the --dt help, the module docstring
+    # and the README pdesim row all quote min(DT_PER_H h, DT_CAP)
     from quenchfront import pdesim
 
     bound = f"min({pdesim.DT_PER_H:g} h, {pdesim.DT_CAP:g})"
@@ -149,7 +149,6 @@ def test_dt_bound_quoted_from_the_module_constants():
         row = next(line for line in fh if line.startswith("| `quenchfront.pdesim`"))
     assert "SBDF3" in row and f"dt ≤ {bound}" in row
     assert "SBDF3" in pdesim.__doc__ and f"dt <= {bound}" in pdesim.__doc__
-    assert "SBDF3" in pdesim.relax.__doc__ and bound in pdesim.relax.__doc__
     pde = cli.build_parser().qf_subparsers["pde"]
     help_text = next(a.help for a in pde._actions if "--dt" in a.option_strings)
     assert "SBDF3" in help_text and bound in help_text

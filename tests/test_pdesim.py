@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from scipy.linalg import lapack
 
 from quenchfront import cli, pdesim
-from quenchfront.solvercore import SolveError
+from quenchfront.solvercore import Mesh, NewtonReport, SolveError
+from quenchfront.travelingwave import FrontSolution, QuenchParams, front_location, solve_front
 from quenchfront.pdesim import (
     FrontTrack,
     QuenchComparison,
@@ -19,8 +20,8 @@ from quenchfront.pdesim import (
     SimulationAbort,
     compare_homogeneous_quench,
     predicted_front_path,
-    relax,
     simulate,
+    steady_state,
 )
 
 
@@ -65,8 +66,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
     def test_nonfinite_ic_center_refused(self, center):
-        # a NaN centre used to run and abort at t = 0, and relax returned the
-        # zero state from ic_center = inf as converged
+        # a NaN centre used to run and abort at t = 0, and an infinite one
+        # ran the zero state in place of the bump
         with pytest.raises(ValueError, match="ic_center must be finite"):
             SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, ic_center=center)
         with pytest.raises(ValueError, match="ic_center must be finite"):
@@ -496,9 +497,9 @@ class TestSpaceAccuracy:
         # shrink by 16 per halving; measured 16.11 (second order gives 4)
         lo, length = -60.0, 428.0
         states = [
-            relax(SimConfig(
+            steady_state(SimConfig(
                 frame="comoving", c=1.2, epsilon=2.5e-3, domain=(lo, lo + length),
-                n=int(round(length / h)) + 1, ic="front-seed",
+                n=int(round(length / h)) + 1,
             )).u[::m]
             for h, m in ((0.4, 1), (0.2, 2), (0.1, 4))
         ]
@@ -584,46 +585,86 @@ class TestSpreadingSpeed:
             pdesim.spreading_speed(*bad)
 
 
-class TestRelax:
+class TestSteadyState:
     def _comoving(self, **kw):
         return SimConfig(
             frame="comoving", c=1.2, epsilon=0.05, domain=(-20.0, 60.0), n=201,
             ic="front-seed", **kw,
         )
 
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            dict(frame="comoving", c=1.2, epsilon=0.05, ic="front-seed"),
-            dict(frame="lab", frozen_mu=0.5, ic="small-bump", ic_center=40.0),
-        ],
-        ids=["comoving", "frozen"],
-    )
-    def test_steady_residual_below_tol(self, mode):
-        cfg = SimConfig(domain=(-20.0, 60.0), n=201, **mode)
-        res = relax(cfg)
-        if cfg.frozen_mu is not None:
-            mu = cfg.frozen_mu
-        else:
-            mu = np.tanh(cfg.epsilon * res.x)
+    @pytest.mark.parametrize("c", [0.0, 1.2])
+    def test_dense_residual_at_rounding_level(self, c):
+        # max|A4 u + B f(u)| from dense operators; measured 4.2e-15 at c = 0
+        # and 1.3e-13 at c = 1.2
+        cfg = SimConfig(frame="comoving", c=c, epsilon=0.05, domain=(-20.0, 60.0), n=201)
+        res = steady_state(cfg)
         a4, b = _dense_operators(cfg)
-        r = a4 @ res.u + b @ (mu * res.u - res.u**3)
-        assert np.max(np.abs(r)) <= 1e-8
-        assert res.residual == pytest.approx(np.max(np.abs(r)), rel=1e-3)
-        assert res.steps > 1 and res.wall_s > 0.0
+        r = a4 @ res.u + b @ (np.tanh(cfg.epsilon * res.x) * res.u - res.u**3)
+        assert np.max(np.abs(r)) <= 1e-12 and res.residual <= 1e-12
+        assert res.report.converged and np.all(res.u > 0.0) and res.wall_s > 0.0
 
     def test_agrees_with_long_simulation(self):
-        steady = relax(self._comoving())
+        # SBDF3's fixed points solve A4 u + B f(u) = 0 too; measured 3.1e-13
+        steady = steady_state(self._comoving())
         res = simulate(self._comoving(t_end=1500.0, snapshot_dt=1500.0))
-        assert np.max(np.abs(res.snapshots[-1] - steady.u)) <= 1e-6
+        assert np.max(np.abs(res.snapshots[-1] - steady.u)) <= 1e-11
 
-    def test_step_budget_raises(self):
-        with pytest.raises(SolveError):
-            relax(self._comoving(), max_steps=10)
+    def test_unconverged_newton_raises_with_its_report(self, monkeypatch):
+        report = NewtonReport(iterations=80, final_residual_norm=1.0, converged=False)
+        monkeypatch.setattr(pdesim, "solve_bvp", lambda res, jac, guess, *a, **k: (guess, report))
+        with pytest.raises(SolveError, match="no steady state") as err:
+            steady_state(self._comoving())
+        assert err.value.report is report
 
-    def test_time_dependent_mu_rejected(self):
-        with pytest.raises(ValueError, match="time-independent"):
-            relax(SimConfig(frame="lab", alpha=0.5, domain=(0.0, 50.0), n=101))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(frame="lab", alpha=0.5, domain=(0.0, 50.0), n=101),
+            SimConfig(frame="lab", frozen_mu=0.5, domain=(0.0, 50.0), n=101),
+            SimConfig(frame="comoving", frozen_mu=0.5, domain=(0.0, 50.0), n=101),
+        ],
+        ids=["lab", "lab-frozen", "comoving-frozen"],
+    )
+    def test_outside_the_comoving_ramp_refused(self, cfg):
+        with pytest.raises(ValueError, match="frame='comoving' and no frozen_mu"):
+            steady_state(cfg)
+
+    @pytest.mark.parametrize("c", [-0.5, 2.0, 2.5])
+    def test_speed_outside_zero_two_refused(self, c):
+        # the seed's instability point atanh(c^2/4) does not exist at c >= 2,
+        # and its tail slope (1 + c)/2 is built for c >= 0
+        cfg = SimConfig(frame="comoving", c=c, epsilon=0.05, domain=(-20.0, 60.0), n=201)
+        with pytest.raises(ValueError, match=r"c in \[0, 2\)"):
+            steady_state(cfg)
+
+
+@pytest.mark.parametrize(
+    "c,eps,order4",
+    [(0.6, 1e-3, False), (0.6, 1e-4, False), (1.2, 1e-3, False),
+     (1.2, 1e-4, True), (1.8, 1e-3, True), (1.8, 1e-4, True)],
+)
+def test_steady_state_delay_matches_bvp(c, eps, order4):
+    # the delay mu_fr - c^2/4 of the PDE's discrete steady state on h = 0.4
+    # and 0.2 against the BVP front on 16001 nodes, both by front_location.
+    # Measured relative gaps (PDE - BVP)/BVP at h = 0.2, in the order of the
+    # cases: -2.3e-6, 1.8e-6, 2.5e-5, 1.2e-4, 5.3e-4, 2.4e-3; the last three
+    # fall 16.1-16.3x from h = 0.4, and the order-4 Richardson value
+    # (16 g(0.2) - g(0.4))/15 is at most 4.3e-5, the BVP mesh's own level
+    params = QuenchParams(c, eps)
+    front = solve_front(params, max(2000.0, 6.0 / eps), 16001)
+    bvp = front.mu_fr - c * c / 4.0
+    lo, hi = -60.0, front.zeta_fr + 200.0
+    gap = {}
+    for h in (0.4, 0.2):
+        cfg = SimConfig(frame="comoving", c=c, epsilon=eps, domain=(lo, hi),
+                        n=int(round((hi - lo) / h)) + 1)
+        res = steady_state(cfg)
+        pde = FrontSolution(Mesh(res.x), res.u, None, params.mu_of_zeta(res.x), params, res.report)
+        gap[h] = (front_location(pde)[0] - front.mu_fr) / bvp
+    assert abs(gap[0.2]) <= 3e-3
+    assert abs((16.0 * gap[0.2] - gap[0.4]) / 15.0) <= 1e-4
+    if order4:  # well above the BVP's own mesh error: the gap is the PDE's O(h^4)
+        assert 15.0 <= gap[0.4] / gap[0.2] <= 17.5
 
 
 class TestErrorState:
