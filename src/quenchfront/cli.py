@@ -36,7 +36,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from .solvercore import JacobianSingularError, SolveError
 from .specfun import airy
 from .travelingwave import (
     QuenchParams,
-    front_branch,
     predicted_delay,
     rescaled_inner_profile,
     solve_front,
@@ -80,12 +79,6 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CERTIFICATE = 3
 EXIT_SIMULATION = 4
-
-# pde's default step, chosen for accuracy on its default grid (n = 751,
-# h = 0.4): the invasion speed to t = 60 and the quench front at t = 200
-# read 1.98314 and 262.1806, within 2.8e-4 and 6e-4 of an n = 6001,
-# dt = 0.0125 run; dt = 0.05 misses the speed by 4.7e-4
-_PDE_DT = 0.04
 
 # what a command raises -> (exit code, stderr prefix)
 _FAILURES = {
@@ -222,19 +215,6 @@ def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
 # front
 # ---------------------------------------------------------------------------
 
-def _solve_front_or_continue(quench: QuenchParams, half: float, n: int):
-    """(front, "direct") from Newton on +-``half`` with about ``n`` nodes;
-    where that does not converge, (front, "continuation").  A continuation
-    that refuses the case re-raises the direct failure."""
-    try:
-        return solve_front(quench, half, n=n), "direct"
-    except SolveError as direct:
-        try:
-            return front_branch(quench.c, [quench.epsilon]).fronts[0], "continuation"
-        except ValueError:
-            raise direct from None
-
-
 def cmd_front(args) -> int:
     t0 = time.time()
     if args.c is None or args.eps is None:
@@ -243,10 +223,9 @@ def cmd_front(args) -> int:
     outdir = _outdir(args)
     quench = QuenchParams(c, eps)
     half = args.L if args.L is not None else 5.0 / eps
-    n = args.n if args.n is not None else 4001
-    params = {"c": c, "eps": eps, "L": half, "n": n}
+    params = {"c": c, "eps": eps, "L": half, "n": args.n}
     try:
-        sol, solver = _solve_front_or_continue(quench, half, n)
+        sol = solve_front(quench, half, n=args.n)
     except SolveError as exc:
         report = exc.report
         _write_json(
@@ -259,8 +238,7 @@ def cmd_front(args) -> int:
         )
         raise
 
-    # the continuation sizes its own mesh; the diagnostics record it
-    meta = dict(params) if solver == "direct" else {"c": c, "eps": eps}
+    meta = dict(params)
     columns = ["zeta", "xi", "mu", "u", "v"]
     rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v)
     if c == 0.0:
@@ -285,7 +263,6 @@ def cmd_front(args) -> int:
         "iterations": sol.report.iterations,
         "n": sol.mesh.count,
         "L": 0.5 * float(sol.zeta[-1] - sol.zeta[0]),
-        "solver": solver,
     }
     diag_path = _write_json(os.path.join(outdir, "front_diagnostics.json"), diag)
     if c > 0:
@@ -320,6 +297,11 @@ def cmd_delay_sweep(args) -> int:
             raise ValueError(f"fit refused: {exc}") from exc
     elif args.c == 0.0:
         raise ValueError("the BVP delay-sweep needs c > 0: at c = 0 there is no delay; see `front --c 0`")
+    elif math.atanh(args.c**2 / 4.0) >= 2.5:
+        raise ValueError(
+            f"the BVP delay-sweep solves on L = 5/eps, and at c = {args.c} the instability "
+            "point atanh(c^2/4)/eps lies beyond L/2 at every eps; see `front --L`"
+        )
     params = {
         "c": args.c, "eps_lo": lo, "eps_hi": hi, "points": args.points,
         "fold": args.fold, "delta": args.delta,
@@ -334,18 +316,20 @@ def cmd_delay_sweep(args) -> int:
         summary.update(asdict(fit))
         converged = len(records)
     else:
-        branch = front_branch(args.c, eps_list, strict=False)
-        got = {f.params.epsilon: f for f in branch.fronts}
+        # each point is one solve at front's defaults; eps above 0.1 is
+        # refused before any of them
         delays = []
-        for e in eps_list:
-            f = got.get(float(e))
-            if f is None or f.mu_fr is None:
-                rows.append((float(e), math.nan, math.nan, math.nan, False))
+        for quench in [QuenchParams(args.c, float(e)) for e in eps_list]:
+            e = quench.epsilon
+            try:
+                mu_fr = solve_front(quench, 5.0 / e).mu_fr
+            except SolveError:
+                mu_fr = None
+            if mu_fr is None:
+                rows.append((e, math.nan, math.nan, math.nan, False))
             else:
-                rows.append(
-                    (f.params.epsilon, f.mu_fr, f.mu_fr - mu_c, predicted_delay(args.c, f.params.epsilon), True)
-                )
-                delays.append((f.params.epsilon, f.mu_fr - mu_c))
+                rows.append((e, mu_fr, mu_fr - mu_c, predicted_delay(args.c, e), True))
+                delays.append((e, mu_fr - mu_c))
         columns = ["eps", "mu_fr", "delay", "mu_fr_pred", "converged"]
         converged = len(delays)
         if len({d[0] for d in delays}) >= 2:
@@ -462,10 +446,15 @@ def cmd_pde(args) -> int:
             frozen_mu=args.frozen_mu,
             track_level=args.level,
         )
+        if args.dt is None:
+            # h/10 for accuracy: at h = 0.4, dt = 0.04 the invasion speed and
+            # quench front lie within 2.8e-4 and 6e-4 of an n = 6001, dt =
+            # 0.0125 run (README); dt = 0.05 misses the speed by 4.7e-4
+            cfg = replace(cfg, dt=cfg.h / 10.0)
     except ValueError as exc:  # a step outside this grid's bounds: name the flags
         if not str(exc).startswith("dt = "):
             raise
-        raise ValueError(f"{exc}; see --dt (default {_PDE_DT:g}) and --n") from None
+        raise ValueError(f"{exc}; see --dt (default h/10) and --n") from None
     if args.compare:
         check_quench_comparable(cfg)
     spreading_speed = check_spreading_speed(cfg)
@@ -596,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="domain halflength of the direct solve (default 5/eps)",
     )
     p.add_argument(
-        "--n", type=int, default=None, help="mesh nodes of the direct solve (default 4001)"
+        "--n", type=int, default=4001, help="mesh nodes of the direct solve (default 4001)"
     )
     p.set_defaults(func=cmd_front)
 
@@ -662,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument(
-        "--dt", type=float, default=_PDE_DT,
-        help=f"SBDF3 time step (default {_PDE_DT:g}, for accuracy on h = 0.4; at most "
+        "--dt", type=float, default=None,
+        help=f"SBDF3 time step (default h/10, 0.04 on the default grid; at most "
         f"min({DT_PER_H:g} h, {DT_CAP:g}), {DT_CAP:g} to keep the explicit reaction's "
         f"dt |f'(u)| <= {2.0 * DT_CAP:g}, well inside its stability limit 20/21; at least "
         "the positivity floor 11 h^2/72 without advection, which keeps every implicit "

@@ -84,7 +84,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .solvercore import Mesh, NewtonReport, SolveError, solve_bvp
+from .solvercore import NewtonReport, SolveError, solve_bvp
 
 __all__ = [
     "SimConfig",
@@ -498,25 +498,29 @@ def steady_state(cfg: SimConfig) -> SteadyState:
     ghosts inside the band (corners (0, 0)).  R is the front equation
     w'' + w'^2 - c w' + mu - e^{2w} to O(h^4), so the solve keeps the front
     solve's Newton set-up: its tolerance, its 80 iterations and its seed
-    ``_LogFrontSystem.seed`` laid on the grid.  Only the grid, c and eps of
-    ``cfg`` are read; ``residual`` is max|A4 u + B f(u)| = max|u R|.
+    ``travelingwave._front_seed`` laid on the grid.  Only the grid, c and
+    eps of ``cfg`` are read; ``residual`` is max|A4 u + B f(u)| = max|u R|.
 
-    Raises ``ValueError`` outside the comoving ramp (lab frame or
-    ``frozen_mu``) and for c outside [0, 2), where the seed has no
-    instability point, and :class:`SolveError` with the report when Newton
-    does not converge.
+    Raises ``ValueError``, before any Newton step, outside the comoving ramp
+    (lab frame or ``frozen_mu``), for c outside [0, 2), where the seed has
+    no instability point, and for a domain whose right end does not pass
+    that point atanh(c^2/4)/eps, so that no front fits on it; raises
+    :class:`SolveError` with the report when Newton does not converge.
     """
     if cfg.frame != "comoving" or cfg.frozen_mu is not None:
         raise ValueError("steady_state needs frame='comoving' and no frozen_mu")
     if not 0.0 <= cfg.c < 2.0:
         raise ValueError(f"steady_state needs c in [0, 2), got {cfg.c!r}")
-    from .travelingwave import _TOL, _LogFrontSystem
+    z_c = math.atanh(cfg.c**2 / 4.0) / cfg.epsilon
+    if cfg.domain[1] <= z_c:
+        raise ValueError(f"steady_state needs a domain past the instability point "
+                         f"atanh(c^2/4)/eps = {z_c:.6g}; it ends at {cfg.domain[1]:g}")
+    from .travelingwave import _TOL, _front_seed
 
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     h, c = cfg.h, cfg.c
-    system = _LogFrontSystem(Mesh(x), c)
-    mu = system.mu_values(cfg.epsilon)
+    mu = np.tanh(cfg.epsilon * x)
     # A4 and B in (1, 1) band storage, ab[1 + i - j, j] = M[i, j]; the
     # mirror ghosts double M[0, 1] and M[n-1, n-2]
     a2, ones = (1.0 + c * c * h * h / 12.0) / (h * h), np.ones(cfg.n)
@@ -543,10 +547,11 @@ def steady_state(cfg: SimConfig) -> SteadyState:
         ab[1] -= residual(w)
         return ab
 
+    seed = _front_seed(x, mu, c, cfg.epsilon)
     # a trial step whose exponentials overflow has a non-finite residual,
     # which the line search halves away
     with np.errstate(over="ignore", invalid="ignore"):
-        w, report = solve_bvp(residual, jacobian, system.seed(cfg.epsilon), _TOL, max_iter=80)
+        w, report = solve_bvp(residual, jacobian, seed, _TOL, max_iter=80)
     if not report.converged:
         raise SolveError(
             f"no steady state at c={c}, eps={cfg.epsilon} on {cfg.n} nodes "

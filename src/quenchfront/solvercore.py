@@ -216,8 +216,10 @@ def solve_bvp(
     J[1, 2] or J[n-2, n-3] under a nonzero corner, raises
     :class:`JacobianSingularError` with its row.  The line search halves
     the step until the residual sup-norm decreases, down to a minimum
-    fraction 2^-10; if no decrease is found the minimal step is taken anyway
-    and the iteration runs until ``max_iter``.
+    fraction 2^-10.  If no decrease is found, the trial with the smallest
+    residual is taken anyway and the iteration runs on until ``max_iter``;
+    if every trial's residual is non-finite, the solve stops unconverged at
+    the last iterate.
 
     The solve converges when the residual sup-norm is at most ``tol``,
     tested before each step, or when a Newton step moves no unknown by more
@@ -259,9 +261,11 @@ def solve_bvp(
             if best is None or n_try < best[2]:
                 best = (x_try, r_try, n_try, lam)
             lam *= 0.5
+        report.iterations = it
+        if best[2] == math.inf:  # no halving has a finite residual: stop here
+            break
         x, r, norm, lam_used = best
         report.damping_history.append(lam_used)
-        report.iterations = it
     report.final_residual_norm = norm
     if norm <= tol and report.stop is None:
         report.converged, report.stop = True, "residual"

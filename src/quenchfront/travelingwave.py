@@ -57,7 +57,7 @@ __all__ = [
 
 # residual sup-norm tolerance of every Newton solve on the front system
 _TOL = 1e-10
-# every eps-branch starts from the tanh seed at eps = _EPS_START, on a mesh
+# every eps-branch starts from _front_seed at eps = _EPS_START, on a mesh
 # of finest spacing _H_MIN
 _EPS_START = 0.05
 _H_MIN = 0.05
@@ -152,6 +152,28 @@ def projection_rates(c: float, mu_left: float, mu_right: float) -> tuple[float, 
     return nu_u, nu_s
 
 
+def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> np.ndarray:
+    """Newton's start in w = log(u) on ``nodes``, where the ramp reads the
+    increasing ``mu``.  In the linear tail q = w' solves q' = -q^2 + c q - mu,
+    the fold's z' = -z^2 - theta in q = c/2 + z; the seed's tail is the
+    trapezoid integral of its unstable root c/2 + sqrt(max(c^2/4 - mu, 0))
+    (1/2 at c = 0), anchored at w = log(c/4) (log(1/4)) where mu, linearly
+    interpolated, reaches m = min(predicted_delay, (1 + c^2/4)/2) (0 at
+    c = 0); past it, the plateau log(sqrt(mu)) floored at the anchor level.
+    """
+    if c > 0.0:
+        level = math.log(c / 4.0)
+        m = min(predicted_delay(c, epsilon), 0.5 * (1.0 + c * c / 4.0))
+        q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
+    else:
+        level, m = math.log(0.25), 0.0
+        q = np.full_like(mu, 0.5)
+    z_m = float(np.interp(m, mu, nodes))
+    tail = np.concatenate(([0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(nodes))))
+    tail += level - np.interp(z_m, nodes, tail)
+    return np.where(nodes < z_m, tail, 0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))))
+
+
 # ---------------------------------------------------------------------------
 # Discretization
 # ---------------------------------------------------------------------------
@@ -210,19 +232,12 @@ class _LogFrontSystem:
     def phase(self, epsilon: float) -> float:
         return self.phase_fn(epsilon) if self.phase_fn is not None else 0.0
 
-    def mu_values(self, epsilon: float, z: np.ndarray | None = None) -> np.ndarray:
-        """The ramp at the mesh nodes, or at the stored-frame points ``z``."""
-        return np.tanh(epsilon * (self.mesh.nodes if z is None else z) + self.phase(epsilon))
+    def mu_values(self, epsilon: float) -> np.ndarray:
+        """The ramp at the mesh nodes."""
+        return np.tanh(epsilon * self.mesh.nodes + self.phase(epsilon))
 
     def true_zeta(self, epsilon: float) -> np.ndarray:
         return self.mesh.nodes + self.phase(epsilon) / epsilon
-
-    def closures(self, epsilon: float) -> tuple[float, float, float]:
-        """(nu_u, nu_s, u_plus) of the projection closures, from the ramp at
-        the two end nodes only."""
-        mu_left, mu_right = self.mu_values(epsilon, self.mesh.nodes[[0, -1]])
-        nu_u, nu_s = projection_rates(self.c, mu_left, mu_right)
-        return nu_u, nu_s, math.sqrt(mu_right)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         v = np.empty_like(u)
@@ -233,70 +248,53 @@ class _LogFrontSystem:
         v[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
         return v
 
-    def residual(self, w: np.ndarray, epsilon: float) -> np.ndarray:
+    def equations(self, epsilon: float):
+        """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
+        the projection closures evaluated once for both.  The Jacobian is
+        the tridiagonal part in (1, 1) band storage; the two corners outside
+        it are the constants ``self.corners``."""
         mu = self.mu_values(epsilon)
-        nu_u, nu_s, u_plus = self.closures(epsilon)
-        d1 = self.derivative(w)
-        r = np.empty_like(w)
-        wm, wc, wp = w[:-2], w[1:-1], w[2:]
-        dc = d1[1:-1]
-        r[1:-1] = (
-            self.d2m * wm + self.d2c * wc + self.d2p * wp + dc * dc - self.c * dc + mu[1:-1]
-            - np.exp(2.0 * wc)
-        )
-        r[0] = d1[0] - nu_u
-        r[-1] = d1[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
-        return r
+        nu_u, nu_s = projection_rates(self.c, mu[0], mu[-1])
+        u_plus = math.sqrt(mu[-1])
+        a0, b0, c0 = self.left_stencil
+        a1, b1, c1 = self.right_stencil
 
-    def jacobian(self, w: np.ndarray, epsilon: float) -> np.ndarray:
-        """Tridiagonal part of the Jacobian in (1, 1) band storage; the two
-        corners outside it are the constants ``self.corners``."""
-        _, nu_s, u_plus = self.closures(epsilon)
-        g = 2.0 * self.derivative(w)[1:-1] - self.c
-        ab = np.empty((3, w.size))
-        ab[0, 2:] = self.d2p + g * self.d1p
-        ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * w[1:-1])
-        ab[2, :-2] = self.d2m + g * self.d1m
-        a0, b0, _ = self.left_stencil
-        ab[0, 0], ab[0, 1], ab[1, 0] = 0.0, b0, a0
-        _, b1, c1 = self.right_stencil
-        ab[2, -2], ab[2, -1] = b1, 0.0
-        ab[1, -1] = c1 - nu_s * u_plus * np.exp(-w[-1])
-        return ab
+        def residual(w: np.ndarray) -> np.ndarray:
+            d1 = self.derivative(w)
+            r = np.empty_like(w)
+            wm, wc, wp = w[:-2], w[1:-1], w[2:]
+            dc = d1[1:-1]
+            r[1:-1] = (
+                self.d2m * wm + self.d2c * wc + self.d2p * wp + dc * dc - self.c * dc
+                + mu[1:-1] - np.exp(2.0 * wc)
+            )
+            r[0] = d1[0] - nu_u
+            r[-1] = d1[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+            return r
+
+        def jacobian(w: np.ndarray) -> np.ndarray:
+            g = 2.0 * self.derivative(w)[1:-1] - self.c
+            ab = np.empty((3, w.size))
+            ab[0, 2:] = self.d2p + g * self.d1p
+            ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * w[1:-1])
+            ab[2, :-2] = self.d2m + g * self.d1m
+            ab[0, 0], ab[0, 1], ab[1, 0] = 0.0, b0, a0
+            ab[2, -2], ab[2, -1] = b1, 0.0
+            ab[1, -1] = c1 - nu_s * u_plus * np.exp(-w[-1])
+            return ab
+
+        return residual, jacobian
 
     def solve(self, guess: np.ndarray, epsilon: float) -> tuple[np.ndarray, NewtonReport]:
         """Newton at ramp rate ``epsilon`` from ``guess``, to ``_TOL`` or
         ``solve_bvp``'s step stop in at most 80 iterations: the front
-        layer's one Newton set-up.  The result
-        may be unconverged (``report.converged``).  A trial step whose
+        layer's one Newton set-up.  The result may be unconverged
+        (``report.converged``).  A trial step whose
         e^{2w} overflows has an infinite residual, which the line search
         halves away, so the overflow is not reported."""
+        residual, jacobian = self.equations(epsilon)
         with np.errstate(over="ignore"):
-            return solve_bvp(
-                lambda w: self.residual(w, epsilon), lambda w: self.jacobian(w, epsilon),
-                guess, _TOL, self.corners, max_iter=80,
-            )
-
-    def seed(self, eps: float) -> np.ndarray:
-        """Start profile in w = log(u): affine tail of slope (1 + c)/2 up to
-        the instability point z_c, where it reaches log(c/4) (log(1/4) at
-        c = 0), then the plateau log(sqrt(mu)) floored at that level."""
-        mu = self.mu_values(eps)
-        c = self.c
-        if c > 0.0:
-            arg_c = math.atanh(c * c / 4.0)
-            level = math.log(c / 4.0)
-        else:
-            arg_c = 0.0
-            level = math.log(0.25)
-        z_c = (arg_c - self.phase(eps)) / eps
-        z = self.mesh.nodes
-        slope = 0.5 + 0.5 * c
-        return np.where(
-            z < z_c,
-            level + slope * (z - z_c),
-            0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))),
-        )
+            return solve_bvp(residual, jacobian, guess, _TOL, self.corners, max_iter=80)
 
     def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
         u = np.exp(w)
@@ -345,14 +343,16 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     """Solve the truncated front BVP with projection boundary conditions.
 
     The domain must satisfy L >= 5/eps so that the ramp sits within 1e-4 of
-    its limits at the truncation points.  The solve starts from
-    ``_LogFrontSystem.seed``: in w = log(u), an affine tail of slope
-    (1 + c)/2 up to the instability point zeta_c where mu = c^2/4, then the
-    plateau log(sqrt(mu)), floored at the tail's level.  The discrete
+    its limits at the truncation points, and L/2 must pass the instability
+    point zeta_c where mu = c^2/4.  The solve is one Newton run from
+    ``_front_seed``: in w = log(u), the tail integrates the unstable root
+    of the linear tail's Riccati equation up to the delayed interface of
+    ``predicted_delay``, then the plateau log(sqrt(mu)).  The discrete
     system is posed in the log-amplitude w = log(u) (the front's plateau
     passes exponentially close to u = 0, which an additive solve cannot
     resolve); the Newton stop (``_TOL`` on the residual, or a step below
-    1e-10 (1 + |w|)) applies to that system.
+    1e-10 (1 + |w|)) applies to that system.  A solve that does not
+    converge raises :class:`SolveError` with its report.
     """
     if domain_halflength < 5.0 / params.epsilon - 1e-9:
         raise ValueError("domain too short: need halflength >= 5/epsilon")
@@ -371,7 +371,8 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     # cells to zero; the Newton step then raises JacobianSingularError
     with np.errstate(over="ignore"):
         system = _LogFrontSystem(mesh, params.c)
-    w, report = system.solve(system.seed(params.epsilon), params.epsilon)
+    seed = _front_seed(mesh.nodes, system.mu_values(params.epsilon), params.c, params.epsilon)
+    w, report = system.solve(seed, params.epsilon)
     if not report.converged:
         raise SolveError(
             f"front solve failed at c={params.c}, eps={params.epsilon} "
@@ -410,27 +411,23 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
 # Continuation in the ramp rate
 # ---------------------------------------------------------------------------
 
-def front_branch(
-    c: float,
-    eps_targets: Sequence[float],
-    strict: bool = True,
-) -> FrontBranch:
-    """Continue the tanh-ramp front family from its seed
-    (``_LogFrontSystem.seed``) at eps = 0.05 down through each target.
+def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
+    """Continue the tanh-ramp front family from ``_front_seed`` at
+    eps = 0.05 down through each target.
 
     One continuation in log(eps) on a single mesh takes every target as a
     stop and lands on it exactly, each corrector being
-    ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.  The
-    ``front`` command runs this only where that direct solve does not
-    converge.  Two changes of variables keep the correctors quadratic all
-    the way down: the frame is shifted by the predicted interface position
-    (so the jump stays pinned near the mesh origin while the physical
-    interface travels O(1/eps)), and the unknown is the log-amplitude
-    w = log(u) (so the exponentially small plateau is resolved relatively,
-    not additively).  Each front is returned in the unshifted u-variables
-    with its target as ``params.epsilon``.  The shift is
-    atanh(predicted_delay(c, eps)), so a start where that prediction reaches
-    1 (c near 2) raises ``ValueError``, as does a target above the start.
+    ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.  Two
+    changes of variables keep the correctors quadratic all the way down:
+    the frame is shifted by the predicted interface position (so the jump
+    stays pinned near the mesh origin while the physical interface travels
+    O(1/eps)), and the unknown is the log-amplitude w = log(u) (so the
+    exponentially small plateau is resolved relatively, not additively).
+    Each front is returned in the unshifted u-variables with its target as
+    ``params.epsilon``.  The shift is atanh(predicted_delay(c, eps)), so a
+    start where that prediction reaches 1 (c near 2) raises ``ValueError``,
+    as does a target above the start; a continuation that stalls before the
+    last target raises :class:`SolveError`.
     """
     targets = sorted(set(float(e) for e in eps_targets), reverse=True)
     if not targets or targets[-1] <= 0.0 or targets[0] > _EPS_START:
@@ -450,8 +447,9 @@ def front_branch(
     system = _LogFrontSystem(mesh, c, phase_fn)
     stops = [math.log(e) for e in [_EPS_START, *targets]]
     correct = lambda w, s: system.solve(w, math.exp(s))
+    seed = _front_seed(mesh.nodes, system.mu_values(_EPS_START), c, _EPS_START)
     try:
-        branch = continue_branch(correct, system.seed(_EPS_START), stops, 0.4)
+        branch = continue_branch(correct, seed, stops, 0.4)
     except SolveError as exc:
         raise SolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
     landed = {e.param: e for e in branch.entries}
@@ -460,7 +458,7 @@ def front_branch(
         for eps, s in zip(targets, stops[1:])
         if s in landed
     ]
-    if branch.status != "completed" and strict:
+    if branch.status != "completed":
         raise SolveError(
             f"continuation stalled before eps={targets[len(fronts)]}; "
             f"{len(fronts)} of {len(targets)} targets reached"

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenchfront import cli, solvercore
+from quenchfront import cli
 from quenchfront.painleve import CertificateError, solve_hastings_mcleod
 from quenchfront.pdesim import (
     DT_CAP, DT_PER_H, SimConfig, SimulationAbort, simulate, spreading_speed,
 )
 from quenchfront.solvercore import JacobianSingularError, OdeBlowUpError, SolveError
-from quenchfront.travelingwave import front_branch
+from quenchfront.travelingwave import QuenchParams, front_branch
 
 
 def run(args, tmp_path, sub=""):
@@ -98,7 +98,7 @@ class TestFront:
             meta, body = read_meta(out / "front_profile.csv")
             diag = json.loads((out / "front_diagnostics.json").read_text())
             zeta = body[:, 0]
-            assert diag["solver"] == "direct"
+            assert "solver" not in diag
             assert diag["n"] == body.shape[0]
             assert diag["L"] == pytest.approx(0.5 * (zeta[-1] - zeta[0]), rel=1e-12)
             assert diag["L"] == half and float(meta["L"]) == half and meta["n"] == "4001"
@@ -122,7 +122,7 @@ class TestFront:
         assert code == 0
         meta, _ = read_meta(out / "front_profile.csv")
         diag = json.loads((out / "front_diagnostics.json").read_text())
-        assert diag["solver"] == "direct"
+        assert "solver" not in diag
         assert float(meta[key]) == value
         if key == "L":
             assert diag["L"] == value
@@ -139,7 +139,7 @@ class TestFront:
         code, out = run(["front", "--c", "1.9", "--eps", "5e-4"], tmp_path)
         assert code == 0
         diag = json.loads((out / "front_diagnostics.json").read_text())
-        assert diag["solver"] == "direct"
+        assert "solver" not in diag
         assert 1.9**2 / 4.0 < diag["mu_fr"] < 1.0
 
     def test_instability_point_beyond_focus_refused(self, tmp_path, capsys):
@@ -153,18 +153,19 @@ class TestFront:
         code, out = run(["front", "--c", "1.99", "--eps", "1e-3", "--L", "20000"], tmp_path, "long")
         assert code == 0
         diag = json.loads((out / "front_diagnostics.json").read_text())
-        assert diag["solver"] == "direct" and diag["mu_fr"] == pytest.approx(0.99162, abs=1e-5)
+        assert "solver" not in diag and diag["mu_fr"] == pytest.approx(0.99162, abs=1e-5)
 
-    def test_continuation_where_direct_newton_fails(self, tmp_path, capsys):
-        # direct Newton stalls at (1.8, 1e-5); the eps-continuation lands it
+    def test_direct_solve_where_the_affine_seed_failed(self, tmp_path, capsys):
+        # from the affine seed direct Newton stalled at (1.8, 1e-5), and the
+        # eps-continuation landed it; from the projective tail it converges
+        # on the direct mesh, 1.5e-8 from the continuation (measured)
         code, out = run(["front", "--c", "1.8", "--eps", "1e-5"], tmp_path)
         assert code == 0
         meta, body = read_meta(out / "front_profile.csv")
         diag = json.loads((out / "front_diagnostics.json").read_text())
-        assert diag["solver"] == "continuation"
-        assert diag["mu_fr"] == front_branch(1.8, [1e-5]).fronts[0].mu_fr
-        # the continuation sizes its own mesh: the profile holds no L or n
-        assert "L" not in meta and "n" not in meta
+        assert "solver" not in diag
+        assert diag["mu_fr"] == pytest.approx(front_branch(1.8, [1e-5]).fronts[0].mu_fr, abs=1e-7)
+        assert float(meta["L"]) == 5.0 / 1e-5 and meta["n"] == "4001"
         assert diag["n"] == body.shape[0]
         assert diag["L"] == pytest.approx(0.5 * (body[-1, 0] - body[0, 0]), rel=1e-12)
 
@@ -174,22 +175,18 @@ class TestFront:
         code, out = run(["front", "--c", c, "--eps", eps], tmp_path)
         assert code == 0
         diag = json.loads((out / "front_diagnostics.json").read_text())
-        assert diag["solver"] == "direct"
+        assert "solver" not in diag
         ref = front_branch(float(c), [float(eps)]).fronts[0]
         if c == "0":
             assert diag["u_at_origin"] == pytest.approx(ref.u_at_origin, abs=1e-7)
         else:
             assert diag["mu_fr"] == pytest.approx(ref.mu_fr, abs=1e-7)
 
-    @pytest.mark.parametrize(
-        "c,eps,extra",
-        [("1.9", "1e-5", []), ("1.999", "0.08", ["--L", "150"])],
-        ids=["start-refused", "target-above-start"],
-    )
-    def test_refused_continuation_reports_the_direct_failure(self, tmp_path, capsys, c, eps, extra):
-        # direct Newton fails, and front_branch refuses the case: at c = 1.9
-        # its start, at eps = 0.08 a target above its start
-        code, out = run(["front", "--c", c, "--eps", eps, *extra], tmp_path)
+    @pytest.mark.parametrize("c,eps,L", [("1.999", "0.08", "150"), ("1.999", "0.1", "150")])
+    def test_direct_failure_reports_its_newton_report(self, tmp_path, capsys, c, eps, L):
+        # near c = 2 at large eps direct Newton depends on the domain: these
+        # two stall in 80 iterations, and front has no second solver
+        code, out = run(["front", "--c", c, "--eps", eps, "--L", L], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"solver failure: front solve failed at c={c}, eps={float(eps)}")
@@ -198,17 +195,19 @@ class TestFront:
         assert failure["iterations"] == 80 and failure["final_residual_norm"] > 1e-10
         assert not (out / "front_profile.csv").exists()
 
-    def test_both_solvers_failing_reports_the_continuation(self, tmp_path, capsys):
-        # without the Newton step stop both solves stall on the residual's
-        # rounding floor, the continuation's at its seed
-        with mock.patch.object(solvercore, "_STEP_TOL", 0.0):
-            code, out = run(["front", "--c", "1.2", "--eps", "1e-6"], tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err == "solver failure: branch seed failed at eps=0.05\n"
-        failure = json.loads((out / "front_failure.json").read_text())
-        assert failure["error"] == "branch seed failed at eps=0.05"
-        assert failure["iterations"] == 80 and failure["final_residual_norm"] > 1e-10
-        assert not (out / "front_profile.csv").exists()
+    @pytest.mark.parametrize("c", [0.6, 1.2, 1.8, 1.95])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-7])
+    def test_one_direct_solve_covers_the_speed_range(self, tmp_path, c, eps):
+        # one Newton solve from the seed at front's defaults (L = 5/eps,
+        # n = 4001); the affine seed failed at every eps <= 1e-6 case here
+        # but (0.6, 1e-6).  At most 42 iterations were measured over
+        # c in {0, 0.2, ..., 1.8, 1.9, 1.95} x nine eps from 1e-2 to 1e-7
+        code, out = run(["front", "--c", str(c), "--eps", str(eps)], tmp_path)
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["iterations"] <= 42 and diag["L"] == pytest.approx(5.0 / eps, rel=1e-12)
+        if c > 0.0:
+            assert c * c / 4.0 < diag["mu_fr"] < 1.0
 
     def test_ramp_option_gone(self, tmp_path, capsys):
         code, out = run(
@@ -295,13 +294,13 @@ class TestDelaySweep:
 
     def test_bvp_mode_refuses_zero_speed(self, tmp_path, capsys):
         # at c = 0 there is no interface threshold, so no delay to fit
-        with mock.patch.object(cli, "front_branch") as branch:
+        with mock.patch.object(cli, "solve_front") as solve:
             code, out = run(
                 ["delay-sweep", "--c", "0", "--eps-decade", "1e-3:1e-2", "--points", "6"], tmp_path
             )
         assert code == 1
         assert "front --c 0" in capsys.readouterr().err
-        branch.assert_not_called()
+        solve.assert_not_called()
         assert not (out / "delay_sweep.csv").exists()
 
     def test_bvp_mode(self, tmp_path, capsys):
@@ -326,9 +325,14 @@ class TestDelaySweep:
         assert (summary["converged"], summary["total"]) == (3, 3)
 
     def test_too_few_converged_is_solver_failure(self, tmp_path, capsys):
-        front = SimpleNamespace(params=SimpleNamespace(epsilon=1e-3), mu_fr=0.37)
-        branch = SimpleNamespace(fronts=[front])
-        with mock.patch.object(cli, "front_branch", mock.Mock(return_value=branch)):
+        # one solve per eps, each at front's defaults; only eps = 1e-3 converges
+        def solve(quench, half):
+            assert half == 5.0 / quench.epsilon
+            if quench.epsilon != 1e-3:
+                raise SolveError("front solve failed")
+            return SimpleNamespace(mu_fr=0.37)
+
+        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=solve)):
             code, out = run(
                 ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-4:1e-3", "--points", "5"],
                 tmp_path,
@@ -340,14 +344,40 @@ class TestDelaySweep:
         assert (out / "delay_sweep.csv").exists()
 
     @pytest.mark.parametrize("c", ["1.9", "1.95"])
-    def test_speed_near_two_refused(self, tmp_path, capsys, c):
+    def test_speed_near_two_solved(self, tmp_path, capsys, c):
+        # the continuation refused these speeds (its shifted frame's atanh
+        # phase is undefined at eps = 0.05); one direct solve per eps lands
+        # each, with slopes 0.644 and 0.640 measured
         code, out = run(
             ["delay-sweep", "--c", c, "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"], tmp_path
         )
+        assert code == 0
+        summary = json.loads((out / "delay_sweep_summary.json").read_text())
+        assert (summary["converged"], summary["total"]) == (5, 5)
+        assert 0.6 < summary["slope"] < 2.0 / 3.0
+
+    def test_instability_point_beyond_every_domain_refused(self, tmp_path, capsys):
+        # on L = 5/eps, atanh(c^2/4)/eps > L/2 for every eps once c^2/4 >=
+        # tanh(2.5), c >= 1.98661
+        with mock.patch.object(cli, "solve_front") as solve:
+            code, out = run(
+                ["delay-sweep", "--c", "1.99", "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"],
+                tmp_path,
+            )
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"c={c}, eps_start=0.05" in err and "atanh phase" in err
-        assert not (out / "delay_sweep.csv").exists()
+        assert "at c = 1.99 the instability point" in capsys.readouterr().err
+        solve.assert_not_called()
+        assert not list(out.glob("*"))
+
+    def test_eps_above_the_ramp_range_refused_before_solving(self, tmp_path, capsys):
+        with mock.patch.object(cli, "solve_front") as solve:
+            code, out = run(
+                ["delay-sweep", "--c", "1.2", "--eps-decade", "1e-3:0.2", "--points", "5"], tmp_path
+            )
+        assert code == 1
+        assert "ramp rate must lie in (0, 0.1]" in capsys.readouterr().err
+        solve.assert_not_called()
+        assert not list(out.glob("*"))
 
     def test_bad_range(self, tmp_path):
         code, _ = run(["delay-sweep", "--c", "1.2", "--eps-decade", "oops"], tmp_path)
@@ -365,12 +395,12 @@ class TestDelaySweep:
     )
     def test_bad_input_refused_naming_its_flag(self, tmp_path, capsys, flag, value):
         args = {"--c": "1.2", "--eps-decade": "1e-4:1e-3", "--points": "5", flag: value}
-        with mock.patch.object(cli, "front_branch") as branch:
+        with mock.patch.object(cli, "solve_front") as solve:
             code, out = run(["delay-sweep", *(t for kv in args.items() for t in kv)], tmp_path)
         assert code == 1
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and repr(value) in err
-        branch.assert_not_called()
+        solve.assert_not_called()
         assert not (out / "delay_sweep.csv").exists()
 
 
@@ -513,7 +543,7 @@ class TestPde:
     def test_grid_below_the_positivity_floor_refused(self, tmp_path, capsys):
         # at h = 5 no step up to the cap 0.2 reaches the floor 11 h^2/72 =
         # 3.82 (a run at dt = 0.2 would reach u = -1.007); h = 1 needs
-        # dt >= 0.153, above the default --dt 0.04
+        # dt >= 0.153, above the default --dt h/10 = 0.1
         with pytest.raises(ValueError, match="the grid must be finer"):
             SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21, t_end=40.0)
         for n in ("21", "101"):
@@ -576,6 +606,23 @@ class TestPde:
         sim.assert_not_called()
         assert not list(out.glob("*"))
 
+    def test_default_dt_follows_the_grid(self, tmp_path, capsys):
+        # the default --dt is h/10: on h = 0.05 that is 0.005, below the
+        # largest step 0.025 that the old fixed default 0.04 exceeded
+        code, out = run(["pde", "--n", "6001", "--t-end", "1"], tmp_path, "fine")
+        assert code == 0
+        meta, _ = read_meta(out / "pde_front_track.csv")
+        assert float(meta["dt"]) == 0.05 / 10.0
+        # on h = 0.8, h/10 = 0.08 lies below the positivity floor 0.0978
+        with mock.patch.object(cli, "simulate") as sim:
+            code, out = run(["pde", "--domain", "0", "600", "--t-end", "1"], tmp_path, "coarse")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "dt = 0.08 lies below the positivity floor 0.09778" in err
+        assert "see --dt (default h/10)" in err
+        sim.assert_not_called()
+        assert not list(out.glob("*"))
+
     def test_manifest_reports_steps_and_wall_time(self, tmp_path):
         code, out = run(
             ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"],
@@ -583,9 +630,9 @@ class TestPde:
         )
         assert code == 0
         manifest = json.loads((out / "pde_manifest.json").read_text())
-        assert manifest["steps"] == 25  # ceil(1 / 0.04), the default --dt
+        assert manifest["steps"] == 50  # ceil(1 / 0.02), the default --dt h/10 on h = 0.2
         assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
-        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.04, 1.0)
+        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.02, 1.0)
 
     def test_snapshot_bytes_equal_per_value_format(self, tmp_path):
         code, out = run(
@@ -593,7 +640,7 @@ class TestPde:
             tmp_path,
         )
         assert code == 0
-        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.02))
         expected = "".join(
             ",".join(cli._fmt(v) for v in (t, x, u)) + "\n"
             for t, snap in zip(res.times, res.snapshots)
@@ -617,7 +664,7 @@ class TestPde:
             tmp_path,
         )
         assert code == 0
-        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.02))
         expected = "".join(
             ",".join(cli._fmt(v) for v in row) + "\n"
             for row in zip(res.track.times, res.track.x_fr_num)
@@ -807,19 +854,16 @@ class TestFailureArtifacts:
     ``main``."""
 
     def test_front_failure_json(self, tmp_path, capsys):
-        # direct Newton fails, then the continuation: its report is written
-        stalled = SimpleNamespace(iterations=80, final_residual_norm=1e-3)
-        report = SimpleNamespace(iterations=80, final_residual_norm=1.5e-10)
-        direct = SolveError("Newton stalled", stalled)
-        failure = SolveError("branch seed failed", report)
-        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=direct)), \
-                mock.patch.object(cli, "front_branch", mock.Mock(side_effect=failure)) as branch:
+        # the one direct solve fails: its report is written
+        report = SimpleNamespace(iterations=80, final_residual_norm=1.5e-3)
+        failure = SolveError("Newton stalled", report)
+        with mock.patch.object(cli, "solve_front", mock.Mock(side_effect=failure)) as solve:
             code, out = run(["front", "--c", "1.2", "--eps", "0.0025"], tmp_path)
         assert code == 2
-        branch.assert_called_once_with(1.2, [0.0025])
-        assert capsys.readouterr().err == "solver failure: branch seed failed\n"
+        solve.assert_called_once_with(QuenchParams(1.2, 0.0025), 2000.0, n=4001)
+        assert capsys.readouterr().err == "solver failure: Newton stalled\n"
         assert json.loads((out / "front_failure.json").read_text()) == {
-            "error": "branch seed failed", "iterations": 80, "final_residual_norm": 1.5e-10,
+            "error": "Newton stalled", "iterations": 80, "final_residual_norm": 1.5e-3,
         }
         assert not (out / "front_profile.csv").exists()
 
@@ -860,40 +904,34 @@ class TestFailureArtifacts:
         assert not (out / "pde_snapshots.csv").exists()
 
 
-# the command line with the Newton step stop switched off, so that a Newton
-# solve can stall on the residual's rounding floor
-_NO_STEP_STOP = [
-    "-c",
-    "import sys; from quenchfront import cli, solvercore; "
-    "solvercore._STEP_TOL = 0.0; sys.exit(cli.main())",
-]
-
-
 class TestProcess:
     """``python -m quenchfront.cli`` as its own process: the documented exit
     code and a one-line message, never a traceback."""
 
     @pytest.mark.parametrize(
-        "args,code,message",
+        "args,code,message,written",
         [
             (
-                [*_NO_STEP_STOP, "delay-sweep", "--c", "1.2", "--eps-decade", "1e-6:2e-6", "--points", "2"],
+                ["front", "--c", "1.999", "--eps", "0.08", "--L", "150"],
                 2,
-                "solver failure: branch seed failed at eps=0.05",
+                "solver failure: front solve failed at c=1.999, eps=0.08",
+                ["front_failure.json"],
             ),
-            (["painleve", "--classify", "0.5,abc"], 1, "argument --classify:"),
-            (["painleve", "--classify", "1e150"], 1, "error: tail multiplier k = 1e+150"),
-            (["front", "--config", "typo.cfg"], 1, "key 'epsilon_typo' names no option"),
-            (["pde", "--dt", "0"], 1, "error: dt must be positive and finite"),
+            (["painleve", "--classify", "0.5,abc"], 1, "argument --classify:", []),
+            (["painleve", "--classify", "1e150"], 1, "error: tail multiplier k = 1e+150", []),
+            (["front", "--config", "typo.cfg"], 1, "key 'epsilon_typo' names no option", []),
+            (["pde", "--dt", "0"], 1, "error: dt must be positive and finite", []),
             (
                 ["front", "--c", "1.2", "--eps", "0.0025", "--L", "inf"],
                 1,
                 "error: mesh ends must be finite",
+                [],
             ),
             (
                 ["front", "--c", "1.2", "--eps", "0.0025", "--L", "1e300"],
                 2,
                 "solver failure: jacobian singular",
+                [],
             ),
         ],
         ids=[
@@ -901,16 +939,16 @@ class TestProcess:
             "infinite-L", "singular-jacobian",
         ],
     )
-    def test_exit_code_without_traceback(self, tmp_path, args, code, message):
+    def test_exit_code_without_traceback(self, tmp_path, args, code, message, written):
         (tmp_path / "typo.cfg").write_text("c = 1.2\neps = 0.004\nepsilon_typo = 0.004\nfold = true\n")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        launch = [] if args[0] == "-c" else ["-m", "quenchfront.cli"]
         proc = subprocess.run(
-            [sys.executable, *launch, *args, "--outdir", "out"],
+            [sys.executable, "-m", "quenchfront.cli", *args, "--outdir", "out"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == code
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-        assert not list((tmp_path / "out").glob("*"))  # no data, summary or manifest
+        # no data, summary or manifest: at most the documented failure report
+        assert sorted(p.name for p in (tmp_path / "out").glob("*")) == written

@@ -516,7 +516,9 @@ class TestDefaultGrid:
 
     def _defaults(self, *flags):
         args = cli.build_parser().parse_args(["pde", *flags])
-        return dict(domain=tuple(args.domain), n=args.n, dt=args.dt, t_end=args.t_end)
+        h = (args.domain[1] - args.domain[0]) / (args.n - 1)
+        dt = h / 10.0 if args.dt is None else args.dt  # pde's default step h/10
+        return dict(domain=tuple(args.domain), n=args.n, dt=dt, t_end=args.t_end)
 
     def test_invasion_speed_near_fine_reference(self):
         # measured 1.98314
@@ -628,6 +630,33 @@ class TestSteadyState:
     def test_outside_the_comoving_ramp_refused(self, cfg):
         with pytest.raises(ValueError, match="frame='comoving' and no frozen_mu"):
             steady_state(cfg)
+
+    @pytest.mark.parametrize("h", [0.2, 0.4])
+    def test_domain_short_of_the_instability_point_refused(self, monkeypatch, h):
+        # atanh(0.81)/0.01 = 112.7 lies past x = 60: no front fits, and
+        # Newton ran on to 80 non-finite iterations (h = 0.2) or met a
+        # singular Jacobian at the seed (h = 0.4)
+        monkeypatch.setattr(pdesim, "solve_bvp", None)
+        cfg = SimConfig(frame="comoving", c=1.8, epsilon=0.01, domain=(-20.0, 60.0),
+                        n=int(round(80.0 / h)) + 1)
+        with pytest.raises(ValueError, match=r"atanh\(c\^2/4\)/eps = 112.703; it ends at 60"):
+            steady_state(cfg)
+
+    def test_converges_at_small_eps_near_two(self):
+        # (1.8, 1e-5) on h = 0.4: from the projective tail 22 iterations
+        # (measured); the affine seed did not converge in 80.  The delay
+        # mu_fr - c^2/4 lies 18.2 % above the BVP's (measured), the O(h^4)
+        # error that falls to 1.1 % at h = 0.2
+        params = QuenchParams(1.8, 1e-5)
+        front = solve_front(params, 5.0 / params.epsilon)
+        lo, hi = -60.0, front.zeta_fr + 200.0
+        cfg = SimConfig(frame="comoving", c=1.8, epsilon=1e-5, domain=(lo, hi),
+                        n=int(round((hi - lo) / 0.4)) + 1)
+        res = steady_state(cfg)
+        assert res.report.converged and res.report.iterations <= 30
+        pde = FrontSolution(Mesh(res.x), res.u, None, params.mu_of_zeta(res.x), params, res.report)
+        bvp = front.mu_fr - 0.81
+        assert 0.0 < (front_location(pde)[0] - front.mu_fr) / bvp <= 0.2
 
     @pytest.mark.parametrize("c", [-0.5, 2.0, 2.5])
     def test_speed_outside_zero_two_refused(self, c):

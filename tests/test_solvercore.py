@@ -258,6 +258,29 @@ class TestSolveBvp:
         assert not rep.converged and rep.stop is None
         assert rep.iterations == 50
 
+    def test_nonfinite_trials_stop_at_the_last_finite_iterate(self):
+        # the residual is finite only for x <= 0, and the Newton step from 0
+        # points to x = 1: every halving down to 2^-10 is non-finite, so the
+        # solve stops unconverged at x = 0 after one Jacobian
+        jacobians = []
+
+        def jac(x):
+            jacobians.append(x.copy())
+            return np.vstack([[0.0], [1.0], [0.0]])
+
+        with np.errstate(invalid="ignore"):
+            x, rep = solve_bvp(
+                residual=lambda x: np.where(x <= 0.0, x - 1.0, np.inf),
+                jacobian=jac,
+                initial_guess=np.zeros(1),
+                tol=1e-10,
+                max_iter=50,
+            )
+        assert x.tolist() == [0.0] and len(jacobians) == 1
+        assert not rep.converged and rep.stop is None
+        assert rep.iterations == 1 and rep.final_residual_norm == 1.0
+        assert rep.damping_history == []
+
     def test_singular_jacobian_raises_with_pivot(self):
         n = 5
 

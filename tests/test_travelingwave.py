@@ -220,7 +220,7 @@ class TestFrontBranch:
     def test_entries_satisfy_residual_tolerance(self):
         fb = front_branch(1.2, [2.5e-3, 1.5e-3])
         for entry in fb.branch.entries:
-            r = fb.system.residual(entry.solution, math.exp(entry.param))
+            r = fb.system.equations(math.exp(entry.param))[0](entry.solution)
             assert np.max(np.abs(r)) <= 1e-10
 
     def test_one_newton_solve_per_step(self, monkeypatch):
