@@ -125,21 +125,21 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         r = np.empty_like(w)
         r[0] = w[0] - w_left
         r[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2 - eta[1:-1] * w[1:-1] - 2.0 * w[1:-1] ** 3
-        r[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h) - robin * w[-1]
+        # w'(l_plus) as the two-point difference plus (h/2) w'' from the equation
+        r[-1] = (w[-1] - w[-2]) / h + 0.5 * h * (eta[-1] * w[-1] + 2.0 * w[-1] ** 3) - robin * w[-1]
         return r
 
     lap = 1.0 / h**2
     diag = -2.0 * lap - eta[1:-1]
 
     def jacobian(w):
-        # tridiagonal part; the Robin row's J[n-1, n-3] = 1/(2h) is a corner
         ab = np.empty((3, n))
         ab[0, 2:] = ab[2, :-2] = lap
         ab[0, :2] = 0.0
         ab[1, 0] = 1.0
         ab[1, 1:-1] = diag - 6.0 * w[1:-1] ** 2
-        ab[1, -1] = 3.0 / (2.0 * h) - robin
-        ab[2, -2:] = -4.0 / (2.0 * h), 0.0
+        ab[1, -1] = 1.0 / h + 0.5 * h * (eta[-1] + 6.0 * w[-1] ** 2) - robin
+        ab[2, -2:] = -1.0 / h, 0.0
         return ab
 
     seed = np.maximum(
@@ -149,7 +149,7 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
     # 1e-8 matches the truncation level of the two-term left closure; the
     # raw residual carries a 1/h^2 row scale, so much tighter targets sit
     # below the rounding floor at n ~ 10^4
-    w, report = solve_bvp(residual, jacobian, seed, tol=1e-8, corners=(0.0, 1.0 / (2.0 * h)))
+    w, report = solve_bvp(residual, jacobian, seed, tol=1e-8)
     if np.max(np.abs(w)) > pole_guard:
         # the iterates ran off toward the pole side of the separatrix
         raise SolveError("left separatrix missed (iterate exceeded the pole guard)", report)

@@ -494,8 +494,8 @@ def steady_state(cfg: SimConfig) -> SteadyState:
     e^{w_j - w_i}, holds only neighbour ratios, so a tail far below the
     smallest double (w reaches -3845 at eps = 1e-4) stays resolved and u
     stays positive.  Its Jacobian, E^-1 (A4 + B diag(f'(u))) E - diag(R)
-    with E = diag(u) and f'(u) = mu - 3 u^2, is tridiagonal with the mirror
-    ghosts inside the band (corners (0, 0)).  R is the front equation
+    with E = diag(u) and f'(u) = mu - 3 u^2, is tridiagonal, the mirror
+    ghosts lying inside the band.  R is the front equation
     w'' + w'^2 - c w' + mu - e^{2w} to O(h^4), so the solve keeps the front
     solve's Newton set-up: its tolerance, its 80 iterations and its seed
     ``travelingwave._front_seed`` laid on the grid.  Only the grid, c and

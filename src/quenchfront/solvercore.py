@@ -1,6 +1,6 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
-iteration on discrete two-point BVPs (tridiagonal Newton with two boundary
-corners on LAPACK ``dgtsv``), natural-parameter continuation with a secant
+iteration on discrete two-point BVPs (each step one tridiagonal LAPACK
+``dgtsv`` solve), natural-parameter continuation with a secant
 predictor through an ordered list of stops, each landed on exactly, ODE
 integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, which
 locates sign-change events on the dense output, or (stiff, no events) by
@@ -48,10 +48,10 @@ class SolveError(RuntimeError):
 
 
 class JacobianSingularError(RuntimeError):
-    """The tridiagonal Newton step with two boundary corners on ``dgtsv``
-    broke down; carries the 0-based row of the exactly zero pivot.  Not a
-    :class:`SolveError`: the posed system itself is degenerate, so no
-    caller falls back to another solver on it."""
+    """The tridiagonal Newton step on ``dgtsv`` broke down; carries the
+    0-based row of the exactly zero pivot.  Not a :class:`SolveError`: the
+    posed system itself is degenerate, so no caller falls back to another
+    solver on it."""
 
     def __init__(self, pivot_index: int):
         super().__init__(f"jacobian singular (pivot index {pivot_index})")
@@ -98,10 +98,6 @@ class Mesh:
     def count(self) -> int:
         return self.nodes.size
 
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     @staticmethod
     def graded(
         a: float,
@@ -147,7 +143,7 @@ class Mesh:
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton: tridiagonal Newton with two boundary corners on dgtsv
+# Damped Newton: each step one tridiagonal dgtsv solve
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -159,32 +155,12 @@ class NewtonReport:
     stop: str | None = None  # the test that ended a converged solve: "residual" or "step"
 
 
-def _tridiag_solve(ab: np.ndarray, corners: tuple[float, float], rhs: np.ndarray) -> np.ndarray:
-    """Solve J x = rhs for J tridiagonal in (1, 1) band storage ``ab`` plus
-    the two corners J[0, 2] and J[n-1, n-3].
-
-    Each corner is folded in by one row operation (row 0 minus a multiple of
-    row 1, row n-1 minus a multiple of row n-2) on copies, so ``ab`` and
-    ``rhs`` are left as they are.
-    """
+def _tridiag_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve J x = rhs for J tridiagonal in (1, 1) band storage ``ab`` by
+    LAPACK ``dgtsv`` on copies, so ``ab`` and ``rhs`` are left as they are."""
     n = ab.shape[1]
     du, d, dl = ab[0, 1:].copy(), ab[1].copy(), ab[2, :-1].copy()
     b = np.array(rhs, dtype=float)
-    j02, jn3 = corners
-    if j02 != 0.0:
-        if du[1] == 0.0:
-            raise JacobianSingularError(1)
-        m = j02 / du[1]
-        d[0] -= m * dl[0]
-        du[0] -= m * d[1]
-        b[0] -= m * b[1]
-    if jn3 != 0.0:
-        if dl[n - 3] == 0.0:
-            raise JacobianSingularError(n - 2)
-        m = jn3 / dl[n - 3]
-        dl[n - 2] -= m * d[n - 2]
-        d[n - 1] -= m * du[n - 2]
-        b[n - 1] -= m * b[n - 2]
     if n == 1:
         du = dl = np.zeros(1)  # dgtsv wants length-1 off-diagonals at n = 1
     x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
@@ -202,18 +178,15 @@ def solve_bvp(
     jacobian: Callable[[np.ndarray], np.ndarray],
     initial_guess: np.ndarray,
     tol: float,
-    corners: tuple[float, float] = (0.0, 0.0),
     max_iter: int = 50,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Damped Newton iteration for a discrete two-point BVP.
 
-    ``jacobian`` must return the tridiagonal part of the matrix in (1, 1)
-    LAPACK band storage, the 3 x n array ``ab[1 + i - j, j] = J[i, j]``.
-    ``corners = (J[0, 2], J[n-1, n-3])`` are the two entries outside that
-    band, left by second-order one-sided boundary stencils; they must not
-    depend on the iterate.  Each step is solved by LAPACK ``dgtsv`` after
-    one row operation per nonzero corner; an exactly zero pivot, or a zero
-    J[1, 2] or J[n-2, n-3] under a nonzero corner, raises
+    ``jacobian`` must return the tridiagonal matrix in (1, 1) LAPACK band
+    storage, the 3 x n array ``ab[1 + i - j, j] = J[i, j]``; a derivative
+    boundary condition keeps its row in the band by closing it through the
+    equation (two-point difference plus the ODE's second-derivative term).
+    Each step is one LAPACK ``dgtsv`` solve; an exactly zero pivot raises
     :class:`JacobianSingularError` with its row.  The line search halves
     the step until the residual sup-norm decreases, down to a minimum
     fraction 2^-10.  If no decrease is found, the trial with the smallest
@@ -233,15 +206,13 @@ def solve_bvp(
     x = np.asarray(initial_guess, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess must be finite")
-    if x.size < 3 and any(corners):
-        raise ValueError("nonzero corners need at least 3 unknowns")
     report = NewtonReport(iterations=0, final_residual_norm=math.inf, converged=False)
     r = residual(x)
     norm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
         if norm <= tol:
             break
-        step = _tridiag_solve(jacobian(x), corners, -r)
+        step = _tridiag_solve(jacobian(x), -r)
         if np.max(np.abs(step) / (1.0 + np.abs(x))) <= _STEP_TOL:
             x = x + step
             norm = float(np.max(np.abs(residual(x))))

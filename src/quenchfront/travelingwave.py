@@ -191,7 +191,9 @@ class _LogFrontSystem:
 
         w'' + (w')^2 - c w' + mu - e^{2w} = 0,
 
-    with projection closures w'(-L) = nu_u and w'(L) = nu_s (1 - u_+ e^{-w}).
+    with projection closures w'(-L) = nu_u and w'(L) = nu_s (1 - u_+ e^{-w}),
+    each closed through the equation's own w'' so that every Newton
+    Jacobian is tridiagonal (see :meth:`equations`).
 
     ``phase_fn(eps)`` optionally shifts the ramp argument: the ramp becomes
     tanh(eps*z + phase) on the stored mesh, i.e. the mesh lives in a frame
@@ -213,21 +215,7 @@ class _LogFrontSystem:
         self.d1m = -hp / (hm * (hm + hp))
         self.d1c = (hp - hm) / (hm * hp)
         self.d1p = hm / (hp * (hm + hp))
-        # one-sided second-order first-derivative stencils at the two ends
-        h0, h1 = h[0], h[1]
-        self.left_stencil = (
-            -(2.0 * h0 + h1) / (h0 * (h0 + h1)),
-            (h0 + h1) / (h0 * h1),
-            -h0 / (h1 * (h0 + h1)),
-        )
-        g0, g1 = h[-1], h[-2]
-        self.right_stencil = (
-            g0 / (g1 * (g0 + g1)),
-            -(g0 + g1) / (g0 * g1),
-            (2.0 * g0 + g1) / (g0 * (g0 + g1)),
-        )
-        # the Jacobian entries J[0, 2] and J[n-1, n-3] outside the tridiagonal
-        self.corners = (self.left_stencil[2], self.right_stencil[0])
+        self.h0, self.h1 = h[0], h[-1]  # the end cells of the boundary rows
 
     def phase(self, epsilon: float) -> float:
         return self.phase_fn(epsilon) if self.phase_fn is not None else 0.0
@@ -239,48 +227,52 @@ class _LogFrontSystem:
     def true_zeta(self, epsilon: float) -> np.ndarray:
         return self.mesh.nodes + self.phase(epsilon) / epsilon
 
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        v = np.empty_like(u)
-        v[1:-1] = self.d1m * u[:-2] + self.d1c * u[1:-1] + self.d1p * u[2:]
-        a0, b0, c0 = self.left_stencil
-        v[0] = a0 * u[0] + b0 * u[1] + c0 * u[2]
-        a1, b1, c1 = self.right_stencil
-        v[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
-        return v
+    def derivative(self, w: np.ndarray) -> np.ndarray:
+        """The central first difference of ``w`` at the interior nodes."""
+        return self.d1m * w[:-2] + self.d1c * w[1:-1] + self.d1p * w[2:]
 
     def equations(self, epsilon: float):
         """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
-        the projection closures evaluated once for both.  The Jacobian is
-        the tridiagonal part in (1, 1) band storage; the two corners outside
-        it are the constants ``self.corners``."""
+        the projection closures evaluated once for both.  Each closure row
+        is w' at the end node, written as the two-point difference plus
+        (h/2) w'' with w'' taken from the equation at the closure's slope:
+        w'(-L) = (w_1 - w_0)/h_0 - (h_0/2)(-nu_u^2 + c nu_u - mu + e^{2w_0})
+        at the left end, where the bracket's first three terms cancel to
+        rounding, and (w_{n-1} - w_{n-2})/h + (h/2)(-q^2 + c q - mu +
+        e^{2w}) with q = nu_s (1 - u_+ e^{-w}) at the right.  So the
+        Jacobian is tridiagonal, returned in (1, 1) band storage."""
         mu = self.mu_values(epsilon)
-        nu_u, nu_s = projection_rates(self.c, mu[0], mu[-1])
+        c, h0, h1 = self.c, self.h0, self.h1
+        nu_u, nu_s = projection_rates(c, mu[0], mu[-1])
+        g0 = -nu_u * nu_u + c * nu_u - mu[0]
         u_plus = math.sqrt(mu[-1])
-        a0, b0, c0 = self.left_stencil
-        a1, b1, c1 = self.right_stencil
 
         def residual(w: np.ndarray) -> np.ndarray:
-            d1 = self.derivative(w)
+            dc = self.derivative(w)
             r = np.empty_like(w)
-            wm, wc, wp = w[:-2], w[1:-1], w[2:]
-            dc = d1[1:-1]
+            wc = w[1:-1]
             r[1:-1] = (
-                self.d2m * wm + self.d2c * wc + self.d2p * wp + dc * dc - self.c * dc
+                self.d2m * w[:-2] + self.d2c * wc + self.d2p * w[2:] + dc * dc - c * dc
                 + mu[1:-1] - np.exp(2.0 * wc)
             )
-            r[0] = d1[0] - nu_u
-            r[-1] = d1[-1] - nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+            r[0] = (w[1] - w[0]) / h0 - 0.5 * h0 * (g0 + np.exp(2.0 * w[0])) - nu_u
+            q = nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+            d2 = c * q - q * q - mu[-1] + np.exp(2.0 * w[-1])  # w'' at slope q
+            r[-1] = (w[-1] - w[-2]) / h1 + 0.5 * h1 * d2 - q
             return r
 
         def jacobian(w: np.ndarray) -> np.ndarray:
-            g = 2.0 * self.derivative(w)[1:-1] - self.c
+            g = 2.0 * self.derivative(w) - c
             ab = np.empty((3, w.size))
             ab[0, 2:] = self.d2p + g * self.d1p
             ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * w[1:-1])
             ab[2, :-2] = self.d2m + g * self.d1m
-            ab[0, 0], ab[0, 1], ab[1, 0] = 0.0, b0, a0
-            ab[2, -2], ab[2, -1] = b1, 0.0
-            ab[1, -1] = c1 - nu_s * u_plus * np.exp(-w[-1])
+            ab[0, 0], ab[0, 1] = 0.0, 1.0 / h0
+            ab[1, 0] = -1.0 / h0 - h0 * np.exp(2.0 * w[0])
+            dq = nu_s * u_plus * np.exp(-w[-1])  # dq/dw at the right end
+            q = nu_s - dq  # nu_s (1 - u_+ e^{-w})
+            ab[2, -2], ab[2, -1] = -1.0 / h1, 0.0
+            ab[1, -1] = 1.0 / h1 + 0.5 * h1 * ((c - 2.0 * q) * dq + 2.0 * np.exp(2.0 * w[-1])) - dq
             return ab
 
         return residual, jacobian
@@ -294,11 +286,11 @@ class _LogFrontSystem:
         halves away, so the overflow is not reported."""
         residual, jacobian = self.equations(epsilon)
         with np.errstate(over="ignore"):
-            return solve_bvp(residual, jacobian, guess, _TOL, self.corners, max_iter=80)
+            return solve_bvp(residual, jacobian, guess, _TOL, max_iter=80)
 
     def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
         u = np.exp(w)
-        v = u * self.derivative(w)  # u_zeta = u w_zeta
+        v = u * np.gradient(w, self.mesh.nodes, edge_order=2)  # u_zeta = u w_zeta
         nodes = self.true_zeta(params.epsilon)
         mesh = self.mesh if self.phase_fn is None else Mesh(nodes)
         sol = FrontSolution(

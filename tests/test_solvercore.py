@@ -1,6 +1,6 @@
-"""Tests for the shared numerics: tridiagonal Newton with two boundary corners
-on LAPACK dgtsv, continuation, the DOP853 and (stiff) LSODA integrators, and
-the tridiagonal eigensolver (LAPACK bisection via
+"""Tests for the shared numerics: damped Newton whose every step is one
+tridiagonal LAPACK dgtsv solve, continuation, the DOP853 and (stiff) LSODA
+integrators, and the tridiagonal eigensolver (LAPACK bisection via
 scipy.linalg.eigh_tridiagonal)."""
 
 import math
@@ -32,11 +32,12 @@ class TestMesh:
     def test_uniform(self):
         m = Mesh(np.linspace(0.0, 1.0, 11))
         assert m.count == 11
-        assert np.allclose(m.spacing, 0.1)
+        assert np.allclose(np.diff(m.nodes), 0.1)
 
     def test_graded_ratio_bound(self):
         m = Mesh.graded(-100.0, 50.0, -2.0, 3.0, h_min=0.1, factor=1.3, h_max=5.0)
-        r = m.spacing[1:] / m.spacing[:-1]
+        h = np.diff(m.nodes)
+        r = h[1:] / h[:-1]
         assert r.max() <= 4.0 and r.min() >= 0.25
         assert m.nodes[0] == -100.0 and m.nodes[-1] == 50.0
 
@@ -52,7 +53,8 @@ class TestMesh:
     @settings(max_examples=25, deadline=None)
     def test_graded_property(self, h_min, factor):
         m = Mesh.graded(-30.0, 30.0, -1.0, 1.0, h_min=h_min, factor=factor, h_max=4.0)
-        r = m.spacing[1:] / m.spacing[:-1]
+        h = np.diff(m.nodes)
+        r = h[1:] / h[:-1]
         assert r.max() <= 4.0 + 1e-9 and r.min() >= 0.25 - 1e-9
 
 
@@ -148,8 +150,10 @@ class TestSolveBvp:
 
     @staticmethod
     def _neumann_sinh(n):
-        # u'' = u, u(0) = 0, u'(1) = 1 by the second-order one-sided stencil
-        # (3u[n-1] - 4u[n-2] + u[n-3]) / 2h; closed form sinh(x)/cosh(1)
+        # u'' = u, u(0) = 0, u'(1) = 1 closed through the equation:
+        # u'(1) = (u[n-1] - u[n-2]) / h + (h/2) u''(1) with u'' = u, the
+        # two-point difference that keeps the Jacobian tridiagonal; closed
+        # form sinh(x)/cosh(1)
         x = np.linspace(0.0, 1.0, n)
         h = x[1] - x[0]
 
@@ -157,7 +161,7 @@ class TestSolveBvp:
             r = np.empty(n)
             r[0] = u[0]
             r[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2 - u[1:-1]
-            r[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h) - 1.0
+            r[-1] = (u[-1] - u[-2]) / h + 0.5 * h * u[-1] - 1.0
             return r
 
         def jacobian(u):
@@ -165,17 +169,15 @@ class TestSolveBvp:
             diag = np.full(n, -2.0 / h**2 - 1.0)
             upper = np.full(n - 1, 1.0 / h**2)
             diag[0], upper[0] = 1.0, 0.0
-            diag[-1], lower[-1] = 3.0 / (2.0 * h), -4.0 / (2.0 * h)
+            diag[-1], lower[-1] = 1.0 / h + 0.5 * h, -1.0 / h
             return _banded_from_tridiag(lower, diag, upper)
 
-        u, rep = solve_bvp(
-            residual, jacobian, np.zeros(n), tol=1e-8, corners=(0.0, 1.0 / (2.0 * h))
-        )
+        u, rep = solve_bvp(residual, jacobian, np.zeros(n), tol=1e-8)
         assert rep.converged
         return np.max(np.abs(u - np.sinh(x) / math.cosh(1.0)))
 
     def test_sinh_bvp_one_sided_neumann_order(self):
-        # measured order with the corner J[n-1, n-3] of the one-sided closure
+        # measured order of the closure through the equation: 2.000
         errs = [self._neumann_sinh(n) for n in (51, 101, 201)]
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert all(1.8 <= o <= 2.2 for o in order)
@@ -210,15 +212,12 @@ class TestSolveBvp:
     @pytest.mark.parametrize("n", [1, 3, 4, 7, 50, 400])
     def test_step_matches_dense_solve(self, n):
         # one Newton step on J x - b from x = 0 is x = J^{-1} b; J is a random
-        # diagonally dominant tridiagonal plus the corners J[0, 2], J[n-1, n-3]
+        # diagonally dominant tridiagonal
         rng = np.random.default_rng(n)
         dense = np.diag(rng.uniform(-1.0, 1.0, n - 1), -1) + np.diag(
             rng.uniform(-1.0, 1.0, n - 1), 1
         )
-        if n >= 3:
-            dense[0, 2], dense[-1, -3] = rng.uniform(0.5, 1.0, 2) * rng.choice([-1.0, 1.0], 2)
         dense += np.diag(rng.choice([-1.0, 1.0], n) * (3.0 + rng.uniform(0.0, 1.0, n)))
-        corners = (dense[0, 2], dense[-1, -3]) if n >= 3 else (0.0, 0.0)
         ab = _banded_from_tridiag(np.diag(dense, -1), np.diag(dense), np.diag(dense, 1))
         cached = ab.copy()
         b = rng.standard_normal(n)
@@ -227,25 +226,12 @@ class TestSolveBvp:
             jacobian=lambda x: ab,
             initial_guess=np.zeros(n),
             tol=0.0,
-            corners=corners,
             max_iter=1,
         )
         want = np.linalg.solve(dense, b)
         assert rep.iterations == 1 and rep.damping_history == [1.0]
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(ab, cached)  # the caller's Jacobian is not overwritten
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_corner_needs_three_unknowns(self, n):
-        ab = _banded_from_tridiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
-        with pytest.raises(ValueError, match="corners"):
-            solve_bvp(
-                residual=lambda x: x,
-                jacobian=lambda x: ab,
-                initial_guess=np.ones(n),
-                tol=1e-14,
-                corners=(0.0, 1.0),
-            )
 
     def test_no_root_reports_failure(self):
         x, rep = solve_bvp(
@@ -300,11 +286,115 @@ class TestSolveBvp:
 
 
 # ---------------------------------------------------------------------------
+# The Newton systems' banded Jacobians against their residuals
+# ---------------------------------------------------------------------------
+
+def _band_rows(ab):
+    """(J[i, i-1], J[i, i], J[i, i+1]) of each row i of the (1, 1) band
+    storage ``ab``; the two entries outside the matrix read 0."""
+    rows = np.zeros((ab.shape[1], 3))
+    rows[1:, 0], rows[:, 1], rows[:-1, 2] = ab[2, :-1], ab[1], ab[0, 1:]
+    return rows
+
+
+def _central_difference_rows(residual, w, rel_step=1e-6):
+    """``_band_rows`` of the residual's central difference at ``w``.
+
+    The columns are perturbed three at a time, j = k mod 3, so each row
+    sees one perturbed column of its band per pass; a row that also reads
+    a column outside its band mixes that column's response into one of its
+    band entries, so the comparison catches it."""
+    n = w.size
+    rows = np.zeros((n, 3))
+    for k in range(3):
+        cols = np.arange(k, n, 3)
+        d = np.zeros(n)
+        d[cols] = rel_step * (1.0 + np.abs(w[cols]))
+        dr = residual(w + d) - residual(w - d)
+        for off in (-1, 0, 1):  # the column j = i + off of row i
+            i = cols - off
+            keep = (i >= 0) & (i < n)
+            rows[i[keep], 1 + off] = dr[i[keep]] / (2.0 * d[cols[keep]])
+    return rows
+
+
+def _captured_newton_system(monkeypatch, module, run):
+    """(residual, jacobian, seed, solution) of the one ``solve_bvp`` call
+    that ``run()`` makes through ``module``."""
+    seen = []
+
+    def capture(residual, jacobian, guess, *args, **kwargs):
+        x, report = solve_bvp(residual, jacobian, guess, *args, **kwargs)
+        seen.append((residual, jacobian, np.array(guess, dtype=float), x))
+        return x, report
+
+    monkeypatch.setattr(module, "solve_bvp", capture)
+    run()
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestNewtonSystemJacobians:
+    """Every Newton system's banded Jacobian agrees with a central
+    difference of its residual on every row, the boundary rows included:
+    a wrong boundary entry only slows Newton down, so no convergence test
+    sees it."""
+
+    @staticmethod
+    def _assert_rows_agree(residual, jacobian, w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _band_rows(jacobian(w))
+            got = _central_difference_rows(residual, w)
+        scale = np.max(np.abs(want), axis=1)
+        err = np.max(np.abs(got - want), axis=1) / scale
+        assert np.all(scale > 0.0)
+        # measured at most 3.9e-10, on the steady state's first row
+        assert err.max() <= 1e-8, f"row {int(err.argmax())} of {w.size}: {err.max():.2e}"
+
+    @pytest.mark.parametrize("c", [0.0, 1.2, 1.8])
+    def test_front_system(self, c):
+        from quenchfront.travelingwave import (
+            QuenchParams,
+            _default_mesh,
+            _front_seed,
+            _LogFrontSystem,
+        )
+
+        params = QuenchParams(c, 1e-3)
+        mesh = _default_mesh(params, 5.0 / params.epsilon, 2001)
+        system = _LogFrontSystem(mesh, c)
+        residual, jacobian = system.equations(params.epsilon)
+        seed = _front_seed(mesh.nodes, system.mu_values(params.epsilon), c, params.epsilon)
+        for w in (seed, system.solve(seed, params.epsilon)[0]):
+            self._assert_rows_agree(residual, jacobian, w)
+
+    def test_connection_system(self, monkeypatch):
+        from quenchfront import painleve
+
+        residual, jacobian, seed, w = _captured_newton_system(
+            monkeypatch, painleve, lambda: painleve.solve_hastings_mcleod(n=4001)
+        )
+        for state in (seed, w):
+            self._assert_rows_agree(residual, jacobian, state)
+
+    @pytest.mark.parametrize("c", [0.0, 1.2])
+    def test_pde_steady_state_system(self, monkeypatch, c):
+        from quenchfront import pdesim
+
+        cfg = pdesim.SimConfig(frame="comoving", c=c, epsilon=0.05, domain=(-20.0, 60.0), n=201)
+        residual, jacobian, seed, w = _captured_newton_system(
+            monkeypatch, pdesim, lambda: pdesim.steady_state(cfg)
+        )
+        for state in (seed, w):
+            self._assert_rows_agree(residual, jacobian, state)
+
+
+# ---------------------------------------------------------------------------
 # continue_branch
 # ---------------------------------------------------------------------------
 
 def _corrector(residual, jacobian):
-    # Newton at tolerance 1e-12 with solve_bvp's default budget and no corners
+    # Newton at tolerance 1e-12 with solve_bvp's default budget
     return lambda guess, mu: solve_bvp(
         lambda u: residual(u, mu), lambda u: jacobian(u, mu), guess, tol=1e-12
     )
