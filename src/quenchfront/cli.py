@@ -69,6 +69,7 @@ from .solvercore import JacobianSingularError, SolveError
 from .specfun import airy
 from .travelingwave import (
     QuenchParams,
+    compare_with_rescaled_profile,
     predicted_delay,
     rescaled_inner_profile,
     solve_front,
@@ -244,9 +245,8 @@ def cmd_front(args) -> int:
     if c == 0.0:
         hm = solve_hastings_mcleod()
         inner = rescaled_inner_profile(sol, hm.eta, hm.w)
-        window = ~np.isnan(inner)
-        dev = float(np.max(np.abs(sol.u[window] - inner[window])))
-        meta.update(u_at_origin=sol.u_at_origin, inner_sup_deviation=dev, eps_two_thirds=eps ** (2 / 3))
+        dev, eps23 = compare_with_rescaled_profile(sol, hm.eta, hm.w)
+        meta.update(u_at_origin=sol.u_at_origin, inner_sup_deviation=dev, eps_two_thirds=eps23)
         columns = ["zeta", "xi", "mu", "u", "v", "u_inner"]
         rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v, inner)
     profile = _write_csv(os.path.join(outdir, "front_profile.csv"), meta, columns, rows)

@@ -75,7 +75,7 @@ def check_passage(c: float, epsilon: float, delta: float) -> None:
     """Raise ``ValueError`` unless 0 < c < 2, 0 < eps <= 1e-2, 0 < delta <= 0.5
     and the law's interface mu_fr = c^2/4 + theta lies below 1: the slow flow
     stops where g = 0, at theta = 1 - c^2/4, so a law delay past it is never
-    reached (``front_branch`` refuses the same condition)."""
+    reached."""
     if not (0.0 < c < 2.0):
         raise ValueError("speed must lie in (0, 2)")
     if not (0.0 < epsilon <= 1e-2):

@@ -261,15 +261,10 @@ class QuenchComparison:
 def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
     if cfg.ic == "small-bump":
         return cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
-    # front-seed: sqrt(max(mu,0)) switched on at the predicted interface
-    from .travelingwave import predicted_delay
+    # front-seed: the front solves' Newton seed, exponentiated on the grid
+    from .travelingwave import _front_seed
 
-    mu = np.tanh(cfg.epsilon * x)
-    if cfg.c > 0.0:
-        center = math.atanh(min(predicted_delay(cfg.c, cfg.epsilon), 0.999)) / cfg.epsilon
-    else:
-        center = 0.0
-    return np.sqrt(np.maximum(mu, 0.0)) * 0.5 * (1.0 + np.tanh(x - center))
+    return np.exp(_front_seed(x, np.tanh(cfg.epsilon * x), cfg.c, cfg.epsilon))
 
 
 def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:

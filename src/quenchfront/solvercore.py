@@ -1,7 +1,8 @@
 """Generic numerics shared by the solver modules: 1-D meshes, damped Newton
 iteration on discrete two-point BVPs (each step one tridiagonal LAPACK
 ``dgtsv`` solve), natural-parameter continuation with a secant
-predictor through an ordered list of stops, each landed on exactly, ODE
+predictor from a start through an ordered list of stops, each landed on
+exactly (a start alone is one corrector call), ODE
 integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, which
 locates sign-change events on the dense output, or (stiff, no events) by
 one compiled LSODA call, ``scipy.integrate.odeint``, and the largest
@@ -275,17 +276,19 @@ def continue_branch(
     corrector ``correct(guess, param) -> (solution, NewtonReport)``, from
     ``param_range[0]`` through each later entry in turn.
 
-    The entries must run in one direction; every one after the first is a
-    stop that the branch lands on exactly (the step to it is shortened to
-    reach it), and the step length, its growth count and the secant history
-    carry across stops.  The step halves on corrector failure and grows by
-    1.3 after three consecutive successes; stepping ends at the last stop or
-    when the step drops below 1e-10 (branch flagged "stalled").  A start that
-    does not converge raises :class:`SolveError` carrying its report.
+    The branch starts with one corrector call at ``param_range[0]`` from
+    ``start``; a one-entry range is just that call.  The entries must run in
+    one direction; every one after the first is a stop that the branch lands
+    on exactly (the step to it is shortened to reach it), and the step
+    length, its growth count and the secant history carry across stops.
+    The step halves on corrector failure and grows by 1.3 after three
+    consecutive successes; stepping ends at the last stop or when the step
+    drops below 1e-10 (branch flagged "stalled").  A start that does not
+    converge raises :class:`SolveError` carrying its report.
     """
     stops = [float(p) for p in param_range]
-    direction = 1 if len(stops) < 2 or stops[-1] >= stops[0] else -1
-    if len(stops) < 2 or any((b - a) * direction < 0.0 for a, b in zip(stops, stops[1:])):
+    direction = 1 if not stops or stops[-1] >= stops[0] else -1
+    if not stops or any((b - a) * direction < 0.0 for a, b in zip(stops, stops[1:])):
         raise ValueError("param_range needs a start and stops ordered in one direction")
 
     p_prev = stops[0]

@@ -57,9 +57,7 @@ __all__ = [
 
 # residual sup-norm tolerance of every Newton solve on the front system
 _TOL = 1e-10
-# every eps-branch starts from _front_seed at eps = _EPS_START, on a mesh
-# of finest spacing _H_MIN
-_EPS_START = 0.05
+# finest spacing of the eps-branch mesh
 _H_MIN = 0.05
 
 
@@ -152,18 +150,24 @@ def projection_rates(c: float, mu_left: float, mu_right: float) -> tuple[float, 
     return nu_u, nu_s
 
 
+def _interface_mu(c: float, epsilon: float) -> float:
+    """Where a front at speed c > 0 is expected to jump: ``predicted_delay``,
+    clipped to (1 + c^2/4)/2, halfway from mu_c to the ramp's end mu = 1,
+    which the law passes near c = 2 and at large eps."""
+    return min(predicted_delay(c, epsilon), 0.5 * (1.0 + c * c / 4.0))
+
+
 def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> np.ndarray:
     """Newton's start in w = log(u) on ``nodes``, where the ramp reads the
     increasing ``mu``.  In the linear tail q = w' solves q' = -q^2 + c q - mu,
     the fold's z' = -z^2 - theta in q = c/2 + z; the seed's tail is the
     trapezoid integral of its unstable root c/2 + sqrt(max(c^2/4 - mu, 0))
     (1/2 at c = 0), anchored at w = log(c/4) (log(1/4)) where mu, linearly
-    interpolated, reaches m = min(predicted_delay, (1 + c^2/4)/2) (0 at
-    c = 0); past it, the plateau log(sqrt(mu)) floored at the anchor level.
+    interpolated, reaches ``_interface_mu`` (0 at c = 0); past it, the
+    plateau log(sqrt(mu)) floored at the anchor level.
     """
     if c > 0.0:
-        level = math.log(c / 4.0)
-        m = min(predicted_delay(c, epsilon), 0.5 * (1.0 + c * c / 4.0))
+        level, m = math.log(c / 4.0), _interface_mu(c, epsilon)
         q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
     else:
         level, m = math.log(0.25), 0.0
@@ -197,9 +201,9 @@ class _LogFrontSystem:
 
     ``phase_fn(eps)`` optionally shifts the ramp argument: the ramp becomes
     tanh(eps*z + phase) on the stored mesh, i.e. the mesh lives in a frame
-    translated by phase/eps.  Continuation uses the predicted interface
-    position as the phase so the front stays pinned near z = 0 while eps
-    varies; the unshifted problem has phase 0.
+    translated by phase/eps.  ``front_branch`` uses atanh(``_interface_mu``)
+    as the phase, defined for every 0 < c < 2 and eps, so the front stays
+    pinned near z = 0 while eps varies; the unshifted problem has phase 0.
     """
 
     def __init__(self, mesh: Mesh, c: float, phase_fn=None):
@@ -404,50 +408,41 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
-    """Continue the tanh-ramp front family from ``_front_seed`` at
-    eps = 0.05 down through each target.
+    """Continue the tanh-ramp front family from ``_front_seed`` at its
+    largest target down through each smaller one.
 
-    One continuation in log(eps) on a single mesh takes every target as a
-    stop and lands on it exactly, each corrector being
-    ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.  Two
-    changes of variables keep the correctors quadratic all the way down:
-    the frame is shifted by the predicted interface position (so the jump
-    stays pinned near the mesh origin while the physical interface travels
-    O(1/eps)), and the unknown is the log-amplitude w = log(u) (so the
-    exponentially small plateau is resolved relatively, not additively).
-    Each front is returned in the unshifted u-variables with its target as
-    ``params.epsilon``.  The shift is atanh(predicted_delay(c, eps)), so a
-    start where that prediction reaches 1 (c near 2) raises ``ValueError``,
-    as does a target above the start; a continuation that stalls before the
-    last target raises :class:`SolveError`.
+    One continuation in log(eps) on a single mesh starts with one Newton
+    solve at the largest target (a single target is just that solve), takes
+    every smaller target as a stop and lands on it exactly, each corrector
+    being ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.
+    Two changes of variables keep the correctors quadratic all the way
+    down: the frame is shifted by the expected interface position
+    atanh(``_interface_mu``)/eps, so the jump stays pinned near the mesh
+    origin while the physical interface travels O(1/eps), and the unknown
+    is the log-amplitude w = log(u), so the exponentially small plateau is
+    resolved relatively, not additively.  Each front is returned in the
+    unshifted u-variables with its target as ``params.epsilon``.  An empty
+    target list or a (c, target) pair that ``QuenchParams`` refuses raises
+    ``ValueError``; a start that does not converge, or a continuation that
+    stalls before the last target, raises :class:`SolveError`.
     """
-    targets = sorted(set(float(e) for e in eps_targets), reverse=True)
-    if not targets or targets[-1] <= 0.0 or targets[0] > _EPS_START:
-        raise ValueError(f"need at least one target, all in (0, {_EPS_START}]")
-    if c > 0.0:
-        mu_start = predicted_delay(c, _EPS_START)
-        if mu_start >= 1.0:
-            raise ValueError(
-                f"predicted interface mu_fr = {mu_start:.4f} >= 1 at c={c}, "
-                f"eps_start={_EPS_START}: the atanh phase of the shifted frame is "
-                "undefined there"
-            )
-        phase_fn = lambda e: math.atanh(predicted_delay(c, e))
-    else:
-        phase_fn = None
+    targets = sorted({QuenchParams(c, float(e)).epsilon for e in eps_targets}, reverse=True)
+    if not targets:
+        raise ValueError("need at least one target")
+    phase_fn = (lambda e: math.atanh(_interface_mu(c, e))) if c > 0.0 else None
     mesh = _branch_mesh(c, targets[-1])
     system = _LogFrontSystem(mesh, c, phase_fn)
-    stops = [math.log(e) for e in [_EPS_START, *targets]]
+    stops = [math.log(e) for e in targets]
     correct = lambda w, s: system.solve(w, math.exp(s))
-    seed = _front_seed(mesh.nodes, system.mu_values(_EPS_START), c, _EPS_START)
+    seed = _front_seed(mesh.nodes, system.mu_values(targets[0]), c, targets[0])
     try:
         branch = continue_branch(correct, seed, stops, 0.4)
     except SolveError as exc:
-        raise SolveError(f"branch seed failed at eps={_EPS_START}", exc.report) from None
+        raise SolveError(f"branch start failed at eps={targets[0]}", exc.report) from None
     landed = {e.param: e for e in branch.entries}
     fronts = [
         system.front_solution(landed[s].solution, QuenchParams(c, eps), landed[s].report)
-        for eps, s in zip(targets, stops[1:])
+        for eps, s in zip(targets, stops)
         if s in landed
     ]
     if branch.status != "completed":
@@ -466,7 +461,7 @@ def _branch_mesh(c: float, eps_min: float) -> Mesh:
     scale = eps_min ** (-1.0 / 3.0)
     if c > 0.0:
         p_min = QuenchParams(c, eps_min)
-        zfp = p_min.zeta_of_mu(predicted_delay(c, eps_min))
+        zfp = p_min.zeta_of_mu(_interface_mu(c, eps_min))
         span = zfp - p_min.zeta_of_mu(c * c / 4.0)
         lo = -span - max(40.0, 2.0 * scale)
         hi = max(40.0, 2.0 * scale)

@@ -345,9 +345,8 @@ class TestDelaySweep:
 
     @pytest.mark.parametrize("c", ["1.9", "1.95"])
     def test_speed_near_two_solved(self, tmp_path, capsys, c):
-        # the continuation refused these speeds (its shifted frame's atanh
-        # phase is undefined at eps = 0.05); one direct solve per eps lands
-        # each, with slopes 0.644 and 0.640 measured
+        # one direct solve per eps lands each, with slopes 0.644 and 0.640
+        # measured
         code, out = run(
             ["delay-sweep", "--c", c, "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"], tmp_path
         )

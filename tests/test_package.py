@@ -129,7 +129,7 @@ def test_names_the_tracer_rebinds_resolve():
     t = tracer.Tracer()
     with t.installed():
         travelingwave.solve_front(travelingwave.QuenchParams(1.2, 0.01), 500.0, 2001)
-        travelingwave.front_branch(1.2, [0.02])
+        travelingwave.front_branch(1.2, [0.02, 0.01])
     counts = t.counters[0]
     assert counts["solvercore.continuation.calls"] == 1
     assert counts["solvercore.continuation.steps"] > 0

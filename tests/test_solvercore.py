@@ -456,9 +456,24 @@ class TestContinuation:
         branch = continue_branch(prob, np.array([math.sqrt(x)]), [x, 0.9], step0=1.0)
         assert list(branch.params) == [x, 0.9]
 
+    def test_one_entry_range_is_one_corrector_call(self):
+        calls = []
+        prob = _pitchfork_problem()
+
+        def counted(guess, mu):
+            calls.append(mu)
+            return prob(guess, mu)
+
+        branch = continue_branch(counted, np.array([0.6]), [0.25], step0=0.05)
+        assert calls == [0.25] and branch.status == "completed"
+        assert list(branch.params) == [0.25] and branch.step_history == []
+        assert branch.entries[0].solution[0] == pytest.approx(0.5, abs=1e-12)
+
     def test_unordered_stops_refused(self):
         with pytest.raises(ValueError, match="ordered in one direction"):
             continue_branch(_pitchfork_problem(), np.array([0.5]), [0.25, 0.5, 0.4], step0=0.05)
+        with pytest.raises(ValueError, match="needs a start"):
+            continue_branch(_pitchfork_problem(), np.array([0.5]), [], step0=0.05)
 
     def test_stall_on_unsolvable_range(self):
         # branch u = sqrt(mu) ceases to exist for mu < 0: stepping into the

@@ -241,32 +241,32 @@ class TestFrontBranch:
         assert len(calls) == len(fb.branch.entries)
         assert [f.params.epsilon for f in fb.fronts] == sorted(targets, reverse=True)
 
-    @pytest.mark.parametrize("c", [0.4, 0.8, 1.2, 1.6, 1.8])
+    @pytest.mark.parametrize("c", [0.4, 0.8, 1.2, 1.6, 1.8, 1.9, 1.95])
     def test_every_front_nonnegative_and_monotone(self, c):
-        # the paper's existence claim over 0 < c < 2; u underflows to 0 deep
-        # in the tail, and min diff(u) measures >= -1.1e-16
+        # the paper's existence claim over 0 < c < 2, with the delayed
+        # interface; u underflows to 0 deep in the tail, and min diff(u)
+        # measures >= -1.1e-16
         branch = front_branch(c, np.geomspace(2.5e-4, 2.5e-3, 10))
         assert len(branch.fronts) == 10
         for front in branch.fronts:
             assert np.all(front.u >= 0.0)
             assert np.min(np.diff(front.u)) >= -1e-9
+            assert front.mu_fr > c * c / 4.0
 
     def test_monotone_parameter_path(self):
         fb = front_branch(0.0, [5e-3, 2e-3])
         p = fb.branch.params
         assert np.all(np.diff(p) < 0)
 
-    @pytest.mark.parametrize("c", [1.9, 1.95])
-    def test_start_beyond_atanh_phase_refused(self, c, monkeypatch):
-        # predicted_delay(c, 0.05) >= 1: refused before any mesh is built
-        import quenchfront.travelingwave as tw
-
-        def no_mesh(*args):
-            raise AssertionError("mesh built")
-
-        monkeypatch.setattr(tw, "_branch_mesh", no_mesh)
-        with pytest.raises(ValueError, match=rf"c={c}, eps_start=0.05: the atanh phase"):
-            front_branch(c, [2.5e-3])
+    def test_corner_target_solved_and_bad_targets_refused(self):
+        # the interface clip keeps the shifted frame's atanh phase defined
+        # where the law passes mu = 1: predicted_delay(1.99, 0.1) = 1.027
+        fb = front_branch(1.99, [0.1])
+        assert len(fb.branch.entries) == 1 and fb.fronts[0].report.converged
+        assert 1.99**2 / 4.0 < fb.fronts[0].mu_fr < 1.0
+        for bad in ([0.11], [2.5e-3, 0.0], [-1e-3], []):
+            with pytest.raises(ValueError):
+                front_branch(1.2, bad)
 
 
 class TestAmplitudeFit:
