@@ -39,7 +39,11 @@ Ascher, Ruuth and Wetton (1995): with F_k = f(u_k, t_k),
 
 after one first-order IMEX Euler step (B - dt A4) u_1 = B (u_0 + dt F_0)
 and one SBDF2 step (3 B - 2 dt A4) u_2 = B (4 u_1 - u_0 + 2 dt (2 F_1 - F_0))
-at the same dt.  The extrapolated reaction is stable for dt |f'(u)| < 20/21,
+at the same dt.  The loop keeps u and F for the last three levels in one
+(6, n) history ring, so each step's right-hand side is one dot of a
+precomputed weight row with it (the Euler start, the SBDF2 step, then
+SBDF3's weights in their three rotations), and the solve writes u_{k+1}
+over level k-2.  The extrapolated reaction is stable for dt |f'(u)| < 20/21,
 with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).  Near that limit a
 parasitic root of the extrapolation is close to -1 (-0.76 at
 dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
@@ -69,7 +73,9 @@ The tracked front is the rightmost crossing of u through ``track_level``
 (linearly interpolated), a level in (0, 1), default 0.2.  A node with
 u == level counts as below it, so a profile that touches the level from
 below does not cross it, and one that touches it from above crosses it
-twice.  The homogeneous-quench comparison measures the front against the
+twice.  :func:`simulate` copies the tracked states into a block of rows and
+locates the crossings of the whole block in one vectorized pass.  The
+homogeneous-quench comparison measures the front against the
 characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the
 end of the transient.
 """
@@ -119,10 +125,14 @@ SPEED_TOLERANCE = 0.025
 # is largest, and every |u| <= 1.8e308 e^-350 = 1.8e156 stays finite at the
 # other; e.g. c = 1.2 on a domain longer than 1167 is solved unscaled
 _MAX_LOG_SCALE = 350.0
+# simulate copies tracked states into a block of this many rows and locates
+# their fronts a block at a time
+_TRACK_BLOCK = 32
 
 
 class SimulationAbort(RuntimeError):
-    """Non-finite state encountered; carries the last healthy snapshot."""
+    """Non-finite state encountered; carries a copy of the last healthy
+    state, the one at ``t``."""
 
     def __init__(self, t: float, u: np.ndarray):
         super().__init__(f"simulation aborted at t = {t:.6g} (non-finite state)")
@@ -267,14 +277,22 @@ def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
     return np.exp(_front_seed(x, np.tanh(cfg.epsilon * x), cfg.c, cfg.epsilon))
 
 
-def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> tuple[float, int]:
+def _rightmost_crossings(
+    x: np.ndarray, u: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``u``'s rightmost crossing through ``level``, linearly
+    interpolated (NaN where the row does not cross), and its number of
+    crossings, in one pass over the whole block."""
     above = u > level  # u == level counts as below
-    idx = (above[1:] != above[:-1]).nonzero()[0]  # np.flatnonzero without its wrappers
-    if idx.size == 0:
-        return math.nan, 0
-    i = idx[-1]
-    (x0, x1), (d0, d1) = x[i:i + 2].tolist(), (u[i:i + 2] - level).tolist()
-    return x0 + (x1 - x0) * d0 / (d0 - d1), int(idx.size)
+    change = above[:, 1:] != above[:, :-1]
+    count = np.count_nonzero(change, axis=1)
+    rows = np.flatnonzero(count)
+    i = change.shape[1] - 1 - np.argmax(change[rows, ::-1], axis=1)
+    x0, x1 = x[i], x[i + 1]
+    d0, d1 = u[rows, i] - level, u[rows, i + 1] - level
+    xi = np.full(len(u), math.nan)
+    xi[rows] = x0 + (x1 - x0) * d0 / (d0 - d1)
+    return xi, count
 
 
 def _min_step(h: float, c: float, s: float) -> float:
@@ -394,87 +412,91 @@ def _implicit_solver(
     return solve
 
 
-def _reaction(u: np.ndarray, a: float | np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
-    """out <- u*(a + b u^2) in four in-place passes; with a = w(1 + dt mu) and
-    b = -w dt this is w(u + dt(mu u - u^3))."""
-    np.multiply(u, u, out=out)
-    out *= b
-    out += a
-    out *= u
-    return out
-
-
 def simulate(cfg: SimConfig) -> SimResult:
     """March with SBDF3 (one IMEX Euler and one SBDF2 step first); returns
     snapshots and the front track.
 
-    A non-finite state aborts with :class:`SimulationAbort` carrying the
-    last healthy snapshot.
+    A non-finite state aborts with :class:`SimulationAbort` carrying a copy
+    of the last healthy state.
     """
     wall0 = time.perf_counter()
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     dt, eps = cfg.dt, cfg.epsilon
     steps = int(math.ceil(cfg.t_end / dt))
-    u = _initial_condition(cfg, x)
-    # each step solves M u_{k+1} = B (m E_k + P_k) with E_k = 18 (u_k + dt F_k):
-    # M = 18 (B - dt A4) for the Euler start, 9 (3B - 2dt A4) with m = 2 for
-    # the SBDF2 step, then 11B - 6dt A4.  P_k and Q_k carry what the two
-    # earlier levels add: P_{k+1} = Q_k + 9 u_k - E_k and Q_{k+1} = E_k/3 - 4 u_k.
-    solvers = [
-        _implicit_solver(cfg.n, cfg.h, dt_m, cfg.c, s)
-        for dt_m, s in ((18.0 * dt, 18.0), (18.0 * dt, 27.0), (6.0 * dt, 11.0))
-    ]
+    # u_k and F_k of the last three levels, level k in rows 2 (k % 3) and
+    # 2 (k % 3) + 1; each step solves (s B - m dt A4) u_{k+1} = B (w . ring)
+    # into the rows of level k - 2, with w the weights of (u, dt F) on levels
+    # k, k-1, k-2: 18 (u_0 + dt F_0) for the Euler start, 9 (4 u_1 - u_0 +
+    # 2dt (2 F_1 - F_0)) for the SBDF2 step, then the docstring's SBDF3 sum
+    ring = np.zeros((6, cfg.n))
+    levels = [(ring[2 * j], ring[2 * j + 1]) for j in range(3)]
+    schemes = (  # s, m, weights
+        (18.0, 18.0, ((18.0, 18.0),)),
+        (27.0, 18.0, ((36.0, 36.0), (-9.0, -18.0))),
+        (11.0, 6.0, ((18.0, 18.0), (-9.0, -18.0), (2.0, 6.0))),
+    )
+    solvers = [_implicit_solver(cfg.n, cfg.h, m * dt, cfg.c, s) for s, m, _ in schemes]
+    # the rows of steps 0-4; step k >= 5 repeats step k - 3's
+    weights = [np.zeros(6) for _ in range(5)]
+    for k, w in enumerate(weights):
+        for i, (wu, wf) in enumerate(schemes[min(k, 2)][2]):
+            j = 2 * ((k - i) % 3)
+            w[j], w[j + 1] = wu, wf * dt
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
     track_stride = max(1, steps // 2000)
 
+    u = levels[0][0]
+    u[:] = _initial_condition(cfg, x)
     times, snaps = [0.0], [u.copy()]
-    tt, tx = [0.0], [_rightmost_crossing(x, u, cfg.track_level)[0]]
-    multi = False
-    w = 18.0  # the reaction is evaluated as E = u (a + b u^2), a = w (1 + dt mu)
-    b = -w * dt
+    # tracked states are copied into a block and located a block at a time
+    block = np.empty((_TRACK_BLOCK, cfg.n))
+    block[0] = u
+    filled, tt, tx, tcount = 1, [0.0], [], []
     # mu depends on t only in the lab frame without a frozen value: per step
-    # a float at alpha = 0, else -tanh(ramp - eps t) with ramp formed once
+    # a float at alpha = 0, else tanh(eps t - ramp) with ramp formed once
     ramp, quench = None, cfg.frozen_mu is None and cfg.frame == "lab" and cfg.alpha == 0.0
     if cfg.frozen_mu is not None:
-        a = w + w * dt * float(cfg.frozen_mu)
+        mu = float(cfg.frozen_mu)
     elif cfg.frame == "comoving":
-        a = w + w * dt * np.tanh(eps * x)
+        mu = np.tanh(eps * x)
     elif not quench:
-        ramp, a = eps * cfg.alpha * x, np.empty_like(u)
-    e, p, q, free = np.empty_like(u), np.zeros_like(u), np.zeros_like(u), np.empty_like(u)
+        ramp, mu = eps * cfg.alpha * x, np.empty_like(u)
+    rhs = np.empty_like(u)
     zeros = np.zeros_like(u)  # zeros @ u is NaN iff u has a NaN or an inf
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
         for k in range(steps):
             t = k * dt
+            u, f = levels[k % 3]
             if ramp is not None:
-                np.subtract(ramp, eps * t, out=a)
-                np.tanh(a, out=a)
-                a *= b
-                a += w
+                np.subtract(eps * t, ramp, out=mu)
+                np.tanh(mu, out=mu)
             elif quench:
-                a = w + w * dt * math.tanh(eps * t)
-            _reaction(u, a, b, e)
-            blas.daxpy(e, p, a=2.0 if k == 1 else 1.0)
-            u_new = solvers[min(k, 2)](p, free)
+                mu = math.tanh(eps * t)
+            np.multiply(u, u, out=f)  # F_k = mu u_k - u_k^3
+            np.subtract(mu, f, out=f)
+            f *= u
+            np.dot(weights[k if k < 2 else 2 + (k - 2) % 3], ring, out=rhs)
+            u_new = solvers[min(k, 2)](rhs, levels[(k + 1) % 3][0])
             if not math.isfinite(zeros @ u_new):
-                raise SimulationAbort(t, u)
-            blas.daxpy(u, q, a=9.0)
-            q -= e  # q's buffer now holds P_{k+1}
-            np.multiply(u, -4.0, out=p)
-            blas.daxpy(e, p, a=1.0 / 3.0)  # Q_{k+1}
-            u, p, q, free = u_new, q, p, u
+                raise SimulationAbort(t, u.copy())
             t = (k + 1) * dt
             if (k + 1) % track_stride == 0 or k + 1 == steps:
-                xi, count = _rightmost_crossing(x, u, cfg.track_level)
-                multi = multi or count > 1
+                block[filled] = u_new
+                filled += 1
                 tt.append(t)
-                tx.append(xi)
+                if filled == _TRACK_BLOCK or k + 1 == steps:
+                    xi, count = _rightmost_crossings(x, block[:filled], cfg.track_level)
+                    tx.append(xi)
+                    tcount.append(count)
+                    filled = 0
             if (k + 1) % snap_stride == 0 or k + 1 == steps:
                 times.append(t)
-                snaps.append(u.copy())
-    track = FrontTrack(np.array(tt), np.array(tx), cfg.track_level, multi)
+                snaps.append(u_new.copy())
+    counts = np.concatenate(tcount)
+    multi = bool(np.any(counts[1:] > 1))  # the initial state does not count
+    track = FrontTrack(np.array(tt), np.concatenate(tx), cfg.track_level, multi)
     return SimResult(
         x, np.array(times), np.stack(snaps), track, cfg,
         steps=steps, wall_s=time.perf_counter() - wall0,

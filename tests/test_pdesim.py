@@ -143,6 +143,19 @@ class TestInvasion:
             simulate(cfg)
         assert np.all(np.isfinite(err.value.u))
 
+    def test_abort_carries_a_copy_of_the_state_at_t(self):
+        # dt = 2^-5 makes t/dt exact, so the run stopped at t ends on that state
+        base = dict(frozen_mu=1.0, domain=(0.0, 50.0), n=501, ic_amplitude=1e8, ic_width=2.0,
+                    ic_center=25.0, dt=2.0**-5)
+        with pytest.raises(SimulationAbort) as err:
+            simulate(SimConfig(t_end=10.0, **base))
+        t, u = err.value.t, err.value.u
+        assert t > 0.0
+        assert u.base is None  # owns its data: not a view of the stepper's history
+        res = simulate(SimConfig(t_end=t, snapshot_dt=t, **base))
+        assert res.steps == round(t / base["dt"])
+        assert np.array_equal(res.snapshots[-1], u)
+
     @pytest.mark.parametrize(
         "value,aborts",
         [(math.nan, True), (math.inf, True), (-math.inf, True), (sys.float_info.max, False)],
@@ -375,6 +388,17 @@ def _rightmost_crossing_reference(x, u, level):
     return float(xi), int(count)
 
 
+def _track_row(x, u, level):
+    """``_rightmost_crossings`` on a block of one row."""
+    xi, count = pdesim._rightmost_crossings(x, np.asarray(u, dtype=float)[None], level)
+    return float(xi[0]), int(count[0])
+
+
+def _same_crossing(got, want):
+    assert got[1] == want[1]
+    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+
 class TestTracker:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_reference_on_strict_crossings(self, seed):
@@ -385,26 +409,105 @@ class TestTracker:
         # smooth random profiles with a few crossings, and rough ones with many
         u = np.cumsum(rng.normal(0.0, 0.1 if seed % 2 else 0.5, n)) + level
         assert not np.any(u == level)
-        got = pdesim._rightmost_crossing(x, u, level)
-        want = _rightmost_crossing_reference(x, u, level)
-        assert got[1] == want[1]
-        assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+        _same_crossing(_track_row(x, u, level), _rightmost_crossing_reference(x, u, level))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blocks_match_reference_row_by_row(self, seed):
+        # blocks of 1 to 69 random rows, a quarter of them lifted wholly
+        # above or pushed wholly below the level (no crossing: NaN, count 0)
+        rng = np.random.default_rng(100 + seed)
+        n, rows = int(rng.integers(2, 400)), int(rng.integers(1, 70))
+        x = np.sort(rng.uniform(-50.0, 250.0, n))
+        level = float(rng.uniform(0.01, 0.99))
+        u = np.cumsum(rng.normal(0.0, rng.choice([0.1, 0.5], (rows, 1)), (rows, n)), axis=1)
+        u += level
+        u[rng.random(rows) < 0.125] += 1e3
+        u[rng.random(rows) < 0.125] -= 1e3
+        u[0] += 1e3  # at least one row never crosses
+        assert not np.any(u == level)
+        xi, count = pdesim._rightmost_crossings(x, u, level)
+        assert xi.shape == count.shape == (rows,)
+        assert math.isnan(xi[0]) and count[0] == 0
+        for row, got in zip(u, zip(xi.tolist(), count.tolist())):
+            _same_crossing(got, _rightmost_crossing_reference(x, row, level))
+
+    def test_block_without_crossings_is_nan(self):
+        # no row crosses: every entry NaN, with no RuntimeWarning (pytest
+        # turns one into an error)
+        x = np.linspace(0.0, 1.0, 5)
+        xi, count = pdesim._rightmost_crossings(x, np.full((3, 5), 0.2), 0.2)
+        assert np.all(np.isnan(xi)) and np.array_equal(count, [0, 0, 0])
+
+    _EXACT = [
+        ([0.1, 0.2, 0.1], (math.nan, 0)),  # touches from below: no crossing
+        ([0.5, 0.2, 0.5], (1.0, 2)),  # touches from above: two crossings
+        ([0.5, 0.2, 0.1], (1.0, 1)),  # passes through the level at a node
+        ([0.1, 0.2, 0.5], (1.0, 1)),
+        ([0.2, 0.2, 0.2], (math.nan, 0)),
+    ]
 
     @pytest.mark.parametrize(
-        "u,expected",
-        [
-            ([0.1, 0.2, 0.1], (math.nan, 0)),  # touches from below: no crossing
-            ([0.5, 0.2, 0.5], (1.0, 2)),  # touches from above: two crossings
-            ([0.5, 0.2, 0.1], (1.0, 1)),  # passes through the level at a node
-            ([0.1, 0.2, 0.5], (1.0, 1)),
-            ([0.2, 0.2, 0.2], (math.nan, 0)),
-        ],
+        "u,expected", _EXACT,
         ids=["touch-below", "touch-above", "down-through-node", "up-through-node", "flat"],
     )
     def test_exact_level_counts_as_below(self, u, expected):
-        xi, count = pdesim._rightmost_crossing(np.array([0.0, 1.0, 2.0]), np.array(u), 0.2)
-        assert count == expected[1]
-        assert xi == expected[0] or (math.isnan(xi) and math.isnan(expected[0]))
+        _same_crossing(_track_row(np.array([0.0, 1.0, 2.0]), u, 0.2), expected)
+
+    def test_exact_level_cases_as_one_block(self):
+        u = np.array([row for row, _ in self._EXACT])
+        xi, count = pdesim._rightmost_crossings(np.array([0.0, 1.0, 2.0]), u, 0.2)
+        for got, (_, want) in zip(zip(xi.tolist(), count.tolist()), self._EXACT):
+            _same_crossing(got, want)
+
+
+class TestBlockedTrack:
+    """``simulate`` locates the front on blocks of tracked states; with
+    ``snapshot_dt = dt`` every state is kept, and the track must equal the
+    reference tracker on those states, bit for bit."""
+
+    @staticmethod
+    def _track_against_reference(cfg, stride):
+        res = simulate(cfg)
+        steps = res.steps
+        assert max(1, steps // 2000) == stride
+        assert len(res.times) == steps + 1  # every state is a snapshot
+        tracked = list(range(0, steps + 1, stride)) + ([steps] if steps % stride else [])
+        ref = [_rightmost_crossing_reference(res.x, res.snapshots[j], cfg.track_level)
+               for j in tracked]
+        assert np.array_equal(res.track.times, res.times[tracked])
+        assert np.array_equal(res.track.x_fr_num, [xi for xi, _ in ref], equal_nan=True)
+        counts = np.array([count for _, count in ref])
+        # the initial state's crossings do not count
+        assert res.track.multiple_crossings == bool(np.any(counts[1:] > 1))
+        return counts
+
+    def test_two_crossings_first_in_the_last_partial_block(self):
+        # a bump in the middle of a frozen mu = 1 run crosses 0.2 on both
+        # sides from state 34 on; 38 steps track 39 states, so the last
+        # block is partial and only it holds states with two crossings
+        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=81, t_end=4.75, ic_center=10.0,
+                        ic_width=2.0, ic_amplitude=0.007, snapshot_dt=0.125)
+        block = pdesim._TRACK_BLOCK
+        counts = self._track_against_reference(cfg, stride=1)
+        assert len(counts) % block != 0
+        first = int(np.argmax(counts > 1))
+        assert counts[first] == 2 and first >= len(counts) - len(counts) % block
+
+    def test_every_other_state_in_a_long_run(self):
+        # 4001 steps track every second state and the last: 2002 states,
+        # not a multiple of the block; the comoving front crosses in each
+        cfg = SimConfig(frame="comoving", c=1.2, epsilon=0.05, domain=(-10.0, 20.0), n=61,
+                        t_end=800.1, ic="front-seed", snapshot_dt=0.2)
+        counts = self._track_against_reference(cfg, stride=2)
+        assert len(counts) == 2002 and np.all(counts >= 1)
+
+    def test_crossings_of_the_initial_state_do_not_count(self):
+        # the bump crosses 0.2 twice at t = 0 and has decayed below it one
+        # step later
+        cfg = SimConfig(frozen_mu=-1.0, domain=(0.0, 20.0), n=81, t_end=1.0, ic_center=10.0,
+                        ic_width=2.0, ic_amplitude=0.21, snapshot_dt=0.125)
+        counts = self._track_against_reference(cfg, stride=1)
+        assert counts[0] == 2 and not np.any(counts[1:])
 
 
 def _last_crossing(x, u, level):
@@ -694,6 +797,30 @@ def test_steady_state_delay_matches_bvp(c, eps, order4):
     assert abs((16.0 * gap[0.2] - gap[0.4]) / 15.0) <= 1e-4
     if order4:  # well above the BVP's own mesh error: the gap is the PDE's O(h^4)
         assert 15.0 <= gap[0.4] / gap[0.2] <= 17.5
+
+
+@pytest.mark.parametrize(
+    "c,t_end,bound", [(0.6, 1000.0, 5e-3), (1.2, 900.0, 0.06)], ids=["c0.6", "c1.2"]
+)
+def test_moving_ramp_locks_at_the_bvp_interface(c, t_end, bound):
+    # the lab-frame ramp mu = -tanh(eps (alpha x - t)) moves at c = 1/alpha
+    # with slope eps alpha = 1e-2; from a small bump at x = 0 the front
+    # (tracked at the BVP's threshold c/4, h = 0.4, dt = 0.2) locks at
+    # x_fr = c t - zeta_fr.  Measured gaps x_fr - c t + zeta_fr at t_end for
+    # dt = 0.2, 0.1, 0.05: 1.78e-3, 1.91e-3, 1.93e-3 at c = 0.6 and -0.0515,
+    # -0.0062, 1e-4 at c = 1.2.  The pair (0.2, 0.1) falls 7.3x at c = 1.2,
+    # third order, so dt = 0.2's time error is 8/7 of its difference: 1.5e-4
+    # and 0.052; the bound adds the dt -> 0 gap (1.9e-3 and 1e-4) and a margin
+    slope = 1e-2
+    zeta_fr = front_location(solve_front(QuenchParams(c, slope), 5.0 / slope, 4001))[1]
+    lo, hi = -100.0, c * t_end + 100.0
+    cfg = SimConfig(alpha=1.0 / c, epsilon=slope * c, domain=(lo, hi),
+                    n=int(round((hi - lo) / 0.4)) + 1, t_end=t_end, track_level=c / 4.0)
+    assert cfg.dt == 0.2
+    res = simulate(cfg)
+    assert res.track.times[-1] == pytest.approx(t_end)
+    gap = res.track.x_fr_num[-1] - c * res.track.times[-1] + zeta_fr
+    assert abs(gap) <= bound
 
 
 class TestErrorState:
