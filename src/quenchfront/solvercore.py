@@ -111,25 +111,40 @@ class Mesh:
     ) -> "Mesh":
         """Uniform spacing ``h_min`` on [focus_lo, focus_hi], geometrically
         coarsened by ``factor`` toward both domain ends, capped at ``h_max``.
-        Both ends must be finite."""
+        Both ends must be finite and both spacings positive.
+
+        Toward each end the k-th spacing is min(h_min factor^k, h_max), the
+        power taken as a running product, until the running total of the
+        spacings reaches the end; a step that would pass it is cut to the
+        distance left."""
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"mesh ends must be finite, got [{a!r}, {b!r}]")
         if not (a <= focus_lo < focus_hi <= b):
             raise ValueError("focus interval must lie inside the domain")
         if not (1.0 < factor <= 4.0):
             raise ValueError("grading factor must lie in (1, 4]")
+        if not (h_min > 0.0 and h_max > 0.0):
+            raise ValueError("mesh spacings h_min and h_max must be positive")
         core = np.arange(focus_lo, focus_hi + 0.5 * h_min, h_min)
 
         def ramp(start: float, limit: float, direction: float) -> np.ndarray:
             dist = (limit - start) * direction
             if dist <= 1e-12 * max(1.0, abs(limit)):
                 return np.empty(0)
-            hs: list[float] = []
-            h, total = h_min, 0.0
-            while total < dist * (1.0 - 1e-14):
-                h = min(h * factor, h_max, dist - total)
-                hs.append(h)
-                total += h
+            # h_min factor^k passes min(h_max, dist) by k = grow, and each step
+            # is at least min(h_min, h_max): n steps reach dist.  Past k = grow
+            # the power stops growing (so never overflows): the steps there
+            # are h_max, or lie beyond the end
+            grow = int(math.log(max(min(h_max, dist) / h_min, 1.0)) / math.log(factor)) + 2
+            n = int(min(dist / min(h_min, h_max), grow + dist / h_max)) + 2
+            powers = np.ones(n + 1)
+            powers[0], powers[1 : grow + 1] = h_min, factor
+            steps = np.minimum(np.cumprod(powers)[1:], h_max)
+            totals = np.cumsum(steps)
+            room = dist - np.concatenate(([0.0], totals[:-1]))
+            k = int(np.argmax((room < steps) | (totals >= dist * (1.0 - 1e-14))))
+            hs = steps[: k + 1]
+            hs[-1] = min(hs[-1], room[k])
             if len(hs) >= 2 and hs[-1] < 0.3 * hs[-2]:
                 # split the merged tail evenly so the grading bound holds
                 half = 0.5 * (hs[-1] + hs[-2])
@@ -226,7 +241,9 @@ def solve_bvp(
         while lam >= 2.0**-10:
             x_try = x + lam * step
             r_try = residual(x_try)
-            n_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else math.inf
+            n_try = float(np.max(np.abs(r_try)))
+            if not math.isfinite(n_try):  # an overflowed or NaN trial
+                n_try = math.inf
             if n_try < norm:
                 best = (x_try, r_try, n_try, lam)
                 break

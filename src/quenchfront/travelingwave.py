@@ -235,6 +235,25 @@ class _LogFrontSystem:
         """The central first difference of ``w`` at the interior nodes."""
         return self.d1m * w[:-2] + self.d1c * w[1:-1] + self.d1p * w[2:]
 
+    def slope(self, w: np.ndarray) -> np.ndarray:
+        """w' at every node: ``derivative`` inside, and at the two ends the
+        second-order one-sided three-point stencils, the weights and order
+        of operations of ``np.gradient(w, nodes, edge_order=2)``."""
+        z = self.mesh.nodes
+        dw = np.empty_like(w)
+        dw[1:-1] = self.derivative(w)
+        dx1, dx2 = z[1] - z[0], z[2] - z[1]
+        a = -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2))
+        b = (dx1 + dx2) / (dx1 * dx2)
+        c = -dx1 / (dx2 * (dx1 + dx2))
+        dw[0] = a * w[0] + b * w[1] + c * w[2]
+        dx1, dx2 = z[-2] - z[-3], z[-1] - z[-2]
+        a = dx2 / (dx1 * (dx1 + dx2))
+        b = -(dx2 + dx1) / (dx1 * dx2)
+        c = (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2))
+        dw[-1] = a * w[-3] + b * w[-2] + c * w[-1]
+        return dw
+
     def equations(self, epsilon: float):
         """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
         the projection closures evaluated once for both.  Each closure row
@@ -244,39 +263,48 @@ class _LogFrontSystem:
         at the left end, where the bracket's first three terms cancel to
         rounding, and (w_{n-1} - w_{n-2})/h + (h/2)(-q^2 + c q - mu +
         e^{2w}) with q = nu_s (1 - u_+ e^{-w}) at the right.  So the
-        Jacobian is tridiagonal, returned in (1, 1) band storage."""
+        Jacobian is tridiagonal, returned in (1, 1) band storage.
+
+        One evaluation per Newton iterate serves both: ``residual`` keeps
+        the centred derivative and e^{2w} of the array it was given, and
+        ``jacobian`` called on that same array object (unmodified since)
+        reuses them; on any other array, such as an earlier line-search
+        trial, it computes them afresh."""
         mu = self.mu_values(epsilon)
         c, h0, h1 = self.c, self.h0, self.h1
         nu_u, nu_s = projection_rates(c, mu[0], mu[-1])
         g0 = -nu_u * nu_u + c * nu_u - mu[0]
         u_plus = math.sqrt(mu[-1])
+        held = (None, None, None)  # the iterate residual saw last, its w' and e^{2w}
 
         def residual(w: np.ndarray) -> np.ndarray:
-            dc = self.derivative(w)
+            nonlocal held
+            dc, e2 = self.derivative(w), np.exp(2.0 * w)
+            held = (w, dc, e2)
             r = np.empty_like(w)
-            wc = w[1:-1]
             r[1:-1] = (
-                self.d2m * w[:-2] + self.d2c * wc + self.d2p * w[2:] + dc * dc - c * dc
-                + mu[1:-1] - np.exp(2.0 * wc)
+                self.d2m * w[:-2] + self.d2c * w[1:-1] + self.d2p * w[2:] + dc * dc - c * dc
+                + mu[1:-1] - e2[1:-1]
             )
-            r[0] = (w[1] - w[0]) / h0 - 0.5 * h0 * (g0 + np.exp(2.0 * w[0])) - nu_u
+            r[0] = (w[1] - w[0]) / h0 - 0.5 * h0 * (g0 + e2[0]) - nu_u
             q = nu_s * (1.0 - u_plus * np.exp(-w[-1]))
-            d2 = c * q - q * q - mu[-1] + np.exp(2.0 * w[-1])  # w'' at slope q
+            d2 = c * q - q * q - mu[-1] + e2[-1]  # w'' at slope q
             r[-1] = (w[-1] - w[-2]) / h1 + 0.5 * h1 * d2 - q
             return r
 
         def jacobian(w: np.ndarray) -> np.ndarray:
-            g = 2.0 * self.derivative(w) - c
+            dc, e2 = held[1:] if held[0] is w else (self.derivative(w), np.exp(2.0 * w))
+            g = 2.0 * dc - c
             ab = np.empty((3, w.size))
             ab[0, 2:] = self.d2p + g * self.d1p
-            ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * np.exp(2.0 * w[1:-1])
+            ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * e2[1:-1]
             ab[2, :-2] = self.d2m + g * self.d1m
             ab[0, 0], ab[0, 1] = 0.0, 1.0 / h0
-            ab[1, 0] = -1.0 / h0 - h0 * np.exp(2.0 * w[0])
+            ab[1, 0] = -1.0 / h0 - h0 * e2[0]
             dq = nu_s * u_plus * np.exp(-w[-1])  # dq/dw at the right end
             q = nu_s - dq  # nu_s (1 - u_+ e^{-w})
             ab[2, -2], ab[2, -1] = -1.0 / h1, 0.0
-            ab[1, -1] = 1.0 / h1 + 0.5 * h1 * ((c - 2.0 * q) * dq + 2.0 * np.exp(2.0 * w[-1])) - dq
+            ab[1, -1] = 1.0 / h1 + 0.5 * h1 * ((c - 2.0 * q) * dq + 2.0 * e2[-1]) - dq
             return ab
 
         return residual, jacobian
@@ -294,7 +322,7 @@ class _LogFrontSystem:
 
     def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
         u = np.exp(w)
-        v = u * np.gradient(w, self.mesh.nodes, edge_order=2)  # u_zeta = u w_zeta
+        v = u * self.slope(w)  # u_zeta = u w_zeta
         nodes = self.true_zeta(params.epsilon)
         mesh = self.mesh if self.phase_fn is None else Mesh(nodes)
         sol = FrontSolution(

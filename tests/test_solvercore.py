@@ -58,6 +58,81 @@ class TestMesh:
         assert r.max() <= 4.0 + 1e-9 and r.min() >= 0.25 - 1e-9
 
 
+def _graded_loop(a, b, focus_lo, focus_hi, h_min, factor, h_max):
+    """The step-by-step ``Mesh.graded`` that the vectorized ramp replaced,
+    kept as the oracle: (nodes, whether a merged tail was split)."""
+    core = np.arange(focus_lo, focus_hi + 0.5 * h_min, h_min)
+    split = False
+
+    def ramp(start, limit, direction):
+        nonlocal split
+        dist = (limit - start) * direction
+        if dist <= 1e-12 * max(1.0, abs(limit)):
+            return np.empty(0)
+        hs = []
+        h, total = h_min, 0.0
+        while total < dist * (1.0 - 1e-14):
+            h = min(h * factor, h_max, dist - total)
+            hs.append(h)
+            total += h
+        if len(hs) >= 2 and hs[-1] < 0.3 * hs[-2]:
+            half = 0.5 * (hs[-1] + hs[-2])
+            hs[-2:] = [half, half]
+            split = True
+        nodes = start + direction * np.cumsum(hs)
+        nodes[-1] = limit
+        return nodes
+
+    left = ramp(core[0], a, -1.0)[::-1]
+    right = ramp(core[-1], b, +1.0)
+    return Mesh(np.concatenate([left, core, right])).nodes, split
+
+
+def _graded_grid():
+    """Seeded (a, b, focus_lo, focus_hi, h_min, factor, h_max) cases: every
+    factor with a finite and an infinite cap, focus edges on a domain end,
+    and caps below h_min / 4 that the grading bound refuses."""
+    rng = np.random.default_rng(20260)
+    cases = []
+    for factor in (1.05, 1.1, 1.5, 2.0, 4.0):
+        for k in range(24):
+            a = -float(rng.uniform(1.0, 800.0))
+            b = float(rng.uniform(1.0, 800.0))
+            lo = float(rng.uniform(a, 0.0))
+            hi = float(rng.uniform(0.5, b))
+            if k % 6 == 0:
+                lo = a
+            elif k % 6 == 1:
+                hi = b
+            h_min = float(rng.uniform(0.01, 0.5))
+            h_max = math.inf if k % 2 else h_min * float(np.exp(rng.uniform(-2.5, 5.0)))
+            cases.append((a, b, lo, hi, h_min, factor, h_max))
+    return cases
+
+
+class TestGradedAgainstLoop:
+    def test_nodes_or_error_match_the_loop(self):
+        splits = errors = 0
+        for a, b, lo, hi, h_min, factor, h_max in _graded_grid():
+            try:
+                want, split = _graded_loop(a, b, lo, hi, h_min, factor, h_max)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    Mesh.graded(a, b, lo, hi, h_min=h_min, factor=factor, h_max=h_max)
+                errors += 1
+                continue
+            got = Mesh.graded(a, b, lo, hi, h_min=h_min, factor=factor, h_max=h_max).nodes
+            assert np.array_equal(got, want), (a, b, lo, hi, h_min, factor, h_max)
+            splits += split
+        # the grid reaches the merged-tail split and the refused caps
+        assert splits >= 10 and errors >= 5
+
+    @pytest.mark.parametrize("h_min, h_max", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, math.nan)])
+    def test_nonpositive_spacing_refused(self, h_min, h_max):
+        with pytest.raises(ValueError, match="positive"):
+            Mesh.graded(-10.0, 10.0, -1.0, 1.0, h_min=h_min, factor=1.1, h_max=h_max)
+
+
 # ---------------------------------------------------------------------------
 # solve_bvp
 # ---------------------------------------------------------------------------

@@ -269,6 +269,88 @@ class TestFrontBranch:
                 front_branch(1.2, bad)
 
 
+class TestOneAssemblyPerIterate:
+    """``equations``' residual keeps w' and e^{2w} for the jacobian at the
+    same iterate; every Jacobian equals a from-scratch one."""
+
+    @staticmethod
+    def _system(c=1.2, eps=1e-3):
+        import quenchfront.travelingwave as tw
+
+        params = QuenchParams(c, eps)
+        mesh = tw._default_mesh(params, 5.0 / eps, 2001)
+        system = tw._LogFrontSystem(mesh, c)
+        seed = tw._front_seed(mesh.nodes, system.mu_values(eps), c, eps)
+        return system, seed
+
+    @staticmethod
+    def _counting_derivative(system, monkeypatch):
+        calls = []
+        derivative = system.derivative
+
+        def counted(w):
+            calls.append(1)
+            return derivative(w)
+
+        monkeypatch.setattr(system, "derivative", counted)
+        return calls
+
+    def test_jacobian_after_residual_at_the_same_iterate(self, monkeypatch):
+        system, w = self._system()
+        calls = self._counting_derivative(system, monkeypatch)
+        residual, jacobian = system.equations(1e-3)
+        r = residual(w)
+        got = jacobian(w)
+        assert len(calls) == 1  # the jacobian reused the residual's w'
+        fresh_residual, fresh_jacobian = system.equations(1e-3)
+        assert np.array_equal(got, fresh_jacobian(w))
+        assert np.array_equal(r, fresh_residual(w))
+
+    def test_jacobian_at_an_earlier_trial_recomputes(self, monkeypatch):
+        # the line search accepting an earlier trial than the one last evaluated
+        system, w1 = self._system()
+        w2 = w1 + 1e-3 * np.sin(np.arange(w1.size))
+        residual, jacobian = system.equations(1e-3)
+        residual(w1)
+        residual(w2)
+        calls = self._counting_derivative(system, monkeypatch)
+        got = jacobian(w1)
+        assert len(calls) == 1
+        assert np.array_equal(got, system.equations(1e-3)[1](w1))
+
+
+class TestFrontSlope:
+    """v = u w' with w' from the system's own weights, bitwise numpy's
+    second-order ``np.gradient``, kept here as the reference."""
+
+    def test_direct_solve(self, monkeypatch):
+        import quenchfront.travelingwave as tw
+
+        seen = []
+        front_solution = tw._LogFrontSystem.front_solution
+
+        def captured(system, w, params, report):
+            sol = front_solution(system, w, params, report)
+            seen.append((system, w, sol))
+            return sol
+
+        monkeypatch.setattr(tw._LogFrontSystem, "front_solution", captured)
+        solve_front(QuenchParams(1.2, 5e-3), domain_halflength=1000.0, n=3001)
+        [(system, w, sol)] = seen
+        reference = np.gradient(w, system.mesh.nodes, edge_order=2)
+        assert np.array_equal(sol.v, sol.u * reference)
+        # u underflows to 0 at the left end, so v alone does not see that stencil
+        assert np.array_equal(system.slope(w), reference)
+
+    def test_shifted_frame_branch(self):
+        fb = front_branch(1.2, [2.5e-3, 1.5e-3])
+        landed = {e.param: e.solution for e in fb.branch.entries}
+        for front in fb.fronts:
+            w = landed[math.log(front.params.epsilon)]
+            assert not np.array_equal(front.mesh.nodes, fb.mesh.nodes)  # shifted frame
+            assert np.array_equal(front.v, front.u * np.gradient(w, fb.mesh.nodes, edge_order=2))
+
+
 class TestAmplitudeFit:
     def _fake_front(self, eps, amp):
         params = QuenchParams(0.0, eps)
