@@ -546,22 +546,34 @@ def steady_state(cfg: SimConfig) -> SteadyState:
     a4[0, 1] = a4[2, -2] = 2.0 * a2
     b[0, 1] = b[2, -2] = 2.0 / 12.0
 
-    def scaled(w, g):
-        """A4 + B diag(g) with each M[i, j] times e^{w_j - w_i}."""
-        ab, dw = a4 + b * g, np.diff(w)
-        ab[0, 1:] *= np.exp(dw)
-        ab[2, :-1] *= np.exp(-dw)
+    def scaled(g, up, down):
+        """A4 + B diag(g) with each M[i, j] times e^{w_j - w_i}, given
+        up = e^{w_{i+1} - w_i} and down = e^{w_i - w_{i+1}}."""
+        ab = a4 + b * g
+        ab[0, 1:] *= up
+        ab[2, :-1] *= down
         return ab
 
+    # the iterate residual saw last, its e^{2w}, up, down and R: jacobian
+    # called on that same array object (unmodified since) reuses them
+    held = (None,) * 5
+
     def residual(w):
-        r = scaled(w, mu - np.exp(2.0 * w))
+        nonlocal held
+        e2, dw = np.exp(2.0 * w), np.diff(w)
+        up, down = np.exp(dw), np.exp(-dw)
+        r = scaled(mu - e2, up, down)
         r[1, :-1] += r[0, 1:]
         r[1, 1:] += r[2, :-1]
+        held = (w, e2, up, down, r[1])
         return r[1]
 
     def jacobian(w):
-        ab = scaled(w, mu - 3.0 * np.exp(2.0 * w))
-        ab[1] -= residual(w)
+        if held[0] is not w:
+            residual(w)
+        e2, up, down, r = held[1:]
+        ab = scaled(mu - 3.0 * e2, up, down)
+        ab[1] -= r
         return ab
 
     seed = _front_seed(x, mu, c, cfg.epsilon)
@@ -576,7 +588,7 @@ def steady_state(cfg: SimConfig) -> SteadyState:
             report,
         )
     u = np.exp(w)
-    residual_u = float(np.max(np.abs(u * residual(w))))
+    residual_u = float(np.max(np.abs(u * (held[4] if held[0] is w else residual(w)))))
     return SteadyState(x, u, report, residual_u, time.perf_counter() - wall0)
 
 

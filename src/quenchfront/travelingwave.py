@@ -163,8 +163,13 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
     the fold's z' = -z^2 - theta in q = c/2 + z; the seed's tail is the
     trapezoid integral of its unstable root c/2 + sqrt(max(c^2/4 - mu, 0))
     (1/2 at c = 0), anchored at w = log(c/4) (log(1/4)) where mu, linearly
-    interpolated, reaches ``_interface_mu`` (0 at c = 0); past it, the
-    plateau log(sqrt(mu)) floored at the anchor level.
+    interpolated, reaches ``_interface_mu`` (0 at c = 0).  The seed is the
+    smaller of that tail and the plateau log(sqrt(mu)) floored at the anchor
+    level: the increasing tail runs below the floor up to the anchor, and
+    past it keeps its own slope, c/2 beyond the fold, until it meets the
+    plateau, so the seed has no jump.  At c = 0 with eps <= 0.1 the tail
+    lies above the plateau from the anchor on, so there the seed is the
+    floored plateau.
     """
     if c > 0.0:
         level, m = math.log(c / 4.0), _interface_mu(c, epsilon)
@@ -175,7 +180,7 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
     z_m = float(np.interp(m, mu, nodes))
     tail = np.concatenate(([0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(nodes))))
     tail += level - np.interp(z_m, nodes, tail)
-    return np.where(nodes < z_m, tail, 0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))))
+    return np.minimum(tail, 0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))))
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +375,12 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     its limits at the truncation points, and L/2 must pass the instability
     point zeta_c where mu = c^2/4.  The solve is one Newton run from
     ``_front_seed``: in w = log(u), the tail integrates the unstable root
-    of the linear tail's Riccati equation up to the delayed interface of
-    ``predicted_delay``, then the plateau log(sqrt(mu)).  The discrete
-    system is posed in the log-amplitude w = log(u) (the front's plateau
-    passes exponentially close to u = 0, which an additive solve cannot
-    resolve); the Newton stop (``_TOL`` on the residual, or a step below
+    of the linear tail's Riccati equation through w = log(c/4) at the
+    delayed interface of ``predicted_delay``, and on at its own slope until
+    it meets the plateau log(sqrt(mu)), so the seed has no jump.  The
+    discrete system is posed in the log-amplitude w = log(u) (the front's
+    plateau passes exponentially close to u = 0, which an additive solve
+    cannot resolve); the Newton stop (``_TOL`` on the residual, or a step below
     1e-10 (1 + |w|)) applies to that system.  A solve that does not
     converge raises :class:`SolveError` with its report.
     """

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import lapack
 
 from quenchfront import cli, pdesim
-from quenchfront.solvercore import Mesh, NewtonReport, SolveError
+from quenchfront.solvercore import Mesh, NewtonReport, SolveError, solve_bvp
 from quenchfront.travelingwave import FrontSolution, QuenchParams, front_location, solve_front
 from quenchfront.pdesim import (
     FrontTrack,
@@ -760,6 +760,56 @@ class TestSteadyState:
         pde = FrontSolution(Mesh(res.x), res.u, None, params.mu_of_zeta(res.x), params, res.report)
         bvp = front.mu_fr - 0.81
         assert 0.0 < (front_location(pde)[0] - front.mu_fr) / bvp <= 0.2
+
+    @staticmethod
+    def _counted_solve(monkeypatch, cfg):
+        """Run ``steady_state(cfg)`` counting pdesim's ``np.exp`` calls and
+        the residual evaluations of its Newton solve; returns the result,
+        the two counts, and the solve's (residual, jacobian, seed)."""
+        exps, evals, seen = [], [], []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                exps.append(1)
+                return np.exp(x)
+
+        def spy(residual, jacobian, guess, tol, max_iter):
+            def counted(w):
+                evals.append(1)
+                return residual(w)
+
+            seen.append((residual, jacobian, np.array(guess)))
+            return solve_bvp(counted, jacobian, guess, tol, max_iter)
+
+        monkeypatch.setattr(pdesim, "np", CountingNumpy())
+        monkeypatch.setattr(pdesim, "solve_bvp", spy)
+        return steady_state(cfg), exps, evals, seen[0]
+
+    def test_one_evaluation_per_iterate(self, monkeypatch):
+        # each residual evaluation takes three exponentials (e^{2w}, e^{+-dw})
+        # and the jacobian none: it reuses them at the iterate residual saw
+        # last, as does the returned residual; u = e^w is the one more.
+        # Measured 6 iterations and 7 evaluations here
+        res, exps, evals, _ = self._counted_solve(monkeypatch, self._comoving())
+        halvings = sum(round(-math.log2(lam)) for lam in res.report.damping_history)
+        assert len(evals) == res.report.iterations + halvings + 1
+        assert len(exps) == 3 * len(evals) + 1
+        assert res.report.converged and res.residual <= 1e-12
+
+    def test_jacobian_at_an_earlier_trial_recomputes(self, monkeypatch):
+        # the line search accepting an earlier trial than the one last evaluated
+        _, exps, _, (residual, jacobian, w1) = self._counted_solve(monkeypatch, self._comoving())
+        w2 = w1 + 1e-3 * np.sin(np.arange(w1.size))
+        r1 = residual(w1).copy()
+        reused = jacobian(w1)
+        residual(w2)
+        del exps[:]
+        recomputed = jacobian(w1)
+        assert len(exps) == 3  # residual evaluated afresh at w1
+        assert np.array_equal(recomputed, reused) and np.array_equal(residual(w1), r1)
 
     @pytest.mark.parametrize("c", [-0.5, 2.0, 2.5])
     def test_speed_outside_zero_two_refused(self, c):

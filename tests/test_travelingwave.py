@@ -319,6 +319,96 @@ class TestOneAssemblyPerIterate:
         assert np.array_equal(got, system.equations(1e-3)[1](w1))
 
 
+class TestContinuousSeed:
+    """``_front_seed`` at c > 0 keeps the tail's slope past the anchor up to
+    the plateau.  The seed it replaced jumped there from log(c/4) to
+    0.5 log(mu), by at least 0.69, and its first solves took 9-12 Newton
+    iterations with 63 line-search halvings per pass over the benchmark's
+    ``fronts`` inputs (seed 0); these fronts are that seed's, to 1e-9."""
+
+    # mu_fr (u(0) at c = 0) of every front of a ``fronts`` pass, from the
+    # step seed
+    STEP_SEED_BRANCHES = {
+        0.4: [0.0650619708018, 0.0626634009978, 0.0603273195783, 0.0580990115389,
+              0.0560091508297, 0.0540767791122, 0.0523116364219, 0.0507162497648,
+              0.0492876535204, 0.0480188708264],
+        0.8: [0.195818511686, 0.190916621546, 0.186597374644, 0.182815221965,
+              0.179521509794, 0.17666688941, 0.174203088044, 0.172084202754,
+              0.170267517681, 0.168713980077],
+        1.2: [0.396000807767, 0.390711534538, 0.386154069332, 0.382240094216,
+              0.378888191704, 0.376024505678, 0.373582865222, 0.371504609282,
+              0.369738180614, 0.368238586806],
+        1.6: [0.668442254456, 0.664182797768, 0.660536437613, 0.657422040949,
+              0.654767129965, 0.652507596976, 0.650587199332, 0.648956922828,
+              0.647574286216, 0.646402637355],
+        1.9: [0.915540876408, 0.913607224127, 0.911946222154, 0.910523475212,
+              0.909307719409, 0.90827093212, 0.907388267788, 0.906637892184,
+              0.906000750752, 0.905460310375],
+        0.0: [0.111768039359, 0.100183068514, 0.0897918800073, 0.080474422337,
+              0.072121461093, 0.0646341487188, 0.0579233485567, 0.0519088599144],
+    }
+    STEP_SEED_DIRECT = {  # (c, eps, halflength, n)
+        (1.2, 2.5e-3, 2000.0, 4001): 0.396000841174,
+        (1.2, 2.5e-3, 2000.0, 8001): 0.396000880619,
+        (1.2, 5e-3, 1000.0, 3001): 0.414761200258,
+        (0.0, 9.81e-3, 5.0 / 9.81e-3 + 1.0, 4001): 0.111057351384,
+    }
+
+    def test_fronts_pass_matches_the_step_seed(self, monkeypatch):
+        # measured: the largest change 5.9e-12; first solves at c > 0 take
+        # 5-8 iterations (9-12 from the step), those at c = 0 5 from either
+        # seed; the pass's 4 halvings are all in first solves
+        import quenchfront.travelingwave as tw
+
+        reports, solve_bvp = [], tw.solve_bvp
+
+        def counted(*args, **kwargs):
+            w, report = solve_bvp(*args, **kwargs)
+            reports.append(report)
+            return w, report
+
+        monkeypatch.setattr(tw, "solve_bvp", counted)
+        halvings = lambda r: sum(round(-math.log2(lam)) for lam in r.damping_history)
+        firsts = []
+        for c, want in self.STEP_SEED_BRANCHES.items():
+            lo, hi = (1e-3, 1e-2) if c == 0.0 else (2.5e-4, 2.5e-3)
+            start = len(reports)
+            branch = front_branch(c, np.geomspace(lo, hi, len(want)))
+            firsts.append((c, reports[start]))
+            got = [f.u_at_origin if c == 0.0 else f.mu_fr for f in branch.fronts]
+            assert got == pytest.approx(want, abs=1e-9)
+        for (c, eps, half, n), want in self.STEP_SEED_DIRECT.items():
+            sol = solve_front(QuenchParams(c, eps), half, n)
+            firsts.append((c, reports[-1]))
+            assert (sol.u_at_origin if c == 0.0 else sol.mu_fr) == pytest.approx(want, abs=1e-9)
+        assert len(reports) == 62
+        assert all(r.iterations <= (5 if c == 0.0 else 8) for c, r in firsts)
+        assert sum(halvings(r) for r in reports) <= 4
+        assert sum(halvings(r) for _, r in firsts) == sum(halvings(r) for r in reports)
+
+    @pytest.mark.parametrize("c", [0.05, 0.4, 1.2, 1.9, 1.95])
+    @pytest.mark.parametrize("eps", [1e-7, 2.5e-4, 2.5e-3, 0.1])
+    def test_no_rise_steeper_than_the_tail(self, c, eps):
+        # w rises from node to node by at most the trapezoid step of the
+        # tail's slope q; the step at the anchor broke this by >= 0.69.  The
+        # slack is the cumulative sum's rounding (measured 2.1e-8 at
+        # |w| ~ 1e8, eps = 1e-7)
+        import quenchfront.travelingwave as tw
+
+        params = QuenchParams(c, eps)
+        meshes = [(tw._default_mesh(params, 5.0 / eps, 4001), None)]
+        if eps >= 2.5e-4:
+            phase = lambda e: math.atanh(tw._interface_mu(c, e))
+            meshes.append((tw._branch_mesh(c, eps), phase))
+        for mesh, phase_fn in meshes:
+            mu = tw._LogFrontSystem(mesh, c, phase_fn).mu_values(eps)
+            w = tw._front_seed(mesh.nodes, mu, c, eps)
+            q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
+            rise = np.diff(w) - 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
+            assert rise.max() <= 1e-14 * np.max(np.abs(w))
+            assert w.max() <= 0.0 and np.all(np.diff(w) >= 0.0)
+
+
 class TestFrontSlope:
     """v = u w' with w' from the system's own weights, bitwise numpy's
     second-order ``np.gradient``, kept here as the reference."""
