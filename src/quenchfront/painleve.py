@@ -95,6 +95,20 @@ def left_boundary_value(l_minus: float) -> float:
     )
 
 
+def _connection_seed(eta: np.ndarray) -> np.ndarray:
+    """max(sqrt(max(-eta/2, 0)), Ai(eta)), the two ends of the connection.
+
+    Ai is at most 0.5357 (near eta = -1.019) and sqrt(-eta/2) is at least
+    that for eta <= -0.574, so Ai is evaluated only on eta > -1: on an
+    8001-node window it is most of the solve's cost, and on the oscillatory
+    side it never wins the max.
+    """
+    ai = np.zeros_like(eta)
+    right = eta > -1.0
+    ai[right] = airy(eta[right]).value
+    return np.maximum(np.sqrt(np.maximum(-eta / 2.0, 0.0)), ai)
+
+
 def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8001) -> HMSolution:
     """Global Newton solve of the truncated connection problem.
 
@@ -142,10 +156,7 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         ab[2, -2:] = -1.0 / h, 0.0
         return ab
 
-    seed = np.maximum(
-        np.sqrt(np.maximum(-eta / 2.0, 0.0)),
-        airy(eta).value,
-    )
+    seed = _connection_seed(eta)
     # 1e-8 matches the truncation level of the two-term left closure; the
     # raw residual carries a 1/h^2 row scale, so much tighter targets sit
     # below the rounding floor at n ~ 10^4

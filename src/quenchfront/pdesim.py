@@ -43,7 +43,9 @@ at the same dt.  The loop keeps u and F for the last three levels in one
 (6, n) history ring, so each step's right-hand side is one dot of a
 precomputed weight row with it (the Euler start, the SBDF2 step, then
 SBDF3's weights in their three rotations), and the solve writes u_{k+1}
-over level k-2.  The extrapolated reaction is stable for dt |f'(u)| < 20/21,
+over level k-2.  Each step reads these as one precomputed plan: its level's
+rows of u and F, its weight row, its factored solve and the row it writes.
+The extrapolated reaction is stable for dt |f'(u)| < 20/21,
 with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).  Near that limit a
 parasitic root of the extrapolation is close to -1 (-0.76 at
 dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
@@ -74,7 +76,9 @@ The tracked front is the rightmost crossing of u through ``track_level``
 u == level counts as below it, so a profile that touches the level from
 below does not cross it, and one that touches it from above crosses it
 twice.  :func:`simulate` copies the tracked states into a block of rows and
-locates the crossings of the whole block in one vectorized pass.  The
+locates the crossings of the whole block from one scan for the nonzeros of
+its cell-change mask: per row, a ``bincount`` of them is the number of
+crossings and a ``searchsorted`` finds the rightmost.  The
 homogeneous-quench comparison measures the front against the
 characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the
 end of the transient.
@@ -82,6 +86,7 @@ end of the transient.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -285,9 +290,14 @@ def _rightmost_crossings(
     crossings, in one pass over the whole block."""
     above = u > level  # u == level counts as below
     change = above[:, 1:] != above[:, :-1]
-    count = np.count_nonzero(change, axis=1)
+    # one scan of the row-major mask: the flat index of every cell change,
+    # grouped by row in increasing order, so each row's count is a bincount
+    # and its rightmost change is the last index below the next row's start
+    m = change.shape[1]
+    hits = np.flatnonzero(change)
+    count = np.bincount(hits // m, minlength=len(u))
     rows = np.flatnonzero(count)
-    i = change.shape[1] - 1 - np.argmax(change[rows, ::-1], axis=1)
+    i = hits[np.searchsorted(hits, (rows + 1) * m) - 1] - rows * m
     x0, x1 = x[i], x[i + 1]
     d0, d1 = u[rows, i] - level, u[rows, i + 1] - level
     xi = np.full(len(u), math.nan)
@@ -362,10 +372,12 @@ def _implicit_solver(
     diag_b = np.full(n, 10.0)
     diag_b[0] = diag_b[-1] = 5.0
 
+    # positional arguments throughout (daxpy's are n, a, offx, incx, offy,
+    # incy): at n in the hundreds a keyword call costs about twice as much
     def apply_b(b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(b, diag_b, out=out)
-        blas.daxpy(b, out, n=n - 1, a=lo, offy=1)  # out[1:] += lo b[:-1]
-        blas.daxpy(b, out, n=n - 1, a=hi, offx=1)  # out[:-1] += hi b[1:]
+        np.multiply(b, diag_b, out)
+        blas.daxpy(b, out, n - 1, lo, 0, 1, 1, 1)  # out[1:] += lo b[:-1]
+        blas.daxpy(b, out, n - 1, hi, 1, 1, 0, 1)  # out[:-1] += hi b[1:]
         if x:  # the ghost rows' off-diagonal is 1, not 1 -+ x
             out[0] += x * b[1]
             out[-1] -= x * b[-2]
@@ -389,9 +401,7 @@ def _implicit_solver(
             dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
             if info != 0:
                 raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
-            return lambda b, out: lapack.dgttrs(
-                dl, d, du, du2, ipiv, apply_b(b, out), overwrite_b=1
-            )[0]
+            return lambda b, out: lapack.dgttrs(dl, d, du, du2, ipiv, apply_b(b, out), "N", 1)[0]
         off = -np.sqrt(sub * sup)
     d, e, info = lapack.dpttrf(main, off)
     if info != 0:
@@ -399,14 +409,14 @@ def _implicit_solver(
             f"implicit operator not positive definite (dpttrf info = {info})"
         )
     if scale is None:
-        return lambda b, out: lapack.dpttrs(d, e, apply_b(b, out), overwrite_b=1)[0]
+        return lambda b, out: lapack.dpttrs(d, e, apply_b(b, out), 1)[0]
     unscale = 1.0 / scale
 
     def solve(b: np.ndarray, out: np.ndarray) -> np.ndarray:
         apply_b(b, out)
-        out *= unscale
-        u = lapack.dpttrs(d, e, out, overwrite_b=1)[0]
-        u *= scale
+        np.multiply(out, unscale, out)
+        u = lapack.dpttrs(d, e, out, 1)[0]
+        np.multiply(u, scale, u)
         return u
 
     return solve
@@ -436,12 +446,16 @@ def simulate(cfg: SimConfig) -> SimResult:
         (11.0, 6.0, ((18.0, 18.0), (-9.0, -18.0), (2.0, 6.0))),
     )
     solvers = [_implicit_solver(cfg.n, cfg.h, m * dt, cfg.c, s) for s, m, _ in schemes]
-    # the rows of steps 0-4; step k >= 5 repeats step k - 3's
-    weights = [np.zeros(6) for _ in range(5)]
-    for k, w in enumerate(weights):
+    # the plans (u_k, F_k, weight row, solve, u_{k+1}'s row) of steps 0-4;
+    # step k >= 5 repeats step k - 3's
+    plans = []
+    for k in range(5):
+        w = np.zeros(6)
         for i, (wu, wf) in enumerate(schemes[min(k, 2)][2]):
             j = 2 * ((k - i) % 3)
             w[j], w[j + 1] = wu, wf * dt
+        plans.append((*levels[k % 3], w, solvers[min(k, 2)], levels[(k + 1) % 3][0]))
+    plan = itertools.chain(plans[:2], itertools.cycle(plans[2:]))
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -464,35 +478,41 @@ def simulate(cfg: SimConfig) -> SimResult:
     elif not quench:
         ramp, mu = eps * cfg.alpha * x, np.empty_like(u)
     rhs = np.empty_like(u)
-    zeros = np.zeros_like(u)  # zeros @ u is NaN iff u has a NaN or an inf
+    zeros = np.zeros_like(u)  # zeros . u is NaN iff u has a NaN or an inf
+    # steps to the next tracked state and the next snapshot; the last step
+    # is both
+    track_left, snap_left, last = track_stride, snap_stride, steps - 1
     with np.errstate(over="ignore", invalid="ignore"):  # abort check below
-        for k in range(steps):
-            t = k * dt
-            u, f = levels[k % 3]
+        for k, (u, f, w, solve, out) in zip(range(steps), plan):
             if ramp is not None:
-                np.subtract(eps * t, ramp, out=mu)
-                np.tanh(mu, out=mu)
+                np.subtract(eps * (k * dt), ramp, mu)
+                np.tanh(mu, mu)
             elif quench:
-                mu = math.tanh(eps * t)
-            np.multiply(u, u, out=f)  # F_k = mu u_k - u_k^3
-            np.subtract(mu, f, out=f)
-            f *= u
-            np.dot(weights[k if k < 2 else 2 + (k - 2) % 3], ring, out=rhs)
-            u_new = solvers[min(k, 2)](rhs, levels[(k + 1) % 3][0])
-            if not math.isfinite(zeros @ u_new):
-                raise SimulationAbort(t, u.copy())
-            t = (k + 1) * dt
-            if (k + 1) % track_stride == 0 or k + 1 == steps:
+                mu = math.tanh(eps * (k * dt))
+            np.multiply(u, u, f)  # F_k = mu u_k - u_k^3
+            np.subtract(mu, f, f)
+            np.multiply(f, u, f)
+            np.dot(w, ring, rhs)
+            u_new = solve(rhs, out)
+            if not math.isfinite(blas.ddot(zeros, u_new)):
+                raise SimulationAbort(k * dt, u.copy())
+            track_left -= 1
+            snap_left -= 1
+            if k == last:
+                track_left = snap_left = 0
+            if not track_left:
+                track_left = track_stride
                 block[filled] = u_new
                 filled += 1
-                tt.append(t)
-                if filled == _TRACK_BLOCK or k + 1 == steps:
+                tt.append((k + 1) * dt)
+                if filled == _TRACK_BLOCK or k == last:
                     xi, count = _rightmost_crossings(x, block[:filled], cfg.track_level)
                     tx.append(xi)
                     tcount.append(count)
                     filled = 0
-            if (k + 1) % snap_stride == 0 or k + 1 == steps:
-                times.append(t)
+            if not snap_left:
+                snap_left = snap_stride
+                times.append((k + 1) * dt)
                 snaps.append(u_new.copy())
     counts = np.concatenate(tcount)
     multi = bool(np.any(counts[1:] > 1))  # the initial state does not count

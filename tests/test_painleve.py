@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from quenchfront import painleve
 from quenchfront.painleve import (
     CertificateError,
     HMSolution,
@@ -31,6 +32,16 @@ def hm_wide():
 
 
 class TestSolve:
+    @pytest.mark.parametrize("window", [(12.0, 8.0, 8001), (8.0, 6.0, 4001),
+                                        (20.0, 10.0, 16001), (12.0, 100.0, 20001)])
+    def test_seed_equals_the_full_grid_seed(self, window):
+        # Ai is evaluated only on eta > -1; the seed must equal the max
+        # taken with Ai on every node, bit for bit
+        l_minus, l_plus, n = window
+        eta = np.linspace(-l_minus, l_plus, n)
+        full = np.maximum(np.sqrt(np.maximum(-eta / 2.0, 0.0)), airy(eta).value)
+        assert painleve._connection_seed(eta).tobytes() == full.tobytes()
+
     def test_value_at_zero_above_airy(self, hm):
         w0 = float(np.interp(0.0, hm.eta, hm.w))
         assert w0 >= 0.3550280

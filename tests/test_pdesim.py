@@ -164,35 +164,51 @@ class TestInvasion:
     def test_abort_check_on_the_step_a_value_appears(self, monkeypatch, value, aborts):
         # the solve of step j returns `value` at one node: a non-finite one
         # aborts on that step, in the Euler start (j = 1), the SBDF2 step
-        # (j = 2) and the last, SBDF3 step; a finite one on the last step stays
-        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0)
-        steps = math.ceil(cfg.t_end / cfg.dt)
-        real = pdesim._implicit_solver
-        for j in (1, 2, steps) if aborts else (steps,):
-            calls = []
+        # (j = 2) and the last, SBDF3 step; a finite one on the last step
+        # stays.  Without advection, and at c = 1.2, where every step runs
+        # the symmetrized solve (max|ln D| about c L/4 = 6)
+        real, real_symmetrizer = pdesim._implicit_solver, pdesim._symmetrizer
+        scales = []
 
-            def injecting_solver(*args):
-                solve = real(*args)
+        def recording_symmetrizer(sub, sup):
+            scales.append(real_symmetrizer(sub, sup))
+            return scales[-1]
 
-                def wrapped(b, out):
-                    out = solve(b, out)
-                    calls.append(None)
-                    if len(calls) == j:
-                        out[50] = value
-                    return out
+        monkeypatch.setattr(pdesim, "_symmetrizer", recording_symmetrizer)
+        for cfg in (
+            SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0),
+            SimConfig(frame="comoving", c=1.2, domain=(-10.0, 10.0), n=101, t_end=1.0),
+        ):
+            steps = math.ceil(cfg.t_end / cfg.dt)
+            for j in (1, 2, steps) if aborts else (steps,):
+                calls = []
+                scales.clear()
 
-                return wrapped
+                def injecting_solver(*args):
+                    solve = real(*args)
 
-            monkeypatch.setattr(pdesim, "_implicit_solver", injecting_solver)
-            if aborts:
-                with pytest.raises(SimulationAbort) as err:
-                    simulate(cfg)
-                assert err.value.t == (j - 1) * cfg.dt
-                assert np.all(np.isfinite(err.value.u))
-            else:
-                res = simulate(cfg)
-                assert res.snapshots[-1][50] == value
-            assert len(calls) == j
+                    def wrapped(b, out):
+                        out = solve(b, out)
+                        calls.append(None)
+                        if len(calls) == j:
+                            out[50] = value
+                        return out
+
+                    return wrapped
+
+                monkeypatch.setattr(pdesim, "_implicit_solver", injecting_solver)
+                if aborts:
+                    with pytest.raises(SimulationAbort) as err:
+                        simulate(cfg)
+                    assert err.value.t == (j - 1) * cfg.dt
+                    assert np.all(np.isfinite(err.value.u))
+                else:
+                    res = simulate(cfg)
+                    assert res.snapshots[-1][50] == value
+                assert len(calls) == j
+                # one symmetrizer per advective matrix, and each one exists
+                assert len(scales) == (3 if cfg.c else 0)
+                assert all(d is not None for d in scales)
 
     def test_comparison_principle(self):
         base = dict(
@@ -411,23 +427,50 @@ class TestTracker:
         assert not np.any(u == level)
         _same_crossing(_track_row(x, u, level), _rightmost_crossing_reference(x, u, level))
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_blocks_match_reference_row_by_row(self, seed):
-        # blocks of 1 to 69 random rows, a quarter of them lifted wholly
-        # above or pushed wholly below the level (no crossing: NaN, count 0)
-        rng = np.random.default_rng(100 + seed)
-        n, rows = int(rng.integers(2, 400)), int(rng.integers(1, 70))
-        x = np.sort(rng.uniform(-50.0, 250.0, n))
-        level = float(rng.uniform(0.01, 0.99))
-        u = np.cumsum(rng.normal(0.0, rng.choice([0.1, 0.5], (rows, 1)), (rows, n)), axis=1)
-        u += level
-        u[rng.random(rows) < 0.125] += 1e3
-        u[rng.random(rows) < 0.125] -= 1e3
-        u[0] += 1e3  # at least one row never crosses
+    @staticmethod
+    def _edge_block(case):
+        """Edge inputs on 11 nodes at level 0.5: crossings in a row's first
+        and last cells, a block whose last row alone crosses, and a block of
+        one row."""
+        x = np.linspace(0.0, 10.0, 11)
+        lo, hi = np.full(11, 0.2), np.full(11, 0.8)
+
+        def row(base, other, at):
+            r = base.copy()
+            r[at] = other[at]
+            return r
+
+        if case == "first-and-last-cell":
+            u = [row(lo, hi, [0]), row(lo, hi, [-1]), row(lo, hi, [0, -1]),
+                 row(hi, lo, [0]), row(hi, lo, [-1]), hi, row(hi, lo, [0, -1])]
+        elif case == "only-last-row":
+            u = [lo, hi, lo, hi, row(lo, hi, slice(6, None))]
+        else:  # one-row: three crossings, the rightmost in the last cell
+            u = [row(lo, hi, [2, 3, 10])]
+        return x, np.array(u), 0.5
+
+    @pytest.mark.parametrize("case", [*range(10), "first-and-last-cell", "only-last-row", "one-row"])
+    def test_blocks_match_reference_row_by_row(self, case):
+        if isinstance(case, int):
+            # blocks of 1 to 69 random rows, a quarter of them lifted wholly
+            # above or pushed wholly below the level (no crossing: NaN, count 0)
+            rng = np.random.default_rng(100 + case)
+            n, rows = int(rng.integers(2, 400)), int(rng.integers(1, 70))
+            x = np.sort(rng.uniform(-50.0, 250.0, n))
+            level = float(rng.uniform(0.01, 0.99))
+            u = np.cumsum(rng.normal(0.0, rng.choice([0.1, 0.5], (rows, 1)), (rows, n)), axis=1)
+            u += level
+            u[rng.random(rows) < 0.125] += 1e3
+            u[rng.random(rows) < 0.125] -= 1e3
+            u[0] += 1e3  # at least one row never crosses
+        else:
+            x, u, level = self._edge_block(case)
+            rows = len(u)
         assert not np.any(u == level)
         xi, count = pdesim._rightmost_crossings(x, u, level)
         assert xi.shape == count.shape == (rows,)
-        assert math.isnan(xi[0]) and count[0] == 0
+        if isinstance(case, int):
+            assert math.isnan(xi[0]) and count[0] == 0
         for row, got in zip(u, zip(xi.tolist(), count.tolist())):
             _same_crossing(got, _rightmost_crossing_reference(x, row, level))
 
