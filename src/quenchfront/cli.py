@@ -109,6 +109,9 @@ def _write_lines(path: str, meta: dict, columns: list[str], lines) -> str:
 
 
 def _write_csv(path: str, meta: dict, columns: list[str], rows) -> str:
+    """Write rows of mixed-type values (the delay sweep and the tail
+    classes), each through ``_fmt``; float columns go through
+    :func:`_column_lines`."""
     return _write_lines(path, meta, columns, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
@@ -241,15 +244,16 @@ def cmd_front(args) -> int:
 
     meta = dict(params)
     columns = ["zeta", "xi", "mu", "u", "v"]
-    rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v)
+    table = [sol.zeta, sol.xi, sol.mu, sol.u, sol.v]
     if c == 0.0:
         hm = solve_hastings_mcleod()
-        inner = rescaled_inner_profile(sol, hm.eta, hm.w)
         dev, eps23 = compare_with_rescaled_profile(sol, hm.eta, hm.w)
         meta.update(u_at_origin=sol.u_at_origin, inner_sup_deviation=dev, eps_two_thirds=eps23)
-        columns = ["zeta", "xi", "mu", "u", "v", "u_inner"]
-        rows = zip(sol.zeta, sol.xi, sol.mu, sol.u, sol.v, inner)
-    profile = _write_csv(os.path.join(outdir, "front_profile.csv"), meta, columns, rows)
+        columns.append("u_inner")
+        table.append(rescaled_inner_profile(sol, hm.eta, hm.w))
+    profile = _write_lines(
+        os.path.join(outdir, "front_profile.csv"), meta, columns, _column_lines(*table)
+    )
 
     diag = {
         "c": c,
@@ -373,11 +377,11 @@ def cmd_painleve(args) -> int:
     outputs = []
     v = sol.eta + 6.0 * sol.w**2
     outputs.append(
-        _write_csv(
+        _write_lines(
             os.path.join(outdir, "painleve_profile.csv"),
             params,
             ["eta", "w", "wprime", "V"],
-            zip(sol.eta, sol.w, sol.wprime, v),
+            _column_lines(sol.eta, sol.w, sol.wprime, v),
         )
     )
     w0 = float(np.interp(0.0, sol.eta, sol.w))
@@ -399,7 +403,7 @@ def cmd_painleve(args) -> int:
             leading_eigenvalues=[float(x) for x in spec.eigenvalues],
         )
         if w0 < ai0:
-            raise CertificateError(f"w(0) = {w0:.9f} is below Ai(0) = {ai0:.9f}", location=0.0)
+            raise CertificateError(f"w(0) = {w0:.9f} is below Ai(0) = {ai0:.9f}")
     except CertificateError as exc:
         summary["certificate_failure"] = str(exc)
         _write_json(os.path.join(outdir, "painleve_summary.json"), summary)
@@ -468,14 +472,14 @@ def cmd_pde(args) -> int:
     try:
         res = simulate(cfg)
     except SimulationAbort as exc:
-        _write_csv(
+        _write_lines(
             os.path.join(outdir, "pde_last_state.csv"),
             {"t": exc.t, **params},
             ["u"],
-            ((v,) for v in exc.u),
+            _column_lines(exc.u),
         )
         raise
-    compare = compare_homogeneous_quench(cfg, result=res) if args.compare else None
+    compare = compare_homogeneous_quench(cfg, res) if args.compare else None
     outputs = []
     outputs.append(
         _write_lines(

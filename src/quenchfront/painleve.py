@@ -16,7 +16,7 @@ cross-validate the BVP solution.
 The module also certifies, with first-order Lipschitz cell margins, the
 positivity of the linearization potential V = eta + 6 w^2, the lower bound
 w > sqrt(-eta/6) on eta <= 0, and the negativity of the ground state of
-d^2/d eta^2 - V.
+d^2/d eta^2 - V, resampled onto a fixed 4001-node sub-mesh.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ __all__ = [
     "left_boundary_value",
 ]
 
+# nodes of the ground state's sub-mesh: every solve_hastings_mcleod window has
+# at least as many, and a finer sub-mesh only makes the eigen-solve dearer
+_GROUND_STATE_NODES = 4001
+
 
 class CertificateError(RuntimeError):
-    def __init__(self, message: str, location: float | None = None):
-        super().__init__(message)
-        self.location = location
+    """A certificate that the computed connection does not establish."""
 
 
 @dataclass
@@ -250,8 +252,7 @@ def certify_potential_positive(sol: HMSolution) -> PotentialCertificate:
     if cert.min_value <= 0.0 or cert.margin_bound <= 0.0:
         raise CertificateError(
             f"potential positivity not certified (min {cert.min_value:.3e}, "
-            f"margin {cert.margin_bound:.3e} at eta = {cert.argmin:.4f})",
-            location=cert.argmin,
+            f"margin {cert.margin_bound:.3e} at eta = {cert.argmin:.4f})"
         )
     return cert
 
@@ -265,25 +266,25 @@ def certify_lower_bound(sol: HMSolution) -> bool:
     if np.any(sol.w[left] <= bound):
         j = int(np.nonzero(sol.w[left] <= bound)[0][0])
         loc = float(sol.eta[left][j])
-        raise CertificateError(f"lower bound w > sqrt(-eta/6) fails at eta = {loc:.4f}", loc)
+        raise CertificateError(f"lower bound w > sqrt(-eta/6) fails at eta = {loc:.4f}")
     cell_mask = left[:-1] & left[1:]
     margins, _ = _certified_cell_margins(sol, cell_mask)
     if margins.size and float(np.min(margins)) <= 0.0:
         j = int(np.argmin(margins))
         loc = float(sol.eta[:-1][cell_mask][j])
-        raise CertificateError(f"lower-bound cell margin fails near eta = {loc:.4f}", loc)
+        raise CertificateError(f"lower-bound cell margin fails near eta = {loc:.4f}")
     return True
 
 
-def linearization_ground_state(sol: HMSolution, n_sub: int | None = None) -> Spectrum:
+def linearization_ground_state(sol: HMSolution) -> Spectrum:
     """The five largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with
-    Dirichlet truncation on a uniform sub-mesh of ``n_sub`` nodes (default
-    min(n, 4001)), assembled by ``stability.resampled_operator`` (cubic
-    resampling of w); the ground state must be negative."""
+    Dirichlet truncation on a uniform sub-mesh of ``_GROUND_STATE_NODES``
+    nodes, assembled by ``stability.resampled_operator`` (cubic resampling
+    of w); the ground state must be negative."""
     _require_converged(sol)
-    if n_sub is None:
-        n_sub = min(sol.eta.size, 4001)
-    op = resampled_operator(sol.eta, sol.w, n_sub, lambda grid, w: -(grid + 6.0 * w**2))
+    op = resampled_operator(
+        sol.eta, sol.w, _GROUND_STATE_NODES, lambda grid, w: -(grid + 6.0 * w**2)
+    )
     spec = eig_tridiag_symmetric(op.diag, op.offdiag, 5)
     if spec.eigenvalues[0] >= 0.0:
         raise CertificateError(

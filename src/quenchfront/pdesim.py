@@ -79,7 +79,7 @@ twice.  :func:`simulate` copies the tracked states into a block of rows and
 locates the crossings of the whole block from one scan for the nonzeros of
 its cell-change mask: per row, a ``bincount`` of them is the number of
 crossings and a ``searchsorted`` finds the rightmost.  The
-homogeneous-quench comparison measures the front against the
+homogeneous-quench comparison measures a simulation's front against the
 characteristic prediction x0 + int_0^t 2 sqrt(mu(s)) ds, anchored at the
 end of the transient.
 """
@@ -237,8 +237,7 @@ class SimConfig:
 @dataclass
 class FrontTrack:
     times: np.ndarray
-    x_fr_num: np.ndarray  # NaN before the level is first crossed
-    level: float
+    x_fr_num: np.ndarray  # NaN before ``track_level`` is first crossed
     multiple_crossings: bool = False
 
 
@@ -516,7 +515,7 @@ def simulate(cfg: SimConfig) -> SimResult:
                 snaps.append(u_new.copy())
     counts = np.concatenate(tcount)
     multi = bool(np.any(counts[1:] > 1))  # the initial state does not count
-    track = FrontTrack(np.array(tt), np.concatenate(tx), cfg.track_level, multi)
+    track = FrontTrack(np.array(tt), np.concatenate(tx), multi)
     return SimResult(
         x, np.array(times), np.stack(snaps), track, cfg,
         steps=steps, wall_s=time.perf_counter() - wall0,
@@ -721,21 +720,18 @@ def check_quench_comparable(cfg: SimConfig) -> None:
         raise ValueError("comparison is defined for the tanh ramp, not a frozen mu")
 
 
-def compare_homogeneous_quench(
-    cfg: SimConfig, result: SimResult | None = None
-) -> QuenchComparison:
-    """Run the homogeneous quench (alpha = 0, bump data) and compare the
-    tracked front against the characteristic prediction.
+def compare_homogeneous_quench(cfg: SimConfig, result: SimResult) -> QuenchComparison:
+    """Compare the tracked front of ``result``, a simulation of the
+    homogeneous quench ``cfg`` (alpha = 0, bump data), against the
+    characteristic prediction.
 
     The prediction is anchored to the measured front at the end of the
     transient (the first time the front has advanced 5 space units); past
     that point the measured front must run at or ahead of the prediction,
-    with a growing lead.  ``result`` reuses an existing simulation of the
-    same configuration.
+    with a growing lead.
     """
     check_quench_comparable(cfg)
-    res = result if result is not None else simulate(cfg)
-    tt, xx = res.track.times, res.track.x_fr_num
+    tt, xx = result.track.times, result.track.x_fr_num
     have = np.isfinite(xx)
     if not np.any(have):
         raise SolveError("front never crossed the tracking level")

@@ -18,7 +18,8 @@ linearization about u = 0, at the right end (u - sqrt(mu), u') in the
 stable eigendirection about the nontrivial state; ``projection_rates``
 gives both rates.  ``delay_prefactor`` and ``predicted_delay`` are the
 closed-form delay law that the solvers, the mesh grading and the fold fits
-share.
+share.  A :class:`FrontSolution` stores the solved w = log(u); the ramp mu
+and the slope v = u_zeta are derived when read.
 """
 
 from __future__ import annotations
@@ -89,16 +90,16 @@ class QuenchParams:
 class FrontSolution:
     """Discrete heteroclinic front on a zeta-mesh with interface diagnostics.
 
-    mu is the closed-form ramp evaluated on the mesh (a coefficient, not an
-    unknown); v = u_zeta is reconstructed from the solved profile.  For
-    c = 0 the interface threshold degenerates, so mu_fr/zeta_fr are None and
-    u_at_origin (the amplitude at xi = 0) is reported instead.
+    ``w`` = log(u) is the solved unknown; mu, the closed-form ramp on the
+    mesh, and v = u_zeta = u w_zeta (``np.gradient``'s second-order
+    stencils) are derived on read.  For c = 0 the interface threshold
+    degenerates, so mu_fr/zeta_fr are None and u_at_origin (the amplitude
+    at xi = 0) is reported instead.
     """
 
     mesh: Mesh
     u: np.ndarray
-    v: np.ndarray
-    mu: np.ndarray
+    w: np.ndarray | None
     params: QuenchParams
     report: NewtonReport
     mu_fr: float | None = None
@@ -113,6 +114,14 @@ class FrontSolution:
     def xi(self) -> np.ndarray:
         """Original-frame coordinate xi = -zeta (same node order)."""
         return -self.mesh.nodes
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.params.mu_of_zeta(self.zeta)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.u * np.gradient(self.w, self.zeta, edge_order=2)
 
 
 @dataclass
@@ -240,25 +249,6 @@ class _LogFrontSystem:
         """The central first difference of ``w`` at the interior nodes."""
         return self.d1m * w[:-2] + self.d1c * w[1:-1] + self.d1p * w[2:]
 
-    def slope(self, w: np.ndarray) -> np.ndarray:
-        """w' at every node: ``derivative`` inside, and at the two ends the
-        second-order one-sided three-point stencils, the weights and order
-        of operations of ``np.gradient(w, nodes, edge_order=2)``."""
-        z = self.mesh.nodes
-        dw = np.empty_like(w)
-        dw[1:-1] = self.derivative(w)
-        dx1, dx2 = z[1] - z[0], z[2] - z[1]
-        a = -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2))
-        b = (dx1 + dx2) / (dx1 * dx2)
-        c = -dx1 / (dx2 * (dx1 + dx2))
-        dw[0] = a * w[0] + b * w[1] + c * w[2]
-        dx1, dx2 = z[-2] - z[-3], z[-1] - z[-2]
-        a = dx2 / (dx1 * (dx1 + dx2))
-        b = -(dx2 + dx1) / (dx1 * dx2)
-        c = (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2))
-        dw[-1] = a * w[-3] + b * w[-2] + c * w[-1]
-        return dw
-
     def equations(self, epsilon: float):
         """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
         the projection closures evaluated once for both.  Each closure row
@@ -327,17 +317,8 @@ class _LogFrontSystem:
 
     def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
         u = np.exp(w)
-        v = u * self.slope(w)  # u_zeta = u w_zeta
-        nodes = self.true_zeta(params.epsilon)
-        mesh = self.mesh if self.phase_fn is None else Mesh(nodes)
-        sol = FrontSolution(
-            mesh=mesh,
-            u=u,
-            v=v,
-            mu=np.asarray(params.mu_of_zeta(mesh.nodes)),
-            params=params,
-            report=report,
-        )
+        mesh = self.mesh if self.phase_fn is None else Mesh(self.true_zeta(params.epsilon))
+        sol = FrontSolution(mesh=mesh, u=u, w=w, params=params, report=report)
         if params.c > 0.0:
             try:
                 sol.mu_fr, sol.zeta_fr = front_location(sol)
@@ -429,11 +410,12 @@ def front_location(sol: FrontSolution) -> tuple[float, float]:
     if above.size == 0:
         raise SolveError(f"profile never crosses the threshold {thr}")
     j = int(above[0])
+    mu = sol.params.mu_of_zeta(sol.zeta[max(j - 1, 0) : j + 1])  # the bracketing nodes
     if sol.u[j] == thr or j == 0:
-        mu_fr = float(sol.mu[j])
+        mu_fr = float(mu[-1])
     else:
         t = (thr - sol.u[j - 1]) / (sol.u[j] - sol.u[j - 1])
-        mu_fr = float(sol.mu[j - 1] + t * (sol.mu[j] - sol.mu[j - 1]))
+        mu_fr = float(mu[0] + t * (mu[1] - mu[0]))
     return mu_fr, sol.params.zeta_of_mu(mu_fr)
 
 

@@ -179,12 +179,11 @@ def test_criterion_8_pde_cross_validation():
     assert speed == pytest.approx(2.0, abs=0.05)
 
     # (c) homogeneous quench: measured front at or ahead of the prediction
-    comp = compare_homogeneous_quench(
-        SimConfig(
-            frame="lab", alpha=0.0, epsilon=0.005, domain=(0.0, 300.0), n=3001,
-            t_end=200.0, ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
-        )
+    cfg = SimConfig(
+        frame="lab", alpha=0.0, epsilon=0.005, domain=(0.0, 300.0), n=3001,
+        t_end=200.0, ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
     )
+    comp = compare_homogeneous_quench(cfg, simulate(cfg))
     assert comp.nonnegative_after_transient and comp.growing
     _report(
         8,

@@ -1,9 +1,11 @@
 """Package-level checks: every exported name exists, every exported
 exception has a row of the CLI exit table, every command of the
 README's "Command line" block parses, the ``pde`` and ``front`` paths
-load no scipy module they do not run, and the names the benchmark tracer
-rebinds still exist and still carry the calls it counts."""
+load no scipy module they do not run, the names the benchmark tracer
+rebinds still exist and still carry the calls it counts, and every stored
+field has a reader."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -137,6 +139,54 @@ def test_names_the_tracer_rebinds_resolve():
     assert counts["solvercore.newton.calls"] == 2 + (
         counts["solvercore.continuation.steps"] + counts["solvercore.continuation.rejects"]
     )
+
+
+# stored fields no attribute read names, each with the reason it stays
+_UNREAD_FIELDS = {
+    # the benchmark's workloads build five-field records; the field goes with
+    # the compact chart's benchmark change
+    ("FoldDelayRecord", "compact_chart_used"),
+}
+
+
+def _stored_fields(tree: ast.Module):
+    """(class, name) of every dataclass field and every ``self.name = ...``."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.target.id
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                yield cls.name, node.attr
+
+
+def test_every_stored_field_is_read():
+    # a floor, not a proof: reads are matched by attribute name alone, so a
+    # field escapes when any object's attribute of that name is read (before
+    # FrontTrack.level was deleted, ``args.level`` in the CLI hid it)
+    root = os.path.dirname(README)
+    stored, read = set(), set()
+    for top in ("src", "tests", "perfbench"):
+        for dirpath, _, files in os.walk(os.path.join(root, top)):
+            for name in (f for f in files if f.endswith(".py")):
+                with open(os.path.join(dirpath, name)) as fh:
+                    tree = ast.parse(fh.read())
+                if top == "src":
+                    stored.update(_stored_fields(tree))
+                read.update(
+                    node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                )
+    assert ("_LogFrontSystem", "mesh") in stored and _UNREAD_FIELDS <= stored
+    assert sorted(f for f in stored - _UNREAD_FIELDS if f[1] not in read) == []
 
 
 def test_dt_bound_quoted_from_the_module_constants():

@@ -19,6 +19,7 @@ from quenchfront.painleve import (
 )
 from quenchfront.solvercore import Mesh, NewtonReport, eig_tridiag_symmetric, integrate_ode
 from quenchfront.specfun import airy
+from quenchfront.stability import resampled_operator
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +268,12 @@ class TestGroundState:
             assert lam == pytest.approx(disc, abs=1e-6)
 
     def test_ground_state_mesh_stability(self, hm):
-        a = linearization_ground_state(hm, n_sub=2001)
-        b = linearization_ground_state(hm, n_sub=4001)
-        assert a.eigenvalues[0] < 0.0 and b.eigenvalues[0] < 0.0
-        assert abs(a.eigenvalues[0] - b.eigenvalues[0]) < 1e-3
+        # the ground state's operator on its 4001-node sub-mesh and on 2001
+        potential = lambda grid, w: -(grid + 6.0 * w**2)
+        ground = {}
+        for n in (2001, 4001):
+            op = resampled_operator(hm.eta, hm.w, n, potential)
+            ground[n] = eig_tridiag_symmetric(op.diag, op.offdiag, 5).eigenvalues
+        assert np.array_equal(ground[4001], linearization_ground_state(hm).eigenvalues)
+        assert ground[2001][0] < 0.0 and ground[4001][0] < 0.0
+        assert abs(ground[2001][0] - ground[4001][0]) < 1e-3

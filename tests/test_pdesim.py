@@ -800,7 +800,7 @@ class TestSteadyState:
                         n=int(round((hi - lo) / 0.4)) + 1)
         res = steady_state(cfg)
         assert res.report.converged and res.report.iterations <= 30
-        pde = FrontSolution(Mesh(res.x), res.u, None, params.mu_of_zeta(res.x), params, res.report)
+        pde = FrontSolution(Mesh(res.x), res.u, None, params, res.report)
         bvp = front.mu_fr - 0.81
         assert 0.0 < (front_location(pde)[0] - front.mu_fr) / bvp <= 0.2
 
@@ -884,7 +884,7 @@ def test_steady_state_delay_matches_bvp(c, eps, order4):
         cfg = SimConfig(frame="comoving", c=c, epsilon=eps, domain=(lo, hi),
                         n=int(round((hi - lo) / h)) + 1)
         res = steady_state(cfg)
-        pde = FrontSolution(Mesh(res.x), res.u, None, params.mu_of_zeta(res.x), params, res.report)
+        pde = FrontSolution(Mesh(res.x), res.u, None, params, res.report)
         gap[h] = (front_location(pde)[0] - front.mu_fr) / bvp
     assert abs(gap[0.2]) <= 3e-3
     assert abs((16.0 * gap[0.2] - gap[0.4]) / 15.0) <= 1e-4
@@ -972,15 +972,28 @@ class TestHomogeneousQuench:
             t_end=t_end, ic="small-bump", ic_amplitude=0.05, ic_width=5.0,
         )
 
+    @staticmethod
+    def _tracked(cfg, tt, xx):
+        """A result of ``cfg`` holding only the front track (tt, xx)."""
+        return SimResult(
+            x=np.linspace(cfg.domain[0], cfg.domain[1], cfg.n),
+            times=np.array([0.0]),
+            snapshots=np.zeros((1, cfg.n)),
+            track=FrontTrack(tt, xx),
+            config=cfg,
+        )
+
     def test_lead_positive_and_growing(self):
-        comp = compare_homogeneous_quench(self._cfg())
+        cfg = self._cfg()
+        comp = compare_homogeneous_quench(cfg, simulate(cfg))
         assert comp.nonnegative_after_transient
         assert comp.growing
         assert comp.difference[-1] > 0.0
 
     def test_halved_ramp_rate(self):
-        fast = compare_homogeneous_quench(self._cfg(eps=0.005))
-        slow = compare_homogeneous_quench(self._cfg(eps=0.0025, t_end=170.0))
+        fast_cfg, slow_cfg = self._cfg(eps=0.005), self._cfg(eps=0.0025, t_end=170.0)
+        fast = compare_homogeneous_quench(fast_cfg, simulate(fast_cfg))
+        slow = compare_homogeneous_quench(slow_cfg, simulate(slow_cfg))
         assert slow.t_transient > fast.t_transient
         assert slow.difference[-1] > 0.0
 
@@ -989,23 +1002,19 @@ class TestHomogeneousQuench:
         cfg = self._cfg()
         tt = np.linspace(0.0, 120.0, 241)
         xx = 2.0 + predicted_front_path(cfg.epsilon, tt)
-        fake = SimResult(
-            x=np.linspace(0, 220, 2201),
-            times=np.array([0.0]),
-            snapshots=np.zeros((1, 2201)),
-            track=FrontTrack(tt, xx, 0.2),
-            config=cfg,
-        )
-        comp = compare_homogeneous_quench(cfg, result=fake)
+        comp = compare_homogeneous_quench(cfg, self._tracked(cfg, tt, xx))
         assert np.max(np.abs(comp.difference)) < 1e-9
 
     def test_config_guards(self):
-        with pytest.raises(ValueError):
-            compare_homogeneous_quench(SimConfig(frame="comoving", c=1.0, domain=(0, 100), n=1001))
-        with pytest.raises(ValueError):
-            compare_homogeneous_quench(SimConfig(alpha=0.5, domain=(0, 100), n=1001))
-        with pytest.raises(ValueError):
-            compare_homogeneous_quench(SimConfig(frozen_mu=1.0, domain=(0, 100), n=1001))
+        # the result is never read: each configuration is refused first
+        for cfg in (
+            SimConfig(frame="comoving", c=1.0, domain=(0, 100), n=1001),
+            SimConfig(alpha=0.5, domain=(0, 100), n=1001),
+            SimConfig(frozen_mu=1.0, domain=(0, 100), n=1001),
+        ):
+            fake = self._tracked(cfg, np.array([0.0]), np.array([50.0]))
+            with pytest.raises(ValueError):
+                compare_homogeneous_quench(cfg, fake)
 
     def test_space_time_self_convergence(self):
         # halving h (and with it dt) moves the tracked front at t_end by

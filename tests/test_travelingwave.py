@@ -165,8 +165,7 @@ class TestFrontLocation:
         return FrontSolution(
             mesh=Mesh(nodes),
             u=u,
-            v=np.zeros(81),
-            mu=params.mu_of_zeta(nodes),
+            w=None,
             params=params,
             report=NewtonReport(1, 0.0, True),
         )
@@ -183,8 +182,7 @@ class TestFrontLocation:
         sol = FrontSolution(
             mesh=Mesh(nodes),
             u=np.zeros(81),
-            v=np.zeros(81),
-            mu=params.mu_of_zeta(nodes),
+            w=None,
             params=params,
             report=NewtonReport(1, 0.0, True),
         )
@@ -197,13 +195,34 @@ class TestFrontLocation:
         sol = FrontSolution(
             mesh=Mesh(nodes),
             u=np.linspace(0, 1, 81),
-            v=np.zeros(81),
-            mu=params.mu_of_zeta(nodes),
+            w=None,
             params=params,
             report=NewtonReport(1, 0.0, True),
         )
         with pytest.raises(ValueError):
             front_location(sol)
+
+    @staticmethod
+    def _full_array_read(sol):
+        """mu_fr read from the ramp on every node."""
+        mu, thr = sol.mu, sol.params.c / 4.0
+        j = int(np.nonzero(sol.u >= thr)[0][0])
+        if sol.u[j] == thr or j == 0:
+            return float(mu[j])
+        t = (thr - sol.u[j - 1]) / (sol.u[j] - sol.u[j - 1])
+        return float(mu[j - 1] + t * (mu[j] - mu[j - 1]))
+
+    @pytest.mark.parametrize("c", [0.4, 1.2, 1.9])
+    def test_two_node_read_of_solved_fronts(self, c):
+        sol = solve_front(QuenchParams(c, 5e-3), domain_halflength=1000.0, n=2001)
+        assert sol.mu_fr == front_location(sol)[0] == self._full_array_read(sol)
+
+    @pytest.mark.parametrize(
+        "jump_index, at_threshold", [(45, True), (45, False), (0, True), (0, False)]
+    )
+    def test_two_node_read_of_step_profiles(self, jump_index, at_threshold):
+        sol = self._synthetic(1.2, 0.01, jump_index, at_threshold)
+        assert front_location(sol)[0] == self._full_array_read(sol)
 
 
 class TestFrontBranch:
@@ -410,35 +429,23 @@ class TestContinuousSeed:
 
 
 class TestFrontSlope:
-    """v = u w' with w' from the system's own weights, bitwise numpy's
-    second-order ``np.gradient``, kept here as the reference."""
+    """v = u w' is derived on read from the stored w = log u, by numpy's
+    second-order ``np.gradient`` on the front's own nodes."""
 
-    def test_direct_solve(self, monkeypatch):
-        import quenchfront.travelingwave as tw
-
-        seen = []
-        front_solution = tw._LogFrontSystem.front_solution
-
-        def captured(system, w, params, report):
-            sol = front_solution(system, w, params, report)
-            seen.append((system, w, sol))
-            return sol
-
-        monkeypatch.setattr(tw._LogFrontSystem, "front_solution", captured)
-        solve_front(QuenchParams(1.2, 5e-3), domain_halflength=1000.0, n=3001)
-        [(system, w, sol)] = seen
-        reference = np.gradient(w, system.mesh.nodes, edge_order=2)
-        assert np.array_equal(sol.v, sol.u * reference)
-        # u underflows to 0 at the left end, so v alone does not see that stencil
-        assert np.array_equal(system.slope(w), reference)
+    def test_direct_solve(self):
+        sol = solve_front(QuenchParams(1.2, 5e-3), domain_halflength=1000.0, n=3001)
+        assert np.array_equal(sol.u, np.exp(sol.w))
+        assert np.array_equal(sol.v, sol.u * np.gradient(sol.w, sol.mesh.nodes, edge_order=2))
+        assert np.min(sol.v) >= 0.0  # the front rises monotonically in zeta
 
     def test_shifted_frame_branch(self):
         fb = front_branch(1.2, [2.5e-3, 1.5e-3])
         landed = {e.param: e.solution for e in fb.branch.entries}
         for front in fb.fronts:
             w = landed[math.log(front.params.epsilon)]
+            assert front.w is w
             assert not np.array_equal(front.mesh.nodes, fb.mesh.nodes)  # shifted frame
-            assert np.array_equal(front.v, front.u * np.gradient(w, fb.mesh.nodes, edge_order=2))
+            assert np.array_equal(front.v, front.u * np.gradient(w, front.mesh.nodes, edge_order=2))
 
 
 class TestAmplitudeFit:
@@ -448,8 +455,7 @@ class TestAmplitudeFit:
         return FrontSolution(
             mesh=Mesh(nodes),
             u=np.full(11, amp),
-            v=np.zeros(11),
-            mu=params.mu_of_zeta(nodes),
+            w=None,
             params=params,
             report=NewtonReport(1, 0.0, True),
             u_at_origin=amp,
