@@ -16,7 +16,8 @@ cross-validate the BVP solution.
 The module also certifies, with first-order Lipschitz cell margins, the
 positivity of the linearization potential V = eta + 6 w^2, the lower bound
 w > sqrt(-eta/6) on eta <= 0, and the negativity of the ground state of
-d^2/d eta^2 - V, resampled onto a fixed 4001-node sub-mesh.
+d^2/d eta^2 - V, assembled on every k-th node of the connection's uniform
+grid (about 4000 cells).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvercore import (
-    Mesh,
     NewtonReport,
     SolveError,
     Spectrum,
@@ -36,7 +36,7 @@ from .solvercore import (
     solve_bvp,
 )
 from .specfun import airy
-from .stability import resampled_operator
+from .stability import operator_from_potential
 
 __all__ = [
     "HMSolution",
@@ -51,9 +51,10 @@ __all__ = [
     "left_boundary_value",
 ]
 
-# nodes of the ground state's sub-mesh: every solve_hastings_mcleod window has
-# at least as many, and a finer sub-mesh only makes the eigen-solve dearer
-_GROUND_STATE_NODES = 4001
+# fewest cells of the ground state's sub-grid: every solve_hastings_mcleod
+# window has at least as many, and a finer sub-grid only makes the
+# eigen-solve dearer
+_GROUND_STATE_CELLS = 4000
 
 
 class CertificateError(RuntimeError):
@@ -62,17 +63,14 @@ class CertificateError(RuntimeError):
 
 @dataclass
 class HMSolution:
-    """Discrete connection profile with its derivative and BC residuals."""
+    """Discrete connection profile on its uniform grid ``eta``, with its
+    derivative and BC residuals."""
 
-    mesh: Mesh
+    eta: np.ndarray
     w: np.ndarray
     wprime: np.ndarray
     report: NewtonReport
     boundary_residuals: tuple[float, float]
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.mesh.nodes
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def solve_hastings_mcleod(l_minus: float = 12.0, l_plus: float = 8.0, n: int = 8
         )
     r = residual(w)
     return HMSolution(
-        mesh=Mesh(eta),
+        eta=eta,
         w=w,
         wprime=np.gradient(w, h, edge_order=2),
         report=report,
@@ -278,13 +276,18 @@ def certify_lower_bound(sol: HMSolution) -> bool:
 
 def linearization_ground_state(sol: HMSolution) -> Spectrum:
     """The five largest eigenvalues of d^2/d eta^2 - (eta + 6 w^2) with
-    Dirichlet truncation on a uniform sub-mesh of ``_GROUND_STATE_NODES``
-    nodes, assembled by ``stability.resampled_operator`` (cubic resampling
-    of w); the ground state must be negative."""
+    Dirichlet truncation, assembled by ``stability.operator_from_potential``
+    on every k-th node of the uniform ``sol.eta``, k the largest divisor of
+    its cell count that leaves at least ``_GROUND_STATE_CELLS`` cells (so
+    both window ends stay nodes; k = 2 at the default n = 8001); the ground
+    state must be negative."""
     _require_converged(sol)
-    op = resampled_operator(
-        sol.eta, sol.w, _GROUND_STATE_NODES, lambda grid, w: -(grid + 6.0 * w**2)
-    )
+    cells = sol.eta.size - 1
+    k = max(cells // _GROUND_STATE_CELLS, 1)
+    while cells % k:
+        k -= 1
+    eta, w = sol.eta[k:-1:k], sol.w[k:-1:k]
+    op = operator_from_potential(eta, -(eta + 6.0 * w**2))
     spec = eig_tridiag_symmetric(op.diag, op.offdiag, 5)
     if spec.eigenvalues[0] >= 0.0:
         raise CertificateError(

@@ -156,8 +156,7 @@ class SimConfig:
     t_end: float = 200.0
     dt: float | None = None  # defaults to the bound min(DT_PER_H h, DT_CAP)
     ic: str = "small-bump"  # "small-bump" | "front-seed"
-    ic_center: float = 0.0
-    ic_width: float = 5.0
+    ic_width: float = 5.0  # small-bump: ic_amplitude exp(-(x / ic_width)^2)
     ic_amplitude: float = 0.05
     frozen_mu: float | None = None
     track_level: float = 0.2
@@ -168,7 +167,6 @@ class SimConfig:
             ("alpha", self.alpha), ("c", self.c), ("epsilon", self.epsilon),
             ("frozen_mu", self.frozen_mu), ("domain start", self.domain[0]),
             ("domain end", self.domain[1]), ("t_end", self.t_end),
-            ("ic_center", self.ic_center),
         ):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -274,7 +272,7 @@ class QuenchComparison:
 
 def _initial_condition(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
     if cfg.ic == "small-bump":
-        return cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
+        return cfg.ic_amplitude * np.exp(-(x / cfg.ic_width) ** 2)
     # front-seed: the front solves' Newton seed, exponentiated on the grid
     from .travelingwave import _front_seed
 

@@ -12,6 +12,9 @@ which is the computational object here: a symmetric tridiagonal
 discretization on a uniform resampling of the front domain with Dirichlet
 truncation.  Negativity of its leading eigenvalues (there is no translation
 zero mode, the ramp pins the front) gives exponential attractivity.
+``operator_from_potential`` assembles u'' + q u on a uniform grid; the
+Painleve ground state uses it on the connection's own nodes, which are
+already uniform, and only ``build_Lc`` resamples.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "LcOperator",
     "build_Lc",
     "operator_from_potential",
-    "resampled_operator",
     "leading_eigenvalues",
 ]
 
@@ -54,30 +56,22 @@ def operator_from_potential(grid: np.ndarray, q: np.ndarray) -> LcOperator:
     return LcOperator(diag=diag, offdiag=off)
 
 
-def resampled_operator(nodes: np.ndarray, values: np.ndarray, n: int, potential) -> LcOperator:
-    """Resample ``values`` from ``nodes`` onto ``n`` uniform nodes by cubic
-    interpolation and assemble the Dirichlet u'' + q u on the interior
-    nodes, with q = ``potential(grid, resampled values)``."""
-    # imported here, not at module level: the front and pde commands never
-    # resample, and scipy.interpolate adds ~0.24 s to their import
-    from scipy.interpolate import CubicSpline
-
-    grid = np.linspace(nodes[0], nodes[-1], n)
-    q = potential(grid, CubicSpline(nodes, values)(grid))
-    return operator_from_potential(grid[1:-1], q[1:-1])
-
-
 def build_Lc(front: FrontSolution, h: float = 0.25) -> LcOperator:
     """Resample the front onto a uniform grid (cubic interpolation of u*,
     closed-form ramp) and assemble the symmetric tridiagonal Lc with
     Dirichlet truncation at the front domain's ends."""
     if not front.report.converged:
         raise ValueError("spectral assembly requires a converged front")
+    # imported here: the front, painleve and pde commands never resample,
+    # and scipy.interpolate adds ~0.24 s to their import
+    from scipy.interpolate import CubicSpline
+
     zeta = front.mesh.nodes
     n = max(int(round((zeta[-1] - zeta[0]) / h)) + 1, 16)
+    grid = np.linspace(zeta[0], zeta[-1], n)[1:-1]
     c = front.params.c
-    q = lambda grid, u: front.params.mu_of_zeta(grid) - c * c / 4.0 - 3.0 * u**2
-    return resampled_operator(zeta, front.u, n, q)
+    u = CubicSpline(zeta, front.u)(grid)
+    return operator_from_potential(grid, front.params.mu_of_zeta(grid) - c * c / 4.0 - 3.0 * u**2)
 
 
 def leading_eigenvalues(op: LcOperator, k: int) -> Spectrum:

@@ -87,6 +87,7 @@ def test_pde_and_front_load_no_unused_scipy(tmp_path):
             ["pde", "--eps", "0.05", "--domain", "0", "60", "--n", "301", "--t-end", "30",
              "--compare"],
             ["front", "--c", "1.2", "--eps", "0.01"],
+            ["painleve"],
         ]
         for argv in cases:
             assert cli.main(argv + ["--outdir", "out"]) == 0, argv

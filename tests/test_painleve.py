@@ -17,9 +17,9 @@ from quenchfront.painleve import (
     linearization_ground_state,
     solve_hastings_mcleod,
 )
-from quenchfront.solvercore import Mesh, NewtonReport, eig_tridiag_symmetric, integrate_ode
+from quenchfront.solvercore import NewtonReport, eig_tridiag_symmetric, integrate_ode
 from quenchfront.specfun import airy
-from quenchfront.stability import resampled_operator
+from quenchfront.stability import operator_from_potential
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ class TestClassification:
 def _synthetic_solution(eta, w):
     wprime = np.gradient(w, eta)
     return HMSolution(
-        mesh=Mesh(eta),
+        eta=eta,
         w=w,
         wprime=wprime,
         report=NewtonReport(1, 0.0, True),
@@ -268,12 +268,34 @@ class TestGroundState:
             assert lam == pytest.approx(disc, abs=1e-6)
 
     def test_ground_state_mesh_stability(self, hm):
-        # the ground state's operator on its 4001-node sub-mesh and on 2001
-        potential = lambda grid, w: -(grid + 6.0 * w**2)
+        # the ground state's operator on strides 2 (its own 4001 nodes) and
+        # 4 (2001 nodes) of the 8001-node connection
         ground = {}
-        for n in (2001, 4001):
-            op = resampled_operator(hm.eta, hm.w, n, potential)
-            ground[n] = eig_tridiag_symmetric(op.diag, op.offdiag, 5).eigenvalues
-        assert np.array_equal(ground[4001], linearization_ground_state(hm).eigenvalues)
-        assert ground[2001][0] < 0.0 and ground[4001][0] < 0.0
-        assert abs(ground[2001][0] - ground[4001][0]) < 1e-3
+        for k in (2, 4):
+            eta, w = hm.eta[k:-1:k], hm.w[k:-1:k]
+            op = operator_from_potential(eta, -(eta + 6.0 * w**2))
+            ground[k] = eig_tridiag_symmetric(op.diag, op.offdiag, 5).eigenvalues
+        assert np.array_equal(ground[2], linearization_ground_state(hm).eigenvalues)
+        assert ground[4][0] < 0.0 and ground[2][0] < 0.0
+        assert abs(ground[4][0] - ground[2][0]) < 1e-3
+
+    @pytest.mark.parametrize("window", [(12.0, 8.0), (16.0, 10.0), (8.0, 6.0)])
+    def test_ground_state_against_the_resampled_reference(self, window):
+        # reference: a cubic spline through w onto 4001 uniform nodes, then
+        # the same operator.  Where 4000 divides n - 1 those nodes are knots
+        # of the spline and the two agree bit for bit; elsewhere the ground
+        # state takes every node (n = 5001, 6001) or every second
+        # (n = 10001), and the largest relative difference measured is 2.2e-6
+        from scipy.interpolate import CubicSpline
+
+        for n in (4001, 5001, 6001, 8001, 10001, 16001):
+            hm = solve_hastings_mcleod(*window, n)
+            grid = np.linspace(hm.eta[0], hm.eta[-1], 4001)
+            q = -(grid + 6.0 * CubicSpline(hm.eta, hm.w)(grid) ** 2)
+            op = operator_from_potential(grid[1:-1], q[1:-1])
+            ref = eig_tridiag_symmetric(op.diag, op.offdiag, 5).eigenvalues
+            got = linearization_ground_state(hm).eigenvalues
+            if (n - 1) % 4000 == 0:
+                assert np.array_equal(got, ref), n
+            else:
+                assert np.max(np.abs(got - ref) / np.abs(ref)) < 3e-6, n

@@ -58,21 +58,10 @@ class TestConfig:
             dict(domain=(math.nan, 300.0)), dict(domain=(0.0, math.inf)),
             dict(t_end=math.nan), dict(t_end=math.inf), dict(track_level=math.nan),
             dict(track_level=0.0), dict(track_level=1.0), dict(track_level=5.0),
-            dict(epsilon=0.0), dict(epsilon=-0.005), dict(ic_center=math.nan),
-            dict(ic_center=math.inf),
+            dict(epsilon=0.0), dict(epsilon=-0.005),
         ):
             with pytest.raises(ValueError):
                 SimConfig(**bad)
-
-    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_ic_center_refused(self, center):
-        # a NaN centre used to run and abort at t = 0, and an infinite one
-        # ran the zero state in place of the bump
-        with pytest.raises(ValueError, match="ic_center must be finite"):
-            SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, ic_center=center)
-        with pytest.raises(ValueError, match="ic_center must be finite"):
-            SimConfig(frame="comoving", c=1.2, epsilon=0.05, domain=(-20.0, 60.0), n=201,
-                      ic_center=center)
 
     def test_positivity_floor(self):
         # SBDF3's 11 B - 6 dt A4 binds: dt >= 11 h^2/72 at c = 0, 0.006111 at h = 0.2
@@ -109,7 +98,7 @@ class TestInvasion:
     def test_frozen_unstable_speed_two(self):
         cfg = SimConfig(
             frame="lab", frozen_mu=1.0, domain=(0.0, 200.0), n=2001, t_end=60.0,
-            ic="small-bump", ic_center=0.0, ic_width=5.0, ic_amplitude=0.05,
+            ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
         )
         res = simulate(cfg)
         tt, xx = res.track.times, res.track.x_fr_num
@@ -129,15 +118,15 @@ class TestInvasion:
     def test_two_sided_bump_flags_multiple_crossings(self):
         cfg = SimConfig(
             frame="lab", frozen_mu=1.0, domain=(-100.0, 100.0), n=2001, t_end=30.0,
-            ic="small-bump", ic_center=0.0, ic_width=5.0, ic_amplitude=0.05,
+            ic="small-bump", ic_width=5.0, ic_amplitude=0.05,
         )
         res = simulate(cfg)
         assert res.track.multiple_crossings
 
     def test_abort_carries_state(self):
         cfg = SimConfig(
-            frame="lab", frozen_mu=1.0, domain=(0.0, 50.0), n=501, t_end=10.0,
-            ic="small-bump", ic_amplitude=1e8, ic_width=2.0, ic_center=25.0,
+            frame="lab", frozen_mu=1.0, domain=(-25.0, 25.0), n=501, t_end=10.0,
+            ic="small-bump", ic_amplitude=1e8, ic_width=2.0,
         )
         with pytest.raises(SimulationAbort) as err:
             simulate(cfg)
@@ -145,8 +134,8 @@ class TestInvasion:
 
     def test_abort_carries_a_copy_of_the_state_at_t(self):
         # dt = 2^-5 makes t/dt exact, so the run stopped at t ends on that state
-        base = dict(frozen_mu=1.0, domain=(0.0, 50.0), n=501, ic_amplitude=1e8, ic_width=2.0,
-                    ic_center=25.0, dt=2.0**-5)
+        base = dict(frozen_mu=1.0, domain=(-25.0, 25.0), n=501, ic_amplitude=1e8, ic_width=2.0,
+                    dt=2.0**-5)
         with pytest.raises(SimulationAbort) as err:
             simulate(SimConfig(t_end=10.0, **base))
         t, u = err.value.t, err.value.u
@@ -233,8 +222,8 @@ class TestInvasion:
 
     def test_invariant_region(self):
         cfg = SimConfig(
-            frame="lab", frozen_mu=1.0, domain=(0.0, 60.0), n=601, t_end=15.0,
-            ic="small-bump", ic_amplitude=1.5, ic_width=4.0, ic_center=30.0,
+            frame="lab", frozen_mu=1.0, domain=(-30.0, 30.0), n=601, t_end=15.0,
+            ic="small-bump", ic_amplitude=1.5, ic_width=4.0,
             snapshot_dt=1.0,
         )
         res = simulate(cfg)
@@ -310,7 +299,7 @@ class TestDifferential:
     )
     def test_matches_dense_reference(self, mode):
         cfg = SimConfig(
-            epsilon=0.05, domain=(-10.0, 20.0), n=61, t_end=30.0, ic_center=5.0,
+            epsilon=0.05, domain=(-15.0, 15.0), n=61, t_end=30.0,
             ic_amplitude=0.3, snapshot_dt=3.0, **mode,
         )
         res = simulate(cfg)
@@ -528,7 +517,7 @@ class TestBlockedTrack:
         # a bump in the middle of a frozen mu = 1 run crosses 0.2 on both
         # sides from state 34 on; 38 steps track 39 states, so the last
         # block is partial and only it holds states with two crossings
-        cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=81, t_end=4.75, ic_center=10.0,
+        cfg = SimConfig(frozen_mu=1.0, domain=(-10.0, 10.0), n=81, t_end=4.75,
                         ic_width=2.0, ic_amplitude=0.007, snapshot_dt=0.125)
         block = pdesim._TRACK_BLOCK
         counts = self._track_against_reference(cfg, stride=1)
@@ -547,7 +536,7 @@ class TestBlockedTrack:
     def test_crossings_of_the_initial_state_do_not_count(self):
         # the bump crosses 0.2 twice at t = 0 and has decayed below it one
         # step later
-        cfg = SimConfig(frozen_mu=-1.0, domain=(0.0, 20.0), n=81, t_end=1.0, ic_center=10.0,
+        cfg = SimConfig(frozen_mu=-1.0, domain=(-10.0, 10.0), n=81, t_end=1.0,
                         ic_width=2.0, ic_amplitude=0.21, snapshot_dt=0.125)
         counts = self._track_against_reference(cfg, stride=1)
         assert counts[0] == 2 and not np.any(counts[1:])
@@ -583,7 +572,7 @@ def _banded_euler_front(cfg, dt):
     B(u_k + dt(mu u_k - u_k^3)) with frozen mu, solved by LAPACK ``dgtsv``."""
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     sub, main, sup, b12 = _compact_banded(cfg, 1.0, dt)
-    u = cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
+    u = cfg.ic_amplitude * np.exp(-(x / cfg.ic_width) ** 2)
     for _ in range(math.ceil(cfg.t_end / dt)):
         u = lapack.dgtsv(sub, main, sup, b12(u + dt * (cfg.frozen_mu * u - u**3)))[3]
     return _last_crossing(x, u, cfg.track_level)
@@ -595,7 +584,7 @@ def _banded_sbdf2_front(cfg, dt):
     (3B - 2dt A4) u_{k+1} = B(4u_k - u_{k-1} + 2dt(2F_k - F_{k-1})), each step
     solved by LAPACK ``dgtsv``."""
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
-    u = cfg.ic_amplitude * np.exp(-((x - cfg.ic_center) / cfg.ic_width) ** 2)
+    u = cfg.ic_amplitude * np.exp(-(x / cfg.ic_width) ** 2)
     f = lambda v: cfg.frozen_mu * v - v**3
     sub, main, sup, b12 = _compact_banded(cfg, 1.0, dt)
     prev, u = u, lapack.dgtsv(sub, main, sup, b12(u + dt * f(u)))[3]
@@ -922,8 +911,8 @@ class TestErrorState:
         simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0))
         assert np.geterr() == before
         cfg = SimConfig(
-            frame="lab", frozen_mu=1.0, domain=(0.0, 50.0), n=501, t_end=10.0,
-            ic="small-bump", ic_amplitude=1e8, ic_width=2.0, ic_center=25.0,
+            frame="lab", frozen_mu=1.0, domain=(-25.0, 25.0), n=501, t_end=10.0,
+            ic="small-bump", ic_amplitude=1e8, ic_width=2.0,
         )
         with pytest.raises(SimulationAbort):
             simulate(cfg)
