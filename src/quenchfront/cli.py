@@ -451,14 +451,14 @@ def cmd_pde(args) -> int:
             track_level=args.level,
         )
         if args.dt is None:
-            # h/10 for accuracy: at h = 0.4, dt = 0.04 the invasion speed and
-            # quench front lie within 2.8e-4 and 6e-4 of an n = 6001, dt =
-            # 0.0125 run (README); dt = 0.05 misses the speed by 4.7e-4
-            cfg = replace(cfg, dt=cfg.h / 10.0)
+            # h/5 for accuracy, at most DT_CAP: at h = 0.4, dt = 0.08 the
+            # invasion speed and quench front lie within 2.9e-4 and 3.0e-3
+            # of an n = 6001, dt = 0.0125 run (README)
+            cfg = replace(cfg, dt=min(cfg.h / 5.0, DT_CAP))
     except ValueError as exc:  # a step outside this grid's bounds: name the flags
         if not str(exc).startswith("dt = "):
             raise
-        raise ValueError(f"{exc}; see --dt (default h/10) and --n") from None
+        raise ValueError(f"{exc}; see --dt (default min(h/5, {DT_CAP:g})) and --n") from None
     if args.compare:
         check_quench_comparable(cfg)
     spreading_speed = check_spreading_speed(cfg)
@@ -656,10 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument(
         "--dt", type=float, default=None,
-        help=f"SBDF3 time step (default h/10, 0.04 on the default grid; at most "
-        f"min({DT_PER_H:g} h, {DT_CAP:g}), {DT_CAP:g} to keep the explicit reaction's "
-        f"dt |f'(u)| <= {2.0 * DT_CAP:g}, well inside its stability limit 20/21; at least "
-        "the positivity floor 11 h^2/72 without advection, which keeps every implicit "
+        help=f"SBDF4 time step (default min(h/5, {DT_CAP:g}), 0.08 on the default grid; at "
+        f"most min({DT_PER_H:g} h, {DT_CAP:g}), {DT_CAP:g} to keep the explicit reaction's "
+        f"dt |f'(u)| <= {2.0 * DT_CAP:g}, well inside its stability limit 32/45; at least "
+        "the positivity floor 25 h^2/144 without advection, which keeps every implicit "
         "matrix's off-diagonals <= 0)",
     )
     p.add_argument("--ic", choices=["small-bump", "front-seed"], default="small-bump")

@@ -31,38 +31,46 @@ positivity floor, where an off-diagonal of M is 0 up to rounding, and where
 max|ln D| exceeds 350 (c L > 1400).  Each step applies B to its right-hand
 side in three array passes before the solve.
 
-:func:`simulate` marches with SBDF3, the third-order semi-implicit BDF of
-Ascher, Ruuth and Wetton (1995): with F_k = f(u_k, t_k),
+:func:`simulate` marches with SBDF4, the fourth-order semi-implicit BDF
+of Ascher, Ruuth and Wetton (1995): with F_k = f(u_k, t_k),
 
-    (11 B - 6 dt A4) u_{k+1} = B (18 u_k - 9 u_{k-1} + 2 u_{k-2}
-                                  + 6 dt (3 F_k - 3 F_{k-1} + F_{k-2})),
+    (25 B - 12 dt A4) u_{k+1} = B (48 u_k - 36 u_{k-1} + 16 u_{k-2} - 3 u_{k-3}
+                                   + 12 dt (4 F_k - 6 F_{k-1} + 4 F_{k-2} - F_{k-3})),
 
-after one first-order IMEX Euler step (B - dt A4) u_1 = B (u_0 + dt F_0)
-and one SBDF2 step (3 B - 2 dt A4) u_2 = B (4 u_1 - u_0 + 2 dt (2 F_1 - F_0))
-at the same dt.  The loop keeps u and F for the last three levels in one
-(6, n) history ring, so each step's right-hand side is one dot of a
-precomputed weight row with it (the Euler start, the SBDF2 step, then
-SBDF3's weights in their three rotations), and the solve writes u_{k+1}
-over level k-2.  Each step reads these as one precomputed plan: its level's
-rows of u and F, its weight row, its factored solve and the row it writes.
-The extrapolated reaction is stable for dt |f'(u)| < 20/21,
-with f'(u) = mu - 3 u^2 (on a front f' lies in [-2, 1]).  Near that limit a
-parasitic root of the extrapolation is close to -1 (-0.76 at
-dt |f'| = 0.8), so the approach to the plateau u = 1 rings and overshoots
-it; dt <= 0.2 keeps dt |f'| <= 0.4.  The largest step is
+after one first-order IMEX Euler step (B - dt A4) u_1 = B (u_0 + dt F_0),
+one SBDF2 step (3 B - 2 dt A4) u_2 = B (4 u_1 - u_0 + 2 dt (2 F_1 - F_0))
+and one SBDF3 step (11 B - 6 dt A4) u_3 = B (18 u_2 - 9 u_1 + 2 u_0
++ 6 dt (3 F_2 - 3 F_1 + F_0)) at the same dt.  The loop keeps u and F for
+the last four levels in one (8, n) history ring, so each step's right-hand
+side is one dot of a precomputed weight row with it (the Euler start, the
+SBDF2 and SBDF3 steps, then SBDF4's weights in their four rotations), and
+the solve writes u_{k+1} over level k-3.  Each step reads these as one
+precomputed plan: its level's rows of u and F, its weight row, its
+factored solve and the row it writes.  The extrapolated reaction is stable
+for dt |f'(u)| < 32/45, with f'(u) = mu - 3 u^2 (on a front f' lies in
+[-2, 1]).  Near that limit a parasitic root of the extrapolation is close
+to -1 (-0.98 at dt |f'| = 0.7), so the approach to the plateau u = 1 rings
+and overshoots it; dt <= 0.2 keeps dt |f'| <= 0.4, where the parasitic
+roots are -0.37 and 0.42 +- 0.32i.  The largest step is
 dt <= min(0.5 h, 0.2) (``DT_PER_H`` and ``DT_CAP``), and it is the default;
-the time error is O(dt^3) against O(h^4) in space, so the accuracy-chosen
-step of a run is smaller (the ``pde`` command's default is 0.04 on h = 0.4).
+the time error is O(dt^4) against O(h^4) in space, so the accuracy-chosen
+step of a run is smaller (the ``pde`` command's default is h/5, 0.08 on
+h = 0.4).  BDF4 is only A(73 deg)-stable, so advection can leave its
+stability region: a Fourier root scan of the full step keeps every mode's
+growth factor <= 1 for |c| <= 4 on every admissible grid, but at c = 5 on
+h = 1 (dt = 0.2) one grows by 1.0077 a step, and such a run leaves
+|u| <= 1.
 
 Every implicit matrix also keeps its off-diagonals <= 0, which with its
 diagonal dominance makes it an M-matrix with a nonnegative inverse.  B's
 off-diagonals are positive, so this needs dt_m/s >= (h^2/12) r(x), with
 x = c h/2 and r(x) = (1 + |x|)/(1 + |x| + x^2/3) <= 1 (:func:`_min_step`).
-Of the three matrices, SBDF3's 11 B - 6 dt A4 has the largest s/dt_m, so
-it sets the positivity floor dt >= (11/6)(h^2/12) r(x), 11 h^2/72 at c = 0.
-Below it a solve can undershoot 0: a frozen-mu run on h = 5 at dt = 0.2
-reaches u = -1.007.  A grid on which no step meets both bounds (h > 1.14
-at c = 0) is refused.
+Of the four matrices, SBDF4's 25 B - 12 dt A4 has the largest s/dt_m, so
+it sets the positivity floor dt >= (25/12)(h^2/12) r(x), 25 h^2/144 at
+c = 0.  Below it a solve can undershoot 0 and a march overshoot 1: at
+dt = 0.2 a frozen-mu run reaches u = 1.207 on h = 1.25 and -0.785 on
+h = 2.5, and aborts on h = 5.  A grid on which no step meets both bounds
+(h > 1.0733 at c = 0) is refused.
 :func:`steady_state` solves the comoving frame's discrete steady state
 A4 u + B f(u) = 0 itself, by Newton in w = log u, with no time march.
 
@@ -133,6 +141,17 @@ _MAX_LOG_SCALE = 350.0
 # simulate copies tracked states into a block of this many rows and locates
 # their fronts a block at a time
 _TRACK_BLOCK = 32
+# simulate's steps (s, m, weights): each solves (s B - m dt A4) u_{k+1} =
+# B (sum_i wu_i u_{k-i} + wf_i dt F_{k-i}) with (wu_i, wf_i) the weights of
+# level k - i: 18 (u_0 + dt F_0) for the Euler start, 9 (4 u_1 - u_0 +
+# 2 dt (2 F_1 - F_0)) for the SBDF2 step, the SBDF3 step, then SBDF4 (the
+# module notes' sums)
+_SCHEMES = (
+    (18.0, 18.0, ((18.0, 18.0),)),
+    (27.0, 18.0, ((36.0, 36.0), (-9.0, -18.0))),
+    (11.0, 6.0, ((18.0, 18.0), (-9.0, -18.0), (2.0, 6.0))),
+    (25.0, 12.0, ((48.0, 48.0), (-36.0, -72.0), (16.0, 48.0), (-3.0, -12.0))),
+)
 
 
 class SimulationAbort(RuntimeError):
@@ -209,16 +228,16 @@ class SimConfig:
         elif self.dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {self.dt:g} exceeds min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g}: "
-                f"SBDF3's largest step, dt <= {DT_PER_H:g} h, and the limit dt <= {DT_CAP:g} "
+                f"SBDF4's largest step, dt <= {DT_PER_H:g} h, and the limit dt <= {DT_CAP:g} "
                 f"that keeps the explicit reaction's dt |f'(u)| <= {2.0 * DT_CAP:g} for "
-                "|f'| <= 2, well inside its stability interval (20/21) and free of overshoot "
+                "|f'| <= 2, well inside its stability interval (32/45) and free of overshoot "
                 "past |u| = 1 (diffusion is implicit and stable for any dt)"
             )
-        dt_min = _min_step(self.h, self.c, 11.0) / 6.0  # SBDF3's 11 B - 6 dt A4 binds
+        dt_min = _min_step(self.h, self.c, 25.0) / 12.0  # SBDF4's 25 B - 12 dt A4 binds
         if self.dt < dt_min * (1.0 - 1e-12):
             raise ValueError(
                 f"dt = {self.dt:g} lies below the positivity floor {dt_min:.4g} of h = "
-                f"{self.h:g}: below it SBDF3's implicit matrix 11 B - 6 dt A4 has positive "
+                f"{self.h:g}: below it SBDF4's implicit matrix 25 B - 12 dt A4 has positive "
                 "off-diagonals, and a solve can undershoot u = 0"
                 + (
                     f"; no step up to min({DT_PER_H:g} h, {DT_CAP:g}) = {dt_max:g} reaches "
@@ -420,8 +439,8 @@ def _implicit_solver(
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """March with SBDF3 (one IMEX Euler and one SBDF2 step first); returns
-    snapshots and the front track.
+    """March with SBDF4 (one IMEX Euler, one SBDF2 and one SBDF3 step
+    first); returns snapshots and the front track.
 
     A non-finite state aborts with :class:`SimulationAbort` carrying a copy
     of the last healthy state.
@@ -430,29 +449,24 @@ def simulate(cfg: SimConfig) -> SimResult:
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     dt, eps = cfg.dt, cfg.epsilon
     steps = int(math.ceil(cfg.t_end / dt))
-    # u_k and F_k of the last three levels, level k in rows 2 (k % 3) and
-    # 2 (k % 3) + 1; each step solves (s B - m dt A4) u_{k+1} = B (w . ring)
-    # into the rows of level k - 2, with w the weights of (u, dt F) on levels
-    # k, k-1, k-2: 18 (u_0 + dt F_0) for the Euler start, 9 (4 u_1 - u_0 +
-    # 2dt (2 F_1 - F_0)) for the SBDF2 step, then the docstring's SBDF3 sum
-    ring = np.zeros((6, cfg.n))
-    levels = [(ring[2 * j], ring[2 * j + 1]) for j in range(3)]
-    schemes = (  # s, m, weights
-        (18.0, 18.0, ((18.0, 18.0),)),
-        (27.0, 18.0, ((36.0, 36.0), (-9.0, -18.0))),
-        (11.0, 6.0, ((18.0, 18.0), (-9.0, -18.0), (2.0, 6.0))),
-    )
-    solvers = [_implicit_solver(cfg.n, cfg.h, m * dt, cfg.c, s) for s, m, _ in schemes]
-    # the plans (u_k, F_k, weight row, solve, u_{k+1}'s row) of steps 0-4;
-    # step k >= 5 repeats step k - 3's
+    # u_k and F_k of the last q = 4 levels, level k in rows 2 (k % q) and
+    # 2 (k % q) + 1; step k solves (s B - m dt A4) u_{k+1} = B (w . ring) of
+    # its row of _SCHEMES into the rows of level k - 3, with w the weights
+    # of (u, dt F) on levels k, k-1, k-2, k-3
+    q = len(_SCHEMES)
+    ring = np.zeros((2 * q, cfg.n))
+    levels = [(ring[2 * j], ring[2 * j + 1]) for j in range(q)]
+    solvers = [_implicit_solver(cfg.n, cfg.h, m * dt, cfg.c, s) for s, m, _ in _SCHEMES]
+    # the plans (u_k, F_k, weight row, solve, u_{k+1}'s row) of steps 0-6;
+    # step k >= 7 repeats step k - 4's
     plans = []
-    for k in range(5):
-        w = np.zeros(6)
-        for i, (wu, wf) in enumerate(schemes[min(k, 2)][2]):
-            j = 2 * ((k - i) % 3)
+    for k in range(2 * q - 1):
+        w = np.zeros(2 * q)
+        for i, (wu, wf) in enumerate(_SCHEMES[min(k, q - 1)][2]):
+            j = 2 * ((k - i) % q)
             w[j], w[j + 1] = wu, wf * dt
-        plans.append((*levels[k % 3], w, solvers[min(k, 2)], levels[(k + 1) % 3][0]))
-    plan = itertools.chain(plans[:2], itertools.cycle(plans[2:]))
+        plans.append((*levels[k % q], w, solvers[min(k, q - 1)], levels[(k + 1) % q][0]))
+    plan = itertools.chain(plans[: q - 1], itertools.cycle(plans[q - 1 :]))
 
     snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else cfg.t_end / 10.0
     snap_stride = max(1, int(round(snap_dt / dt)))
@@ -610,7 +624,7 @@ def steady_state(cfg: SimConfig) -> SteadyState:
 
 
 def spreading_speed(h: float, dt: float, mu: float) -> float:
-    """Linear spreading speed of the SBDF3 march of u_t = u_xx + mu u on a
+    """Linear spreading speed of the SBDF4 march of u_t = u_xx + mu u on a
     grid of spacing h at step dt, for mu > 0 (van Saarloos, Phys. Rep. 386,
     2003); advection (the comoving frame's c D1) is not included.
 
@@ -618,7 +632,8 @@ def spreading_speed(h: float, dt: float, mu: float) -> float:
     s = 2 (cosh(lam h) - 1)/h^2, so the compact operator B^{-1} A4 acts on
     it by S = s/(1 + h^2 s/12), and it grows by the largest root G of
 
-        (11 - 6 dt S) G^3 - 18 (1 + dt mu) G^2 + (9 + 18 dt mu) G - (2 + 6 dt mu) = 0,
+        (25 - 12 dt S) G^4 - 48 (1 + dt mu) G^3 + (36 + 72 dt mu) G^2
+            - (16 + 48 dt mu) G + (3 + 12 dt mu) = 0,
 
     and the speed is the saddle of ln(G)/(dt lam): its first local minimum
     as lam grows from 0.  It is not the smallest value, because S saturates
@@ -627,7 +642,7 @@ def spreading_speed(h: float, dt: float, mu: float) -> float:
     is solved for S at a given growth rate sigma = ln(G)/dt: with
     g = G - 1 = expm1(sigma dt),
 
-        6 dt G^3 S = 11 g^3 + 15 g^2 + 6 g - 6 dt mu (3 g^2 + 3 g + 1),
+        12 dt G^4 S = 25 g^4 + 52 g^3 + 42 g^2 + 12 g - 12 dt mu (4 g^3 + 6 g^2 + 4 g + 1),
 
     which has no cancellation as dt -> 0, where S -> sigma - mu and the
     speed tends to the semi-discrete min_lam (S(lam) + mu)/lam.  Then
@@ -642,9 +657,10 @@ def spreading_speed(h: float, dt: float, mu: float) -> float:
 
     def speed(sigma: np.ndarray) -> np.ndarray:
         g = np.expm1(sigma * dt)
-        big_s = (g * (6.0 + g * (15.0 + 11.0 * g)) - 6.0 * dt * mu * (1.0 + 3.0 * g * (1.0 + g))) / (
-            6.0 * dt * (1.0 + g) ** 3
-        )
+        big_s = (
+            g * (12.0 + g * (42.0 + g * (52.0 + 25.0 * g)))
+            - 12.0 * dt * mu * (1.0 + g * (4.0 + g * (6.0 + 4.0 * g)))
+        ) / (12.0 * dt * (1.0 + g) ** 4)
         r = np.clip(h * h * big_s / 12.0, 0.0, 1.0)  # 1 (no real lam) gives y = inf
         with np.errstate(divide="ignore", invalid="ignore"):
             y = 6.0 * r / (1.0 - r)  # h^2 s/2

@@ -541,37 +541,43 @@ class TestPde:
         assert not list(out.glob("*"))
 
     def test_grid_below_the_positivity_floor_refused(self, tmp_path, capsys):
-        # at h = 5 no step up to the cap 0.2 reaches the floor 11 h^2/72 =
-        # 3.82 (a run at dt = 0.2 would reach u = -1.007); h = 1 needs
-        # dt >= 0.153, above the default --dt h/10 = 0.1
+        # at h = 5 no step up to the cap 0.2 reaches the floor 25 h^2/144 =
+        # 4.34 (a run at dt = 0.2 would abort, non-finite), nor at h = 1.087
+        # (floor 0.205); h = 1 needs dt >= 0.1736, which the default --dt,
+        # min(h/5, 0.2) = 0.2, meets
         with pytest.raises(ValueError, match="the grid must be finer"):
             SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=21, t_end=40.0)
-        for n in ("21", "101"):
-            coarse = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--n", n, "--t-end", "40"]
+        grid = ["pde", "--frozen-mu", "1", "--domain", "0", "100", "--t-end", "40"]
+        for n, dt in (("21", []), ("93", []), ("101", ["--dt", "0.1"])):
             with mock.patch.object(cli, "simulate") as sim:
-                code, out = run(coarse, tmp_path, n)
+                code, out = run([*grid, "--n", n, *dt], tmp_path, n)
             assert code == 1
             err = capsys.readouterr().err
             assert "positivity floor" in err and "--dt" in err
+            if n == "93":
+                assert "the grid must be finer; see --dt (default min(h/5, 0.2)) and --n" in err
             sim.assert_not_called()
             assert not list(out.glob("*"))
+        coarse = [*grid, "--n", "101"]
         code, out = run([*coarse, "--dt", "0.6"], tmp_path, "refused")
         assert code == 1
         err = capsys.readouterr().err
         assert f"min({DT_PER_H:g} h, {DT_CAP:g})" in err and "--dt" in err
         assert not (out / "pde_snapshots.csv").exists()
-        code, _ = run([*coarse, "--dt", str(DT_CAP)], tmp_path, "accepted")
+        code, out = run(coarse, tmp_path, "accepted")
         assert code == 0
+        meta, _ = read_meta(out / "pde_front_track.csv")
+        assert float(meta["dt"]) == DT_CAP
 
     @pytest.mark.parametrize(
-        "mu,dt,accepted", [("1", "0.2", True), ("2", "0.1", True), ("2", "0.2", False),
-                           ("4", "0.1", False)]
+        "mu,dt,accepted", [("1", "0.2", True), ("2", "0.1", True), ("2", "0.2", True),
+                           ("4", "0.1", True), ("2.5", "0.2", False), ("4", "0.2", False)]
     )
     def test_grid_refused_by_its_spreading_speed(self, tmp_path, capsys, mu, dt, accepted):
-        # on h = 0.5 the march spreads 0.79 %, 0.83 %, 3.17 % and 3.30 %
-        # below 2 sqrt(mu); the bound is 2.5 %.  At mu = 1 the positivity
-        # floor refuses every grid coarse enough to miss it (h > 1.8 at
-        # dt = 0.04, h > 1.7 at dt = 0.2)
+        # on h = 0.5 the march spreads 0.33 %, 0.37 %, 2.21 %, 2.36 %, 3.56 %
+        # and 7.79 % below 2 sqrt(mu); the bound is 2.5 %.  At mu = 1 the
+        # positivity floor refuses every grid coarse enough to miss it
+        # (h > 1.79 at dt = 0.04, h > 1.74 at dt = 0.2)
         argv = ["pde", "--frozen-mu", mu, "--domain", "0", "100", "--n", "201", "--t-end", "1",
                 "--dt", dt]
         with mock.patch.object(cli, "simulate", side_effect=SimulationAbort(0.0, np.zeros(201))):
@@ -606,22 +612,17 @@ class TestPde:
         sim.assert_not_called()
         assert not list(out.glob("*"))
 
-    def test_default_dt_follows_the_grid(self, tmp_path, capsys):
-        # the default --dt is h/10: on h = 0.05 that is 0.005, below the
-        # largest step 0.025 that the old fixed default 0.04 exceeded
-        code, out = run(["pde", "--n", "6001", "--t-end", "1"], tmp_path, "fine")
-        assert code == 0
-        meta, _ = read_meta(out / "pde_front_track.csv")
-        assert float(meta["dt"]) == 0.05 / 10.0
-        # on h = 0.8, h/10 = 0.08 lies below the positivity floor 0.0978
-        with mock.patch.object(cli, "simulate") as sim:
-            code, out = run(["pde", "--domain", "0", "600", "--t-end", "1"], tmp_path, "coarse")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "dt = 0.08 lies below the positivity floor 0.09778" in err
-        assert "see --dt (default h/10)" in err
-        sim.assert_not_called()
-        assert not list(out.glob("*"))
+    def test_default_dt_follows_the_grid(self, tmp_path):
+        # the default --dt is min(h/5, 0.2): on h = 0.05 that is 0.01, below
+        # the largest step 0.025; on h = 0.8, 0.16 lies above the positivity
+        # floor 0.111 (and spreads at 1.995); on h = 1.0714 h/5 = 0.214
+        # would exceed the cap, and dt = 0.2 lies above the floor 0.1993
+        for grid, dt in ((["--n", "6001"], 0.05 / 5.0), (["--domain", "0", "600"], 0.8 / 5.0),
+                         (["--n", "281"], DT_CAP)):
+            code, out = run(["pde", *grid, "--t-end", "1"], tmp_path, grid[-1])
+            assert code == 0
+            meta, _ = read_meta(out / "pde_front_track.csv")
+            assert float(meta["dt"]) == dt
 
     def test_manifest_reports_steps_and_wall_time(self, tmp_path):
         code, out = run(
@@ -630,9 +631,9 @@ class TestPde:
         )
         assert code == 0
         manifest = json.loads((out / "pde_manifest.json").read_text())
-        assert manifest["steps"] == 50  # ceil(1 / 0.02), the default --dt h/10 on h = 0.2
+        assert manifest["steps"] == 25  # ceil(1 / 0.04), the default --dt h/5 on h = 0.2
         assert 0.0 < manifest["wall_s"] <= manifest["wall_time"]
-        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.02, 1.0)
+        assert manifest["spreading_speed"] == spreading_speed(0.2, 0.04, 1.0)
 
     def test_snapshot_bytes_equal_per_value_format(self, tmp_path):
         code, out = run(
@@ -640,7 +641,7 @@ class TestPde:
             tmp_path,
         )
         assert code == 0
-        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.02))
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
         expected = "".join(
             ",".join(cli._fmt(v) for v in (t, x, u)) + "\n"
             for t, snap in zip(res.times, res.snapshots)
@@ -664,7 +665,7 @@ class TestPde:
             tmp_path,
         )
         assert code == 0
-        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.02))
+        res = simulate(SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0, dt=0.04))
         expected = "".join(
             ",".join(cli._fmt(v) for v in row) + "\n"
             for row in zip(res.track.times, res.track.x_fr_num)

@@ -192,22 +192,53 @@ def test_every_stored_field_is_read():
 
 def test_dt_bound_quoted_from_the_module_constants():
     # SimConfig's check, its message, the --dt help, the module docstring
-    # and the README pdesim row all quote min(DT_PER_H h, DT_CAP)
+    # and the README pdesim row all quote min(DT_PER_H h, DT_CAP) and the
+    # explicit reaction's stability limit 32/45
     from quenchfront import pdesim
 
     bound = f"min({pdesim.DT_PER_H:g} h, {pdesim.DT_CAP:g})"
     with open(README) as fh:
         row = next(line for line in fh if line.startswith("| `quenchfront.pdesim`"))
-    assert "SBDF3" in row and f"dt ≤ {bound}" in row
-    assert "SBDF3" in pdesim.__doc__ and f"dt <= {bound}" in pdesim.__doc__
+    assert "SBDF4" in row and f"dt ≤ {bound}" in row
+    assert "SBDF4" in pdesim.__doc__ and f"dt <= {bound}" in pdesim.__doc__
     pde = cli.build_parser().qf_subparsers["pde"]
     help_text = next(a.help for a in pde._actions if "--dt" in a.option_strings)
-    assert "SBDF3" in help_text and bound in help_text
+    assert "SBDF4" in help_text and bound in help_text
     h = 1.0
     assert pdesim.SimConfig(domain=(0.0, 100.0), n=101).dt == min(pdesim.DT_PER_H * h, pdesim.DT_CAP)
-    with pytest.raises(ValueError, match="SBDF3") as err:
+    with pytest.raises(ValueError, match="SBDF4") as err:
         pdesim.SimConfig(domain=(0.0, 100.0), n=101, dt=1.01 * pdesim.DT_CAP)
     assert bound in str(err.value)
+    for text in (row, pdesim.__doc__, help_text, str(err.value)):
+        assert "32/45" in text and "20/21" not in text
+
+
+def test_quoted_stability_limit_from_the_scheme_weights():
+    # SBDF4's explicit reaction on u' = f' u (A4 = 0), with z = dt f', has
+    # the amplification polynomial s G^4 = sum_i (wu_i + z wf_i) G^(3-i)
+    # with simulate's own weights.  At the boundary-locus point G = -1,
+    # z = (s - sum_i wu_i (-1)^(3-i))/sum_i wf_i (-1)^(3-i) = 128/-180
+    from fractions import Fraction
+
+    import numpy as np
+
+    from quenchfront import pdesim
+
+    s, m, weights = pdesim._SCHEMES[-1]
+    assert (s, m) == (25.0, 12.0)
+    sign = [(-1) ** (3 - i) for i in range(4)]
+    num = Fraction(s) - sum(Fraction(wu) * g for (wu, _), g in zip(weights, sign))
+    den = sum(Fraction(wf) * g for (_, wf), g in zip(weights, sign))
+    assert (num, den) == (128, -180) and num / den == Fraction(-32, 45)
+
+    def roots(z):
+        return np.roots([s] + [-(wu + z * wf) for wu, wf in weights])
+
+    # every root inside the unit disk for dt |f'| in (0, 2 DT_CAP] ...
+    for z in -np.linspace(1e-6, 2.0 * pdesim.DT_CAP, 201):
+        assert np.max(np.abs(roots(z))) < 1.0
+    # ... and just past 32/45 one leaves it through -1
+    assert np.min(roots(-(32.0 / 45.0) * (1.0 + 1e-6)).real) < -1.0
 
 
 def test_readme_suite_size_quoted_from_bench_suite():

@@ -64,11 +64,11 @@ class TestConfig:
                 SimConfig(**bad)
 
     def test_positivity_floor(self):
-        # SBDF3's 11 B - 6 dt A4 binds: dt >= 11 h^2/72 at c = 0, 0.006111 at h = 0.2
+        # SBDF4's 25 B - 12 dt A4 binds: dt >= 25 h^2/144 at c = 0, 0.006944 at h = 0.2
         h = 0.2
-        floor = 11.0 * h * h / 72.0
+        floor = 25.0 * h * h / 144.0
         SimConfig(domain=(0.0, 20.0), n=101, dt=floor)
-        with pytest.raises(ValueError, match="positivity floor 0.006111 of h = 0.2"):
+        with pytest.raises(ValueError, match="positivity floor 0.006944 of h = 0.2"):
             SimConfig(domain=(0.0, 20.0), n=101, dt=0.999 * floor)
         # advection lowers it: (1 + x)/(1 + x + x^2/3) with x = c h/2 = 0.12
         x = 0.12
@@ -76,20 +76,21 @@ class TestConfig:
         SimConfig(frame="comoving", c=1.2, domain=(0.0, 20.0), n=101, dt=floor_c)
         with pytest.raises(ValueError, match="positivity floor"):
             SimConfig(frame="comoving", c=1.2, domain=(0.0, 20.0), n=101, dt=0.999 * floor_c)
-        # at the floor every off-diagonal of the three implicit matrices is <= 0
+        # at the floor every off-diagonal of the four implicit matrices is <= 0
         for c, dt in ((0.0, floor), (1.2, floor_c), (-1.2, floor_c)):
-            for dt_m, s in ((18.0 * dt, 18.0), (18.0 * dt, 27.0), (6.0 * dt, 11.0)):
+            for m_dt, s in _STEP_MATRICES:
                 a4, b = _dense_operators(SimConfig(
                     frame="comoving" if c else "lab", c=c, domain=(0.0, 2.0), n=11, dt=dt
                 ))
-                m = s * b - dt_m * a4
+                m = s * b - m_dt * dt * a4
                 assert np.max(m - np.diag(np.diag(m))) <= 1e-12 * s
 
-    @pytest.mark.parametrize("h", [1.25, 2.5, 5.0])
+    @pytest.mark.parametrize("h", [1.1, 1.25, 2.5, 5.0])
     def test_grid_coarser_than_every_admissible_step_refused(self, h):
-        # the floor 11 h^2/72 passes the cap 0.2 at h = 1.144; below the
-        # floor, a frozen-mu run at dt = 0.2 reaches u = -0.0025 on h = 2.5
-        # and -1.007 on h = 5
+        # the floor 25 h^2/144 passes the cap 0.2 at h = 1.0733; below the
+        # floor, a frozen-mu run at dt = 0.2 overshoots to u = 1.039 on
+        # h = 1.1 and 1.207 on h = 1.25, reaches [-0.785, 2.19] on h = 2.5
+        # and aborts, non-finite, on h = 5
         with pytest.raises(ValueError, match="the grid must be finer"):
             SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=int(round(100.0 / h)) + 1)
 
@@ -153,9 +154,10 @@ class TestInvasion:
     def test_abort_check_on_the_step_a_value_appears(self, monkeypatch, value, aborts):
         # the solve of step j returns `value` at one node: a non-finite one
         # aborts on that step, in the Euler start (j = 1), the SBDF2 step
-        # (j = 2) and the last, SBDF3 step; a finite one on the last step
-        # stays.  Without advection, and at c = 1.2, where every step runs
-        # the symmetrized solve (max|ln D| about c L/4 = 6)
+        # (j = 2), the SBDF3 step (j = 3) and the last, SBDF4 step; a finite
+        # one on the last step stays.  Without advection, and at c = 1.2,
+        # where every step runs the symmetrized solve (max|ln D| about
+        # c L/4 = 6)
         real, real_symmetrizer = pdesim._implicit_solver, pdesim._symmetrizer
         scales = []
 
@@ -169,7 +171,7 @@ class TestInvasion:
             SimConfig(frame="comoving", c=1.2, domain=(-10.0, 10.0), n=101, t_end=1.0),
         ):
             steps = math.ceil(cfg.t_end / cfg.dt)
-            for j in (1, 2, steps) if aborts else (steps,):
+            for j in (1, 2, 3, steps) if aborts else (steps,):
                 calls = []
                 scales.clear()
 
@@ -196,7 +198,7 @@ class TestInvasion:
                     assert res.snapshots[-1][50] == value
                 assert len(calls) == j
                 # one symmetrizer per advective matrix, and each one exists
-                assert len(scales) == (3 if cfg.c else 0)
+                assert len(scales) == (4 if cfg.c else 0)
                 assert all(d is not None for d in scales)
 
     def test_comparison_principle(self):
@@ -209,10 +211,13 @@ class TestInvasion:
         for a, b in zip(lo.snapshots, hi.snapshots):
             assert np.all(a <= b + 1e-12)
 
-    @pytest.mark.parametrize("h", [0.5, 1.0, 1.1])
+    @pytest.mark.parametrize("h", [0.5, 1.0, 1.06])
     def test_coarse_grid_at_the_dt_cap_stays_in_invariant_region(self, h):
-        # every step, not only the snapshots; max |u| is 1 to within 6.7e-16
-        # (coarser grids are refused, test_grid_coarser_than_every_admissible_step_refused)
+        # h = 1.06 rounds to n = 95, h = 1.0638, the coarsest grid on
+        # (0, 100) whose floor 25 h^2/144 = 0.1965 the cap 0.2 meets; every
+        # step, not only the snapshots; max |u| is 1 to within 2.3e-16
+        # (coarser grids are refused,
+        # test_grid_coarser_than_every_admissible_step_refused)
         cfg = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=int(round(100.0 / h)) + 1,
                         t_end=40.0, snapshot_dt=pdesim.DT_CAP)
         assert cfg.dt == pdesim.DT_CAP
@@ -255,9 +260,11 @@ def _dense_reference(cfg, u):
     """Unfactored, unfused copy of the stepper: with A4, B dense and
     F_k = mu(t_k) u_k - u_k^3, one IMEX Euler step (B - dt A4) u_1 =
     B(u_0 + dt F_0), one SBDF2 step (3B - 2dt A4) u_2 = B(4u_1 - u_0 +
-    2dt(2F_1 - F_0)), then SBDF3 (11B - 6dt A4) u_{k+1} = B(18u_k - 9u_{k-1}
-    + 2u_{k-2} + 6dt(3F_k - 3F_{k-1} + F_{k-2})); returns the states from u
-    onwards (row k is t = k dt)."""
+    2dt(2F_1 - F_0)), one SBDF3 step (11B - 6dt A4) u_3 = B(18u_2 - 9u_1
+    + 2u_0 + 6dt(3F_2 - 3F_1 + F_0)), then SBDF4 (25B - 12dt A4) u_{k+1} =
+    B(48u_k - 36u_{k-1} + 16u_{k-2} - 3u_{k-3} + 12dt(4F_k - 6F_{k-1}
+    + 4F_{k-2} - F_{k-3})); returns the states from u onwards (row k is
+    t = k dt)."""
     x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.n)
     dt = cfg.dt
     a, b = _dense_operators(cfg)
@@ -277,11 +284,16 @@ def _dense_reference(cfg, u):
         elif k == 1:
             rhs = 4.0 * us[1] - us[0] + 2.0 * dt * (2.0 * fs[1] - fs[0])
             u = np.linalg.solve(3.0 * b - 2.0 * dt * a, b @ rhs)
-        else:
-            rhs = 18.0 * us[k] - 9.0 * us[k - 1] + 2.0 * us[k - 2] + 6.0 * dt * (
-                3.0 * fs[k] - 3.0 * fs[k - 1] + fs[k - 2]
+        elif k == 2:
+            rhs = 18.0 * us[2] - 9.0 * us[1] + 2.0 * us[0] + 6.0 * dt * (
+                3.0 * fs[2] - 3.0 * fs[1] + fs[0]
             )
             u = np.linalg.solve(11.0 * b - 6.0 * dt * a, b @ rhs)
+        else:
+            rhs = 48.0 * us[k] - 36.0 * us[k - 1] + 16.0 * us[k - 2] - 3.0 * us[k - 3] + 12.0 * dt * (
+                4.0 * fs[k] - 6.0 * fs[k - 1] + 4.0 * fs[k - 2] - fs[k - 3]
+            )
+            u = np.linalg.solve(25.0 * b - 12.0 * dt * a, b @ rhs)
         us.append(u)
     return np.array(us)
 
@@ -309,8 +321,8 @@ class TestDifferential:
         assert np.max(np.abs(res.snapshots - ref[steps])) <= 1e-12
 
 
-# the (dt_m, s) of the Euler start, the SBDF2 step and SBDF3 at step dt
-_STEP_MATRICES = ((18.0, 18.0), (18.0, 27.0), (6.0, 11.0))
+# the (dt_m/dt, s) of the Euler start, the SBDF2 and SBDF3 steps and SBDF4
+_STEP_MATRICES = ((18.0, 18.0), (18.0, 27.0), (6.0, 11.0), (12.0, 25.0))
 
 
 class TestImplicitSolver:
@@ -335,11 +347,10 @@ class TestImplicitSolver:
     @pytest.mark.parametrize("h", [0.1, 0.2, 0.4])
     @pytest.mark.parametrize("c", [-1.2, 0.0, 0.6, 1.2, 1.99])
     def test_matches_dense_solve(self, monkeypatch, c, h):
-        # measured: at most 1.2e-15 of max|u| here and in test_symmetrizer_bound
-        # (1.9e-15 with dgttrs on every advective matrix); the fallback runs
-        # only for SBDF3's matrix at the floor, whose larger off-diagonal is
-        # 0 up to rounding there
-        floor = pdesim._min_step(h, c, 11.0) / 6.0
+        # measured: at most 1.2e-15 of max|u| here and in test_symmetrizer_bound;
+        # the fallback runs only for SBDF4's matrix at the floor, whose larger
+        # off-diagonal is 0 up to rounding there
+        floor = pdesim._min_step(h, c, 25.0) / 12.0
         for dt in (floor, min(pdesim.DT_PER_H * h, pdesim.DT_CAP)):
             cfg = SimConfig(frame="comoving" if c else "lab", c=c, domain=(0.0, 20.0),
                             n=int(round(20.0 / h)) + 1, dt=dt)
@@ -347,7 +358,7 @@ class TestImplicitSolver:
                 u, ref, fallback = self._solve_both(monkeypatch, cfg, m * dt, s)
                 assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
                 assert np.all(u >= 0.0)
-                assert fallback == (c != 0.0 and dt == floor and s == 11.0)
+                assert fallback == (c != 0.0 and dt == floor and s == 25.0)
 
     @pytest.mark.parametrize("length,fallback", [(600.0, False), (720.0, True)])
     def test_symmetrizer_bound(self, monkeypatch, length, fallback):
@@ -605,19 +616,21 @@ def invasion_fronts():
 
 
 class TestTimeAccuracy:
-    def test_third_order_in_dt(self, invasion_fronts):
-        # e(dt) = C dt^3: successive differences shrink by 8 per halving.
-        # Measured 7.29 at the default dt: the one IMEX Euler start step's
-        # O(dt^2) local error still pulls the ratio below 8
+    def test_fourth_order_in_dt(self, invasion_fronts):
+        # e(dt) = C dt^4: successive differences shrink by 16 per halving.
+        # Measured 12.77 at the default dt: the start steps' lower-order
+        # errors pull it below 16.  Started from u_1, u_2, u_3 of the
+        # semi-discrete ODE solved to rtol 1e-13, the same march reads 14.51,
+        # and 15.23 at dt/2
         _, (q1, q2, q4) = invasion_fronts
-        assert 7.0 <= (q1 - q2) / (q2 - q4) <= 8.5
+        assert 12.5 <= (q1 - q2) / (q2 - q4) <= 17.0
 
     def test_default_dt_beats_euler_at_old_bound(self, invasion_fronts):
-        # time error against the order-3 Richardson (dt -> 0) value at the
+        # time error against the order-4 Richardson (dt -> 0) value at the
         # same h and on the same compact space, against IMEX Euler at 0.4 h^2
-        # and SBDF2 at 0.2 h (measured 2.26e-2 against 4.36e-2 and 3.25e-2)
+        # and SBDF2 at 0.2 h (measured 2.37e-3 against 4.36e-2 and 3.25e-2)
         _, (q1, q2, q4) = invasion_fronts
-        exact = (8.0 * q4 - q2) / 7.0
+        exact = (16.0 * q4 - q2) / 15.0
         cfg = SimConfig(**_INVASION)
         euler = _banded_euler_front(cfg, 0.4 * cfg.h**2)
         sbdf2 = _banded_sbdf2_front(cfg, 0.2 * cfg.h)
@@ -644,26 +657,29 @@ class TestSpaceAccuracy:
 
 
 class TestDefaultGrid:
-    # references: this scheme at n = 6001, dt = 0.0125 on the same domain;
-    # the bounds are the errors of the second-order scheme at its old
-    # defaults (n = 3001, dt = 0.05), which read 1.98378 and 262.213
+    # references: SBDF3 at n = 6001, dt = 0.0125 on the same domain (SBDF4
+    # there reads 1.983425 and 262.18010); the bounds are the errors of the
+    # second-order scheme at its old defaults (n = 3001, dt = 0.05), which
+    # read 1.98378 and 262.213
     SPEED, FRONT = 1.98342, 262.180
 
     def _defaults(self, *flags):
         args = cli.build_parser().parse_args(["pde", *flags])
         h = (args.domain[1] - args.domain[0]) / (args.n - 1)
-        dt = h / 10.0 if args.dt is None else args.dt  # pde's default step h/10
+        # pde's default step min(h/5, DT_CAP)
+        dt = min(h / 5.0, pdesim.DT_CAP) if args.dt is None else args.dt
         return dict(domain=tuple(args.domain), n=args.n, dt=dt, t_end=args.t_end)
 
     def test_invasion_speed_near_fine_reference(self):
-        # measured 1.98314
+        # measured 1.983132 at dt = 0.08
         res = simulate(SimConfig(frozen_mu=1.0, **self._defaults("--t-end", "60")))
         tt, xx = res.track.times, res.track.x_fr_num
         sel = np.isfinite(xx) & (tt >= 30.0)
         assert abs(np.polyfit(tt[sel], xx[sel], 1)[0] - self.SPEED) <= 3.6e-4
 
     def test_quench_front_near_fine_reference(self):
-        # measured 262.1806
+        # measured 262.1830 at dt = 0.08; most of the gap is h = 0.4's space
+        # error, about +4.8e-3
         res = simulate(SimConfig(alpha=0.0, epsilon=0.005, **self._defaults()))
         assert abs(res.track.x_fr_num[-1] - self.FRONT) <= 0.033
 
@@ -682,7 +698,7 @@ class TestSpreadingSpeed:
     @pytest.mark.parametrize("h,dt,mu", [(0.1, 0.05, 1.0), (1.0, 0.2, 1.0), (1.1, 0.2, 1.0),
                                          (1.5, 0.1, 1.0), (0.5, 0.2, 0.3), (0.2, 0.1, 4.0)])
     def test_matches_largest_root(self, h, dt, mu):
-        # oracle: the largest real root of the amplification cubic, with the
+        # oracle: the largest real root of the amplification quartic, with the
         # compact symbol S = s/(1 + h^2 s/12), by numpy.roots on a fine lam
         # grid, at its first local minimum (the saddle) refined by a parabola.
         # S saturates at 12/h^2, so on steep modes the speed falls again: at
@@ -691,11 +707,12 @@ class TestSpreadingSpeed:
         lam = np.linspace(0.05, 4.0, 4000) * math.sqrt(mu)
         s = 2.0 * (np.cosh(lam * h) - 1.0) / h**2
         s = s / (1.0 + h * h * s / 12.0)
-        lam, s = lam[6.0 * dt * s < 11.0], s[6.0 * dt * s < 11.0]
+        lam, s = lam[12.0 * dt * s < 25.0], s[12.0 * dt * s < 25.0]
         speeds = []
         for lk, sk in zip(lam, s):
-            roots = np.roots([11.0 - 6.0 * dt * sk, -18.0 * (1.0 + dt * mu),
-                              9.0 + 18.0 * dt * mu, -(2.0 + 6.0 * dt * mu)])
+            roots = np.roots([25.0 - 12.0 * dt * sk, -48.0 * (1.0 + dt * mu),
+                              36.0 + 72.0 * dt * mu, -(16.0 + 48.0 * dt * mu),
+                              3.0 + 12.0 * dt * mu])
             speeds.append(math.log(max(roots.real[np.abs(roots.imag) < 1e-9])) / (dt * lk))
         speeds = np.array(speeds)
         i = int(np.flatnonzero(speeds[1:] > speeds[:-1])[0])
@@ -703,11 +720,19 @@ class TestSpreadingSpeed:
         oracle = p0 - p1 * p1 / (4.0 * p2)  # the parabola's vertex
         assert pdesim.spreading_speed(h, dt, mu) == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize("h,dt,speed", [(0.4, 0.08, 1.99962), (0.8, 0.16, 1.99519),
+                                            (1.0, 0.2, 1.98946)])
+    def test_at_the_default_step(self, h, dt, speed):
+        # pde's default step h/5 on three grids; values from a brute-force
+        # lam scan of SBDF4's quartic (the same scan gives SBDF3's speeds
+        # from its cubic to 5 digits)
+        assert abs(pdesim.spreading_speed(h, dt, 1.0) - speed) <= 1e-4
+
     def test_check_refuses_a_coarse_grid(self):
         fine = SimConfig(frozen_mu=1.0, domain=(0.0, 100.0), n=1001)
         assert pdesim.check_spreading_speed(fine) == pdesim.spreading_speed(0.1, 0.05, 1.0)
         # at mu = 1 the positivity floor refuses every grid coarse enough to
-        # miss 2 by 2.5 %; at mu = 4, h = 0.5 and dt = 0.2 spread at 3.662
+        # miss 2 by 2.5 %; at mu = 4, h = 0.5 and dt = 0.2 spread at 3.688
         with pytest.raises(ValueError, match="grid too coarse for a front"):
             pdesim.check_spreading_speed(SimConfig(frozen_mu=4.0, domain=(0.0, 100.0), n=201))
         # mu <= 0: no front to carry
@@ -741,7 +766,7 @@ class TestSteadyState:
         assert res.report.converged and np.all(res.u > 0.0) and res.wall_s > 0.0
 
     def test_agrees_with_long_simulation(self):
-        # SBDF3's fixed points solve A4 u + B f(u) = 0 too; measured 3.1e-13
+        # SBDF4's fixed points solve A4 u + B f(u) = 0 too; measured 4.4e-15
         steady = steady_state(self._comoving())
         res = simulate(self._comoving(t_end=1500.0, snapshot_dt=1500.0))
         assert np.max(np.abs(res.snapshots[-1] - steady.u)) <= 1e-11
@@ -889,10 +914,11 @@ def test_moving_ramp_locks_at_the_bvp_interface(c, t_end, bound):
     # with slope eps alpha = 1e-2; from a small bump at x = 0 the front
     # (tracked at the BVP's threshold c/4, h = 0.4, dt = 0.2) locks at
     # x_fr = c t - zeta_fr.  Measured gaps x_fr - c t + zeta_fr at t_end for
-    # dt = 0.2, 0.1, 0.05: 1.78e-3, 1.91e-3, 1.93e-3 at c = 0.6 and -0.0515,
-    # -0.0062, 1e-4 at c = 1.2.  The pair (0.2, 0.1) falls 7.3x at c = 1.2,
-    # third order, so dt = 0.2's time error is 8/7 of its difference: 1.5e-4
-    # and 0.052; the bound adds the dt -> 0 gap (1.9e-3 and 1e-4) and a margin
+    # dt = 0.2, 0.1, 0.05: 1.94e-3, 1.93e-3, 1.93e-3 at c = 0.6 and -5.6e-3,
+    # 5.9e-4, 1.02e-3 at c = 1.2.
+    # The pair (0.2, 0.1) falls 14.2x at c = 1.2, fourth order, so dt = 0.2's
+    # time error is 16/15 of its difference: 7e-6 and 6.6e-3; the bound adds
+    # the dt -> 0 gap (1.9e-3 and 1.05e-3) and a margin
     slope = 1e-2
     zeta_fr = front_location(solve_front(QuenchParams(c, slope), 5.0 / slope, 4001))[1]
     lo, hi = -100.0, c * t_end + 100.0
