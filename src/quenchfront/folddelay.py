@@ -119,11 +119,16 @@ def run_fold_passage(c: float, epsilon: float, delta: float = 0.25) -> FoldDelay
     def g(theta):
         return 1.0 - (theta + mu_c) ** 2
 
+    # both fields read y's one entry as a Python float and return a list:
+    # LSODA calls them once per step, where numpy scalar arithmetic and an
+    # array per call cost more than the field itself
     def near(z, y):  # y = [s]
-        return np.array([(2.0 * z - g(epsilon * y[0] - z * z) / y[0]) / epsilon])
+        s = y.item()
+        return [(2.0 * z - g(epsilon * s - z * z) / s) / epsilon]
 
     def past(z, y):  # y = [theta]
-        return np.array([g(y[0]) * (epsilon / (-z * z - y[0]))])
+        theta = y.item()
+        return [g(theta) * (epsilon / (-z * z - theta))]
 
     k, g0 = _START_SCALE, 1.0 - c**4 / 16.0
     root = min(0.5, k * epsilon ** (1 / 3) * g0 ** (1 / 3) + 2.0 * k**3 * epsilon)

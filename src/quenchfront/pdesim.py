@@ -131,6 +131,11 @@ DT_CAP = 0.2
 # a grid whose spreading speed misses 2 sqrt(mu) by more than this fraction of
 # it is refused: criterion 8(b)'s tolerance, 0.05 on a speed of 2
 SPEED_TOLERANCE = 0.025
+# the largest comoving speed |c| accepted: SBDF4 is only A(73 deg)-stable, and
+# a Fourier root scan of its full step (f' in {-2, -1, -0.5, 0}, 25 h x 8 dt
+# per c over the admissible grids) keeps every growth factor <= 1 for
+# |c| <= 4; at c = 5, h = 1, f' = 0 one mode grows by 1.0077 a step
+_C_MAX = 4.0
 # an advective matrix is solved through its symmetrizer D (about e^{cz/2},
 # centred, so max|ln D| is about c L/4) only while max|ln D| <= this bound: a
 # solve divides the right-hand side by D and multiplies back, so every
@@ -198,6 +203,13 @@ class SimConfig:
         if self.c != 0.0 and self.frame != "comoving":
             raise ValueError(
                 f"c = {self.c!r} is the comoving-frame speed; the lab frame needs c = 0"
+            )
+        if abs(self.c) > _C_MAX:
+            raise ValueError(
+                f"comoving speed |c| = {abs(self.c):g} exceeds {_C_MAX:g}: SBDF4 is only "
+                "A(73 deg)-stable, and a Fourier root scan of its step over the admissible "
+                f"grids keeps every growth factor <= 1 only for |c| <= {_C_MAX:g} (at c = 5, "
+                "h = 1 a mode grows by 1.0077 a step)"
             )
         if self.alpha != 0.0 and (self.frame == "comoving" or self.frozen_mu is not None):
             raise ValueError(

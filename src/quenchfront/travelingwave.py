@@ -166,13 +166,29 @@ def _interface_mu(c: float, epsilon: float) -> float:
     return min(predicted_delay(c, epsilon), 0.5 * (1.0 + c * c / 4.0))
 
 
+def _seed_mu(c: float, epsilon: float) -> float:
+    """Where ``_front_seed`` anchors a front at speed c > 0.  For
+    gamma = c/eps^{1/3} >= 1 that is ``_interface_mu``.  Below, the delay
+    law's eps^{2/3} Omega0 overshoots: the front jumps before mu_c, on the
+    decaying tail of the inner Hastings-McLeod profile, whose amplitude
+    eps^{1/3} e^{-(2/3)|eta|^{3/2}}, up to its prefactor, reaches the
+    threshold c/4 = eps^{1/3} gamma/4 at |eta| = ((3/2) ln(1/gamma))^{2/3};
+    so the anchor is mu = c^2/4 - ((3/2) ln(1/gamma))^{2/3} eps^{2/3}
+    (below the ramp's least mesh value, ``_front_seed`` anchors at the first
+    node)."""
+    gamma = c / epsilon ** (1.0 / 3.0)
+    if gamma >= 1.0:
+        return _interface_mu(c, epsilon)
+    return 0.25 * c * c - (1.5 * math.log(1.0 / gamma)) ** (2.0 / 3.0) * epsilon ** (2.0 / 3.0)
+
+
 def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> np.ndarray:
     """Newton's start in w = log(u) on ``nodes``, where the ramp reads the
     increasing ``mu``.  In the linear tail q = w' solves q' = -q^2 + c q - mu,
     the fold's z' = -z^2 - theta in q = c/2 + z; the seed's tail is the
     trapezoid integral of its unstable root c/2 + sqrt(max(c^2/4 - mu, 0))
     (1/2 at c = 0), anchored at w = log(c/4) (log(1/4)) where mu, linearly
-    interpolated, reaches ``_interface_mu`` (0 at c = 0).  The seed is the
+    interpolated, reaches ``_seed_mu`` (0 at c = 0).  The seed is the
     smaller of that tail and the plateau log(sqrt(mu)) floored at the anchor
     level: the increasing tail runs below the floor up to the anchor, and
     past it keeps its own slope, c/2 beyond the fold, until it meets the
@@ -181,7 +197,7 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
     floored plateau.
     """
     if c > 0.0:
-        level, m = math.log(c / 4.0), _interface_mu(c, epsilon)
+        level, m = math.log(c / 4.0), _seed_mu(c, epsilon)
         q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
     else:
         level, m = math.log(0.25), 0.0
@@ -224,14 +240,15 @@ class _LogFrontSystem:
         self.mesh = mesh
         self.c = c
         self.phase_fn = phase_fn
-        z = mesh.nodes
-        h = np.diff(z)
+        h = np.diff(mesh.nodes)
         hm, hp = h[:-1], h[1:]
+        # the three-point weights of w'' and w' at the interior nodes; the
+        # centre weights are minus the sum of the outer two, so with the
+        # forward and backward differences D+ and D- of w,
+        # w'' = d2p D+ - d2m D- and w' = d1p D+ - d1m D-
         self.d2m = 2.0 / (hm * (hm + hp))
-        self.d2c = -2.0 / (hm * hp)
         self.d2p = 2.0 / (hp * (hm + hp))
         self.d1m = -hp / (hm * (hm + hp))
-        self.d1c = (hp - hm) / (hm * hp)
         self.d1p = hm / (hp * (hm + hp))
         self.h0, self.h1 = h[0], h[-1]  # the end cells of the boundary rows
 
@@ -245,9 +262,13 @@ class _LogFrontSystem:
     def true_zeta(self, epsilon: float) -> np.ndarray:
         return self.mesh.nodes + self.phase(epsilon) / epsilon
 
-    def derivative(self, w: np.ndarray) -> np.ndarray:
-        """The central first difference of ``w`` at the interior nodes."""
-        return self.d1m * w[:-2] + self.d1c * w[1:-1] + self.d1p * w[2:]
+    def differences(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first differences w_{i+1} - w_i and, from them, the central
+        first difference w' = d1p D+ - d1m D- at the interior nodes."""
+        dw = np.subtract(w[1:], w[:-1])
+        dc = np.multiply(self.d1p, dw[1:])
+        dc -= np.multiply(self.d1m, dw[:-1])
+        return dw, dc
 
     def equations(self, epsilon: float):
         """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
@@ -260,13 +281,22 @@ class _LogFrontSystem:
         e^{2w}) with q = nu_s (1 - u_+ e^{-w}) at the right.  So the
         Jacobian is tridiagonal, returned in (1, 1) band storage.
 
+        An interior row is d2p D+ - d2m D- + w'(w' - c) + mu - e^{2w}, with
+        D+ and D- the forward and backward differences, both read from the
+        one first-difference array of ``differences``, which also forms w';
+        its Jacobian row is d2m + g d1m, -(sum of those two) - 2 e^{2w} and
+        d2p + g d1p, g = 2w' - c.  The interior rows and bands are written
+        into the returned arrays in place.
+
         One evaluation per Newton iterate serves both: ``residual`` keeps
-        the centred derivative and e^{2w} of the array it was given, and
-        ``jacobian`` called on that same array object (unmodified since)
-        reuses them; on any other array, such as an earlier line-search
-        trial, it computes them afresh."""
+        w' and e^{2w} of the array it was given, and ``jacobian`` called on
+        that same array object (unmodified since) reuses them; on any other
+        array, such as an earlier line-search trial, it computes them
+        afresh."""
         mu = self.mu_values(epsilon)
+        mu_in = mu[1:-1]
         c, h0, h1 = self.c, self.h0, self.h1
+        d2m, d2p, d1m, d1p = self.d2m, self.d2p, self.d1m, self.d1p
         nu_u, nu_s = projection_rates(c, mu[0], mu[-1])
         g0 = -nu_u * nu_u + c * nu_u - mu[0]
         u_plus = math.sqrt(mu[-1])
@@ -274,13 +304,19 @@ class _LogFrontSystem:
 
         def residual(w: np.ndarray) -> np.ndarray:
             nonlocal held
-            dc, e2 = self.derivative(w), np.exp(2.0 * w)
+            dw, dc = self.differences(w)
+            e2 = np.multiply(w, 2.0)
+            np.exp(e2, out=e2)
             held = (w, dc, e2)
             r = np.empty_like(w)
-            r[1:-1] = (
-                self.d2m * w[:-2] + self.d2c * w[1:-1] + self.d2p * w[2:] + dc * dc - c * dc
-                + mu[1:-1] - e2[1:-1]
-            )
+            ri, back = r[1:-1], dw[:-1]  # dw's backward half is scratch from here
+            np.multiply(d2p, dw[1:], out=ri)
+            ri -= np.multiply(d2m, back, out=back)
+            np.subtract(dc, c, out=back)
+            back *= dc
+            ri += back
+            ri += mu_in
+            ri -= e2[1:-1]
             r[0] = (w[1] - w[0]) / h0 - 0.5 * h0 * (g0 + e2[0]) - nu_u
             q = nu_s * (1.0 - u_plus * np.exp(-w[-1]))
             d2 = c * q - q * q - mu[-1] + e2[-1]  # w'' at slope q
@@ -288,12 +324,18 @@ class _LogFrontSystem:
             return r
 
         def jacobian(w: np.ndarray) -> np.ndarray:
-            dc, e2 = held[1:] if held[0] is w else (self.derivative(w), np.exp(2.0 * w))
-            g = 2.0 * dc - c
+            dc, e2 = held[1:] if held[0] is w else (self.differences(w)[1], np.exp(2.0 * w))
             ab = np.empty((3, w.size))
-            ab[0, 2:] = self.d2p + g * self.d1p
-            ab[1, 1:-1] = self.d2c + g * self.d1c - 2.0 * e2[1:-1]
-            ab[2, :-2] = self.d2m + g * self.d1m
+            up, di, lo = ab[0, 2:], ab[1, 1:-1], ab[2, :-2]
+            g = np.multiply(dc, 2.0, out=di)  # g = 2w' - c, held in the diagonal
+            g -= c
+            np.multiply(g, d1p, out=up)
+            up += d2p
+            np.multiply(g, d1m, out=lo)
+            lo += d2m
+            np.multiply(e2[1:-1], -2.0, out=di)
+            di -= up
+            di -= lo
             ab[0, 0], ab[0, 1] = 0.0, 1.0 / h0
             ab[1, 0] = -1.0 / h0 - h0 * e2[0]
             dq = nu_s * u_plus * np.exp(-w[-1])  # dq/dw at the right end
@@ -357,7 +399,7 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     point zeta_c where mu = c^2/4.  The solve is one Newton run from
     ``_front_seed``: in w = log(u), the tail integrates the unstable root
     of the linear tail's Riccati equation through w = log(c/4) at the
-    delayed interface of ``predicted_delay``, and on at its own slope until
+    interface ``_seed_mu`` expects, and on at its own slope until
     it meets the plateau log(sqrt(mu)), so the seed has no jump.  The
     discrete system is posed in the log-amplitude w = log(u) (the front's
     plateau passes exponentially close to u = 0, which an additive solve

@@ -210,6 +210,14 @@ class TestFront:
         if c > 0.0:
             assert c * c / 4.0 < diag["mu_fr"] < 1.0
 
+    def test_small_gamma_solved(self, tmp_path, capsys):
+        # gamma = c/eps^{1/3} = 0.01: from the delay-law anchor this exited 2
+        # at residual 1.070e+06; the tail anchor solves it in 11 iterations
+        code, out = run(["front", "--c", "0.001", "--eps", "0.001"], tmp_path)
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["iterations"] <= 30 and diag["mu_fr"] < 0.001**2 / 4.0
+
     def test_ramp_option_gone(self, tmp_path, capsys):
         code, out = run(
             ["front", "--c", "1.2", "--eps", "0.0025", "--ramp", "linear-clipped"], tmp_path
@@ -601,8 +609,10 @@ class TestPde:
             (["--frame", "comoving", "--alpha", "0.7"], "error: alpha = 0.7 is the lab-frame"),
             (["--frozen-mu", "1", "--alpha", "0.5"], "error: alpha = 0.5 is the lab-frame"),
             (["--ic", "zero"], "argument --ic: invalid choice: 'zero'"),
+            (["--frame", "comoving", "--c", "5"], "error: comoving speed |c| = 5 exceeds 4"),
+            (["--frame", "comoving", "--c", "-5"], "error: comoving speed |c| = 5 exceeds 4"),
         ],
-        ids=["c-in-lab-frame", "alpha-comoving", "alpha-frozen-mu", "ic-zero"],
+        ids=["c-in-lab-frame", "alpha-comoving", "alpha-frozen-mu", "ic-zero", "c=5", "c=-5"],
     )
     def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, bad, message):
         with mock.patch.object(cli, "simulate") as sim:

@@ -63,6 +63,14 @@ class TestConfig:
             with pytest.raises(ValueError):
                 SimConfig(**bad)
 
+    @pytest.mark.parametrize("c", [-5.0, 5.0])
+    def test_comoving_speed_past_four_refused(self, c):
+        # SBDF4 grows a mode at c = 5 on h = 1 (max|u| 1.09 from a small
+        # bump); the step's Fourier root scan is stable for |c| <= 4
+        with pytest.raises(ValueError, match=r"\|c\| = 5 exceeds 4: .*Fourier root scan"):
+            SimConfig(frame="comoving", c=c, domain=(-60.0, 300.0), n=361)
+        SimConfig(frame="comoving", c=0.8 * c, domain=(-60.0, 300.0), n=361)
+
     def test_positivity_floor(self):
         # SBDF4's 25 B - 12 dt A4 binds: dt >= 25 h^2/144 at c = 0, 0.006944 at h = 0.2
         h = 0.2

@@ -155,6 +155,34 @@ class TestSolveFront:
         assert np.all((lo <= ratios) & (ratios <= hi))
 
 
+class TestSmallGammaSeed:
+    """Below gamma = c/eps^{1/3} = 1 the seed anchors on the inner
+    Hastings-McLeod tail, before mu_c, not at the delay law."""
+
+    # the cells of c in {1e-6, 1e-4, 1e-3, 3e-3, 0.01} x eps in {0.1, 1e-2,
+    # 1e-3, 1e-4, 1e-5, 1e-7} that failed at front's defaults when the seed
+    # anchored at the delay law for every gamma; from the tail anchor all 30
+    # cells solve, these 15 in 10-24 iterations (measured)
+    FAILED_AT_THE_LAW = [
+        *((1e-6, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)),
+        *((1e-4, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)),
+        *((1e-3, eps) for eps in (1e-2, 1e-3, 1e-4)),
+        *((3e-3, eps) for eps in (1e-2, 1e-3)),
+    ]
+
+    @pytest.mark.parametrize("c,eps", FAILED_AT_THE_LAW)
+    def test_solves_where_the_law_anchor_failed(self, c, eps):
+        sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
+        assert sol.report.converged and sol.report.iterations <= 30
+        assert sol.mu_fr is not None and sol.mu_fr < c * c / 4.0
+
+    @pytest.mark.parametrize("c,eps", [(0.2, 1e-3), (0.4, 2.5e-3), (1.2, 1e-6), (1.9, 0.1)])
+    def test_law_anchor_kept_from_gamma_one(self, c, eps):
+        import quenchfront.travelingwave as tw
+
+        assert tw._seed_mu(c, eps) == tw._interface_mu(c, eps)
+
+
 class TestFrontLocation:
     def _synthetic(self, c, eps, jump_index, at_threshold):
         params = QuenchParams(c, eps)
@@ -303,20 +331,21 @@ class TestOneAssemblyPerIterate:
         return system, seed
 
     @staticmethod
-    def _counting_derivative(system, monkeypatch):
+    def _counting_differences(system, monkeypatch):
+        # ``differences`` is the one place w' is formed
         calls = []
-        derivative = system.derivative
+        differences = system.differences
 
         def counted(w):
             calls.append(1)
-            return derivative(w)
+            return differences(w)
 
-        monkeypatch.setattr(system, "derivative", counted)
+        monkeypatch.setattr(system, "differences", counted)
         return calls
 
     def test_jacobian_after_residual_at_the_same_iterate(self, monkeypatch):
         system, w = self._system()
-        calls = self._counting_derivative(system, monkeypatch)
+        calls = self._counting_differences(system, monkeypatch)
         residual, jacobian = system.equations(1e-3)
         r = residual(w)
         got = jacobian(w)
@@ -332,10 +361,96 @@ class TestOneAssemblyPerIterate:
         residual, jacobian = system.equations(1e-3)
         residual(w1)
         residual(w2)
-        calls = self._counting_derivative(system, monkeypatch)
+        calls = self._counting_differences(system, monkeypatch)
         got = jacobian(w1)
         assert len(calls) == 1
         assert np.array_equal(got, system.equations(1e-3)[1](w1))
+
+
+def _stencil_equations(system, epsilon):
+    """The reference assembly: ``equations`` as it was written with the
+    three-term stencils d2m w_{i-1} + d2c w_i + d2p w_{i+1} and d1m, d1c, d1p
+    and w'^2 - c w', one w' per call of either function."""
+    h = np.diff(system.mesh.nodes)
+    hm, hp = h[:-1], h[1:]
+    d2m, d2c, d2p = 2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))
+    d1m, d1c, d1p = -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
+    mu = system.mu_values(epsilon)
+    c, h0, h1 = system.c, h[0], h[-1]
+    nu_u, nu_s = projection_rates(c, mu[0], mu[-1])
+    g0 = -nu_u * nu_u + c * nu_u - mu[0]
+    u_plus = math.sqrt(mu[-1])
+
+    def derivative(w):
+        return d1m * w[:-2] + d1c * w[1:-1] + d1p * w[2:]
+
+    def residual(w):
+        dc, e2 = derivative(w), np.exp(2.0 * w)
+        r = np.empty_like(w)
+        r[1:-1] = (
+            d2m * w[:-2] + d2c * w[1:-1] + d2p * w[2:] + dc * dc - c * dc + mu[1:-1] - e2[1:-1]
+        )
+        r[0] = (w[1] - w[0]) / h0 - 0.5 * h0 * (g0 + e2[0]) - nu_u
+        q = nu_s * (1.0 - u_plus * np.exp(-w[-1]))
+        d2 = c * q - q * q - mu[-1] + e2[-1]
+        r[-1] = (w[-1] - w[-2]) / h1 + 0.5 * h1 * d2 - q
+        return r
+
+    def jacobian(w):
+        dc, e2 = derivative(w), np.exp(2.0 * w)
+        g = 2.0 * dc - c
+        ab = np.empty((3, w.size))
+        ab[0, 2:] = d2p + g * d1p
+        ab[1, 1:-1] = d2c + g * d1c - 2.0 * e2[1:-1]
+        ab[2, :-2] = d2m + g * d1m
+        ab[0, 0], ab[0, 1] = 0.0, 1.0 / h0
+        ab[1, 0] = -1.0 / h0 - h0 * e2[0]
+        dq = nu_s * u_plus * np.exp(-w[-1])
+        q = nu_s - dq
+        ab[2, -2], ab[2, -1] = -1.0 / h1, 0.0
+        ab[1, -1] = 1.0 / h1 + 0.5 * h1 * ((c - 2.0 * q) * dq + 2.0 * e2[-1]) - dq
+        return ab
+
+    return residual, jacobian
+
+
+class TestAssemblyAgainstStencil:
+    """``equations`` forms w'' and w' from one first difference and writes
+    its rows in place; the three-term-stencil assembly it replaced is the
+    reference.  Over these 24 cases the residuals differ by at most 2.3e-11
+    (a quarter of the Newton tolerance 1e-10 is asserted), each Jacobian
+    band by at most 1.5e-14 of its largest entry (5e-14 asserted), and the
+    Newton solves from the seed take the same iterations and halvings and
+    end within 1.3e-11 in u (5e-11 asserted)."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("mesh_kind", ["branch", "default"])
+    @pytest.mark.parametrize("c", [0.0, 0.6, 1.2, 1.9])
+    def test_matches_the_stencil_assembly(self, c, mesh_kind, eps):
+        import quenchfront.travelingwave as tw
+        from quenchfront.solvercore import solve_bvp
+
+        if mesh_kind == "branch":
+            phase_fn = (lambda e: math.atanh(tw._interface_mu(c, e))) if c > 0.0 else None
+            system = tw._LogFrontSystem(tw._branch_mesh(c, eps), c, phase_fn)
+        else:
+            mesh = tw._default_mesh(QuenchParams(c, eps), 5.0 / eps, 4001)
+            system = tw._LogFrontSystem(mesh, c)
+        seed = tw._front_seed(system.mesh.nodes, system.mu_values(eps), c, eps)
+        w, report = system.solve(seed, eps)
+        ref_residual, ref_jacobian = _stencil_equations(system, eps)
+        with np.errstate(over="ignore"):
+            w_ref, ref_report = solve_bvp(ref_residual, ref_jacobian, seed, tw._TOL, max_iter=80)
+        assert report.converged and ref_report.converged
+        assert report.iterations == ref_report.iterations
+        assert report.damping_history == ref_report.damping_history
+        assert np.max(np.abs(np.exp(w) - np.exp(w_ref))) <= 5e-11
+        residual, jacobian = system.equations(eps)
+        for x in (seed, w):
+            assert np.max(np.abs(residual(x) - ref_residual(x))) <= 0.25 * tw._TOL
+            ab, ab_ref = jacobian(x), ref_jacobian(x)
+            scale = np.max(np.abs(ab_ref), axis=1, keepdims=True)
+            assert np.max(np.abs(ab - ab_ref) / scale) <= 5e-14
 
 
 class TestContinuousSeed:
@@ -411,7 +526,12 @@ class TestContinuousSeed:
         # w rises from node to node by at most the trapezoid step of the
         # tail's slope q; the step at the anchor broke this by >= 0.69.  The
         # slack is the cumulative sum's rounding (measured 2.1e-8 at
-        # |w| ~ 1e8, eps = 1e-7)
+        # |w| ~ 1e8, eps = 1e-7).  Below gamma = c/eps^{1/3} = 1 (here c =
+        # 0.05 at eps >= 2.5e-4 and (0.4, 0.1)) the tail is anchored before
+        # mu = c^2/16, where the plateau leaves its floor log(c/4): past it
+        # the seed follows the plateau 0.5 log(mu), steeper than the tail
+        # (by up to 0.95 a cell), until the two meet, so there w rises by at
+        # most the larger of the two steps
         import quenchfront.travelingwave as tw
 
         params = QuenchParams(c, eps)
@@ -423,7 +543,10 @@ class TestContinuousSeed:
             mu = tw._LogFrontSystem(mesh, c, phase_fn).mu_values(eps)
             w = tw._front_seed(mesh.nodes, mu, c, eps)
             q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
-            rise = np.diff(w) - 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
+            step = 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
+            if c / eps ** (1.0 / 3.0) < 1.0:
+                step = np.maximum(step, np.diff(0.5 * np.log(np.maximum(mu, c * c / 16.0))))
+            rise = np.diff(w) - step
             assert rise.max() <= 1e-14 * np.max(np.abs(w))
             assert w.max() <= 0.0 and np.all(np.diff(w) >= 0.0)
 
