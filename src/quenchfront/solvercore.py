@@ -173,16 +173,15 @@ class NewtonReport:
 
 def _tridiag_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve J x = rhs for J tridiagonal in (1, 1) band storage ``ab`` by
-    LAPACK ``dgtsv``.  ``ab`` is left as it is: ``dgtsv`` overwrites the rows
-    of one contiguous copy of it.  ``rhs`` is overwritten with the solution
-    when it is a contiguous float array (which is then returned), so the
-    caller passes one it no longer needs."""
+    LAPACK ``dgtsv``, which overwrites the rows of one contiguous copy of
+    ``ab`` and a copy of ``rhs``, so both are left as they are."""
     n = ab.shape[1]
     band = np.array(ab, dtype=float, order="C")
     du, d, dl = band[0, 1:], band[1], band[2, :-1]
+    b = np.array(rhs, dtype=float)
     if n == 1:
         du = dl = np.zeros(1)  # dgtsv wants length-1 off-diagonals at n = 1
-    x, info = dgtsv(dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
     if info > 0:
         raise JacobianSingularError(info - 1)
     return x
@@ -205,11 +204,10 @@ def solve_bvp(
     storage, the 3 x n array ``ab[1 + i - j, j] = J[i, j]``; a derivative
     boundary condition keeps its row in the band by closing it through the
     equation (two-point difference plus the ODE's second-derivative term).
-    Each step is one LAPACK ``dgtsv`` solve of J step = -r, on one copy of
-    the band (the returned Jacobian is not overwritten) and in the freshly
-    negated residual itself; an exactly zero pivot raises
-    :class:`JacobianSingularError` with its row.  The line search tries
-    x + step, then halves the step until the residual sup-norm decreases,
+    Each step is one LAPACK ``dgtsv`` solve of J step = -r, on copies of
+    the band and of -r (the returned Jacobian is not overwritten); an
+    exactly zero pivot raises :class:`JacobianSingularError` with its row.
+    The line search halves the step until the residual sup-norm decreases,
     down to a minimum fraction 2^-10.  If no decrease is found, the trial
     with the smallest residual is taken anyway and the iteration runs on
     until ``max_iter``; if every trial's residual is non-finite, the solve
@@ -244,7 +242,7 @@ def solve_bvp(
         lam = 1.0
         best = None
         while lam >= 2.0**-10:
-            x_try = x + step if lam == 1.0 else x + lam * step
+            x_try = x + lam * step
             r_try = residual(x_try)
             n_try = float(np.max(np.abs(r_try)))
             if not math.isfinite(n_try):  # an overflowed or NaN trial

@@ -195,6 +195,14 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
     plateau, so the seed has no jump.  At c = 0 with eps <= 0.1 the tail
     lies above the plateau from the anchor on, so there the seed is the
     floored plateau.
+
+    Below gamma = c/eps^{1/3} = 1 the anchor can lie before mu = c^2/16,
+    where the plateau leaves that floor: the seed would run flat past the
+    anchor and then climb the plateau faster than the tail.  There the
+    plateau is floored instead at the first node where it reaches the tail,
+    so the seed is the tail up to that node.  If the tail nowhere meets the
+    plateau (at large eps it passes u = 1 before mu = 0), the anchor moves
+    to mu = c^2/16.
     """
     if c > 0.0:
         level, m = math.log(c / 4.0), _seed_mu(c, epsilon)
@@ -205,7 +213,15 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
     z_m = float(np.interp(m, mu, nodes))
     tail = np.concatenate(([0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(nodes))))
     tail += level - np.interp(z_m, nodes, tail)
-    return np.minimum(tail, 0.5 * np.log(np.maximum(mu, math.exp(2.0 * level))))
+    floor = math.exp(2.0 * level)
+    if c > 0.0 and m < floor:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meets = 0.5 * np.log(mu) >= tail
+        if meets.any():
+            floor = float(mu[np.argmax(meets)])
+        else:
+            tail += level - np.interp(float(np.interp(floor, mu, nodes)), nodes, tail)
+    return np.minimum(tail, 0.5 * np.log(np.maximum(mu, floor)))
 
 
 # ---------------------------------------------------------------------------

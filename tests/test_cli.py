@@ -212,7 +212,7 @@ class TestFront:
 
     def test_small_gamma_solved(self, tmp_path, capsys):
         # gamma = c/eps^{1/3} = 0.01: from the delay-law anchor this exited 2
-        # at residual 1.070e+06; the tail anchor solves it in 11 iterations
+        # at residual 1.070e+06; the tail anchor solves it in 9 iterations
         code, out = run(["front", "--c", "0.001", "--eps", "0.001"], tmp_path)
         assert code == 0
         diag = json.loads((out / "front_diagnostics.json").read_text())

@@ -161,8 +161,9 @@ class TestSmallGammaSeed:
 
     # the cells of c in {1e-6, 1e-4, 1e-3, 3e-3, 0.01} x eps in {0.1, 1e-2,
     # 1e-3, 1e-4, 1e-5, 1e-7} that failed at front's defaults when the seed
-    # anchored at the delay law for every gamma; from the tail anchor all 30
-    # cells solve, these 15 in 10-24 iterations (measured)
+    # anchored at the delay law for every gamma; from the tail anchor, with
+    # the plateau floored where it first reaches the tail, all 30 cells
+    # solve, these 15 in 7-24 iterations (measured)
     FAILED_AT_THE_LAW = [
         *((1e-6, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)),
         *((1e-4, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)),
@@ -175,6 +176,14 @@ class TestSmallGammaSeed:
         sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
         assert sol.report.converged and sol.report.iterations <= 30
         assert sol.mu_fr is not None and sol.mu_fr < c * c / 4.0
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3])
+    def test_solves_where_the_tail_passes_one(self, c):
+        # at eps = 0.1 the tail from the tail anchor passes u = 1 before mu =
+        # 0 at c <= 3e-3, so the anchor moves to mu = c^2/16; 34 and 21
+        # iterations (measured; the delay-law anchor took 35 and 21)
+        sol = solve_front(QuenchParams(c, 0.1), domain_halflength=50.0, n=4001)
+        assert sol.report.converged and sol.report.iterations <= 40
 
     @pytest.mark.parametrize("c,eps", [(0.2, 1e-3), (0.4, 2.5e-3), (1.2, 1e-6), (1.9, 0.1)])
     def test_law_anchor_kept_from_gamma_one(self, c, eps):
@@ -520,18 +529,15 @@ class TestContinuousSeed:
         assert sum(halvings(r) for r in reports) <= 4
         assert sum(halvings(r) for _, r in firsts) == sum(halvings(r) for r in reports)
 
-    @pytest.mark.parametrize("c", [0.05, 0.4, 1.2, 1.9, 1.95])
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 0.05, 0.4, 1.2, 1.9, 1.95])
     @pytest.mark.parametrize("eps", [1e-7, 2.5e-4, 2.5e-3, 0.1])
     def test_no_rise_steeper_than_the_tail(self, c, eps):
         # w rises from node to node by at most the trapezoid step of the
         # tail's slope q; the step at the anchor broke this by >= 0.69.  The
         # slack is the cumulative sum's rounding (measured 2.1e-8 at
-        # |w| ~ 1e8, eps = 1e-7).  Below gamma = c/eps^{1/3} = 1 (here c =
-        # 0.05 at eps >= 2.5e-4 and (0.4, 0.1)) the tail is anchored before
-        # mu = c^2/16, where the plateau leaves its floor log(c/4): past it
-        # the seed follows the plateau 0.5 log(mu), steeper than the tail
-        # (by up to 0.95 a cell), until the two meet, so there w rises by at
-        # most the larger of the two steps
+        # |w| ~ 1e8, eps = 1e-7).  c = 1e-6 and 1e-3 lie below gamma = 1 at
+        # every eps here: the plateau is floored where it first reaches the
+        # tail, or, at eps = 0.1, the tail is anchored at mu = c^2/16
         import quenchfront.travelingwave as tw
 
         params = QuenchParams(c, eps)
@@ -543,10 +549,7 @@ class TestContinuousSeed:
             mu = tw._LogFrontSystem(mesh, c, phase_fn).mu_values(eps)
             w = tw._front_seed(mesh.nodes, mu, c, eps)
             q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
-            step = 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
-            if c / eps ** (1.0 / 3.0) < 1.0:
-                step = np.maximum(step, np.diff(0.5 * np.log(np.maximum(mu, c * c / 16.0))))
-            rise = np.diff(w) - step
+            rise = np.diff(w) - 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
             assert rise.max() <= 1e-14 * np.max(np.abs(w))
             assert w.max() <= 0.0 and np.all(np.diff(w) >= 0.0)
 
