@@ -211,7 +211,7 @@ def classify_airy_tail(k: float) -> TailClassification:
     blow.terminal = True
     res = integrate_ode(field, y0, (8.0, -8.0), rtol=1e-10, atol=1e-16, events=[blow])
     if res.status == "event":
-        return TailClassification("pole", pole_position=float(res.events[0].t))
+        return TailClassification("pole", pole_position=float(res.t[-1]))
     eta = res.t
     w = res.y[:, 0]
     tail = eta <= -4.0

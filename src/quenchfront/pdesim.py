@@ -19,14 +19,14 @@ form of u_t = u_xx - c u_x + f(u) (Lele, J. Comput. Phys. 103, 1992):
 with D2 and D1 the centred second and first differences; at c = 0,
 B = tridiag(1, 10, 1)/12.  Both take the mirror ghost u_{-1} = u_1 at each
 end, so D2 doubles and D1 vanishes on rows 0 and n-1.  Every implicit
-matrix M = s B - dt_m A4 is tridiagonal and factored once per run, and
-LAPACK ``dpttrf``/``dpttrs`` factor and solve it as a symmetric positive
-definite matrix.  Without advection M is one once its two ghost rows are
-halved.  With advection D^-1 M D is one, for the diagonal D ~ e^{cz/2} (the
-weight that makes the comoving linearization self-adjoint; centred, max|ln D|
-is about c L/4 on a domain of length L): the right-hand side is divided by
-D before the solve and the solution multiplied by D after it.  Where no
-such D fits in doubles, ``dgttrf``/``dgttrs`` solve M as it is: at the
+matrix M = s B - dt_m A4 is tridiagonal and factored once per run, on one
+path: once its two ghost rows are halved, D^-1 M D is symmetric positive
+definite, and LAPACK ``dpttrf``/``dpttrs`` factor and solve it.  Without
+advection D = I.  With advection D is the diagonal D ~ e^{cz/2} (the weight
+that makes the comoving linearization self-adjoint; centred, max|ln D| is
+about c L/4 on a domain of length L): the right-hand side is divided by D
+before the solve and the solution multiplied by D after it.  Where no such
+D fits in doubles, ``dgttrf``/``dgttrs`` solve M as it is: at the
 positivity floor, where an off-diagonal of M is 0 up to rounding, and where
 max|ln D| exceeds 350 (c L > 1400).  Each step applies B to its right-hand
 side in three array passes before the solve.
@@ -380,18 +380,18 @@ def _implicit_solver(
     Both sides have rows 0 and n-1 halved.  With x = c h/2 that makes
     12 B = tridiag(1 + x, 10, 1 - x) (sub-, main and superdiagonal) with the
     ghost rows 5 b_0 + b_1 and b_{n-2} + 5 b_{n-1}, applied in three array
-    passes (two scalar corrections when x != 0).  Without advection the
-    halved M is symmetric positive definite for any s > 0, and
-    ``dpttrf``/``dpttrs`` factor and solve it.  With advection it is not
-    symmetric, but the diagonal D of :func:`_symmetrizer` (the discrete
-    e^{cz/2}) makes S = D^-1 M D symmetric, with M's diagonal and the
-    off-diagonal -sqrt(sub_i sup_i).  S has M's eigenvalues, real because S
-    is symmetric and positive because M is diagonally dominant with a
-    positive diagonal, so it is positive definite: ``dpttrf`` factors it,
-    and a solve is 12 B b, then x 1/D, ``dpttrs`` and x D.  Where D does not
-    exist (some sub_i sup_i = 0) or spans more than e^{+-_MAX_LOG_SCALE}
-    (both happen at the positivity floor, where an off-diagonal is 0 up to
-    rounding), ``dgttrf``/``dgttrs`` factor and solve M itself.
+    passes (two scalar corrections when x != 0).  One ``dpttrf`` call
+    factors S = D^-1 M D, with M's diagonal and the off-diagonal
+    -sqrt(sub_i sup_i).  Without advection the halved M is symmetric
+    (sub = sup, so that off-diagonal is M's own) and D = I.  With advection
+    D is the diagonal of :func:`_symmetrizer` (the discrete e^{cz/2}), which
+    makes S symmetric.  S has M's eigenvalues, real because S is symmetric
+    and positive because M is diagonally dominant with a positive diagonal,
+    so it is positive definite, and a solve is 12 B b, then (under
+    advection) x 1/D, ``dpttrs`` and x D.  Where D does not exist (some
+    sub_i sup_i = 0) or spans more than e^{+-_MAX_LOG_SCALE} (both happen
+    at the positivity floor, where an off-diagonal is 0 up to rounding),
+    ``dgttrf``/``dgttrs`` factor and solve M itself.
     """
     x = 0.5 * c * h
     lo, hi = 1.0 + x, 1.0 - x
@@ -417,20 +417,18 @@ def _implicit_solver(
     # one is 0; clamping its rounding (+1.2e-15 at c = -1.2, h = 0.1) keeps
     # the solve from undershooting 0 (by 1.8e-20 there)
     ghost = min(s - lam, 0.0)
+    sup = np.full(n - 1, min(s * hi - lam + adv, 0.0))
+    sub = np.full(n - 1, min(s * lo - lam - adv, 0.0))
+    sup[0] = sub[-1] = ghost  # mirror ghosts at both ends
     scale = None
-    if c == 0.0:
-        off = np.full(n - 1, ghost)
-    else:
-        sup = np.full(n - 1, min(s * hi - lam + adv, 0.0))
-        sub = np.full(n - 1, min(s * lo - lam - adv, 0.0))
-        sup[0] = sub[-1] = ghost  # mirror ghosts at both ends
+    if c:  # without advection sub = sup and D = I
         scale = _symmetrizer(sub, sup)
         if scale is None:
             dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, main, sup)
             if info != 0:
                 raise np.linalg.LinAlgError(f"implicit operator singular (dgttrf info = {info})")
             return lambda b, out: lapack.dgttrs(dl, d, du, du2, ipiv, apply_b(b, out), "N", 1)[0]
-        off = -np.sqrt(sub * sup)
+    off = -np.sqrt(sub * sup)  # at c = 0, -sqrt(ghost^2) = ghost exactly
     d, e, info = lapack.dpttrf(main, off)
     if info != 0:
         raise np.linalg.LinAlgError(

@@ -3,9 +3,10 @@ iteration on discrete two-point BVPs (each step one tridiagonal LAPACK
 ``dgtsv`` solve), natural-parameter continuation with a secant
 predictor from a start through an ordered list of stops, each landed on
 exactly (a start alone is one corrector call), ODE
-integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, which
-locates sign-change events on the dense output, or (stiff, no events) by
-one compiled LSODA call, ``scipy.integrate.odeint``, and the largest
+integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, where
+a terminal event ends the run at its crossing (a non-terminal one is
+refused), or (stiff, no events) by one compiled LSODA call,
+``scipy.integrate.odeint``, and the largest
 eigenvalues of a symmetric tridiagonal matrix by LAPACK bisection via
 ``scipy.linalg.eigh_tridiagonal``.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "BranchEntry",
     "ContinuationBranch",
     "OdeResult",
-    "EventRecord",
     "Spectrum",
     "SolveError",
     "JacobianSingularError",
@@ -281,10 +281,6 @@ class ContinuationBranch:
     step_history: list[float]
     status: str  # "completed" | "stalled"
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([e.param for e in self.entries])
-
 
 def continue_branch(
     correct: Callable[[np.ndarray, float], tuple[np.ndarray, NewtonReport]],
@@ -348,21 +344,14 @@ def continue_branch(
 
 
 # ---------------------------------------------------------------------------
-# ODE integration: one solve_ivp call on DOP853, with its event location,
+# ODE integration: one solve_ivp call on DOP853, ended by a terminal event,
 # or one compiled LSODA call (odeint) when stiff
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EventRecord:
-    t: float
-    y: np.ndarray
-
 
 @dataclass
 class OdeResult:
     t: np.ndarray
     y: np.ndarray  # shape (len(t), dim)
-    events: list[EventRecord]
     status: str  # "completed" | "event"
     steps: int  # accepted steps
 
@@ -391,11 +380,13 @@ def integrate_ode(
     endpoints only and takes no events (``ValueError``).
 
     On DOP853 the result holds every accepted step.  Events are scalar
-    functions of (t, y), handed to ``solve_ivp``, which reads their optional
-    ``direction`` (+1 rising, -1 falling, 0 both) and ``terminal``
-    attributes and locates each sign change on the step's dense output; a
-    terminal event ends the run at its earliest crossing, which becomes the
-    last point.  ``steps`` counts the accepted steps on either path.
+    functions of (t, y) with a true ``terminal`` attribute, handed to
+    ``solve_ivp``, which reads their optional ``direction`` (+1 rising,
+    -1 falling, 0 both) and locates the sign change on the step's dense
+    output; the run ends at the first crossing, which is its last point
+    ``t[-1]``, ``y[-1]``, with ``status`` "event".  A non-terminal event is
+    refused (``ValueError``): the result keeps no record of crossings that
+    do not end the run.  ``steps`` counts the accepted steps on either path.
     :class:`OdeBlowUpError`, carrying the last state reached, is raised when
     the stepper fails (on DOP853, a step below ten spacings of the floats
     at t: stiffness or finite-time blow-up), when the end state is not
@@ -410,8 +401,8 @@ def integrate_ode(
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
-    if stiff and events:
-        raise ValueError("stiff integration takes no events")
+    if events and (stiff or not all(getattr(ev, "terminal", False) for ev in events)):
+        raise ValueError("events must be terminal, and stiff integration takes no events")
     if not np.all(np.isfinite(np.asarray(field(t0, y), dtype=float))):
         raise ValueError("vector field not finite at the initial state")
     if stiff:
@@ -421,16 +412,8 @@ def integrate_ode(
     )
     if sol.status == -1 or not all(map(math.isfinite, sol.y[:, -1].tolist())):
         raise OdeBlowUpError(sol.t[-1], sol.y[:, -1])
-    records = sorted(
-        (
-            EventRecord(float(t_e), y_e)
-            for i in range(len(events))
-            for t_e, y_e in zip(sol.t_events[i], sol.y_events[i])
-        ),
-        key=lambda rec: abs(rec.t - t0),
-    )
     status = "event" if sol.status == 1 else "completed"
-    return OdeResult(sol.t, sol.y.T, records, status, sol.t.size - 1)
+    return OdeResult(sol.t, sol.y.T, status, sol.t.size - 1)
 
 
 # odeint's step cap for one stiff call.  LSODA does not stop at a finite-time
@@ -445,7 +428,7 @@ def _odeint_leg(field, y, t0, t1, rtol, atol) -> OdeResult:
     from scipy.integrate import ODEintWarning, odeint
 
     if t1 == t0:  # odeint would leave its counters unset
-        return OdeResult(np.array([t0, t1]), np.stack([y, y]), [], "completed", 0)
+        return OdeResult(np.array([t0, t1]), np.stack([y, y]), "completed", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ODEintWarning)
         ys, info = odeint(
@@ -472,7 +455,7 @@ def _odeint_leg(field, y, t0, t1, rtol, atol) -> OdeResult:
         or not all(map(math.isfinite, ys[-1].tolist()))
     ):
         raise OdeBlowUpError(t_end, ys[-1])
-    return OdeResult(np.array([t0, t1]), ys, [], "completed", int(info["nst"][0]))
+    return OdeResult(np.array([t0, t1]), ys, "completed", int(info["nst"][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -128,14 +128,12 @@ class FrontSolution:
 class FrontBranch:
     """Continuation results over a list of ramp rates at fixed speed.
 
-    ``branch`` holds the raw log-variable continuation entries; ``system``
-    is the discretization they satisfy (used to re-verify residuals).
+    ``branch`` holds the raw log-variable continuation entries.
     """
 
     fronts: list[FrontSolution]
     branch: ContinuationBranch
     mesh: Mesh
-    system: object = None
 
 
 def delay_prefactor(c: float) -> float:
@@ -524,7 +522,7 @@ def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
             f"continuation stalled before eps={targets[len(fronts)]}; "
             f"{len(fronts)} of {len(targets)} targets reached"
         )
-    return FrontBranch(fronts=fronts, branch=branch, mesh=mesh, system=system)
+    return FrontBranch(fronts=fronts, branch=branch, mesh=mesh)
 
 
 def _branch_mesh(c: float, eps_min: float) -> Mesh:

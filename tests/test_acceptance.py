@@ -250,7 +250,8 @@ def test_criterion_9_property_suites(tmp_path):
         atol=1e-13,
         events=[ev],
     )
-    u_s = res.events[0].y[1]
+    assert res.status == "event"
+    u_s = res.y[-1, 1]
     assert 0.0 < u_s <= theta / math.sqrt(theta + c * c / 4.0) + 1e-12
 
     # CLI determinism

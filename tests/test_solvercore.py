@@ -499,7 +499,7 @@ class TestContinuation:
         assert branch.status == "completed"
         for e in branch.entries:
             assert abs(e.solution[0] - math.sqrt(e.param)) < 1e-8
-        p = branch.params
+        p = [e.param for e in branch.entries]
         assert np.all(np.diff(p) > 0)  # natural stepping is monotone
 
     def test_immediate_failure_raises(self):
@@ -517,7 +517,7 @@ class TestContinuation:
             _pitchfork_problem(), np.array([math.sqrt(0.1)]), stops, step0=0.05
         )
         assert branch.status == "completed"
-        params = list(branch.params)
+        params = [e.param for e in branch.entries]
         assert all(stop in params for stop in stops)
         for e in branch.entries:
             assert abs(e.solution[0] - math.sqrt(e.param)) < 1e-8
@@ -529,7 +529,7 @@ class TestContinuation:
         x = 0.06353383458646616
         assert x + (0.9 - x) != 0.9
         branch = continue_branch(prob, np.array([math.sqrt(x)]), [x, 0.9], step0=1.0)
-        assert list(branch.params) == [x, 0.9]
+        assert [e.param for e in branch.entries] == [x, 0.9]
 
     def test_one_entry_range_is_one_corrector_call(self):
         calls = []
@@ -541,7 +541,7 @@ class TestContinuation:
 
         branch = continue_branch(counted, np.array([0.6]), [0.25], step0=0.05)
         assert calls == [0.25] and branch.status == "completed"
-        assert list(branch.params) == [0.25] and branch.step_history == []
+        assert [e.param for e in branch.entries] == [0.25] and branch.step_history == []
         assert branch.entries[0].solution[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_unordered_stops_refused(self):
@@ -590,20 +590,39 @@ class TestIntegrateOde:
             lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), events=[ev], stiff=self.stiff
         )
         assert res.status == "event"
-        assert res.events[0].t == pytest.approx(1.0, abs=1e-10)
-        assert res.t[-1] == res.events[0].t
+        assert res.t[-1] == pytest.approx(1.0, abs=1e-10)
+        assert abs(res.y[-1, 0]) <= 1e-10
 
-    def test_nonterminal_event_direction(self):
-        # y = cos t falls through zero at pi/2 and 5 pi/2, rises at 3 pi/2
+    def test_terminal_event_ends_the_run_at_its_crossing(self):
+        # y = cos t falls through zero at pi/2 and 5 pi/2, rises at 3 pi/2:
+        # the run ends at the first falling crossing, the one solve_ivp
+        # locates, and a range without a crossing runs to its end
         ev = lambda t, y: y[0]
+        ev.terminal = True
         ev.direction = -1
         field = lambda t, y: np.array([y[1], -y[0]])
         res = integrate_ode(
             field, [1.0, 0.0], (0.0, 10.0), rtol=1e-10, atol=1e-12, events=[ev], stiff=self.stiff
         )
-        assert res.status == "completed"
-        assert [e.t for e in res.events] == pytest.approx([math.pi / 2, 2.5 * math.pi], abs=1e-8)
-        assert all(abs(e.y[0]) < 1e-8 for e in res.events)
+        ref = solve_ivp(
+            field, (0.0, 10.0), [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12, events=ev
+        )
+        assert res.status == "event"
+        assert res.t[-1] == ref.t_events[0][0] == pytest.approx(math.pi / 2, abs=1e-8)
+        assert np.array_equal(res.y[-1], ref.y_events[0][0]) and abs(res.y[-1, 0]) < 1e-8
+        short = integrate_ode(field, [1.0, 0.0], (0.0, 1.0), events=[ev], stiff=self.stiff)
+        assert short.status == "completed" and short.t[-1] == 1.0
+
+    def test_nonterminal_event_refused(self):
+        # the result records no crossing that does not end the run
+        ev = lambda t, y: y[0]
+        ev.direction = -1
+        field = lambda t, y: np.array([y[1], -y[0]])
+        with pytest.raises(ValueError, match="must be terminal"):
+            integrate_ode(field, [1.0, 0.0], (0.0, 10.0), events=[ev], stiff=self.stiff)
+        ev.terminal = False
+        with pytest.raises(ValueError, match="must be terminal"):
+            integrate_ode(field, [1.0, 0.0], (0.0, 10.0), events=[ev], stiff=self.stiff)
 
     def test_time_reversal(self):
         rtol = 1e-9
@@ -657,9 +676,9 @@ class TestIntegrateOdeStiff(TestIntegrateOde):
         with pytest.raises(ValueError, match="no events"):
             integrate_ode(lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), events=[ev], stiff=True)
 
-    def test_nonterminal_event_direction(self):
+    def test_terminal_event_ends_the_run_at_its_crossing(self):
         ev = lambda t, y: y[0]
-        ev.direction = -1
+        ev.terminal = True
         field = lambda t, y: np.array([y[1], -y[0]])
         with pytest.raises(ValueError, match="no events"):
             integrate_ode(field, [1.0, 0.0], (0.0, 10.0), events=[ev], stiff=True)

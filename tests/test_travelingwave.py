@@ -192,6 +192,48 @@ class TestSmallGammaSeed:
         assert tw._seed_mu(c, eps) == tw._interface_mu(c, eps)
 
 
+_GRID_EPS = (0.1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9)
+_GRID_CORNER = [(0.5, 1e-9), (1.9, 1e-9), (1.95, 1e-9)]
+
+
+class TestCoverageGrid:
+    """``solve_front`` at ``front``'s defaults (L = 5/eps, n = 4001) over a
+    log grid of c in [1e-6, 1.99] and eps in [1e-9, 0.1]: every cell solves
+    or is refused with its documented reason, except in the eps = 1e-9
+    corner at c in {0.5, 1.9, 1.95}, which is not mended."""
+
+    @pytest.mark.parametrize(
+        "c,eps",
+        [
+            (c, eps)
+            for c in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.2, 1.9, 1.95)
+            for eps in _GRID_EPS
+            if (c, eps) not in _GRID_CORNER
+        ],
+    )
+    def test_solves_within_the_measured_iterations(self, c, eps):
+        # measured: 4-34 iterations over these 51 cells, 34 at (1e-6, 0.1)
+        sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
+        assert sol.report.converged and sol.report.iterations <= 36
+
+    @pytest.mark.parametrize("eps", _GRID_EPS)
+    def test_refused_where_the_instability_point_passes_half_the_domain(self, eps):
+        # at c = 1.99, zeta_c = atanh(c^2/4)/eps lies beyond L/2 = 2.5/eps
+        with pytest.raises(ValueError, match="beyond L/2"):
+            solve_front(QuenchParams(1.99, eps), domain_halflength=5.0 / eps, n=4001)
+
+    @pytest.mark.parametrize("c,eps", _GRID_CORNER)
+    def test_corner_converges_or_raises_solve_error(self, c, eps):
+        # not mended: measured, (0.5, 1e-9) converges in 79 of its 80
+        # iterations and (1.9, 1e-9) and (1.95, 1e-9) raise SolveError; the
+        # cause is not known, so this asserts only that nothing else happens
+        try:
+            sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
+        except SolveError:
+            return
+        assert sol.report.converged
+
+
 class TestFrontLocation:
     def _synthetic(self, c, eps, jump_index, at_threshold):
         params = QuenchParams(c, eps)
@@ -274,9 +316,14 @@ class TestFrontBranch:
         assert 0.55 <= slope <= 0.75
 
     def test_entries_satisfy_residual_tolerance(self):
+        import quenchfront.travelingwave as tw
+
         fb = front_branch(1.2, [2.5e-3, 1.5e-3])
+        # the discretization front_branch continues on: its mesh, in the
+        # frame shifted by atanh(_interface_mu)/eps
+        system = tw._LogFrontSystem(fb.mesh, 1.2, lambda e: math.atanh(tw._interface_mu(1.2, e)))
         for entry in fb.branch.entries:
-            r = fb.system.equations(math.exp(entry.param))[0](entry.solution)
+            r = system.equations(math.exp(entry.param))[0](entry.solution)
             assert np.max(np.abs(r)) <= 1e-10
 
     def test_one_newton_solve_per_step(self, monkeypatch):
@@ -311,7 +358,7 @@ class TestFrontBranch:
 
     def test_monotone_parameter_path(self):
         fb = front_branch(0.0, [5e-3, 2e-3])
-        p = fb.branch.params
+        p = [e.param for e in fb.branch.entries]
         assert np.all(np.diff(p) < 0)
 
     def test_corner_target_solved_and_bad_targets_refused(self):
@@ -638,7 +685,7 @@ class TestFrozenSubsystemOracles:
     @pytest.mark.parametrize("theta", [0.005, 0.02, 0.05])
     def test_trapping_bound(self, theta):
         res, _, _ = self._shoot(theta)
-        u_s = res.events[0].y[1]
+        u_s = res.y[-1, 1]
         assert 0.0 < u_s <= theta / math.sqrt(theta + self.C**2 / 4.0) + 1e-12
 
     def test_tangency_slope(self):
