@@ -1,12 +1,14 @@
-"""Generic numerics shared by the solver modules: 1-D meshes, damped Newton
-iteration on discrete two-point BVPs (each step one tridiagonal LAPACK
-``dgtsv`` solve), natural-parameter continuation with a secant
+"""Generic numerics shared by the solver modules.
+
+1-D meshes, graded at the one ratio 1.05 toward the domain ends.  Damped
+Newton iteration on discrete two-point BVPs, each step one tridiagonal
+LAPACK ``dgtsv`` solve.  Natural-parameter continuation with a secant
 predictor from a start through an ordered list of stops, each landed on
-exactly (a start alone is one corrector call), ODE
-integration by one ``scipy.integrate.solve_ivp`` call on ``DOP853``, where
-a terminal event ends the run at its crossing (a non-terminal one is
-refused), or (stiff, no events) by one compiled LSODA call,
-``scipy.integrate.odeint``, and the largest
+exactly (a start alone is one corrector call); it returns only a completed
+branch, and a failed start or a stall raises.  ODE integration by one
+``scipy.integrate.solve_ivp`` call on ``DOP853``, where a terminal event
+ends the run at its crossing (a non-terminal one is refused), or (stiff, no
+events) by one compiled LSODA call, ``scipy.integrate.odeint``.  The largest
 eigenvalues of a symmetric tridiagonal matrix by LAPACK bisection via
 ``scipy.linalg.eigh_tridiagonal``.
 """
@@ -73,6 +75,10 @@ class OdeBlowUpError(SolveError):
 # Mesh
 # ---------------------------------------------------------------------------
 
+# ratio of adjacent spacings in the coarsening ramps of ``Mesh.graded``
+_GRADING = 1.05
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Strictly increasing 1-D grid with a bounded grading ratio.
@@ -106,14 +112,13 @@ class Mesh:
         focus_lo: float,
         focus_hi: float,
         h_min: float,
-        factor: float = 1.05,
-        h_max: float = math.inf,
+        h_max: float,
     ) -> "Mesh":
         """Uniform spacing ``h_min`` on [focus_lo, focus_hi], geometrically
-        coarsened by ``factor`` toward both domain ends, capped at ``h_max``.
-        Both ends must be finite and both spacings positive.
+        coarsened by ``_GRADING`` = 1.05 toward both domain ends, capped at
+        ``h_max``.  Both ends must be finite and both spacings positive.
 
-        Toward each end the k-th spacing is min(h_min factor^k, h_max), the
+        Toward each end the k-th spacing is min(h_min 1.05^k, h_max), the
         power taken as a running product, until the running total of the
         spacings reaches the end; a step that would pass it is cut to the
         distance left."""
@@ -121,8 +126,6 @@ class Mesh:
             raise ValueError(f"mesh ends must be finite, got [{a!r}, {b!r}]")
         if not (a <= focus_lo < focus_hi <= b):
             raise ValueError("focus interval must lie inside the domain")
-        if not (1.0 < factor <= 4.0):
-            raise ValueError("grading factor must lie in (1, 4]")
         if not (h_min > 0.0 and h_max > 0.0):
             raise ValueError("mesh spacings h_min and h_max must be positive")
         core = np.arange(focus_lo, focus_hi + 0.5 * h_min, h_min)
@@ -131,14 +134,14 @@ class Mesh:
             dist = (limit - start) * direction
             if dist <= 1e-12 * max(1.0, abs(limit)):
                 return np.empty(0)
-            # h_min factor^k passes min(h_max, dist) by k = grow, and each step
+            # h_min 1.05^k passes min(h_max, dist) by k = grow, and each step
             # is at least min(h_min, h_max): n steps reach dist.  Past k = grow
             # the power stops growing (so never overflows): the steps there
             # are h_max, or lie beyond the end
-            grow = int(math.log(max(min(h_max, dist) / h_min, 1.0)) / math.log(factor)) + 2
+            grow = int(math.log(max(min(h_max, dist) / h_min, 1.0)) / math.log(_GRADING)) + 2
             n = int(min(dist / min(h_min, h_max), grow + dist / h_max)) + 2
             powers = np.ones(n + 1)
-            powers[0], powers[1 : grow + 1] = h_min, factor
+            powers[0], powers[1 : grow + 1] = h_min, _GRADING
             steps = np.minimum(np.cumprod(powers)[1:], h_max)
             totals = np.cumsum(steps)
             room = dist - np.concatenate(([0.0], totals[:-1]))
@@ -279,7 +282,6 @@ class BranchEntry:
 class ContinuationBranch:
     entries: list[BranchEntry]
     step_history: list[float]
-    status: str  # "completed" | "stalled"
 
 
 def continue_branch(
@@ -298,9 +300,10 @@ def continue_branch(
     on exactly (the step to it is shortened to reach it), and the step
     length, its growth count and the secant history carry across stops.
     The step halves on corrector failure and grows by 1.3 after three
-    consecutive successes; stepping ends at the last stop or when the step
-    drops below 1e-10 (branch flagged "stalled").  A start that does not
-    converge raises :class:`SolveError` carrying its report.
+    consecutive successes.  The returned branch always reaches the last
+    stop: a start that does not converge, or a step that drops below 1e-10
+    (a stall), raises :class:`SolveError` carrying the failed corrector's
+    report.
     """
     stops = [float(p) for p in param_range]
     direction = 1 if not stops or stops[-1] >= stops[0] else -1
@@ -316,7 +319,7 @@ def continue_branch(
     step = abs(step0)
     successes = 0
     p_prev2, x_prev2 = None, None
-    for stop in stops[1:]:
+    for reached, stop in enumerate(stops[1:]):
         while p_prev != stop:
             h = min(step, abs(stop - p_prev))
             p_new = stop if h == abs(stop - p_prev) else p_prev + direction * h
@@ -339,8 +342,12 @@ def continue_branch(
                 successes = 0
                 step = 0.5 * h
                 if step < 1e-10:
-                    return ContinuationBranch(entries, steps, "stalled")
-    return ContinuationBranch(entries, steps, "completed")
+                    raise SolveError(
+                        f"continuation stalled at parameter {p_prev} before stop {stop}; "
+                        f"{reached} of {len(stops) - 1} stops reached",
+                        rep,
+                    )
+    return ContinuationBranch(entries, steps)
 
 
 # ---------------------------------------------------------------------------

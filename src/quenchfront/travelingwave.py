@@ -227,8 +227,9 @@ def _front_seed(nodes: np.ndarray, mu: np.ndarray, c: float, epsilon: float) -> 
 # ---------------------------------------------------------------------------
 
 class _LogFrontSystem:
-    """The front BVP posed for w = log(u), discretized by second-order
-    nonuniform finite differences.
+    """The discrete front equation on ``mesh`` at speed c, for ramp values
+    mu given at the mesh nodes: the front BVP posed for w = log(u),
+    discretized by second-order nonuniform finite differences.
 
     Fronts are strictly positive and monotone, and the plateau behind the
     instability point passes exponentially close to u = 0 (far below the
@@ -241,19 +242,14 @@ class _LogFrontSystem:
 
     with projection closures w'(-L) = nu_u and w'(L) = nu_s (1 - u_+ e^{-w}),
     each closed through the equation's own w'' so that every Newton
-    Jacobian is tridiagonal (see :meth:`equations`).
-
-    ``phase_fn(eps)`` optionally shifts the ramp argument: the ramp becomes
-    tanh(eps*z + phase) on the stored mesh, i.e. the mesh lives in a frame
-    translated by phase/eps.  ``front_branch`` uses atanh(``_interface_mu``)
-    as the phase, defined for every 0 < c < 2 and eps, so the front stays
-    pinned near z = 0 while eps varies; the unshifted problem has phase 0.
+    Jacobian is tridiagonal (see :meth:`equations`).  The system does not
+    know the ramp or its frame: ``solve_front`` passes tanh(eps*zeta) on
+    its mesh, ``front_branch`` the ramp of its shifted frame.
     """
 
-    def __init__(self, mesh: Mesh, c: float, phase_fn=None):
+    def __init__(self, mesh: Mesh, c: float):
         self.mesh = mesh
         self.c = c
-        self.phase_fn = phase_fn
         h = np.diff(mesh.nodes)
         hm, hp = h[:-1], h[1:]
         # the three-point weights of w'' and w' at the interior nodes; the
@@ -266,16 +262,6 @@ class _LogFrontSystem:
         self.d1p = hm / (hp * (hm + hp))
         self.h0, self.h1 = h[0], h[-1]  # the end cells of the boundary rows
 
-    def phase(self, epsilon: float) -> float:
-        return self.phase_fn(epsilon) if self.phase_fn is not None else 0.0
-
-    def mu_values(self, epsilon: float) -> np.ndarray:
-        """The ramp at the mesh nodes."""
-        return np.tanh(epsilon * self.mesh.nodes + self.phase(epsilon))
-
-    def true_zeta(self, epsilon: float) -> np.ndarray:
-        return self.mesh.nodes + self.phase(epsilon) / epsilon
-
     def differences(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The first differences w_{i+1} - w_i and, from them, the central
         first difference w' = d1p D+ - d1m D- at the interior nodes."""
@@ -284,9 +270,9 @@ class _LogFrontSystem:
         dc -= np.multiply(self.d1m, dw[:-1])
         return dw, dc
 
-    def equations(self, epsilon: float):
-        """(residual, jacobian) at ramp rate ``epsilon``, with the ramp and
-        the projection closures evaluated once for both.  Each closure row
+    def equations(self, mu: np.ndarray):
+        """(residual, jacobian) for the ramp values ``mu`` at the mesh nodes,
+        with the projection closures evaluated once for both.  Each closure row
         is w' at the end node, written as the two-point difference plus
         (h/2) w'' with w'' taken from the equation at the closure's slope:
         w'(-L) = (w_1 - w_0)/h_0 - (h_0/2)(-nu_u^2 + c nu_u - mu + e^{2w_0})
@@ -307,7 +293,6 @@ class _LogFrontSystem:
         that same array object (unmodified since) reuses them; on any other
         array, such as an earlier line-search trial, it computes them
         afresh."""
-        mu = self.mu_values(epsilon)
         mu_in = mu[1:-1]
         c, h0, h1 = self.c, self.h0, self.h1
         d2m, d2p, d1m, d1p = self.d2m, self.d2p, self.d1m, self.d1p
@@ -360,29 +345,33 @@ class _LogFrontSystem:
 
         return residual, jacobian
 
-    def solve(self, guess: np.ndarray, epsilon: float) -> tuple[np.ndarray, NewtonReport]:
-        """Newton at ramp rate ``epsilon`` from ``guess``, to ``_TOL`` or
+    def solve(self, guess: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, NewtonReport]:
+        """Newton for the ramp values ``mu`` from ``guess``, to ``_TOL`` or
         ``solve_bvp``'s step stop in at most 80 iterations: the front
         layer's one Newton set-up.  The result may be unconverged
         (``report.converged``).  A trial step whose
         e^{2w} overflows has an infinite residual, which the line search
         halves away, so the overflow is not reported."""
-        residual, jacobian = self.equations(epsilon)
+        residual, jacobian = self.equations(mu)
         with np.errstate(over="ignore"):
             return solve_bvp(residual, jacobian, guess, _TOL, max_iter=80)
 
-    def front_solution(self, w: np.ndarray, params: QuenchParams, report) -> FrontSolution:
-        u = np.exp(w)
-        mesh = self.mesh if self.phase_fn is None else Mesh(self.true_zeta(params.epsilon))
-        sol = FrontSolution(mesh=mesh, u=u, w=w, params=params, report=report)
-        if params.c > 0.0:
-            try:
-                sol.mu_fr, sol.zeta_fr = front_location(sol)
-            except SolveError:  # no crossing: mu_fr stays None
-                pass
-        else:
-            sol.u_at_origin = float(np.interp(0.0, mesh.nodes, u))
-        return sol
+
+def _front_solution(
+    mesh: Mesh, w: np.ndarray, params: QuenchParams, report: NewtonReport
+) -> FrontSolution:
+    """The front w on ``mesh``, the nodes of its own frame zeta, with its
+    interface diagnostics."""
+    u = np.exp(w)
+    sol = FrontSolution(mesh=mesh, u=u, w=w, params=params, report=report)
+    if params.c > 0.0:
+        try:
+            sol.mu_fr, sol.zeta_fr = front_location(sol)
+        except SolveError:  # no crossing: mu_fr stays None
+            pass
+    else:
+        sol.u_at_origin = float(np.interp(0.0, mesh.nodes, u))
+    return sol
 
 
 def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mesh:
@@ -400,9 +389,7 @@ def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mes
     hi = min(hi, 0.5 * domain_halflength)
     h_min = (hi - lo) / (0.75 * n)
     h_max = max(domain_halflength / (0.12 * n), 4.0 * h_min)
-    return Mesh.graded(
-        -domain_halflength, domain_halflength, lo, hi, h_min=h_min, factor=1.05, h_max=h_max
-    )
+    return Mesh.graded(-domain_halflength, domain_halflength, lo, hi, h_min=h_min, h_max=h_max)
 
 
 def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -> FrontSolution:
@@ -410,11 +397,12 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
 
     The domain must satisfy L >= 5/eps so that the ramp sits within 1e-4 of
     its limits at the truncation points, and L/2 must pass the instability
-    point zeta_c where mu = c^2/4.  The solve is one Newton run from
-    ``_front_seed``: in w = log(u), the tail integrates the unstable root
-    of the linear tail's Riccati equation through w = log(c/4) at the
-    interface ``_seed_mu`` expects, and on at its own slope until
-    it meets the plateau log(sqrt(mu)), so the seed has no jump.  The
+    point zeta_c where mu = c^2/4.  The ramp tanh(eps*zeta) is evaluated
+    once on the mesh and serves both the seed and Newton.  The solve is one
+    Newton run from ``_front_seed``: in w = log(u), the tail integrates the
+    unstable root of the linear tail's Riccati equation through w =
+    log(c/4) at the interface ``_seed_mu`` expects, and on at its own slope
+    until it meets the plateau log(sqrt(mu)), so the seed has no jump.  The
     discrete system is posed in the log-amplitude w = log(u) (the front's
     plateau passes exponentially close to u = 0, which an additive solve
     cannot resolve); the Newton stop (``_TOL`` on the residual, or a step below
@@ -438,15 +426,16 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
     # cells to zero; the Newton step then raises JacobianSingularError
     with np.errstate(over="ignore"):
         system = _LogFrontSystem(mesh, params.c)
-    seed = _front_seed(mesh.nodes, system.mu_values(params.epsilon), params.c, params.epsilon)
-    w, report = system.solve(seed, params.epsilon)
+    mu = params.mu_of_zeta(mesh.nodes)
+    seed = _front_seed(mesh.nodes, mu, params.c, params.epsilon)
+    w, report = system.solve(seed, mu)
     if not report.converged:
         raise SolveError(
             f"front solve failed at c={params.c}, eps={params.epsilon} "
             f"(residual {report.final_residual_norm:.3e})",
             report,
         )
-    return system.front_solution(w, params, report)
+    return _front_solution(mesh, w, params, report)
 
 
 def front_location(sol: FrontSolution) -> tuple[float, float]:
@@ -489,39 +478,44 @@ def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
     being ``_LogFrontSystem.solve``, the Newton set-up of ``solve_front``.
     Two changes of variables keep the correctors quadratic all the way
     down: the frame is shifted by the expected interface position
-    atanh(``_interface_mu``)/eps, so the jump stays pinned near the mesh
-    origin while the physical interface travels O(1/eps), and the unknown
-    is the log-amplitude w = log(u), so the exponentially small plateau is
-    resolved relatively, not additively.  Each front is returned in the
-    unshifted u-variables with its target as ``params.epsilon``.  An empty
-    target list or a (c, target) pair that ``QuenchParams`` refuses raises
-    ``ValueError``; a start that does not converge, or a continuation that
-    stalls before the last target, raises :class:`SolveError`.
+    phase(eps)/eps, phase = atanh(``_interface_mu``) (0 at c = 0), so the
+    jump stays pinned near the mesh origin while the physical interface
+    travels O(1/eps), and the unknown is the log-amplitude w = log(u), so
+    the exponentially small plateau is resolved relatively, not additively.
+    The branch owns that frame: it hands the system the ramp
+    tanh(eps z + phase(eps)) on its mesh nodes z, and returns each front on
+    the nodes z + phase(eps)/eps of zeta, in u, with its target as
+    ``params.epsilon``.  An empty target list or a (c, target) pair that
+    ``QuenchParams`` refuses raises ``ValueError``; a start that does not
+    converge, or a continuation that stalls before the last target, raises
+    :class:`SolveError`, whose message names c, the eps range and the
+    stalled log eps.
     """
     targets = sorted({QuenchParams(c, float(e)).epsilon for e in eps_targets}, reverse=True)
     if not targets:
         raise ValueError("need at least one target")
-    phase_fn = (lambda e: math.atanh(_interface_mu(c, e))) if c > 0.0 else None
+    phase = lambda e: math.atanh(_interface_mu(c, e)) if c > 0.0 else 0.0
     mesh = _branch_mesh(c, targets[-1])
-    system = _LogFrontSystem(mesh, c, phase_fn)
+    nodes = mesh.nodes
+    system = _LogFrontSystem(mesh, c)
+    ramp = lambda e: np.tanh(e * nodes + phase(e))
     stops = [math.log(e) for e in targets]
-    correct = lambda w, s: system.solve(w, math.exp(s))
-    seed = _front_seed(mesh.nodes, system.mu_values(targets[0]), c, targets[0])
+    correct = lambda w, s: system.solve(w, ramp(math.exp(s)))
+    seed = _front_seed(nodes, ramp(targets[0]), c, targets[0])
     try:
         branch = continue_branch(correct, seed, stops, 0.4)
     except SolveError as exc:
-        raise SolveError(f"branch start failed at eps={targets[0]}", exc.report) from None
-    landed = {e.param: e for e in branch.entries}
-    fronts = [
-        system.front_solution(landed[s].solution, QuenchParams(c, eps), landed[s].report)
-        for eps, s in zip(targets, stops)
-        if s in landed
-    ]
-    if branch.status != "completed":
         raise SolveError(
-            f"continuation stalled before eps={targets[len(fronts)]}; "
-            f"{len(fronts)} of {len(targets)} targets reached"
-        )
+            f"front branch at c={c} failed over eps from {targets[0]} down to {targets[-1]} "
+            f"(continuation parameter log eps): {exc}",
+            exc.report,
+        ) from None
+    landed = {e.param: e for e in branch.entries}
+    fronts = []
+    for eps, s in zip(targets, stops):
+        zeta = Mesh(nodes + phase(eps) / eps)  # the front's own frame
+        entry = landed[s]
+        fronts.append(_front_solution(zeta, entry.solution, QuenchParams(c, eps), entry.report))
     return FrontBranch(fronts=fronts, branch=branch, mesh=mesh)
 
 
@@ -543,7 +537,7 @@ def _branch_mesh(c: float, eps_min: float) -> Mesh:
         lo, hi = -4.0 * scale - 20.0, 4.0 * scale + 20.0
         left = right = 5.0 / eps_min + 10.0
     h_max = max((left + right) / 1000.0, 4.0 * _H_MIN)
-    return Mesh.graded(-left, right, lo, hi, h_min=_H_MIN, factor=1.05, h_max=h_max)
+    return Mesh.graded(-left, right, lo, hi, h_min=_H_MIN, h_max=h_max)
 
 
 def stationary_amplitude_at_pitchfork(fronts: Sequence[FrontSolution]) -> float:

@@ -2,8 +2,8 @@
 exception has a row of the CLI exit table, every command of the
 README's "Command line" block parses, the ``pde`` and ``front`` paths
 load no scipy module they do not run, the names the benchmark tracer
-rebinds still exist and still carry the calls it counts, and every stored
-field has a reader."""
+rebinds still exist and still carry the calls it counts, every tracer hook
+runs on the attributes it reads, and every stored field has a reader."""
 
 import ast
 import importlib
@@ -140,6 +140,54 @@ def test_names_the_tracer_rebinds_resolve():
     assert counts["solvercore.newton.calls"] == 2 + (
         counts["solvercore.continuation.steps"] + counts["solvercore.continuation.rejects"]
     )
+
+
+# the counters the tracer's hooks fill, with the attribute each one reads
+_HOOK_COUNTERS = [
+    "solvercore.newton.iters",  # NewtonReport.iterations
+    "solvercore.newton.halvings",  # NewtonReport.damping_history
+    "solvercore.continuation.steps",  # ContinuationBranch.step_history
+    "solvercore.ode.steps",  # OdeResult.t
+    "solvercore.ode.rhs_evals",  # integrate_ode's ``field``
+    "solvercore.eig.nodes",  # eig_tridiag_symmetric's ``diag``
+    "travelingwave.fronts",  # FrontBranch.fronts
+    "travelingwave.mesh_nodes",  # FrontSolution.mesh.count, FrontBranch.mesh.count
+    "travelingwave.branch_entries",  # FrontBranch.branch.entries
+    "stability.nodes",  # LcOperator.n
+    "pdesim.node_steps",  # SimResult.config
+    "cli.bytes_written",  # the files of main's --outdir
+]
+
+
+def test_every_tracer_hook_runs(tmp_path):
+    # one small call per layer the tracer binds, so that every hook reads
+    # the attributes it counts from, not only the names it rebinds
+    tracer = _tracer_module()
+    from quenchfront import folddelay, painleve, pdesim, stability, travelingwave
+
+    t = tracer.Tracer()
+    with t.installed():
+        front = travelingwave.solve_front(travelingwave.QuenchParams(1.2, 0.01), 500.0, 2001)
+        travelingwave.front_branch(1.2, [0.02, 0.01])
+        folddelay.run_fold_passage(1.2, 1e-2)
+        painleve.classify_airy_tail(1.5)
+        painleve.linearization_ground_state(painleve.solve_hastings_mcleod(8, 6, 4001))
+        stability.leading_eigenvalues(stability.build_Lc(front, h=2.0), 1)
+        pdesim.simulate(pdesim.SimConfig(frozen_mu=1.0, domain=(0.0, 20.0), n=101, t_end=1.0))
+        argv = ["pde", "--frozen-mu", "1", "--domain", "0", "20", "--n", "101", "--t-end", "1"]
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+    counts = t.counters[0]
+    assert {name: counts[name] for name in _HOOK_COUNTERS if counts[name] <= 0} == {}
+    called = {name.removesuffix(".calls") for name in counts if name.endswith(".calls")}
+    # every bound layer but the fits, certificates and quench comparison
+    assert called >= {name for _, _, name in tracer._BINDINGS} - {
+        "folddelay.fit_delay_scaling",
+        "painleve.certify_potential_positive",
+        "painleve.certify_lower_bound",
+        "pdesim.compare_homogeneous_quench",
+    }
+    spans = {span[0] for span in t.spans}
+    assert {"travelingwave.assembly", "painleve.assembly"} <= spans
 
 
 # stored fields no attribute read names, each with the reason it stays

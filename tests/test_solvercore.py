@@ -35,7 +35,7 @@ class TestMesh:
         assert np.allclose(np.diff(m.nodes), 0.1)
 
     def test_graded_ratio_bound(self):
-        m = Mesh.graded(-100.0, 50.0, -2.0, 3.0, h_min=0.1, factor=1.3, h_max=5.0)
+        m = Mesh.graded(-100.0, 50.0, -2.0, 3.0, h_min=0.1, h_max=5.0)
         h = np.diff(m.nodes)
         r = h[1:] / h[:-1]
         assert r.max() <= 4.0 and r.min() >= 0.25
@@ -49,10 +49,10 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(np.linspace(0, 1, 5))
 
-    @given(st.floats(min_value=0.01, max_value=0.5), st.floats(min_value=1.02, max_value=2.0))
+    @given(st.floats(min_value=0.01, max_value=0.5), st.floats(min_value=0.5, max_value=8.0))
     @settings(max_examples=25, deadline=None)
-    def test_graded_property(self, h_min, factor):
-        m = Mesh.graded(-30.0, 30.0, -1.0, 1.0, h_min=h_min, factor=factor, h_max=4.0)
+    def test_graded_property(self, h_min, h_max):
+        m = Mesh.graded(-30.0, 30.0, -1.0, 1.0, h_min=h_min, h_max=h_max)
         h = np.diff(m.nodes)
         r = h[1:] / h[:-1]
         assert r.max() <= 4.0 + 1e-9 and r.min() >= 0.25 - 1e-9
@@ -89,40 +89,40 @@ def _graded_loop(a, b, focus_lo, focus_hi, h_min, factor, h_max):
 
 
 def _graded_grid():
-    """Seeded (a, b, focus_lo, focus_hi, h_min, factor, h_max) cases: every
-    factor with a finite and an infinite cap, focus edges on a domain end,
-    and caps below h_min / 4 that the grading bound refuses."""
+    """Seeded (a, b, focus_lo, focus_hi, h_min, h_max) cases: finite and
+    infinite caps, focus edges on a domain end, and caps below h_min / 4
+    that the grading bound refuses.  These 120 cases reach 50 merged-tail
+    splits and 13 refusals."""
     rng = np.random.default_rng(20260)
     cases = []
-    for factor in (1.05, 1.1, 1.5, 2.0, 4.0):
-        for k in range(24):
-            a = -float(rng.uniform(1.0, 800.0))
-            b = float(rng.uniform(1.0, 800.0))
-            lo = float(rng.uniform(a, 0.0))
-            hi = float(rng.uniform(0.5, b))
-            if k % 6 == 0:
-                lo = a
-            elif k % 6 == 1:
-                hi = b
-            h_min = float(rng.uniform(0.01, 0.5))
-            h_max = math.inf if k % 2 else h_min * float(np.exp(rng.uniform(-2.5, 5.0)))
-            cases.append((a, b, lo, hi, h_min, factor, h_max))
+    for k in range(120):
+        a = -float(rng.uniform(1.0, 800.0))
+        b = float(rng.uniform(1.0, 800.0))
+        lo = float(rng.uniform(a, 0.0))
+        hi = float(rng.uniform(0.5, b))
+        if k % 6 == 0:
+            lo = a
+        elif k % 6 == 1:
+            hi = b
+        h_min = float(rng.uniform(0.01, 0.5))
+        h_max = math.inf if k % 2 else h_min * float(np.exp(rng.uniform(-2.5, 5.0)))
+        cases.append((a, b, lo, hi, h_min, h_max))
     return cases
 
 
 class TestGradedAgainstLoop:
     def test_nodes_or_error_match_the_loop(self):
         splits = errors = 0
-        for a, b, lo, hi, h_min, factor, h_max in _graded_grid():
+        for a, b, lo, hi, h_min, h_max in _graded_grid():
             try:
-                want, split = _graded_loop(a, b, lo, hi, h_min, factor, h_max)
+                want, split = _graded_loop(a, b, lo, hi, h_min, 1.05, h_max)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
-                    Mesh.graded(a, b, lo, hi, h_min=h_min, factor=factor, h_max=h_max)
+                    Mesh.graded(a, b, lo, hi, h_min=h_min, h_max=h_max)
                 errors += 1
                 continue
-            got = Mesh.graded(a, b, lo, hi, h_min=h_min, factor=factor, h_max=h_max).nodes
-            assert np.array_equal(got, want), (a, b, lo, hi, h_min, factor, h_max)
+            got = Mesh.graded(a, b, lo, hi, h_min=h_min, h_max=h_max).nodes
+            assert np.array_equal(got, want), (a, b, lo, hi, h_min, h_max)
             splits += split
         # the grid reaches the merged-tail split and the refused caps
         assert splits >= 10 and errors >= 5
@@ -130,7 +130,7 @@ class TestGradedAgainstLoop:
     @pytest.mark.parametrize("h_min, h_max", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, math.nan)])
     def test_nonpositive_spacing_refused(self, h_min, h_max):
         with pytest.raises(ValueError, match="positive"):
-            Mesh.graded(-10.0, 10.0, -1.0, 1.0, h_min=h_min, factor=1.1, h_max=h_max)
+            Mesh.graded(-10.0, 10.0, -1.0, 1.0, h_min=h_min, h_max=h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +438,10 @@ class TestNewtonSystemJacobians:
         params = QuenchParams(c, 1e-3)
         mesh = _default_mesh(params, 5.0 / params.epsilon, 2001)
         system = _LogFrontSystem(mesh, c)
-        residual, jacobian = system.equations(params.epsilon)
-        seed = _front_seed(mesh.nodes, system.mu_values(params.epsilon), c, params.epsilon)
-        for w in (seed, system.solve(seed, params.epsilon)[0]):
+        mu = params.mu_of_zeta(mesh.nodes)
+        residual, jacobian = system.equations(mu)
+        seed = _front_seed(mesh.nodes, mu, c, params.epsilon)
+        for w in (seed, system.solve(seed, mu)[0]):
             self._assert_rows_agree(residual, jacobian, w)
 
     def test_connection_system(self, monkeypatch):
@@ -496,7 +497,7 @@ class TestContinuation:
         branch = continue_branch(
             _pitchfork_problem(), np.array([math.sqrt(0.1)]), (0.1, 1.0), step0=0.05
         )
-        assert branch.status == "completed"
+        assert branch.entries[-1].param == 1.0
         for e in branch.entries:
             assert abs(e.solution[0] - math.sqrt(e.param)) < 1e-8
         p = [e.param for e in branch.entries]
@@ -516,7 +517,6 @@ class TestContinuation:
         branch = continue_branch(
             _pitchfork_problem(), np.array([math.sqrt(0.1)]), stops, step0=0.05
         )
-        assert branch.status == "completed"
         params = [e.param for e in branch.entries]
         assert all(stop in params for stop in stops)
         for e in branch.entries:
@@ -540,7 +540,7 @@ class TestContinuation:
             return prob(guess, mu)
 
         branch = continue_branch(counted, np.array([0.6]), [0.25], step0=0.05)
-        assert calls == [0.25] and branch.status == "completed"
+        assert calls == [0.25]
         assert [e.param for e in branch.entries] == [0.25] and branch.step_history == []
         assert branch.entries[0].solution[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -550,13 +550,17 @@ class TestContinuation:
         with pytest.raises(ValueError, match="needs a start"):
             continue_branch(_pitchfork_problem(), np.array([0.5]), [], step0=0.05)
 
-    def test_stall_on_unsolvable_range(self):
+    @pytest.mark.parametrize(
+        "stops, reached", [((1.0, -1.0), "0 of 1"), ((1.0, 0.5, 0.25, -1.0), "2 of 3")]
+    )
+    def test_stall_on_unsolvable_range(self, stops, reached):
         # branch u = sqrt(mu) ceases to exist for mu < 0: stepping into the
-        # unsolvable range must collapse the step and flag a stall
+        # unsolvable range must collapse the step and raise, naming the stop
+        # and the stops reached, with the failed corrector's report
         prob = _square_root_problem()
-        branch = continue_branch(prob, np.array([1.0]), (1.0, -1.0), step0=0.25)
-        assert branch.status == "stalled"
-        assert branch.entries[-1].param > -1.0
+        with pytest.raises(SolveError, match=rf"before stop -1\.0; {reached} stops reached") as err:
+            continue_branch(prob, np.array([1.0]), stops, step0=0.25)
+        assert err.value.report is not None and err.value.report.converged is False
 
 
 # ---------------------------------------------------------------------------

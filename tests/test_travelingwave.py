@@ -304,11 +304,21 @@ class TestFrontLocation:
         assert front_location(sol)[0] == self._full_array_read(sol)
 
 
+def _branch_ramp(mesh, c, eps):
+    """The ramp ``front_branch`` hands its system at ``eps``: tanh(eps z +
+    phase) on the nodes z of its shifted frame, phase = atanh(_interface_mu)
+    (0 at c = 0)."""
+    import quenchfront.travelingwave as tw
+
+    phase = math.atanh(tw._interface_mu(c, eps)) if c > 0.0 else 0.0
+    return np.tanh(eps * mesh.nodes + phase)
+
+
 class TestFrontBranch:
     def test_small_branch_slope(self):
         targets = np.geomspace(1e-3, 2.5e-3, 5)
         fb = front_branch(1.2, targets)
-        assert fb.branch.status == "completed"
+        assert len(fb.fronts) == 5
         eps = np.array([f.params.epsilon for f in fb.fronts])
         delays = np.array([f.mu_fr - 0.36 for f in fb.fronts])
         assert np.all(delays > 0)
@@ -321,9 +331,10 @@ class TestFrontBranch:
         fb = front_branch(1.2, [2.5e-3, 1.5e-3])
         # the discretization front_branch continues on: its mesh, in the
         # frame shifted by atanh(_interface_mu)/eps
-        system = tw._LogFrontSystem(fb.mesh, 1.2, lambda e: math.atanh(tw._interface_mu(1.2, e)))
+        system = tw._LogFrontSystem(fb.mesh, 1.2)
         for entry in fb.branch.entries:
-            r = system.equations(math.exp(entry.param))[0](entry.solution)
+            mu = _branch_ramp(fb.mesh, 1.2, math.exp(entry.param))
+            r = system.equations(mu)[0](entry.solution)
             assert np.max(np.abs(r)) <= 1e-10
 
     def test_one_newton_solve_per_step(self, monkeypatch):
@@ -356,6 +367,38 @@ class TestFrontBranch:
             assert np.min(np.diff(front.u)) >= -1e-9
             assert front.mu_fr > c * c / 4.0
 
+    @pytest.mark.parametrize("c,eps", [(1.95, 1e-6), (1.9, 1e-7)])
+    def test_single_target_near_two_matches_the_direct_solve(self, c, eps):
+        # once a start that stalled just above _TOL (residual 1.3-2.6e-10
+        # after 80 iterations); measured 25 and 26 iterations, and mu_fr
+        # within 4.3e-9 and 2.7e-9 of solve_front's at L = 5/eps
+        fb = front_branch(c, [eps])
+        front = fb.fronts[0]
+        assert front.report.converged and front.report.iterations <= 40
+        assert np.min(np.diff(front.u)) >= -1e-9
+        direct = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps)
+        assert front.mu_fr > c * c / 4.0
+        assert abs(front.mu_fr - direct.mu_fr) <= 1e-8
+
+    def test_failure_names_c_and_the_eps_range(self, monkeypatch):
+        # a failed start or a stall reaches the caller as one SolveError
+        # that keeps the corrector's report
+        import quenchfront.travelingwave as tw
+
+        report = NewtonReport(80, 2e-10, False)
+
+        def stalled(*args):
+            raise SolveError("continuation stalled at parameter -9.0 before stop -9.2", report)
+
+        monkeypatch.setattr(tw, "continue_branch", stalled)
+        with pytest.raises(
+            SolveError,
+            match=r"c=1\.2 failed over eps from 0\.01 down to 0\.0001 "
+            r"\(continuation parameter log eps\): continuation stalled at parameter -9\.0",
+        ) as err:
+            front_branch(1.2, [1e-3, 1e-2, 1e-4])
+        assert err.value.report is report
+
     def test_monotone_parameter_path(self):
         fb = front_branch(0.0, [5e-3, 2e-3])
         p = [e.param for e in fb.branch.entries]
@@ -383,8 +426,8 @@ class TestOneAssemblyPerIterate:
         params = QuenchParams(c, eps)
         mesh = tw._default_mesh(params, 5.0 / eps, 2001)
         system = tw._LogFrontSystem(mesh, c)
-        seed = tw._front_seed(mesh.nodes, system.mu_values(eps), c, eps)
-        return system, seed
+        mu = params.mu_of_zeta(mesh.nodes)
+        return system, tw._front_seed(mesh.nodes, mu, c, eps), mu
 
     @staticmethod
     def _counting_differences(system, monkeypatch):
@@ -400,30 +443,30 @@ class TestOneAssemblyPerIterate:
         return calls
 
     def test_jacobian_after_residual_at_the_same_iterate(self, monkeypatch):
-        system, w = self._system()
+        system, w, mu = self._system()
         calls = self._counting_differences(system, monkeypatch)
-        residual, jacobian = system.equations(1e-3)
+        residual, jacobian = system.equations(mu)
         r = residual(w)
         got = jacobian(w)
         assert len(calls) == 1  # the jacobian reused the residual's w'
-        fresh_residual, fresh_jacobian = system.equations(1e-3)
+        fresh_residual, fresh_jacobian = system.equations(mu)
         assert np.array_equal(got, fresh_jacobian(w))
         assert np.array_equal(r, fresh_residual(w))
 
     def test_jacobian_at_an_earlier_trial_recomputes(self, monkeypatch):
         # the line search accepting an earlier trial than the one last evaluated
-        system, w1 = self._system()
+        system, w1, mu = self._system()
         w2 = w1 + 1e-3 * np.sin(np.arange(w1.size))
-        residual, jacobian = system.equations(1e-3)
+        residual, jacobian = system.equations(mu)
         residual(w1)
         residual(w2)
         calls = self._counting_differences(system, monkeypatch)
         got = jacobian(w1)
         assert len(calls) == 1
-        assert np.array_equal(got, system.equations(1e-3)[1](w1))
+        assert np.array_equal(got, system.equations(mu)[1](w1))
 
 
-def _stencil_equations(system, epsilon):
+def _stencil_equations(system, mu):
     """The reference assembly: ``equations`` as it was written with the
     three-term stencils d2m w_{i-1} + d2c w_i + d2p w_{i+1} and d1m, d1c, d1p
     and w'^2 - c w', one w' per call of either function."""
@@ -431,7 +474,6 @@ def _stencil_equations(system, epsilon):
     hm, hp = h[:-1], h[1:]
     d2m, d2c, d2p = 2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))
     d1m, d1c, d1p = -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
-    mu = system.mu_values(epsilon)
     c, h0, h1 = system.c, h[0], h[-1]
     nu_u, nu_s = projection_rates(c, mu[0], mu[-1])
     g0 = -nu_u * nu_u + c * nu_u - mu[0]
@@ -487,21 +529,22 @@ class TestAssemblyAgainstStencil:
         from quenchfront.solvercore import solve_bvp
 
         if mesh_kind == "branch":
-            phase_fn = (lambda e: math.atanh(tw._interface_mu(c, e))) if c > 0.0 else None
-            system = tw._LogFrontSystem(tw._branch_mesh(c, eps), c, phase_fn)
+            mesh = tw._branch_mesh(c, eps)
+            mu = _branch_ramp(mesh, c, eps)
         else:
             mesh = tw._default_mesh(QuenchParams(c, eps), 5.0 / eps, 4001)
-            system = tw._LogFrontSystem(mesh, c)
-        seed = tw._front_seed(system.mesh.nodes, system.mu_values(eps), c, eps)
-        w, report = system.solve(seed, eps)
-        ref_residual, ref_jacobian = _stencil_equations(system, eps)
+            mu = QuenchParams(c, eps).mu_of_zeta(mesh.nodes)
+        system = tw._LogFrontSystem(mesh, c)
+        seed = tw._front_seed(mesh.nodes, mu, c, eps)
+        w, report = system.solve(seed, mu)
+        ref_residual, ref_jacobian = _stencil_equations(system, mu)
         with np.errstate(over="ignore"):
             w_ref, ref_report = solve_bvp(ref_residual, ref_jacobian, seed, tw._TOL, max_iter=80)
         assert report.converged and ref_report.converged
         assert report.iterations == ref_report.iterations
         assert report.damping_history == ref_report.damping_history
         assert np.max(np.abs(np.exp(w) - np.exp(w_ref))) <= 5e-11
-        residual, jacobian = system.equations(eps)
+        residual, jacobian = system.equations(mu)
         for x in (seed, w):
             assert np.max(np.abs(residual(x) - ref_residual(x))) <= 0.25 * tw._TOL
             ab, ab_ref = jacobian(x), ref_jacobian(x)
@@ -588,12 +631,12 @@ class TestContinuousSeed:
         import quenchfront.travelingwave as tw
 
         params = QuenchParams(c, eps)
-        meshes = [(tw._default_mesh(params, 5.0 / eps, 4001), None)]
+        mesh = tw._default_mesh(params, 5.0 / eps, 4001)
+        meshes = [(mesh, params.mu_of_zeta(mesh.nodes))]
         if eps >= 2.5e-4:
-            phase = lambda e: math.atanh(tw._interface_mu(c, e))
-            meshes.append((tw._branch_mesh(c, eps), phase))
-        for mesh, phase_fn in meshes:
-            mu = tw._LogFrontSystem(mesh, c, phase_fn).mu_values(eps)
+            mesh = tw._branch_mesh(c, eps)
+            meshes.append((mesh, _branch_ramp(mesh, c, eps)))
+        for mesh, mu in meshes:
             w = tw._front_seed(mesh.nodes, mu, c, eps)
             q = 0.5 * c + np.sqrt(np.maximum(0.25 * c * c - mu, 0.0))
             rise = np.diff(w) - 0.5 * (q[1:] + q[:-1]) * np.diff(mesh.nodes)
