@@ -68,8 +68,10 @@ from .pdesim import (
 from .solvercore import JacobianSingularError, SolveError
 from .specfun import airy
 from .travelingwave import (
+    CORE_SPACING,
     QuenchParams,
     compare_with_rescaled_profile,
+    default_halflength,
     predicted_delay,
     rescaled_inner_profile,
     solve_front,
@@ -226,7 +228,7 @@ def cmd_front(args) -> int:
     c, eps = args.c, args.eps
     outdir = _outdir(args)
     quench = QuenchParams(c, eps)
-    half = args.L if args.L is not None else 5.0 / eps
+    half = args.L if args.L is not None else default_halflength(quench)
     params = {"c": c, "eps": eps, "L": half, "n": args.n}
     try:
         sol = solve_front(quench, half, n=args.n)
@@ -301,11 +303,6 @@ def cmd_delay_sweep(args) -> int:
             raise ValueError(f"fit refused: {exc}") from exc
     elif args.c == 0.0:
         raise ValueError("the BVP delay-sweep needs c > 0: at c = 0 there is no delay; see `front --c 0`")
-    elif math.atanh(args.c**2 / 4.0) >= 2.5:
-        raise ValueError(
-            f"the BVP delay-sweep solves on L = 5/eps, and at c = {args.c} the instability "
-            "point atanh(c^2/4)/eps lies beyond L/2 at every eps; see `front --L`"
-        )
     params = {
         "c": args.c, "eps_lo": lo, "eps_hi": hi, "points": args.points,
         "fold": args.fold, "delta": args.delta,
@@ -326,7 +323,7 @@ def cmd_delay_sweep(args) -> int:
         for quench in [QuenchParams(args.c, float(e)) for e in eps_list]:
             e = quench.epsilon
             try:
-                mu_fr = solve_front(quench, 5.0 / e).mu_fr
+                mu_fr = solve_front(quench, default_halflength(quench)).mu_fr
             except SolveError:
                 mu_fr = None
             if mu_fr is None:
@@ -586,7 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument(
         "--L", type=float, default=None,
-        help="domain halflength of the direct solve (default 5/eps)",
+        help="domain halflength of the direct solve (default max(5/eps, 2 zeta_c + 1/eps), "
+        f"zeta_c = atanh(c^2/4)/eps; core cells at most {CORE_SPACING:g}, so below eps ~ 1e-7 "
+        "the mesh takes more than --n nodes)",
     )
     p.add_argument(
         "--n", type=int, default=4001, help="mesh nodes of the direct solve (default 4001)"

@@ -19,7 +19,9 @@ stable eigendirection about the nontrivial state; ``projection_rates``
 gives both rates.  ``delay_prefactor`` and ``predicted_delay`` are the
 closed-form delay law that the solvers, the mesh grading and the fold fits
 share.  A :class:`FrontSolution` stores the solved w = log(u); the ramp mu
-and the slope v = u_zeta are derived when read.
+and the slope v = u_zeta are derived when read.  Every front, direct or on
+an eps-branch, is solved on one mesh rule with core cells at most
+``CORE_SPACING``, over ``default_halflength`` unless a caller gives L.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
     "predicted_delay",
     "projection_rates",
     "front_branch",
+    "default_halflength",
+    "CORE_SPACING",
     "stationary_amplitude_at_pitchfork",
     "rescaled_inner_profile",
     "compare_with_rescaled_profile",
@@ -58,8 +62,9 @@ __all__ = [
 
 # residual sup-norm tolerance of every Newton solve on the front system
 _TOL = 1e-10
-# finest spacing of the eps-branch mesh
-_H_MIN = 0.05
+# widest core cell of a front mesh: cells of 3.7-6.4 stall Newton at eps =
+# 1e-9, and the widest on README's grid (eps >= 1e-7) is 1.386
+CORE_SPACING = 1.5
 
 
 @dataclass(frozen=True)
@@ -374,8 +379,18 @@ def _front_solution(
     return sol
 
 
-def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mesh:
-    """Grade the mesh toward the interface region; roughly n nodes."""
+def default_halflength(params: QuenchParams) -> float:
+    """The default domain halflength L = max(5/eps, 2 zeta_c + 1/eps): the
+    ramp within 1e-4 of its limits at +-L, and L/2 past the instability point
+    zeta_c = atanh(c^2/4)/eps by 1/(2 eps), so no accepted c is refused."""
+    eps = params.epsilon
+    return max(5.0 / eps, 2.0 * params.zeta_of_mu(params.c**2 / 4.0) + 1.0 / eps)
+
+
+def _front_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mesh:
+    """The mesh of every front solve: uniform over the take-off zone (within
+    +-L/2) at the spacing of 0.75 n nodes there, at most ``CORE_SPACING``,
+    graded toward +-L; about n nodes, more where the cap binds."""
     c, eps = params.c, params.epsilon
     scale = eps ** (-1.0 / 3.0)
     if c > 0.0:
@@ -387,7 +402,7 @@ def _default_mesh(params: QuenchParams, domain_halflength: float, n: int) -> Mes
         lo, hi = -4.0 * scale - 20.0, 4.0 * scale + 20.0
     lo = max(lo, -0.5 * domain_halflength)
     hi = min(hi, 0.5 * domain_halflength)
-    h_min = (hi - lo) / (0.75 * n)
+    h_min = min((hi - lo) / (0.75 * n), CORE_SPACING)
     h_max = max(domain_halflength / (0.12 * n), 4.0 * h_min)
     return Mesh.graded(-domain_halflength, domain_halflength, lo, hi, h_min=h_min, h_max=h_max)
 
@@ -397,9 +412,11 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
 
     The domain must satisfy L >= 5/eps so that the ramp sits within 1e-4 of
     its limits at the truncation points, and L/2 must pass the instability
-    point zeta_c where mu = c^2/4.  The ramp tanh(eps*zeta) is evaluated
-    once on the mesh and serves both the seed and Newton.  The solve is one
-    Newton run from ``_front_seed``: in w = log(u), the tail integrates the
+    point zeta_c where mu = c^2/4, as ``default_halflength``'s max(5/eps,
+    2 zeta_c + 1/eps) does.  ``_front_mesh`` puts about n nodes on it with
+    core cells at most 1.5 (``CORE_SPACING``), more where that binds (eps
+    below about 1e-7).  The ramp tanh(eps*zeta), evaluated once on the mesh,
+    serves both the seed and Newton.  The solve is one Newton run from ``_front_seed``: in w = log(u), the tail integrates the
     unstable root of the linear tail's Riccati equation through w =
     log(c/4) at the interface ``_seed_mu`` expects, and on at its own slope
     until it meets the plateau log(sqrt(mu)), so the seed has no jump.  The
@@ -421,7 +438,7 @@ def solve_front(params: QuenchParams, domain_halflength: float, n: int = 4001) -
             f"lies beyond L/2 = {0.5 * domain_halflength:.1f}; --L must exceed "
             f"2 zeta_c = {2.0 * zeta_c:.1f}"
         )
-    mesh = _default_mesh(params, domain_halflength, n)
+    mesh = _front_mesh(params, domain_halflength, n)
     # a halflength past ~1e154 overflows the difference weights of the end
     # cells to zero; the Newton step then raises JacobianSingularError
     with np.errstate(over="ignore"):
@@ -482,7 +499,9 @@ def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
     jump stays pinned near the mesh origin while the physical interface
     travels O(1/eps), and the unknown is the log-amplitude w = log(u), so
     the exponentially small plateau is resolved relatively, not additively.
-    The branch owns that frame: it hands the system the ramp
+    The mesh is ``solve_front``'s at the smallest target on its default L
+    and n = 4001, shifted by phase(eps)/eps, so a single target is the
+    direct solve's discrete problem.  The branch owns that frame: it hands the system the ramp
     tanh(eps z + phase(eps)) on its mesh nodes z, and returns each front on
     the nodes z + phase(eps)/eps of zeta, in u, with its target as
     ``params.epsilon``.  An empty target list or a (c, target) pair that
@@ -495,7 +514,9 @@ def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
     if not targets:
         raise ValueError("need at least one target")
     phase = lambda e: math.atanh(_interface_mu(c, e)) if c > 0.0 else 0.0
-    mesh = _branch_mesh(c, targets[-1])
+    smallest = QuenchParams(c, targets[-1])
+    direct = _front_mesh(smallest, default_halflength(smallest), 4001)
+    mesh = Mesh(direct.nodes - phase(smallest.epsilon) / smallest.epsilon)
     nodes = mesh.nodes
     system = _LogFrontSystem(mesh, c)
     ramp = lambda e: np.tanh(e * nodes + phase(e))
@@ -517,27 +538,6 @@ def front_branch(c: float, eps_targets: Sequence[float]) -> FrontBranch:
         entry = landed[s]
         fronts.append(_front_solution(zeta, entry.solution, QuenchParams(c, eps), entry.report))
     return FrontBranch(fronts=fronts, branch=branch, mesh=mesh)
-
-
-def _branch_mesh(c: float, eps_min: float) -> Mesh:
-    """One mesh serving the whole eps-continuation, in the shifted frame
-    where the interface sits near the origin.  Fine spacing covers the
-    take-off zone between the instability point and the interface; the ends
-    keep the ramp within 1e-4 of its limits for every eps in range."""
-    scale = eps_min ** (-1.0 / 3.0)
-    if c > 0.0:
-        p_min = QuenchParams(c, eps_min)
-        zfp = p_min.zeta_of_mu(_interface_mu(c, eps_min))
-        span = zfp - p_min.zeta_of_mu(c * c / 4.0)
-        lo = -span - max(40.0, 2.0 * scale)
-        hi = max(40.0, 2.0 * scale)
-        left = 5.0 / eps_min + zfp + 10.0
-        right = 5.0 / eps_min + 10.0
-    else:
-        lo, hi = -4.0 * scale - 20.0, 4.0 * scale + 20.0
-        left = right = 5.0 / eps_min + 10.0
-    h_max = max((left + right) / 1000.0, 4.0 * _H_MIN)
-    return Mesh.graded(-left, right, lo, hi, h_min=_H_MIN, h_max=h_max)
 
 
 def stationary_amplitude_at_pitchfork(fronts: Sequence[FrontSolution]) -> float:

@@ -3,6 +3,7 @@ exit codes, config precedence, and output determinism."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,8 +144,9 @@ class TestFront:
         assert 1.9**2 / 4.0 < diag["mu_fr"] < 1.0
 
     def test_instability_point_beyond_focus_refused(self, tmp_path, capsys):
-        # atanh(c^2/4)/eps = 2647.9 > L/2 = 2.5/eps: refused before any mesh
-        code, out = run(["front", "--c", "1.99", "--eps", "1e-3"], tmp_path)
+        # an explicit --L 5/eps puts atanh(c^2/4)/eps = 2647.9 beyond L/2:
+        # refused before any mesh
+        code, out = run(["front", "--c", "1.99", "--eps", "1e-3", "--L", "5000"], tmp_path)
         assert code == 1
         err = capsys.readouterr().err
         assert "c=1.99, eps=0.001" in err and "--L must exceed 2 zeta_c = 5295.8" in err
@@ -154,11 +156,19 @@ class TestFront:
         assert code == 0
         diag = json.loads((out / "front_diagnostics.json").read_text())
         assert "solver" not in diag and diag["mu_fr"] == pytest.approx(0.99162, abs=1e-5)
+        # the default L = max(5/eps, 2 zeta_c + 1/eps) = 6295.8 passes it:
+        # measured 70 iterations, mu_fr 0.991618
+        code, out = run(["front", "--c", "1.99", "--eps", "1e-3"], tmp_path, "default")
+        assert code == 0
+        diag = json.loads((out / "front_diagnostics.json").read_text())
+        assert diag["L"] == pytest.approx(2.0 * math.atanh(1.99**2 / 4.0) / 1e-3 + 1e3, rel=1e-12)
+        assert diag["iterations"] <= 72 and diag["mu_fr"] == pytest.approx(0.991618, abs=1e-6)
 
     def test_direct_solve_where_the_affine_seed_failed(self, tmp_path, capsys):
         # from the affine seed direct Newton stalled at (1.8, 1e-5), and the
-        # eps-continuation landed it; from the projective tail it converges
-        # on the direct mesh, 1.5e-8 from the continuation (measured)
+        # eps-continuation landed it; from the projective tail it converges,
+        # and a one-target branch poses the same discrete problem (0.0
+        # apart, measured)
         code, out = run(["front", "--c", "1.8", "--eps", "1e-5"], tmp_path)
         assert code == 0
         meta, body = read_meta(out / "front_profile.csv")
@@ -364,18 +374,17 @@ class TestDelaySweep:
         assert (summary["converged"], summary["total"]) == (5, 5)
         assert 0.6 < summary["slope"] < 2.0 / 3.0
 
-    def test_instability_point_beyond_every_domain_refused(self, tmp_path, capsys):
-        # on L = 5/eps, atanh(c^2/4)/eps > L/2 for every eps once c^2/4 >=
-        # tanh(2.5), c >= 1.98661
-        with mock.patch.object(cli, "solve_front") as solve:
-            code, out = run(
-                ["delay-sweep", "--c", "1.99", "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"],
-                tmp_path,
-            )
-        assert code == 1
-        assert "at c = 1.99 the instability point" in capsys.readouterr().err
-        solve.assert_not_called()
-        assert not list(out.glob("*"))
+    def test_speed_past_the_old_default_domain_solved(self, tmp_path, capsys):
+        # on L = 5/eps, atanh(c^2/4)/eps > L/2 for every eps once c >=
+        # 1.98661; the default domain passes it, and every point converges
+        # (measured 12-47 iterations)
+        code, out = run(
+            ["delay-sweep", "--c", "1.99", "--eps-decade", "2.5e-4:2.5e-3", "--points", "5"],
+            tmp_path,
+        )
+        assert code == 0
+        summary = json.loads((out / "delay_sweep_summary.json").read_text())
+        assert (summary["converged"], summary["total"]) == (5, 5)
 
     def test_eps_above_the_ramp_range_refused_before_solving(self, tmp_path, capsys):
         with mock.patch.object(cli, "solve_front") as solve:

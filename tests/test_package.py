@@ -261,6 +261,33 @@ def test_dt_bound_quoted_from_the_module_constants():
         assert "32/45" in text and "20/21" not in text
 
 
+def test_front_domain_and_core_cap_quoted_from_the_module():
+    # the front --L help, README's front paragraph and solve_front's
+    # docstring all quote the default-domain rule and the core-cell cap
+    import math
+
+    import numpy as np
+
+    from quenchfront import travelingwave as tw
+
+    rule, cap = "max(5/eps, 2 zeta_c + 1/eps)", f"core cells at most {tw.CORE_SPACING:g}"
+    with open(README) as fh:
+        paragraph = next(p for p in fh.read().split("\n\n") if "`front` solves by one" in p)
+    front = cli.build_parser().qf_subparsers["front"]
+    help_text = next(a.help for a in front._actions if "--L" in a.option_strings)
+    for text in (paragraph, help_text, tw.solve_front.__doc__):
+        flat = " ".join(text.replace("`", "").split())
+        assert rule in flat and cap in flat
+    assert rule in " ".join(tw.default_halflength.__doc__.split())
+    for c, eps in ((1.2, 1e-3), (1.99, 1e-3), (0.0, 1e-9)):
+        zeta_c = math.atanh(c * c / 4.0) / eps
+        assert tw.default_halflength(tw.QuenchParams(c, eps)) == max(5.0 / eps, 2.0 * zeta_c + 1.0 / eps)
+    params = tw.QuenchParams(1.9, 1e-9)  # the cap binds: about 12.4k nodes
+    mesh = tw._front_mesh(params, tw.default_halflength(params), 4001)
+    h = np.diff(mesh.nodes)
+    assert h.min() == pytest.approx(tw.CORE_SPACING, abs=1e-6) and mesh.count > 3 * 4001
+
+
 def test_quoted_stability_limit_from_the_scheme_weights():
     # SBDF4's explicit reaction on u' = f' u (A4 = 0), with z = dt f', has
     # the amplification polynomial s G^4 = sum_i (wu_i + z wf_i) G^(3-i)

@@ -430,13 +430,13 @@ class TestNewtonSystemJacobians:
     def test_front_system(self, c):
         from quenchfront.travelingwave import (
             QuenchParams,
-            _default_mesh,
+            _front_mesh,
             _front_seed,
             _LogFrontSystem,
         )
 
         params = QuenchParams(c, 1e-3)
-        mesh = _default_mesh(params, 5.0 / params.epsilon, 2001)
+        mesh = _front_mesh(params, 5.0 / params.epsilon, 2001)
         system = _LogFrontSystem(mesh, c)
         mu = params.mu_of_zeta(mesh.nodes)
         residual, jacobian = system.equations(mu)

@@ -18,6 +18,7 @@ from quenchfront.travelingwave import (
     FrontSolution,
     QuenchParams,
     compare_with_rescaled_profile,
+    default_halflength,
     delay_prefactor,
     front_branch,
     front_location,
@@ -193,45 +194,50 @@ class TestSmallGammaSeed:
 
 
 _GRID_EPS = (0.1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9)
+# the cells that stalled on uncapped core cells of 3.7-6.4
 _GRID_CORNER = [(0.5, 1e-9), (1.9, 1e-9), (1.95, 1e-9)]
 
 
 class TestCoverageGrid:
-    """``solve_front`` at ``front``'s defaults (L = 5/eps, n = 4001) over a
-    log grid of c in [1e-6, 1.99] and eps in [1e-9, 0.1]: every cell solves
-    or is refused with its documented reason, except in the eps = 1e-9
-    corner at c in {0.5, 1.9, 1.95}, which is not mended."""
+    """``solve_front`` at ``front``'s defaults (L = ``default_halflength``,
+    n = 4001) over a log grid of c in [1e-6, 1.99] and eps in [1e-11, 0.1]:
+    every cell solves within the iterations measured on its part of the
+    grid, is refused with its documented reason, or raises ``SolveError``
+    where that was measured."""
 
     @pytest.mark.parametrize(
-        "c,eps",
+        "c,eps,max_iter",
+        # measured: 4-34 iterations over the other 51 cells, 34 at
+        # (1e-6, 0.1); 56, 27 and 39 in the corner, on 8.9k-14.4k nodes where
+        # the core cap binds; 11-70 at c = 1.99 (70 at eps = 1e-3); 50 at
+        # (1.2, 1e-11), on 36.9k nodes
         [
-            (c, eps)
+            (c, eps, 58 if (c, eps) in _GRID_CORNER else 36)
             for c in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.2, 1.9, 1.95)
             for eps in _GRID_EPS
-            if (c, eps) not in _GRID_CORNER
-        ],
+        ]
+        + [(1.99, eps, 72) for eps in _GRID_EPS[:-1]]
+        + [(1.2, 1e-11, 52)],
     )
-    def test_solves_within_the_measured_iterations(self, c, eps):
-        # measured: 4-34 iterations over these 51 cells, 34 at (1e-6, 0.1)
-        sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
-        assert sol.report.converged and sol.report.iterations <= 36
+    def test_solves_within_the_measured_iterations(self, c, eps, max_iter):
+        params = QuenchParams(c, eps)
+        sol = solve_front(params, domain_halflength=default_halflength(params), n=4001)
+        assert sol.report.converged and sol.report.iterations <= max_iter
+
+    @pytest.mark.parametrize("c,eps", [(1.99, 1e-9), (1.95, 1e-11)])
+    def test_raises_solve_error_where_measured(self, c, eps):
+        # not mended: Newton runs all 80 iterations and stops at residual
+        # 4.4e-2 and 3.6e-2 (measured); (0.5, 1e-11) and (1.9, 1e-11) solve
+        params = QuenchParams(c, eps)
+        with pytest.raises(SolveError, match=f"front solve failed at c={c}, eps={eps}"):
+            solve_front(params, domain_halflength=default_halflength(params), n=4001)
 
     @pytest.mark.parametrize("eps", _GRID_EPS)
     def test_refused_where_the_instability_point_passes_half_the_domain(self, eps):
-        # at c = 1.99, zeta_c = atanh(c^2/4)/eps lies beyond L/2 = 2.5/eps
+        # an explicit L = 5/eps puts zeta_c = atanh(c^2/4)/eps at c = 1.99
+        # beyond L/2 = 2.5/eps
         with pytest.raises(ValueError, match="beyond L/2"):
             solve_front(QuenchParams(1.99, eps), domain_halflength=5.0 / eps, n=4001)
-
-    @pytest.mark.parametrize("c,eps", _GRID_CORNER)
-    def test_corner_converges_or_raises_solve_error(self, c, eps):
-        # not mended: measured, (0.5, 1e-9) converges in 79 of its 80
-        # iterations and (1.9, 1e-9) and (1.95, 1e-9) raise SolveError; the
-        # cause is not known, so this asserts only that nothing else happens
-        try:
-            sol = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps, n=4001)
-        except SolveError:
-            return
-        assert sol.report.converged
 
 
 class TestFrontLocation:
@@ -367,18 +373,26 @@ class TestFrontBranch:
             assert np.min(np.diff(front.u)) >= -1e-9
             assert front.mu_fr > c * c / 4.0
 
-    @pytest.mark.parametrize("c,eps", [(1.95, 1e-6), (1.9, 1e-7)])
+    @pytest.mark.parametrize(
+        "c,eps",
+        [(1.95, 1e-6), (1.9, 1e-7), (0.4, 2.5e-4), (1.2, 2.5e-3), (1.99, 1e-3), (0.0, 8.27e-4)],
+    )
     def test_single_target_near_two_matches_the_direct_solve(self, c, eps):
-        # once a start that stalled just above _TOL (residual 1.3-2.6e-10
-        # after 80 iterations); measured 25 and 26 iterations, and mu_fr
-        # within 4.3e-9 and 2.7e-9 of solve_front's at L = 5/eps
+        # a single target is the direct solve's discrete problem in the
+        # branch's shifted frame: measured, the same 26, 29, 6, 7, 70 and 6
+        # iterations, and mu_fr (u(0) at c = 0) within 1.7e-16
         fb = front_branch(c, [eps])
         front = fb.fronts[0]
-        assert front.report.converged and front.report.iterations <= 40
+        params = QuenchParams(c, eps)
+        direct = solve_front(params, domain_halflength=default_halflength(params))
+        assert front.report.converged
+        assert front.report.iterations == direct.report.iterations <= (72 if c == 1.99 else 40)
         assert np.min(np.diff(front.u)) >= -1e-9
-        direct = solve_front(QuenchParams(c, eps), domain_halflength=5.0 / eps)
-        assert front.mu_fr > c * c / 4.0
-        assert abs(front.mu_fr - direct.mu_fr) <= 1e-8
+        if c > 0.0:
+            assert front.mu_fr > c * c / 4.0
+            assert abs(front.mu_fr - direct.mu_fr) <= 1e-12
+        else:
+            assert abs(front.u_at_origin - direct.u_at_origin) <= 1e-12
 
     def test_failure_names_c_and_the_eps_range(self, monkeypatch):
         # a failed start or a stall reaches the caller as one SolveError
@@ -424,7 +438,7 @@ class TestOneAssemblyPerIterate:
         import quenchfront.travelingwave as tw
 
         params = QuenchParams(c, eps)
-        mesh = tw._default_mesh(params, 5.0 / eps, 2001)
+        mesh = tw._front_mesh(params, 5.0 / eps, 2001)
         system = tw._LogFrontSystem(mesh, c)
         mu = params.mu_of_zeta(mesh.nodes)
         return system, tw._front_seed(mesh.nodes, mu, c, eps), mu
@@ -515,11 +529,12 @@ def _stencil_equations(system, mu):
 class TestAssemblyAgainstStencil:
     """``equations`` forms w'' and w' from one first difference and writes
     its rows in place; the three-term-stencil assembly it replaced is the
-    reference.  Over these 24 cases the residuals differ by at most 2.3e-11
-    (a quarter of the Newton tolerance 1e-10 is asserted), each Jacobian
-    band by at most 1.5e-14 of its largest entry (5e-14 asserted), and the
-    Newton solves from the seed take the same iterations and halvings and
-    end within 1.3e-11 in u (5e-11 asserted)."""
+    reference.  Over these 24 cases, on the branch's mesh and the direct
+    one, the residuals differ by at most 1.7e-11 (a quarter of the Newton
+    tolerance 1e-10 is asserted), each Jacobian band by at most 1.4e-14 of
+    its largest entry (5e-14 asserted), and the Newton solves from the seed
+    take the same iterations and halvings and end within 6.6e-12 in u
+    (5e-11 asserted)."""
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("mesh_kind", ["branch", "default"])
@@ -528,12 +543,13 @@ class TestAssemblyAgainstStencil:
         import quenchfront.travelingwave as tw
         from quenchfront.solvercore import solve_bvp
 
+        params = QuenchParams(c, eps)
         if mesh_kind == "branch":
-            mesh = tw._branch_mesh(c, eps)
+            mesh = front_branch(c, [eps]).mesh
             mu = _branch_ramp(mesh, c, eps)
         else:
-            mesh = tw._default_mesh(QuenchParams(c, eps), 5.0 / eps, 4001)
-            mu = QuenchParams(c, eps).mu_of_zeta(mesh.nodes)
+            mesh = tw._front_mesh(params, default_halflength(params), 4001)
+            mu = params.mu_of_zeta(mesh.nodes)
         system = tw._LogFrontSystem(mesh, c)
         seed = tw._front_seed(mesh.nodes, mu, c, eps)
         w, report = system.solve(seed, mu)
@@ -560,8 +576,30 @@ class TestContinuousSeed:
     ``fronts`` inputs (seed 0); these fronts are that seed's, to 1e-9."""
 
     # mu_fr (u(0) at c = 0) of every front of a ``fronts`` pass, from the
-    # step seed
+    # step seed, on the branch mesh of ``solve_front``'s rule
     STEP_SEED_BRANCHES = {
+        0.4: [0.0650619951464, 0.062663407331, 0.0603273329221, 0.0580990100037,
+              0.0560091514042, 0.0540767740857, 0.0523116342065, 0.0507162488508,
+              0.0492876521595, 0.0480188708616],
+        0.8: [0.195818494753, 0.1909166226, 0.18659736422, 0.182815215155,
+              0.179521506222, 0.176666883917, 0.174203082599, 0.172084197252,
+              0.170267513648, 0.168713976421],
+        1.2: [0.396000779204, 0.390711493863, 0.38615404241, 0.382240069933,
+              0.378888171316, 0.37602448832, 0.373582850096, 0.371504596505,
+              0.369738170207, 0.368238578095],
+        1.6: [0.668442164527, 0.664182721805, 0.66053637306, 0.657421987612,
+              0.654767086259, 0.652507560973, 0.650587169144, 0.64895689874,
+              0.647574266584, 0.646402621643],
+        1.9: [0.915540744506, 0.913607114487, 0.911946132137, 0.91052340263,
+              0.909307659785, 0.908270884678, 0.907388229588, 0.906637861523,
+              0.906000726457, 0.905460290991],
+        0.0: [0.111768230723, 0.100183206231, 0.0897919791211, 0.0804744936703,
+              0.0721215124332, 0.0646341856696, 0.0579233751512, 0.0519088790552],
+    }
+    # the same fronts on the branch's former mesh (uniform core cells of 0.05
+    # over the take-off zone); the move measured 1.32e-7 in mu_fr and 1.91e-7
+    # in u(0)
+    FORMER_MESH_BRANCHES = {
         0.4: [0.0650619708018, 0.0626634009978, 0.0603273195783, 0.0580990115389,
               0.0560091508297, 0.0540767791122, 0.0523116364219, 0.0507162497648,
               0.0492876535204, 0.0480188708264],
@@ -588,8 +626,8 @@ class TestContinuousSeed:
     }
 
     def test_fronts_pass_matches_the_step_seed(self, monkeypatch):
-        # measured: the largest change 5.9e-12; first solves at c > 0 take
-        # 5-8 iterations (9-12 from the step), those at c = 0 5 from either
+        # measured: the largest change 5.4e-12; first solves at c > 0 take
+        # 5-8 iterations (8-12 from the step), those at c = 0 5 from either
         # seed; the pass's 4 halvings are all in first solves
         import quenchfront.travelingwave as tw
 
@@ -602,6 +640,9 @@ class TestContinuousSeed:
 
         monkeypatch.setattr(tw, "solve_bvp", counted)
         halvings = lambda r: sum(round(-math.log2(lam)) for lam in r.damping_history)
+        for c, want in self.STEP_SEED_BRANCHES.items():
+            move = max(abs(a - b) for a, b in zip(want, self.FORMER_MESH_BRANCHES[c]))
+            assert move <= (2e-7 if c == 0.0 else 1.4e-7)
         firsts = []
         for c, want in self.STEP_SEED_BRANCHES.items():
             lo, hi = (1e-3, 1e-2) if c == 0.0 else (2.5e-4, 2.5e-3)
@@ -631,10 +672,10 @@ class TestContinuousSeed:
         import quenchfront.travelingwave as tw
 
         params = QuenchParams(c, eps)
-        mesh = tw._default_mesh(params, 5.0 / eps, 4001)
+        mesh = tw._front_mesh(params, default_halflength(params), 4001)
         meshes = [(mesh, params.mu_of_zeta(mesh.nodes))]
         if eps >= 2.5e-4:
-            mesh = tw._branch_mesh(c, eps)
+            mesh = front_branch(c, [eps]).mesh
             meshes.append((mesh, _branch_ramp(mesh, c, eps)))
         for mesh, mu in meshes:
             w = tw._front_seed(mesh.nodes, mu, c, eps)
